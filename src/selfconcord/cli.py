@@ -402,8 +402,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         report, code = args.handler(args)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
-        print(f"selfconcord: error: {exc}", file=sys.stderr)
+    except Exception as exc:  # exit 1 means NOT_SELF_CONCORDANT, so no failure may reach it
+        print(f"selfconcord: error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
     if isinstance(report, str):
         print(report)

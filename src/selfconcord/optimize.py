@@ -6,7 +6,10 @@ Two local ascent methods that respect the feasible geometry directly:
   nonnegative coefficients, which keeps iterates on the simplex and never
   decreases the objective;
 * sphere: gradient ascent with a normalize-after-step retraction and
-  adaptive step halving, monotone by construction.
+  adaptive step halving, monotone by construction.  All starts advance in
+  lockstep as rows of one array, each with its own step, plateau count and
+  budget, so a round costs one batched gradient and one batched form
+  evaluation however many starts are still running.
 
 Both are multistart with deterministic per-start random substreams, so a
 fixed seed reproduces results bit for bit.  Reported values are always
@@ -198,53 +201,81 @@ def max_quadratic_simplex(G: Graph, over_edges: bool = True, cfg: OptConfig | No
 # Homogeneous form over the sphere
 
 
-def _ascend_sphere(A: SymTensor, h0: np.ndarray, cfg: OptConfig) -> tuple[float, np.ndarray, int, bool]:
-    h = np.asarray(h0, dtype=float)
-    norm = np.linalg.norm(h)
-    if norm == 0.0:
+def _row_norms(x: np.ndarray) -> np.ndarray:
+    """np.linalg.norm(x, axis=1), bit for bit, without its per-call dispatch."""
+    return np.sqrt(np.add.reduce(x * x, axis=1))
+
+
+def _ascend_sphere(A: SymTensor, starts: np.ndarray, cfg: OptConfig) -> list[tuple[float, np.ndarray, int, bool]]:
+    """Ascend from every row of `starts` (S x dim) in lockstep.
+
+    Each start runs its own gradient ascent with a normalize-after-step
+    retraction: the first step is 0.5, an accepted step doubles (capped at
+    1) and a rejected one halves, and the line search gives up once the
+    step falls below `step_tol`.  A start stops, converged, on a zero
+    gradient, a failed line search or `_PLATEAU` consecutive near-flat
+    gains, and stops unconverged when it needs a gradient step after
+    `max_iters` of them.  Each round makes one `grad_form` call on the
+    starts that just accepted a step (or just started) and one
+    `eval_form_batch` call on one candidate per running start; stopped
+    starts are dropped from the arrays.
+    """
+    norms = _row_norms(starts)
+    if np.any(norms == 0.0):
         raise ValueError("start point must be nonzero")
-    h = h / norm
-    value = eval_form(A, h)
-    evals = 1
-    step = 0.5
-    plateau = 0
-    converged = False
-    for _ in range(cfg.max_iters):
-        g = grad_form(A, h)
-        gnorm = np.linalg.norm(g)
-        if gnorm == 0.0:
-            converged = True
-            break
-        direction = g / gnorm
-        improved = False
-        gain = 0.0
-        while step >= cfg.step_tol:
-            cand = h + step * direction
-            cand_norm = np.linalg.norm(cand)
-            if cand_norm == 0.0:  # step landed exactly at the origin
-                step *= 0.5
-                continue
-            cand = cand / cand_norm
-            cand_value = eval_form(A, cand)
-            evals += 1
-            if cand_value > value:
-                gain = cand_value - value
-                h, value = cand, cand_value
-                step = min(step * 2.0, 1.0)
-                improved = True
-                break
-            step *= 0.5
-        if not improved:
-            converged = True
-            break
-        if gain <= cfg.value_tol * max(1.0, abs(value)):
-            plateau += 1
-            if plateau >= _PLATEAU:
-                converged = True
-                break
-        else:
-            plateau = 0
-    return value, h, evals, converged
+    H = starts / norms[:, None]
+    count = H.shape[0]
+    values = eval_form_batch(A, H)
+    results: list = [None] * count
+    ids = np.arange(count)
+    evals = np.ones(count, dtype=np.int64)
+    steps = np.full(count, 0.5)
+    plateau = np.zeros(count, dtype=np.int64)
+    iters = np.zeros(count, dtype=np.int64)
+    directions = np.empty_like(H)
+    fresh = np.ones(count, dtype=bool)  # needs a gradient before its next line search
+    converged = np.zeros(count, dtype=bool)
+    halt = np.zeros(count, dtype=bool)
+
+    while True:
+        if np.count_nonzero(fresh):
+            g = grad_form(A, H[fresh])
+            gnorm = _row_norms(g)
+            iters[fresh] += 1
+            flat = gnorm == 0.0
+            if np.count_nonzero(flat):
+                stopped = np.flatnonzero(fresh)[flat]
+                converged[stopped] = halt[stopped] = True
+                gnorm[flat] = 1.0
+            directions[fresh] = g / gnorm[:, None]
+
+        if np.count_nonzero(halt):
+            for i in np.flatnonzero(halt):
+                results[ids[i]] = (float(values[i]), H[i], int(evals[i]), bool(converged[i]))
+            keep = ~halt
+            ids, H, values, evals, steps, plateau, iters, directions = (
+                x[keep] for x in (ids, H, values, evals, steps, plateau, iters, directions)
+            )
+            if ids.size == 0:
+                return results
+
+        cand = H + steps[:, None] * directions
+        cand_norm = _row_norms(cand)
+        moved = cand_norm != 0.0  # a step that lands exactly on the origin only halves
+        cand /= np.where(moved, cand_norm, 1.0)[:, None]
+        cand_values = eval_form_batch(A, cand)
+        evals += moved
+        up = (cand_values > values) & moved
+        gain = cand_values - values
+        np.copyto(H, cand, where=up[:, None])
+        np.copyto(values, cand_values, where=up)
+        steps *= np.where(up, 2.0, 0.5)
+        np.minimum(steps, 1.0, out=steps)
+        near_flat = gain <= cfg.value_tol * np.maximum(1.0, np.abs(values))
+        plateau = np.where(up & ~near_flat, 0, plateau + up)
+        converged = np.where(up, plateau >= _PLATEAU, steps < cfg.step_tol)
+        halt = converged | (up & (iters >= cfg.max_iters))
+        fresh = up & ~halt
 
 
 def max_form_sphere(
@@ -279,8 +310,7 @@ def max_form_sphere(
             draw = rng.standard_normal(A.dim)
         starts.append(draw)
 
-    results = [_ascend_sphere(A, h0, cfg) for h0 in starts]
-    return _report(results)
+    return _report(_ascend_sphere(A, np.array(starts), cfg))
 
 
 def max_multilinear_sphere(A: SymTensor, cfg: OptConfig | None = None, extra_starts: tuple = ()) -> OptReport:

@@ -18,7 +18,6 @@ incur rounding.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -44,10 +43,6 @@ __all__ = [
     "tensor_to_json_obj",
     "tensor_from_json_obj",
 ]
-
-# Dense materialization guard for spectral_upper_bound (dim ** order floats).
-_DENSE_LIMIT = 20_000_000
-
 
 def _as_fraction(value) -> Fraction:
     if isinstance(value, Fraction):
@@ -100,17 +95,21 @@ class SymTensor:
         object.__setattr__(self, "entries", clean)
 
     @cached_property
-    def _packed(self) -> tuple[np.ndarray, np.ndarray, list[tuple[tuple[int, ...], int, float]]]:
-        """Float views: (0-based index array K x d, orbit_count*value weights, python list)."""
+    def _packed(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Float views of the canonical entries, built once per tensor.
+
+        `idx` (K x order, 0-based) and `weights` (orbit size times value)
+        drive form evaluation.  For the gradient, `loo` holds, for every slot
+        t and entry k (row t*K + k), the entry's indices with slot t left
+        out, and `loo_target` the index at slot t that the product feeds.
+        """
         keys = sorted(self.entries)
-        rows = [(key, _orbit_size(key), float(self.entries[key])) for key in keys]
-        if keys:
-            idx = np.array(keys, dtype=np.intp) - 1
-            weights = np.array([c * v for _, c, v in rows], dtype=float)
-        else:
-            idx = np.zeros((0, self.order), dtype=np.intp)
-            weights = np.zeros(0, dtype=float)
-        return idx, weights, rows
+        idx = np.array(keys, dtype=np.intp).reshape(len(keys), self.order) - 1
+        weights = np.array([_orbit_size(key) * float(self.entries[key]) for key in keys], dtype=float)
+        slots = range(self.order)
+        loo = np.concatenate([np.delete(idx, t, axis=1) for t in slots])
+        loo_target = np.concatenate([idx[:, t] for t in slots])
+        return idx, weights, loo, loo_target
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SymTensor):
@@ -149,7 +148,7 @@ def eval_form(A: SymTensor, h) -> float:
     """Floating-point value of the homogeneous form A(h, ..., h)."""
     h = np.asarray(h, dtype=float)
     _check_dim(A, h.shape[0])
-    idx, weights, _ = A._packed
+    idx, weights, _, _ = A._packed
     if idx.shape[0] == 0:
         return 0.0
     return float(weights @ np.prod(h[idx], axis=1))
@@ -159,13 +158,13 @@ def eval_form_batch(A: SymTensor, points: np.ndarray, chunk: int = 262_144) -> n
     """Form values at many points at once; `points` has shape (N, dim)."""
     points = np.asarray(points, dtype=float)
     _check_dim(A, points.shape[1])
-    idx, weights, _ = A._packed
+    idx, weights, _, _ = A._packed
     out = np.zeros(points.shape[0])
     if idx.shape[0] == 0:
         return out
     for lo in range(0, points.shape[0], chunk):
         block = points[lo:lo + chunk]
-        prod = block[:, idx[:, 0]].copy()
+        prod = block[:, idx[:, 0]]
         for t in range(1, A.order):
             prod *= block[:, idx[:, t]]
         out[lo:lo + block.shape[0]] = prod @ weights
@@ -188,25 +187,20 @@ def eval_form_exact(A: SymTensor, h: Sequence) -> Fraction:
 def grad_form(A: SymTensor, h) -> np.ndarray:
     """Gradient of h -> A(h, ..., h), i.e. order * A(h, ..., h, .).
 
-    Satisfies the Euler identity <grad, h> = order * A(h, ..., h).
+    `h` is one point of shape (dim,) or a batch of shape (S, dim); the
+    result has the same shape.  Each row satisfies the Euler identity
+    <grad, h> = order * A(h, ..., h).  Products are taken over the other
+    slots directly (no division), so exact zeros in `h` are safe.
     """
     h = np.asarray(h, dtype=float)
-    _check_dim(A, h.shape[0])
-    _, _, rows = A._packed
-    g = np.zeros(A.dim)
-    for key, count, value in rows:
-        w = count * value
-        for j in set(key):
-            m = key.count(j)
-            prod = 1.0
-            skipped = False
-            for i in key:
-                if i == j and not skipped:
-                    skipped = True
-                    continue
-                prod *= h[i - 1]
-            g[j - 1] += w * m * prod
-    return g
+    _check_dim(A, h.shape[-1])
+    _, weights, loo, loo_target = A._packed
+    rows = h.reshape(-1, A.dim)
+    count = rows.shape[0]
+    terms = np.prod(rows[:, loo], axis=2).reshape(count, A.order, weights.size) * weights
+    targets = loo_target + A.dim * np.arange(count)[:, None]
+    g = np.bincount(targets.ravel(), weights=terms.ravel(), minlength=count * A.dim)
+    return g.reshape(h.shape)
 
 
 def eval_multilinear(A: SymTensor, vectors: Sequence) -> float:
@@ -256,35 +250,35 @@ def frobenius(A: SymTensor) -> float:
     return math.sqrt(float(total))
 
 
-def _dense(A: SymTensor) -> np.ndarray:
-    if A.dim ** A.order > _DENSE_LIMIT:
-        raise ValueError(f"dense materialization of dim {A.dim} order {A.order} exceeds limit")
-    full = np.zeros((A.dim,) * A.order)
-    for key, value in A.entries.items():
-        fval = float(value)
-        for perm in set(permutations(key)):
-            full[tuple(i - 1 for i in perm)] = fval
-    return full
-
-
 def spectral_upper_bound(A: SymTensor) -> float:
     """Sound upper bound on max over unit h of |A(h, ..., h)|.
 
-    Minimum of the Frobenius norm and the largest singular value of every
-    mode unfolding.  Each unfolding bounds the multilinear maximum because
-    A(h1, ..., hd) = h1^T M (h2 x ... x hd) and the Kronecker factor is a
-    unit vector; the single-argument maximum cannot exceed the multilinear
-    one.
+    Minimum of the Frobenius norm and the largest singular value of the
+    mode-0 unfolding M, with A(h1, ..., hd) = h1^T M (h2 x ... x hd).  The
+    Kronecker factor is a unit vector, so sigma_max(M) bounds the
+    multilinear maximum, which the single-argument maximum cannot exceed.
+    Every mode unfolding of a symmetric tensor is M with its columns
+    permuted, so one SVD serves all modes.  Only the nonzero columns of M
+    are built: one per distinct tail (i2, ..., id) of a permuted entry,
+    which leaves the singular values unchanged and never materializes
+    dim ** order floats.
     """
     bound = frobenius(A)
     if not A.entries:
         return bound
-    full = _dense(A)
-    for mode in range(A.order):
-        M = np.moveaxis(full, mode, 0).reshape(A.dim, -1)
-        sigma = float(np.linalg.svd(M, compute_uv=False)[0])
-        bound = min(bound, sigma)
-    return bound
+    heads, tails, values = [], [], []
+    for key, value in A.entries.items():
+        fval = float(value)
+        for perm in set(permutations(key)):
+            heads.append(perm[0] - 1)
+            tails.append(perm[1:])
+            values.append(fval)
+    _, column = np.unique(np.array(tails), axis=0, return_inverse=True)
+    column = column.ravel()
+    M = np.zeros((A.dim, int(column.max()) + 1))
+    M[heads, column] = values
+    sigma = float(np.linalg.svd(M, compute_uv=False)[0])
+    return min(bound, sigma)
 
 
 # ---------------------------------------------------------------------------
@@ -328,11 +322,3 @@ def tensor_to_json_obj(A: SymTensor) -> dict:
 def tensor_from_json_obj(obj: dict) -> SymTensor:
     raw = [(tuple(key), Fraction(value)) for key, value in obj["entries"]]
     return sym_from_entries(int(obj["order"]), int(obj["dim"]), raw)
-
-
-def tensor_to_json(A: SymTensor) -> str:
-    return json.dumps(tensor_to_json_obj(A))
-
-
-def tensor_from_json(text: str) -> SymTensor:
-    return tensor_from_json_obj(json.loads(text))

@@ -155,6 +155,12 @@ def test_bad_arguments_exit_3():
     assert proc.returncode == 3  # missing --sigma
     proc = run_cli(["no-such-command"])
     assert proc.returncode == 3
+    proc = run_cli(["check-sc", "-"], stdin='{"kind": "cubic"}')
+    assert proc.returncode == 3  # instance object without a tensor
+    assert "Traceback" not in proc.stderr
+    proc = run_cli(["check-sc", "-", "--k", "3", "--sigma", "1/0"], stdin=K3_DIMACS)
+    assert proc.returncode == 3  # zero denominator
+    assert "Traceback" not in proc.stderr
 
 
 def test_verify_all_reduced_suite():

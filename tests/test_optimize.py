@@ -8,6 +8,7 @@ import pytest
 
 from selfconcord import (
     OptConfig,
+    grad_form,
     beta_split_max,
     build_cubic_tensor,
     build_quartic_tensor,
@@ -178,6 +179,80 @@ def test_sphere_extra_start_guarantees_value(k3):
     lean = OptConfig(starts=1, max_iters=5, seed=7)
     rep = max_form_sphere(A, lean, extra_starts=(witness_from_clique(k3, {1, 2, 3}),))
     assert rep.best_value >= 2.0 / 9.0 - 1e-12
+
+
+def reference_ascent(A, h0, cfg):
+    """One start alone: the scalar loop the lockstep search must reproduce."""
+    h = h0 / np.linalg.norm(h0)
+    value, step, plateau = eval_form(A, h), 0.5, 0
+    for _ in range(cfg.max_iters):
+        g = grad_form(A, h)
+        if np.linalg.norm(g) == 0.0:
+            return value, True
+        direction = g / np.linalg.norm(g)
+        while step >= cfg.step_tol:
+            cand = h + step * direction
+            if np.linalg.norm(cand) == 0.0:
+                step *= 0.5
+                continue
+            cand = cand / np.linalg.norm(cand)
+            cand_value = eval_form(A, cand)
+            if cand_value > value:
+                gain, h, value = cand_value - value, cand, cand_value
+                step = min(step * 2.0, 1.0)
+                break
+            step *= 0.5
+        else:
+            return value, True
+        plateau = plateau + 1 if gain <= cfg.value_tol * max(1.0, abs(value)) else 0
+        if plateau >= 3:
+            return value, True
+    return value, False
+
+
+def test_sphere_lockstep_matches_reference_ascent():
+    rng = np.random.default_rng(103)
+    for max_iters in (2, 400):
+        cfg = OptConfig(starts=5, max_iters=max_iters, seed=11)
+        for _ in range(8):
+            A = random_sym_tensor(rng, int(rng.integers(2, 5)), int(rng.integers(2, 6)))
+            extra = (np.abs(rng.standard_normal(A.dim)),)
+            rep = max_form_sphere(A, cfg, extra_starts=extra)
+            draws = [np.asarray(extra[0])]
+            for gen in np.random.SeedSequence(cfg.seed).spawn(cfg.starts):
+                draws.append(np.random.Generator(np.random.PCG64(gen)).standard_normal(A.dim))
+            expected = [reference_ascent(A, h0, cfg) for h0 in draws]
+            for got, (want, _) in zip(rep.per_start_values, expected):
+                assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+            assert rep.converged == expected[int(np.argmax(rep.per_start_values))][1]
+
+
+def test_sphere_lockstep_starts_independent():
+    rng = np.random.default_rng(97)
+    for _ in range(10):
+        A = random_sym_tensor(rng, int(rng.integers(2, 5)), int(rng.integers(2, 6)))
+        extra = tuple(rng.standard_normal((3, A.dim)))
+        alone = max_form_sphere(A, CFG)
+        joint = max_form_sphere(A, CFG, extra_starts=extra)
+        assert len(joint.per_start_values) == len(extra) + CFG.starts
+        for a, b in zip(alone.per_start_values, joint.per_start_values[len(extra):]):
+            assert abs(a - b) <= 1e-12 * max(1.0, abs(a))
+        assert abs(joint.best_value - eval_form(A, joint.witness)) <= 1e-12
+        assert joint.best_value == max(joint.per_start_values)
+
+
+def test_sphere_evaluation_budget():
+    # Per start: one initial value, at most max_iters accepted candidates,
+    # and rejections that halve a step which only accepts can double back
+    # before it falls below step_tol.
+    rng = np.random.default_rng(101)
+    for max_iters in (1, 3, 20):
+        cfg = OptConfig(starts=5, max_iters=max_iters, seed=3)
+        halvings = math.ceil(math.log2(0.5 / cfg.step_tol))
+        for _ in range(5):
+            A = random_sym_tensor(rng, int(rng.integers(2, 5)), int(rng.integers(2, 6)))
+            rep = max_form_sphere(A, cfg)
+            assert rep.evaluations <= cfg.starts * (2 + 2 * max_iters + halvings)
 
 
 def banach_pair(A, cfg):

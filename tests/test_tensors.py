@@ -13,12 +13,17 @@ import numpy as np
 import pytest
 
 from selfconcord import (
+    Status,
     SymTensor,
+    build_cubic_instance,
     build_cubic_tensor,
+    check_sc,
+    clique_number,
     eval_form,
     eval_form_batch,
     eval_form_exact,
     frobenius,
+    graph_from_edges,
     grad_form,
     spectral_upper_bound,
     sym_from_entries,
@@ -55,6 +60,33 @@ def brute_force_eval_exact(A: SymTensor, h) -> Fraction:
                 term *= h[i - 1]
             total += term
     return total
+
+
+def brute_force_grad(A: SymTensor, h) -> np.ndarray:
+    """order * A(., h, ..., h) by full dim**order summation."""
+    g = np.zeros(A.dim)
+    for idx in product(range(1, A.dim + 1), repeat=A.order):
+        value = A.entries.get(tuple(sorted(idx)))
+        if value is not None:
+            term = A.order * float(value)
+            for i in idx[1:]:
+                term *= h[i - 1]
+            g[idx[0] - 1] += term
+    return g
+
+
+def dense_spectral_reference(A: SymTensor) -> float:
+    """min(Frobenius, largest singular value over every full mode unfolding)."""
+    full = np.zeros((A.dim,) * A.order)
+    for idx in product(range(A.dim), repeat=A.order):
+        value = A.entries.get(tuple(sorted(i + 1 for i in idx)))
+        if value is not None:
+            full[idx] = float(value)
+    bound = float(np.sqrt(np.sum(full * full)))
+    for mode in range(A.order):
+        M = np.moveaxis(full, mode, 0).reshape(A.dim, -1)
+        bound = min(bound, float(np.linalg.svd(M, compute_uv=False)[0]))
+    return bound
 
 
 def identity_tensor(n: int) -> SymTensor:
@@ -215,6 +247,25 @@ def test_grad_euler_identity_random():
         assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(rhs))
 
 
+def test_grad_batch_matches_rows_and_reference():
+    rng = np.random.default_rng(24)
+    for _ in range(40):
+        order = int(rng.integers(2, 5))
+        dim = int(rng.integers(1, 6))
+        A = random_sym_tensor(rng, order, dim)
+        H = rng.standard_normal((6, dim))
+        H[rng.random((6, dim)) < 0.4] = 0.0  # clique-derived points carry exact zeros
+        H[0] = 0.0
+        G = grad_form(A, H)
+        assert G.shape == H.shape
+        for h, g in zip(H, G):
+            assert np.array_equal(g, grad_form(A, h))
+            ref = brute_force_grad(A, h)
+            assert np.linalg.norm(g - ref) <= 1e-12 * max(1.0, np.linalg.norm(ref))
+            rhs = order * eval_form(A, h)
+            assert abs(float(g @ h) - rhs) <= 1e-10 * max(1.0, abs(rhs))
+
+
 def test_grad_vs_central_finite_differences():
     rng = np.random.default_rng(29)
     step = 1e-5
@@ -276,6 +327,27 @@ def test_spectral_upper_bound_sound_on_random():
         for _ in range(50):
             h = random_unit_vector(rng, dim)
             assert abs(brute_force_eval(A, h)) <= bound + 1e-10
+
+
+def test_spectral_upper_bound_matches_dense_reference():
+    rng = np.random.default_rng(32)
+    for order in (3, 4):
+        for _ in range(15):
+            A = random_sym_tensor(rng, order, int(rng.integers(1, 6)))
+            ref = dense_spectral_reference(A)
+            assert abs(spectral_upper_bound(A) - ref) <= 1e-12 * max(1.0, ref)
+
+
+def test_spectral_upper_bound_large_cubic_gadget_undecided():
+    # dim 32 + 248 = 280: the full hypermatrix would hold 22M floats
+    rng = np.random.default_rng(280)
+    pairs = [(i, j) for i in range(1, 33) for j in range(i + 1, 33)]
+    chosen = rng.choice(len(pairs), 248, replace=False)
+    G = graph_from_edges(32, [pairs[c] for c in chosen])
+    inst = build_cubic_instance(G, clique_number(G) + 2, Fraction(1, 2))
+    assert inst.A.dim == 280
+    assert math.isfinite(spectral_upper_bound(inst.A))
+    assert check_sc(inst, mode="relax").status is Status.UNDECIDED
 
 
 # ---------------------------------------------------------------------------
