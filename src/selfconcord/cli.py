@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from fractions import Fraction
 
@@ -402,13 +403,16 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         report, code = args.handler(args)
+        print(report if isinstance(report, str) else _render(report, args.format))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout.  Point it at devnull so that the flush at
+        # interpreter exit cannot raise a second time.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 3
     except Exception as exc:  # exit 1 means NOT_SELF_CONCORDANT, so no failure may reach it
         print(f"selfconcord: error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
-    if isinstance(report, str):
-        print(report)
-    else:
-        print(_render(report, args.format))
     return code
 
 

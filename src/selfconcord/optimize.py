@@ -15,7 +15,10 @@ Both are multistart with deterministic per-start random substreams, so a
 fixed seed reproduces results bit for bit.  Reported values are always
 lower bounds on the true maximum (every iterate is feasible); certified
 upper bounds come from `grid_certified_max` here and
-`tensors.spectral_upper_bound`.
+`tensors.spectral_upper_bound`.  The grid bound evaluates the form on a net
+of gridded hyperspherical angles without building the net's points: each
+monomial factors into one term per angle, so the form over the whole net is
+one matrix product of per-angle tables.
 
 Also provides the exact witness transformations that tie sphere maxima of
 edge-coupled cubic forms back to clique quadratics: the Cauchy-Schwarz
@@ -62,7 +65,8 @@ DEFAULT_SEED = 1729
 # Consecutive near-flat improvements before a trajectory counts as converged.
 _PLATEAU = 3
 
-# Point budget for spherical nets (memory / time guard).
+# Point budget for spherical nets.  The net is never built, so this is a
+# time guard: the matrix product behind one rung costs points x entries.
 _NET_BUDGET = 2_500_000
 
 
@@ -369,28 +373,23 @@ def max_multilinear_sphere(A: SymTensor, cfg: OptConfig | None = None, extra_sta
 # Certified sphere grid bound
 
 
-# The whole resolution ladder for dims 2..5 fits in ~25 distinct nets;
-# cache them all (a few hundred MB ceiling) so sweeps reuse instead of rebuild.
 @lru_cache(maxsize=25)
-def _sphere_net(dim: int, n_half: int, n_full: int) -> np.ndarray:
-    """Grid of points on S^(dim-1) from gridded hyperspherical angles.
+def _sphere_net(dim: int, n_half: int, n_full: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """(cos, sin) tables, one pair per gridded angle of a net on S^(dim-1).
 
     Angles 1..dim-2 run over [0, pi] with n_half points inclusive; the last
-    angle runs over [0, 2*pi) with n_full points.  The unit-speed bound on
-    each angle gives covering radius <= sum of half-spacings.
+    angle runs over [0, 2*pi) with n_full points.  The net (never built) is
+    every combination of angles t, the point with coordinates
+    h_k = sin t_1 ... sin t_(k-1) cos t_k, whose last coordinate h_dim is
+    sin t_1 ... sin t_(dim-1).  The unit-speed bound on each angle gives
+    covering radius <= sum of half-spacings.
     """
-    half = [np.linspace(0.0, math.pi, n_half) for _ in range(dim - 2)]
-    full = [np.linspace(0.0, 2.0 * math.pi, n_full, endpoint=False)]
-    grids = np.meshgrid(*(half + full), indexing="ij")
-    thetas = np.stack([g.ravel() for g in grids], axis=1)
-    pts = np.empty((thetas.shape[0], dim))
-    sin_running = np.ones(thetas.shape[0])
-    for k in range(dim - 1):
-        pts[:, k] = sin_running * np.cos(thetas[:, k])
-        sin_running = sin_running * np.sin(thetas[:, k])
-    pts[:, dim - 1] = sin_running
-    pts.setflags(write=False)
-    return pts
+    half = np.linspace(0.0, math.pi, n_half)
+    full = np.linspace(0.0, 2.0 * math.pi, n_full, endpoint=False)
+    tables = (np.cos(half), np.sin(half), np.cos(full), np.sin(full))
+    for table in tables:
+        table.setflags(write=False)
+    return (tables[:2],) * (dim - 2) + (tables[2:],)
 
 
 def grid_lower_and_upper(A: SymTensor, resolution: float, point_budget: int = _NET_BUDGET) -> tuple[float, float]:
@@ -400,6 +399,13 @@ def grid_lower_and_upper(A: SymTensor, resolution: float, point_budget: int = _N
     adding the Lipschitz slack L * resolution with L = order * frobenius(A)
     (the gradient norm of the form is at most L on the unit ball) makes the
     second component a sound upper bound.  Finer resolutions tighten both.
+
+    The form is evaluated on the net of `_sphere_net` without building its
+    points.  An entry with coordinate powers e_1..e_dim is, at a net point,
+    a product over angles of cos(t_j)^e_j * sin(t_j)^(e_(j+1) + ... + e_dim).
+    So the weighted outer products of the half-angle factors (one row per
+    combination of half angles, one column per entry) times the transposed
+    last-angle factors give the form at every net point in one matrix product.
     """
     if resolution <= 0.0:
         raise ValueError("resolution must be positive")
@@ -417,8 +423,20 @@ def grid_lower_and_upper(A: SymTensor, resolution: float, point_budget: int = _N
             f"net of {n_points} points for dim {A.dim} at resolution {resolution} "
             f"exceeds budget {point_budget}"
         )
-    net = _sphere_net(A.dim, n_half, n_full)
-    net_max = float(np.max(np.abs(eval_form_batch(A, net)))) if A.entries else 0.0
+    tables = _sphere_net(A.dim, n_half, n_full)
+    net_max = 0.0
+    if A.entries:
+        idx, weights, _, _ = A._packed
+        powers = (idx[:, :, None] == np.arange(A.dim)).sum(axis=1)  # entries x dim
+        tails = np.cumsum(powers[:, ::-1], axis=1)[:, ::-1]  # tails[:, j] = powers[:, j:].sum(1)
+        factors = [
+            cos[:, None] ** powers[:, j] * sin[:, None] ** tails[:, j + 1]
+            for j, (cos, sin) in enumerate(tables)
+        ]
+        rows = weights[None, :]
+        for factor in factors[:-1]:
+            rows = (rows[:, None, :] * factor[None, :, :]).reshape(-1, weights.size)
+        net_max = float(np.max(np.abs(rows @ factors[-1].T)))
     lipschitz = A.order * frobenius(A)
     return net_max, net_max + lipschitz * resolution
 

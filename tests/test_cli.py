@@ -163,6 +163,26 @@ def test_bad_arguments_exit_3():
     assert "Traceback" not in proc.stderr
 
 
+def test_closed_stdout_exits_3(tmp_path):
+    # The report (~240 kB) outgrows the pipe buffer, so the writer is still
+    # writing when the reader closes its end after one byte.
+    n = 60
+    edges = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    path = tmp_path / "k60.col"
+    path.write_text(f"p edge {n} {len(edges)}\n" + "".join(f"e {i} {j}\n" for i, j in edges))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "selfconcord", "reduce", str(path), "--k", "3", "--sigma", "1/2"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.read(1) == b"{"
+    proc.stdout.close()
+    stderr = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 3
+    assert "Traceback" not in stderr
+
+
 def test_verify_all_reduced_suite():
     proc = run_cli(["verify-all", "--max-n", "2", "--format", "text"])
     assert proc.returncode == 0, proc.stdout + proc.stderr

@@ -16,8 +16,10 @@ from selfconcord import (
     couple_w_from_u,
     enumerate_graphs,
     eval_form,
+    eval_form_batch,
     graph_from_edges,
     grid_certified_max,
+    grid_lower_and_upper,
     max_form_sphere,
     max_multilinear_sphere,
     max_quadratic_simplex,
@@ -309,6 +311,41 @@ def test_grid_sound_on_random():
         for _ in range(200):
             h = random_unit_vector(rng, dim)
             assert abs(eval_form(A, h)) <= bound + 1e-10
+
+
+def reference_net(dim, resolution):
+    """The net's points, built coordinate by coordinate from the gridded angles."""
+    spacing = 2.0 * resolution / (dim - 1)
+    half = [np.linspace(0.0, math.pi, int(math.ceil(math.pi / spacing)) + 1) for _ in range(dim - 2)]
+    full = [np.linspace(0.0, 2.0 * math.pi, int(math.ceil(2.0 * math.pi / spacing)), endpoint=False)]
+    grids = np.meshgrid(*(half + full), indexing="ij")
+    thetas = np.stack([g.ravel() for g in grids], axis=1)
+    pts = np.empty((thetas.shape[0], dim))
+    sin_running = np.ones(thetas.shape[0])
+    for k in range(dim - 1):
+        pts[:, k] = sin_running * np.cos(thetas[:, k])
+        sin_running = sin_running * np.sin(thetas[:, k])
+    pts[:, dim - 1] = sin_running
+    return pts
+
+
+def test_grid_net_max_matches_reference_net():
+    rng = np.random.default_rng(29)
+    for dim, resolution in ((2, 0.01), (3, 0.05), (4, 0.2), (5, 0.4)):
+        pts = reference_net(dim, resolution)
+        assert np.allclose(np.linalg.norm(pts, axis=1), 1.0)
+        for order in (2, 3, 4):
+            A = random_sym_tensor(rng, order, dim, density=0.9)
+            assert A.entries
+            net_max, bound = grid_lower_and_upper(A, resolution)
+            expected = float(np.max(np.abs(eval_form_batch(A, pts))))
+            assert net_max == pytest.approx(expected, rel=1e-12, abs=0.0)
+            assert bound == net_max + order * frobenius(A) * resolution
+            assert grid_lower_and_upper(sym_from_entries(order, dim, []), resolution)[0] == 0.0
+        # The budget counts the points of the net even though they are never built.
+        with pytest.raises(ValueError, match="exceeds budget"):
+            grid_lower_and_upper(A, resolution, point_budget=pts.shape[0] - 1)
+        assert grid_lower_and_upper(A, resolution, point_budget=pts.shape[0])[0] == net_max
 
 
 def test_grid_dim_guard():
