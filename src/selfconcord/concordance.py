@@ -23,11 +23,22 @@ Modes: "relax" bounds via `tensors.spectral_upper_bound`, "grid" via
 "oracle" requires graph provenance and is complete on it.  The parameter
 convention follows the defining inequality as written here: larger sigma
 (larger q) is a weaker requirement.
+
+Of a numeric decision, only the comparisons against q depend on k: the
+multistart search (with the clique start and nonnegative starts when the
+instance has graph provenance), the spectral bound and each grid rung depend
+on the tensor, the provenance graph and the `OptConfig` alone.  They are
+computed once per (tensor, provenance, config) in a process and kept in a
+bounded memo, so a k-sweep or a relax-then-grid pair searches each gadget
+once.  The band comparisons, rationalization, exact re-verification and the
+grid ladder's stopping rule still run on every decision, so a verdict,
+`evaluations` included, is the same whether the analysis was reused or not.
 """
 
 from __future__ import annotations
 
 import enum
+from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -74,6 +85,12 @@ _DEFAULT_MAX_DENOMINATOR = 2**64
 # Coarse-to-fine certified-grid ladder; entries that blow the point budget
 # for a given dim are skipped.
 _GRID_LADDER = (0.2, 0.1, 0.05, 0.02, 0.01, 0.005, 0.002, 0.001)
+
+# The k-independent analyses (searches, spectral bounds, grid rungs) kept per
+# process, least recently used first out.  One (graph, kind) pair of a k-sweep
+# needs at most 1 + 1 + len(_GRID_LADDER) of them.
+_KEPT_ANALYSES = 64
+_analyses: OrderedDict = OrderedDict()
 
 
 class Status(enum.Enum):
@@ -192,19 +209,36 @@ def _undecided_verdict(mode: str, description: str, extra: dict, evaluations: in
     return Verdict(Status.UNDECIDED, mode, certificate, evaluations)
 
 
-def _numeric_search(inst: ConcordanceInstance, cfg: OptConfig) -> OptReport:
-    extra = []
-    if inst.provenance is not None:
-        G = inst.provenance.graph
-        C = max_clique(G)
-        if len(C) >= 2:
-            if inst.kind == "cubic":
-                extra.append(witness_from_clique(G, C))
-            else:
-                extra.append(quartic_witness_from_clique(G, C))
-    return max_form_sphere(
-        inst.A, cfg, extra_starts=tuple(extra), nonnegative_starts=inst.provenance is not None
-    )
+def _remembered(key: tuple, compute):
+    """`compute()`, kept under `key` among the last `_KEPT_ANALYSES` keys."""
+    try:
+        _analyses.move_to_end(key)
+        return _analyses[key]
+    except KeyError:
+        pass
+    value = _analyses[key] = compute()
+    if len(_analyses) > _KEPT_ANALYSES:
+        _analyses.popitem(last=False)
+    return value
+
+
+def _search(A: SymTensor, G: Graph | None, cfg: OptConfig) -> OptReport:
+    """Multistart sphere search on A; a provenance graph G adds the clique
+    start and restricts the random starts to the nonnegative orthant."""
+
+    def run():
+        extra = ()
+        if G is not None:
+            C = max_clique(G)
+            if len(C) >= 2:
+                extra = (witness_from_clique(G, C) if A.order == 3 else quartic_witness_from_clique(G, C),)
+        return max_form_sphere(A, cfg, extra_starts=extra, nonnegative_starts=G is not None)
+
+    return _remembered(("search", A, G, cfg), run)
+
+
+def _spectral_bound(A: SymTensor) -> float:
+    return _remembered(("spectral", A), lambda: spectral_upper_bound(A))
 
 
 def _grid_bound(A: SymTensor, good_enough=None, hopeless=None) -> tuple[float, int, float | None]:
@@ -223,7 +257,7 @@ def _grid_bound(A: SymTensor, good_enough=None, hopeless=None) -> tuple[float, i
     finest = None
     for resolution in _GRID_LADDER:
         try:
-            lower, bound = grid_lower_and_upper(A, resolution)
+            lower, bound = _remembered(("grid", A, resolution), lambda: grid_lower_and_upper(A, resolution))
         except ValueError:
             continue
         best = min(best, bound)
@@ -279,7 +313,7 @@ def _check(inst: ConcordanceInstance, cfg: OptConfig | None, mode: str, kind: st
         h, lhs, rhs = _oracle_not_witness(inst)
         return _witness_verdict(mode, h, lhs, rhs, 1)
 
-    report = _numeric_search(inst, cfg)
+    report = _search(inst.A, inst.provenance.graph if inst.provenance is not None else None, cfg)
     evaluations = report.evaluations
     best = report.best_value
     numeric_quantity = best * best if squared else best
@@ -294,7 +328,7 @@ def _check(inst: ConcordanceInstance, cfg: OptConfig | None, mode: str, kind: st
         return quantity <= qf * (1.0 - _EQ_BAND)
 
     if mode == "relax":
-        bound = spectral_upper_bound(inst.A)
+        bound = _spectral_bound(inst.A)
         bound_name = "spectral_upper_bound"
         evaluations += 1
     else:
@@ -345,9 +379,9 @@ def sigma_opt_bounds(A: SymTensor, cfg: OptConfig | None = None) -> SigmaBounds:
     if A.order != 3:
         raise ValueError(f"sigma_opt_bounds needs an order-3 tensor, got order {A.order}")
     cfg = cfg or OptConfig()
-    report = max_form_sphere(A, cfg)
+    report = _search(A, None, cfg)
     norm_lower = max(report.best_value, 0.0)
-    norm_upper = spectral_upper_bound(A)
+    norm_upper = _spectral_bound(A)
     if A.dim <= 5:
         try:
             grid, _, _ = _grid_bound(A)

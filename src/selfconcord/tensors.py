@@ -116,8 +116,12 @@ class SymTensor:
             return NotImplemented
         return (self.order, self.dim, self.entries) == (other.order, other.dim, other.entries)
 
-    def __hash__(self):
+    @cached_property
+    def _hash(self) -> int:
         return hash((self.order, self.dim, tuple(sorted(self.entries.items()))))
+
+    def __hash__(self):
+        return self._hash
 
 
 def sym_from_entries(order: int, dim: int, raw_entries: Iterable[tuple[Sequence[int], object]]) -> SymTensor:

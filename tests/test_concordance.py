@@ -4,6 +4,9 @@ Independent re-verification of NOT certificates is done here with a
 test-local full-hypermatrix rational evaluation, not the library's path.
 """
 
+import json
+from collections import Counter
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from itertools import product
 
@@ -11,6 +14,7 @@ import numpy as np
 import pytest
 
 from selfconcord import (
+    ConcordanceInstance,
     OptConfig,
     Status,
     build_cubic_instance,
@@ -21,6 +25,7 @@ from selfconcord import (
     check_sc2,
     decide_clique_via_sc,
     enumerate_graphs,
+    graph_from_edges,
     has_clique,
     hessian_psd,
     rationalize_vector,
@@ -28,6 +33,7 @@ from selfconcord import (
     sym_from_entries,
     verdict_to_json_obj,
 )
+from selfconcord import concordance
 
 CFG = OptConfig(starts=4, max_iters=200, seed=211)
 
@@ -317,3 +323,98 @@ def test_verdict_json_shape(k3):
     assert obj["mode"] == "oracle"
     assert obj["certificate"]["kind"] == "witness"
     assert obj["seed"] == CFG.seed
+
+
+# ---------------------------------------------------------------------------
+# Reuse of the k-independent analysis
+
+
+@pytest.fixture
+def counted(monkeypatch):
+    """Clear the analysis memo and count the real computations behind it."""
+    concordance._analyses.clear()
+    calls = Counter()
+    for name in ("max_form_sphere", "spectral_upper_bound", "grid_lower_and_upper"):
+        real = getattr(concordance, name)
+
+        def wrapper(*args, _name=name, _real=real, **kwargs):
+            result = _real(*args, **kwargs)  # a rung over the point budget raises and counts nothing
+            calls[_name] += 1
+            return result
+
+        monkeypatch.setattr(concordance, name, wrapper)
+    yield calls
+    concordance._analyses.clear()
+
+
+def _small_sweep():
+    """(instance, mode, checker): k = 3..6, both kinds, relax and grid, all graphs with n <= 4."""
+    for n in range(2, 5):
+        for G in enumerate_graphs(n):
+            for k in (3, 4, 5, 6):
+                for inst, check in (
+                    (build_cubic_instance(G, k, Fraction(1, 2)), check_sc),
+                    (build_quartic_instance(G, k, 1), check_sc2),
+                ):
+                    for mode in ("relax", "grid") if inst.A.dim <= 5 else ("relax",):
+                        yield inst, mode, check
+
+
+def test_sweep_verdicts_do_not_depend_on_reuse():
+    cold = []
+    for inst, mode, check in _small_sweep():
+        concordance._analyses.clear()
+        cold.append(verdict_to_json_obj(check(inst, CFG, mode=mode), seed=CFG.seed))
+    warm = [verdict_to_json_obj(check(inst, CFG, mode=mode), seed=CFG.seed) for inst, mode, check in _small_sweep()]
+    assert json.dumps(warm) == json.dumps(cold)
+    # The sweep touched far more analyses than the memo keeps.
+    assert len(concordance._analyses) == concordance._KEPT_ANALYSES
+
+
+def test_equal_tensors_hit_the_memo_and_other_keys_miss(counted, footnote_graph):
+    first = build_cubic_instance(footnote_graph, 3, Fraction(1, 2))
+    later = build_cubic_instance(footnote_graph, 5, Fraction(1, 2))
+    assert first.A is not later.A and first.A == later.A
+    check_sc(first, CFG, mode="relax")
+    check_sc(later, CFG, mode="relax")
+    check_sc(later, CFG, mode="grid")
+    assert counted["max_form_sphere"] == 1
+    assert counted["spectral_upper_bound"] == 1
+    rungs = counted["grid_lower_and_upper"]
+    check_sc(build_cubic_instance(footnote_graph, 5, Fraction(1, 2)), CFG, mode="grid")
+    assert counted["grid_lower_and_upper"] == rungs
+
+    bare = ConcordanceInstance(kind="cubic", A=later.A, q=later.q)
+    others = [(later, OptConfig(starts=CFG.starts, max_iters=CFG.max_iters, seed=CFG.seed + 1)),
+              (later, OptConfig(starts=CFG.starts + 1, max_iters=CFG.max_iters, seed=CFG.seed)),
+              (later, OptConfig(starts=CFG.starts, max_iters=CFG.max_iters + 1, seed=CFG.seed)),
+              (bare, CFG)]
+    for searches, (inst, cfg) in enumerate(others, start=2):
+        check_sc(inst, cfg, mode="relax")
+        assert counted["max_form_sphere"] == searches
+    assert counted["spectral_upper_bound"] == 1
+
+
+def test_one_search_decides_not_at_omega_and_not_above(counted):
+    G = graph_from_edges(4, [(1, 2), (1, 3), (2, 3), (3, 4)])  # omega = 3
+    for build, check in (
+        (lambda k: build_cubic_instance(G, k, Fraction(1, 2)), check_sc),
+        (lambda k: build_quartic_instance(G, k, 1), check_sc2),
+    ):
+        inst = build(3)
+        verdict = check(inst, CFG, mode="relax")
+        assert verdict.status is Status.NOT_SELF_CONCORDANT
+        recheck_not_certificate(inst, verdict)
+        assert check(build(4), CFG, mode="relax").status is not Status.NOT_SELF_CONCORDANT
+    assert counted["max_form_sphere"] == 2
+
+
+def test_cached_witness_is_read_only(counted, k3):
+    inst = build_cubic_instance(k3, 3, Fraction(1, 2))
+    report = concordance._search(inst.A, k3, CFG)
+    assert concordance._search(inst.A, k3, CFG) is report
+    assert counted["max_form_sphere"] == 1
+    with pytest.raises(ValueError):
+        report.witness[0] = 0.0
+    with pytest.raises(FrozenInstanceError):
+        report.best_value = 0.0
