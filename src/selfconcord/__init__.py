@@ -42,30 +42,27 @@ from .optimize import (
     OptReport,
     beta_split_max,
     couple_w_from_u,
-    grid_certified_max,
     grid_lower_and_upper,
     max_form_sphere,
-    max_multilinear_sphere,
     max_quadratic_simplex,
     report_to_json_obj,
     split_to_joint_sphere,
 )
 from .reduction import (
+    GADGETS,
     CliqueInstance,
     ConcordanceInstance,
+    Gadget,
     build_cubic_instance,
     build_cubic_tensor,
+    build_instance,
     build_quartic_instance,
     build_quartic_tensor,
-    cubic_threshold,
-    gamma_cubed_from_sigma,
-    gamma_squared_from_tau,
-    quartic_threshold,
     quartic_witness_from_clique,
     rational_cubic_witness,
     rational_quartic_witness,
-    true_max_quartic,
-    true_max_square,
+    threshold,
+    true_max,
     witness_from_clique,
 )
 from .tensors import (
@@ -73,7 +70,6 @@ from .tensors import (
     eval_form,
     eval_form_batch,
     eval_form_exact,
-    eval_multilinear,
     frobenius,
     grad_form,
     spectral_upper_bound,

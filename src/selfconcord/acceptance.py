@@ -13,12 +13,14 @@ import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations_with_replacement
 from typing import Iterator
 
 import numpy as np
 
 from .concordance import (
     Status,
+    _search,
     check_sc,
     check_sc2,
     sigma_opt_bounds,
@@ -30,21 +32,30 @@ from .optimize import (
     DEFAULT_SEED,
     OptConfig,
     beta_split_max,
+    grid_lower_and_upper,
     max_form_sphere,
-    max_multilinear_sphere,
     max_quadratic_simplex,
 )
 from .reduction import (
-    build_cubic_instance,
     build_cubic_tensor,
-    build_quartic_instance,
-    cubic_threshold,
-    true_max_square,
+    build_instance,
+    threshold,
+    true_max,
     witness_from_clique,
 )
 from .tensors import eval_form, grad_form, sym_from_entries
 
-__all__ = ["CriterionResult", "run_all", "format_table", "CRITERIA"]
+__all__ = ["CriterionResult", "run_all", "format_table", "CRITERIA", "FOOTNOTE_GRAPH", "footnote_sides"]
+
+# Per gadget kind: the curvature parameter (sigma, tau) of the criteria's
+# instances, the three-valued decision and the exact violation re-check.
+_KINDS = {
+    "cubic": (Fraction(1, 2), check_sc, violates_cubic),
+    "quartic": (Fraction(1), check_sc2, violates_quartic),
+}
+
+# Three vertices, one edge: the counterexample to the mis-stated stability constant.
+FOOTNOTE_GRAPH = Graph(3, frozenset({(1, 2)}))
 
 
 @dataclass(frozen=True)
@@ -63,7 +74,7 @@ def _reduction_graphs(max_n: int) -> Iterator[Graph]:
 
 def _random_tensor(rng: np.random.Generator, order: int, dim: int):
     raw = []
-    for key in _multi_indices(order, dim):
+    for key in combinations_with_replacement(range(1, dim + 1), order):
         if rng.random() < 0.7:
             num = int(rng.integers(-9, 10))
             den = int(rng.integers(1, 10))
@@ -72,14 +83,18 @@ def _random_tensor(rng: np.random.Generator, order: int, dim: int):
     return sym_from_entries(order, dim, raw)
 
 
-def _multi_indices(order: int, dim: int):
-    from itertools import combinations_with_replacement
-
-    return combinations_with_replacement(range(1, dim + 1), order)
+def footnote_sides(cfg: OptConfig) -> tuple[int, float, float, float]:
+    """alpha of `FOOTNOTE_GRAPH` and the sides sqrt(1 - 1/alpha), 3*sqrt(3) * max, 27/2 * max^2,
+    max being the gadget search's sphere maximum of the complement's cubic gadget under `cfg`."""
+    alpha = stability_number(FOOTNOTE_GRAPH)
+    Gc = complement(FOOTNOTE_GRAPH)
+    best = _search(build_cubic_tensor(Gc), Gc, cfg).best_value
+    return alpha, math.sqrt(1.0 - 1.0 / alpha), 3.0 * math.sqrt(3.0) * best, 13.5 * best**2
 
 
 # ---------------------------------------------------------------------------
-# Criteria
+# Criteria, all called as fn(max_n, seed, tol); a criterion ignores the
+# arguments it does not use.
 
 
 def criterion_motzkin_straus(max_n: int = 5, seed: int = DEFAULT_SEED, tol: float = 1e-6) -> CriterionResult:
@@ -119,7 +134,7 @@ def criterion_sphere_constants(max_n: int = 5, seed: int = DEFAULT_SEED, tol: fl
         A = build_cubic_tensor(G)
         w = witness_from_clique(G, max_clique(G))
         worst_witness = max(worst_witness, abs(eval_form(A, w) ** 2 - (2.0 / 27.0) * target))
-        rep = max_form_sphere(A, cfg, extra_starts=(w,), nonnegative_starts=True)
+        rep = _search(A, G, cfg)
         worst_opt = max(worst_opt, abs(13.5 * rep.best_value**2 - target))
     seconds = time.perf_counter() - t0
     passed = worst_opt <= tol and worst_witness <= 1e-12
@@ -132,7 +147,7 @@ def criterion_sphere_constants(max_n: int = 5, seed: int = DEFAULT_SEED, tol: fl
     )
 
 
-def criterion_footnote(seed: int = DEFAULT_SEED) -> CriterionResult:
+def criterion_footnote(max_n: int = 5, seed: int = DEFAULT_SEED, tol: float = 1e-6) -> CriterionResult:
     """The mis-stated stability identity fails by >= 0.29 on the 3-vertex/1-edge graph.
 
     The circulating version reads sqrt(1 - 1/alpha) = 3*sqrt(3) * max; on
@@ -140,17 +155,9 @@ def criterion_footnote(seed: int = DEFAULT_SEED) -> CriterionResult:
     27/2 * max^2 = 1 - 1/alpha, balances to 1e-9.
     """
     t0 = time.perf_counter()
-    G = Graph(3, frozenset({(1, 2)}))
-    alpha = stability_number(G)
-    Gc = complement(G)
-    A = build_cubic_tensor(Gc)
-    cfg = OptConfig(starts=3, max_iters=300, seed=seed)
-    w = witness_from_clique(Gc, max_clique(Gc))
-    best = max_form_sphere(A, cfg, extra_starts=(w,), nonnegative_starts=True).best_value
-    erroneous_lhs = math.sqrt(1.0 - 1.0 / alpha)
-    erroneous_rhs = 3.0 * math.sqrt(3.0) * best
+    alpha, erroneous_lhs, erroneous_rhs, corrected = footnote_sides(OptConfig(starts=3, max_iters=300, seed=seed))
     mismatch = abs(erroneous_rhs - erroneous_lhs)
-    corrected_gap = abs(13.5 * best**2 - (1.0 - 1.0 / alpha))
+    corrected_gap = abs(corrected - (1.0 - 1.0 / alpha))
     seconds = time.perf_counter() - t0
     passed = (
         abs(erroneous_lhs - 1.0 / math.sqrt(2.0)) <= 1e-12
@@ -167,18 +174,19 @@ def criterion_footnote(seed: int = DEFAULT_SEED) -> CriterionResult:
     )
 
 
-def criterion_decision_equivalence(max_n: int = 5, seed: int = DEFAULT_SEED) -> CriterionResult:
-    """Oracle-mode cubic verdict is NOT exactly when a k-clique exists; zero tolerance."""
+def _oracle_equivalence(number: int, name: str, kind: str, max_n: int, seed: int) -> CriterionResult:
+    """Oracle-mode `kind` verdicts are NOT exactly when a k-clique exists, over
+    n <= max_n and k = 3..6: exact comparisons, zero tolerance, within one minute."""
     t0 = time.perf_counter()
     cfg = OptConfig(seed=seed)
+    param, check, _ = _KINDS[kind]
     checked = 0
     disagreements = 0
     undecided = 0
     for G in _reduction_graphs(max_n):
         omega = clique_number(G)
         for k in range(3, 7):
-            inst = build_cubic_instance(G, k, Fraction(1, 2))
-            verdict = check_sc(inst, cfg, mode="oracle")
+            verdict = check(build_instance(G, kind, k, param), cfg, mode="oracle")
             checked += 1
             if verdict.status is Status.UNDECIDED:
                 undecided += 1
@@ -187,17 +195,23 @@ def criterion_decision_equivalence(max_n: int = 5, seed: int = DEFAULT_SEED) -> 
     seconds = time.perf_counter() - t0
     passed = disagreements == 0 and undecided == 0 and seconds <= 60.0
     return CriterionResult(
-        4, "clique/verdict equivalence (cubic oracle)",
+        number, name,
         passed,
         f"{checked} instances, {disagreements} disagreements, {undecided} undecided, {seconds:.1f}s <= 60s",
         seconds,
     )
 
 
-def criterion_boundary_exactness(max_n: int = 5, seed: int = DEFAULT_SEED) -> CriterionResult:
+def criterion_decision_equivalence(max_n: int = 5, seed: int = DEFAULT_SEED, tol: float = 1e-6) -> CriterionResult:
+    """Oracle-mode cubic verdict is NOT exactly when a k-clique exists; zero tolerance."""
+    return _oracle_equivalence(4, "clique/verdict equivalence (cubic oracle)", "cubic", max_n, seed)
+
+
+def criterion_boundary_exactness(max_n: int = 5, seed: int = DEFAULT_SEED, tol: float = 1e-6) -> CriterionResult:
     """At omega = k-1 the exact maximum equals the threshold and the verdict is YES."""
     t0 = time.perf_counter()
     cfg = OptConfig(seed=seed)
+    sigma, check, _ = _KINDS["cubic"]
     checked = 0
     failures = 0
     for G in _reduction_graphs(max_n):
@@ -205,10 +219,10 @@ def criterion_boundary_exactness(max_n: int = 5, seed: int = DEFAULT_SEED) -> Cr
         if not 3 <= k <= 6:
             continue
         checked += 1
-        if true_max_square(G) != cubic_threshold(k):
+        if true_max("cubic", G) != threshold("cubic", k):
             failures += 1
             continue
-        verdict = check_sc(build_cubic_instance(G, k, Fraction(1, 2)), cfg, mode="oracle")
+        verdict = check(build_instance(G, "cubic", k, sigma), cfg, mode="oracle")
         if verdict.status is not Status.SELF_CONCORDANT:
             failures += 1
     seconds = time.perf_counter() - t0
@@ -220,32 +234,12 @@ def criterion_boundary_exactness(max_n: int = 5, seed: int = DEFAULT_SEED) -> Cr
     )
 
 
-def criterion_second_order(max_n: int = 5, seed: int = DEFAULT_SEED) -> CriterionResult:
+def criterion_second_order(max_n: int = 5, seed: int = DEFAULT_SEED, tol: float = 1e-6) -> CriterionResult:
     """Quartic oracle verdicts agree with the clique oracle, zero tolerance."""
-    t0 = time.perf_counter()
-    cfg = OptConfig(seed=seed)
-    checked = 0
-    disagreements = 0
-    undecided = 0
-    for G in _reduction_graphs(max_n):
-        omega = clique_number(G)
-        for k in range(3, 7):
-            verdict = check_sc2(build_quartic_instance(G, k, 1), cfg, mode="oracle")
-            checked += 1
-            if verdict.status is Status.UNDECIDED:
-                undecided += 1
-            if (verdict.status is Status.NOT_SELF_CONCORDANT) != (omega >= k):
-                disagreements += 1
-    seconds = time.perf_counter() - t0
-    return CriterionResult(
-        6, "clique/verdict equivalence (quartic oracle)",
-        disagreements == 0 and undecided == 0,
-        f"{checked} instances, {disagreements} disagreements, {undecided} undecided",
-        seconds,
-    )
+    return _oracle_equivalence(6, "clique/verdict equivalence (quartic oracle)", "quartic", max_n, seed)
 
 
-def criterion_sigma_opt(seed: int = DEFAULT_SEED) -> CriterionResult:
+def criterion_sigma_opt(max_n: int = 5, seed: int = DEFAULT_SEED, tol: float = 1e-6) -> CriterionResult:
     """Parameter bracket: triangle gadget around 1/81; zero and diagonal exact."""
     t0 = time.perf_counter()
     cfg = OptConfig(starts=8, max_iters=400, seed=seed)
@@ -266,7 +260,7 @@ def criterion_sigma_opt(seed: int = DEFAULT_SEED) -> CriterionResult:
     )
 
 
-def criterion_beta_split() -> CriterionResult:
+def criterion_beta_split(max_n: int = 5, seed: int = DEFAULT_SEED, tol: float = 1e-6) -> CriterionResult:
     """Grid maximum of beta*sqrt(1-beta) reproduces 2/(3*sqrt(3)) at beta = 2/3."""
     t0 = time.perf_counter()
     beta, value = beta_split_max(1e-6)
@@ -281,10 +275,11 @@ def criterion_beta_split() -> CriterionResult:
     )
 
 
-def criterion_property_suite(max_n: int = 4, seed: int = DEFAULT_SEED) -> CriterionResult:
+def criterion_property_suite(max_n: int = 4, seed: int = DEFAULT_SEED, tol: float = 1e-6) -> CriterionResult:
     """Cross-cutting properties: calculus identities, symmetric-maximizer
     agreement, exact re-verification of every NOT certificate, and no
-    contradiction across certification modes."""
+    contradiction across certification modes on the graphs with
+    n <= min(max_n, 4)."""
     t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
     problems: list[str] = []
@@ -310,39 +305,36 @@ def criterion_property_suite(max_n: int = 4, seed: int = DEFAULT_SEED) -> Criter
             problems.append("finite-difference gap")
 
     # Symmetric-maximizer agreement on 50 random order-3 tensors, dim <= 4.
+    # At the search witness h, ||A(h,h,.)|| = ||grad||/3 equals the best
+    # value (the symmetric and multilinear maxima agree there, to 1e-4
+    # relative), and no point of a 0.1 net exceeds it (a global cross-check).
     banach_worst = 0.0
+    net_excess = 0.0
     for i in range(50):
         A = _random_tensor(rng, 3, int(rng.integers(2, 5)))
-        cfg = OptConfig(starts=12, max_iters=400, seed=seed + i)
-        rep_s = max_form_sphere(A, cfg)
-        w = rep_s.witness
-        rep_m = max_multilinear_sphere(A, cfg, extra_starts=((w, w, w),))
-        args = tuple(np.split(rep_m.witness, 3))
-        rep_s2 = max_form_sphere(A, cfg, extra_starts=args + tuple(-a for a in args))
-        single = max(rep_s.best_value, rep_s2.best_value)
-        banach_worst = max(banach_worst, abs(abs(single) - rep_m.best_value) / max(1.0, rep_m.best_value))
+        rep = max_form_sphere(A, OptConfig(starts=12, max_iters=400, seed=seed + i))
+        contraction = float(np.linalg.norm(grad_form(A, rep.witness))) / 3.0
+        banach_worst = max(banach_worst, abs(contraction - rep.best_value) / max(1.0, rep.best_value))
+        net_excess = max(net_excess, grid_lower_and_upper(A, 0.1)[0] - rep.best_value)
     if banach_worst > 1e-4:
         problems.append(f"symmetric-maximizer disagreement {banach_worst:.2e}")
+    if net_excess > 1e-12:
+        problems.append(f"net maximum exceeds the search by {net_excess:.2e}")
 
     # Mode sweep: every NOT certificate re-verifies exactly; no instance is
     # both certified YES and exactly refuted across relax/grid/oracle.
     cfg = OptConfig(starts=4, max_iters=150, seed=seed)
     not_certificates = 0
     contradictions = 0
-    for G in _reduction_graphs(max_n):
+    for G in _reduction_graphs(min(max_n, 4)):
         for k in (3, 4, 5, 6):
-            for kind in ("cubic", "quartic"):
-                if kind == "cubic":
-                    inst = build_cubic_instance(G, k, Fraction(1, 2))
-                    checker, violates = check_sc, violates_cubic
-                else:
-                    inst = build_quartic_instance(G, k, 1)
-                    checker, violates = check_sc2, violates_quartic
+            for kind, (param, check, violates) in _KINDS.items():
+                inst = build_instance(G, kind, k, param)
                 statuses = set()
                 for mode in ("relax", "grid", "oracle"):
                     if mode == "grid" and inst.A.dim > 5:
                         continue
-                    verdict = checker(inst, cfg, mode=mode)
+                    verdict = check(inst, cfg, mode=mode)
                     statuses.add(verdict.status)
                     if verdict.status is Status.NOT_SELF_CONCORDANT:
                         not_certificates += 1
@@ -359,6 +351,7 @@ def criterion_property_suite(max_n: int = 4, seed: int = DEFAULT_SEED) -> Criter
         9, "property suite",
         not problems,
         (f"100 calculus checks, symmetric-maximizer worst {banach_worst:.2e} (tol 1e-4), "
+         f"net excess {net_excess:.2e} (tol 1e-12), "
          f"{not_certificates} NOT certificates re-verified exactly, 0 contradictions"
          if not problems else "; ".join(problems[:5])),
         seconds,
@@ -381,19 +374,7 @@ CRITERIA = (
 def run_all(max_n: int = 5, seed: int = DEFAULT_SEED, identity_tol: float = 1e-6) -> list[CriterionResult]:
     """All criteria; `identity_tol` overrides the 1e-6 identity tolerance
     (useful to demonstrate failure reporting by tightening it)."""
-    results = []
-    for fn in CRITERIA:
-        if fn in (criterion_motzkin_straus, criterion_sphere_constants):
-            results.append(fn(max_n=max_n, seed=seed, tol=identity_tol))
-        elif fn is criterion_footnote or fn is criterion_sigma_opt:
-            results.append(fn(seed=seed))
-        elif fn is criterion_beta_split:
-            results.append(fn())
-        elif fn is criterion_property_suite:
-            results.append(fn(max_n=min(max_n, 4), seed=seed))
-        else:
-            results.append(fn(max_n=max_n, seed=seed))
-    return results
+    return [fn(max_n=max_n, seed=seed, tol=identity_tol) for fn in CRITERIA]
 
 
 def format_table(results: list[CriterionResult]) -> str:

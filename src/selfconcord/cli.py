@@ -22,29 +22,26 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from fractions import Fraction
 
-from .acceptance import format_table, run_all
-from .concordance import Status, check_sc, check_sc2, sigma_opt_bounds, verdict_to_json_obj
+from .acceptance import FOOTNOTE_GRAPH, footnote_sides, format_table, run_all
+from .concordance import MODES, Status, _search, check_sc, check_sc2, sigma_opt_bounds, verdict_to_json_obj
 from .graphs import Graph, complement, max_clique, max_stable_set, parse_graph_text
 from .optimize import (
     DEFAULT_SEED,
     OptConfig,
-    max_form_sphere,
     max_quadratic_simplex,
     report_to_json_obj,
 )
 from .reduction import (
-    ConcordanceInstance,
+    GADGETS,
     CliqueInstance,
-    build_cubic_instance,
+    ConcordanceInstance,
     build_cubic_tensor,
-    build_quartic_instance,
-    build_quartic_tensor,
-    witness_from_clique,
+    build_instance,
+    threshold,
 )
 from .tensors import tensor_from_json_obj, tensor_from_text, tensor_to_json_obj
 
@@ -147,10 +144,9 @@ def _cmd_ms_check(args):
 def _sphere_side(G: Graph, cfg: OptConfig) -> tuple[dict, float]:
     """One side of the sphere identity: 13.5 * max^2 against 1 - 1/omega(G)."""
     C = max_clique(G)
-    extra = (witness_from_clique(G, C),) if len(C) >= 2 and G.m >= 1 else ()
     rep = None
     if G.m >= 1:
-        rep = max_form_sphere(build_cubic_tensor(G), cfg, extra_starts=extra, nonnegative_starts=True)
+        rep = _search(build_cubic_tensor(G), G, cfg)
         best = rep.best_value
     else:
         best = 0.0
@@ -179,20 +175,9 @@ def _cmd_nesterov_check(args):
 
 
 def _cmd_footnote_demo(args):
-    G = Graph(3, frozenset({(1, 2)}))
-    cfg = _cfg(args)
-    Gc = complement(G)
-    rep = max_form_sphere(
-        build_cubic_tensor(Gc), cfg,
-        extra_starts=(witness_from_clique(Gc, max_clique(Gc)),),
-        nonnegative_starts=True,
-    )
-    alpha = len(max_stable_set(G))
-    erroneous_lhs = math.sqrt(1.0 - 1.0 / alpha)
-    erroneous_rhs = 3.0 * math.sqrt(3.0) * rep.best_value
-    corrected = 13.5 * rep.best_value**2
+    alpha, erroneous_lhs, erroneous_rhs, corrected = footnote_sides(_cfg(args))
     report = {
-        "graph": _graph_obj(G),
+        "graph": _graph_obj(FOOTNOTE_GRAPH),
         "stability_number": alpha,
         "erroneous_identity": {
             "statement": "sqrt(1 - 1/alpha) = 3*sqrt(3) * max",
@@ -211,14 +196,14 @@ def _cmd_footnote_demo(args):
 
 
 def _instance_obj(inst: ConcordanceInstance) -> dict:
+    gadget = GADGETS[inst.kind]
     obj: dict = {"kind": inst.kind}
     if inst.provenance is not None:
         obj["graph"] = _graph_obj(inst.provenance.graph)
         obj["k"] = inst.provenance.k
     if inst.sigma_or_tau is not None:
-        obj["sigma" if inst.kind == "cubic" else "tau"] = str(inst.sigma_or_tau)
-    if inst.gamma_power is not None:
-        obj["gamma_cubed" if inst.kind == "cubic" else "gamma_squared"] = str(inst.gamma_power)
+        obj[gadget.param] = str(inst.sigma_or_tau)
+        obj[gadget.gamma] = str(inst.gamma_power)
     obj["q"] = str(inst.q)
     obj["tensor"] = tensor_to_json_obj(inst.A)
     return obj
@@ -226,6 +211,9 @@ def _instance_obj(inst: ConcordanceInstance) -> dict:
 
 def _instance_from_obj(obj: dict) -> ConcordanceInstance:
     kind = obj["kind"]
+    if kind not in GADGETS:
+        raise ValueError(f"instance kind must be one of {tuple(GADGETS)}, got {kind!r}")
+    gadget = GADGETS[kind]
     A = tensor_from_json_obj(obj["tensor"])
     q = Fraction(obj["q"])
     provenance = None
@@ -233,32 +221,35 @@ def _instance_from_obj(obj: dict) -> ConcordanceInstance:
         g = obj["graph"]
         G = Graph(int(g["n"]), frozenset(tuple(e) for e in g["edges"]))
         # only trust provenance if the tensor really is the standard gadget
-        builder = build_cubic_tensor if kind == "cubic" else build_quartic_tensor
-        if builder(G) == A:
+        if gadget.tensor(G) == A:
             provenance = CliqueInstance(G, int(obj["k"]))
-    param = obj.get("sigma") or obj.get("tau")
-    power = obj.get("gamma_cubed") or obj.get("gamma_squared")
-    return ConcordanceInstance(
+            if threshold(kind, provenance.k) != q:
+                raise ValueError(f"field 'k' ({provenance.k}) disagrees with q = {q}")
+    param = obj.get(gadget.param)
+    inst = ConcordanceInstance(
         kind=kind,
         A=A,
         q=q,
-        gamma_power=Fraction(power) if power else None,
-        sigma_or_tau=Fraction(param) if param else None,
+        sigma_or_tau=Fraction(param) if param is not None else None,
         provenance=provenance,
     )
+    power = obj.get(gadget.gamma)
+    if power is not None and param is not None and Fraction(power) != inst.gamma_power:
+        raise ValueError(f"field {gadget.gamma!r} ({power}) disagrees with q = {q} and {gadget.param} = {param}")
+    return inst
+
+
+def _instance_from_graph(G: Graph, args) -> ConcordanceInstance:
+    kind = args.kind
+    param = GADGETS[kind].param
+    value = getattr(args, param)
+    if value is None:
+        raise ValueError(f"a {kind} instance from a graph needs --{param} p/q")
+    return build_instance(G, kind, args.k, value)
 
 
 def _cmd_reduce(args):
-    G = _load_graph(args.input)
-    if args.kind == "cubic":
-        if args.sigma is None:
-            raise ValueError("cubic reduction needs --sigma p/q")
-        inst = build_cubic_instance(G, args.k, Fraction(args.sigma))
-    else:
-        if args.tau is None:
-            raise ValueError("quartic reduction needs --tau p/q")
-        inst = build_quartic_instance(G, args.k, Fraction(args.tau))
-    return _instance_obj(inst), 0
+    return _instance_obj(_instance_from_graph(_load_graph(args.input), args)), 0
 
 
 _EXIT_BY_STATUS = {
@@ -268,32 +259,15 @@ _EXIT_BY_STATUS = {
 }
 
 
-def _load_instance(args, kind: str) -> ConcordanceInstance:
+def _load_instance(args) -> ConcordanceInstance:
     text = _read_input(args.input)
     if text.lstrip().startswith("{"):
-        inst = _instance_from_obj(json.loads(text))
-        if inst.kind != kind:
-            raise ValueError(f"instance file is {inst.kind}, expected {kind}")
-        return inst
-    G = parse_graph_text(text)
-    if kind == "cubic":
-        if args.sigma is None:
-            raise ValueError("graph input needs --k and --sigma to build a cubic instance")
-        return build_cubic_instance(G, args.k, Fraction(args.sigma))
-    if args.tau is None:
-        raise ValueError("graph input needs --k and --tau to build a quartic instance")
-    return build_quartic_instance(G, args.k, Fraction(args.tau))
+        return _instance_from_obj(json.loads(text))  # a file of the other kind fails in `args.check`
+    return _instance_from_graph(parse_graph_text(text), args)
 
 
-def _cmd_check_sc(args):
-    inst = _load_instance(args, "cubic")
-    verdict = check_sc(inst, _cfg(args), mode=args.mode)
-    return verdict_to_json_obj(verdict, seed=args.seed), _EXIT_BY_STATUS[verdict.status]
-
-
-def _cmd_check_sc2(args):
-    inst = _load_instance(args, "quartic")
-    verdict = check_sc2(inst, _cfg(args), mode=args.mode)
+def _cmd_check(args):
+    verdict = args.check(_load_instance(args), _cfg(args), mode=args.mode)
     return verdict_to_json_obj(verdict, seed=args.seed), _EXIT_BY_STATUS[verdict.status]
 
 
@@ -369,18 +343,18 @@ def build_parser() -> argparse.ArgumentParser:
     sub = commands.add_parser("reduce", help="emit a decision instance for (graph, k, parameter)")
     _add_common(sub)
     sub.add_argument("--k", type=int, required=True, help="target clique size (>= 3)")
-    sub.add_argument("--kind", choices=("cubic", "quartic"), default="cubic")
+    sub.add_argument("--kind", choices=tuple(GADGETS), default="cubic")
     sub.add_argument("--sigma", help="curvature parameter as p/q (cubic)")
     sub.add_argument("--tau", help="curvature parameter as p/q (quartic)")
     sub.set_defaults(handler=_cmd_reduce)
 
-    for name, handler, param in (("check-sc", _cmd_check_sc, "sigma"), ("check-sc2", _cmd_check_sc2, "tau")):
-        sub = commands.add_parser(name, help=f"three-valued {'cubic' if param == 'sigma' else 'quartic'} decision")
+    for name, kind, check in (("check-sc", "cubic", check_sc), ("check-sc2", "quartic", check_sc2)):
+        sub = commands.add_parser(name, help=f"three-valued {kind} decision")
         _add_common(sub)
-        sub.add_argument("--mode", choices=("relax", "grid", "oracle"), default="relax")
+        sub.add_argument("--mode", choices=MODES, default="relax")
         sub.add_argument("--k", type=int, default=3, help="clique target when input is a graph")
-        sub.add_argument(f"--{param}", help=f"curvature parameter as p/q when input is a graph")
-        sub.set_defaults(handler=handler)
+        sub.add_argument(f"--{GADGETS[kind].param}", help="curvature parameter as p/q when input is a graph")
+        sub.set_defaults(handler=_cmd_check, kind=kind, check=check)
 
     sub = commands.add_parser("sigma-opt", help="bracket the optimal parameter of an order-3 tensor")
     _add_common(sub)

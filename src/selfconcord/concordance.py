@@ -18,11 +18,11 @@ it knows:
   boundary exactly (the inequality is non-strict, so equality is a YES).
 * UNDECIDED carries the exhausted budget and the best bound seen.
 
-Modes: "relax" bounds via `tensors.spectral_upper_bound`, "grid" via
-`optimize.grid_certified_max` on a resolution ladder (dim <= 5 only),
-"oracle" requires graph provenance and is complete on it.  The parameter
-convention follows the defining inequality as written here: larger sigma
-(larger q) is a weaker requirement.
+Modes: "relax" bounds via `tensors.spectral_upper_bound`, "grid" via the
+certified bound of `optimize.grid_lower_and_upper` on a resolution ladder
+(dim <= 5 only), "oracle" requires graph provenance and is complete on it.
+The parameter convention follows the defining inequality as written here:
+larger sigma (larger q) is a weaker requirement.
 
 Of a numeric decision, only the comparisons against q depend on k: the
 multistart search (with the clique start and nonnegative starts when the
@@ -38,6 +38,7 @@ grid ladder's stopping rule still run on every decision, so a verdict,
 from __future__ import annotations
 
 import enum
+import math
 from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
@@ -47,14 +48,12 @@ import numpy as np
 from .graphs import Graph, has_clique, max_clique
 from .optimize import OptConfig, OptReport, grid_lower_and_upper, max_form_sphere
 from .reduction import (
+    GADGETS,
     ConcordanceInstance,
     build_cubic_instance,
-    quartic_witness_from_clique,
     rational_cubic_witness,
     rational_quartic_witness,
-    true_max_quartic,
-    true_max_square,
-    witness_from_clique,
+    true_max,
 )
 from .tensors import SymTensor, eval_form_exact, spectral_upper_bound
 
@@ -91,6 +90,9 @@ _GRID_LADDER = (0.2, 0.1, 0.05, 0.02, 0.01, 0.005, 0.002, 0.001)
 # needs at most 1 + 1 + len(_GRID_LADDER) of them.
 _KEPT_ANALYSES = 64
 _analyses: OrderedDict = OrderedDict()
+
+# A provenance graph's gadget, told apart by the order of its tensor.
+_GADGET_OF_ORDER = {gadget.order: gadget for gadget in GADGETS.values()}
 
 
 class Status(enum.Enum):
@@ -184,6 +186,11 @@ def violates_quartic(A: SymTensor, h, q: Fraction) -> tuple[bool, Fraction, Frac
     return lhs > rhs, lhs, rhs
 
 
+def _pow(x: float, p: int) -> float:
+    """x**p as a product of p factors; `**` calls libm pow, which can round differently."""
+    return math.prod([x] * p)
+
+
 # ---------------------------------------------------------------------------
 # Verdict assembly
 
@@ -229,9 +236,7 @@ def _search(A: SymTensor, G: Graph | None, cfg: OptConfig) -> OptReport:
     def run():
         extra = ()
         if G is not None:
-            C = max_clique(G)
-            if len(C) >= 2:
-                extra = (witness_from_clique(G, C) if A.order == 3 else quartic_witness_from_clique(G, C),)
+            extra = (_GADGET_OF_ORDER[A.order].witness(G, max_clique(G)),)
         return max_form_sphere(A, cfg, extra_starts=extra, nonnegative_starts=G is not None)
 
     return _remembered(("search", A, G, cfg), run)
@@ -272,7 +277,7 @@ def _grid_bound(A: SymTensor, good_enough=None, hopeless=None) -> tuple[float, i
     return best, used, finest
 
 
-def _oracle_not_witness(inst: ConcordanceInstance) -> tuple[tuple[Fraction, ...], Fraction, Fraction]:
+def _oracle_not_witness(inst: ConcordanceInstance, violates) -> tuple[tuple[Fraction, ...], Fraction, Fraction]:
     """Deterministic exact witness from a maximum clique; must verify when omega >= k."""
     G = inst.provenance.graph
     C = max_clique(G)
@@ -281,13 +286,11 @@ def _oracle_not_witness(inst: ConcordanceInstance) -> tuple[tuple[Fraction, ...]
             lambda: rational_cubic_witness(G, C),
             lambda: rational_cubic_witness(G, C, max_denominator=10**24),
         )
-        checker = violates_cubic
     else:
         builders = (lambda: rational_quartic_witness(G, C),)
-        checker = violates_quartic
     for build in builders:
         h = build()
-        violated, lhs, rhs = checker(inst.A, h, inst.q)
+        violated, lhs, rhs = violates(inst.A, h, inst.q)
         if violated:
             return h, lhs, rhs
     raise AssertionError("oracle witness failed exact verification despite omega >= k")
@@ -299,33 +302,32 @@ def _check(inst: ConcordanceInstance, cfg: OptConfig | None, mode: str, kind: st
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     cfg = cfg or OptConfig()
-    squared = kind == "cubic"
-    checker = violates_cubic if squared else violates_quartic
+    p = GADGETS[kind].p
+    # Looked up by name on each call, so that a wrapper installed on the module global sees it.
+    violates = violates_cubic if kind == "cubic" else violates_quartic
     qf = float(inst.q)
 
     if mode == "oracle":
         if inst.provenance is None:
             raise ValueError("oracle mode needs an instance with graph provenance")
         G = inst.provenance.graph
-        true_opt = true_max_square(G) if squared else true_max_quartic(G)
+        true_opt = true_max(kind, G)
         if true_opt <= inst.q:
             return _bound_verdict(mode, "exact_clique_oracle", str(true_opt), 1)
-        h, lhs, rhs = _oracle_not_witness(inst)
+        h, lhs, rhs = _oracle_not_witness(inst, violates)
         return _witness_verdict(mode, h, lhs, rhs, 1)
 
     report = _search(inst.A, inst.provenance.graph if inst.provenance is not None else None, cfg)
     evaluations = report.evaluations
     best = report.best_value
-    numeric_quantity = best * best if squared else best
-    if numeric_quantity > qf * (1.0 + _EQ_BAND):
+    if _pow(best, p) > qf * (1.0 + _EQ_BAND):
         h = rationalize_vector(report.witness)
-        violated, lhs, rhs = checker(inst.A, h, inst.q)
+        violated, lhs, rhs = violates(inst.A, h, inst.q)
         if violated:
             return _witness_verdict(mode, h, lhs, rhs, evaluations)
 
     def certifies(bound: float) -> bool:
-        quantity = bound * bound if squared else bound
-        return quantity <= qf * (1.0 - _EQ_BAND)
+        return _pow(bound, p) <= qf * (1.0 - _EQ_BAND)
 
     if mode == "relax":
         bound = _spectral_bound(inst.A)

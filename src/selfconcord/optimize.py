@@ -14,7 +14,7 @@ Two local ascent methods that respect the feasible geometry directly:
 Both are multistart with deterministic per-start random substreams, so a
 fixed seed reproduces results bit for bit.  Reported values are always
 lower bounds on the true maximum (every iterate is feasible); certified
-upper bounds come from `grid_certified_max` here and
+upper bounds come from `grid_lower_and_upper` here and
 `tensors.spectral_upper_bound`.  The grid bound evaluates the form on a net
 of gridded hyperspherical angles without building the net's points: each
 monomial factors into one term per angle, so the form over the whole net is
@@ -38,10 +38,8 @@ import numpy as np
 from .graphs import Graph, complement, max_clique
 from .tensors import (
     SymTensor,
-    contract_all_but_one,
     eval_form,
     eval_form_batch,
-    eval_multilinear,
     frobenius,
     grad_form,
 )
@@ -53,8 +51,7 @@ __all__ = [
     "report_to_json_obj",
     "max_quadratic_simplex",
     "max_form_sphere",
-    "max_multilinear_sphere",
-    "grid_certified_max",
+    "grid_lower_and_upper",
     "couple_w_from_u",
     "split_to_joint_sphere",
     "beta_split_max",
@@ -317,58 +314,6 @@ def max_form_sphere(
     return _report(_ascend_sphere(A, np.array(starts), cfg))
 
 
-def max_multilinear_sphere(A: SymTensor, cfg: OptConfig | None = None, extra_starts: tuple = ()) -> OptReport:
-    """Maximize A(h1, ..., hd) over independent unit vectors.
-
-    Alternating maximization: with all but one argument fixed the objective
-    is linear, so the optimal slot value is the normalized contraction and
-    the value is nondecreasing.  Each element of `extra_starts` is a tuple
-    of `order` start vectors (e.g. a repeated single-argument witness).
-    The report's witness is the concatenation of the final arguments.
-    """
-    cfg = cfg or OptConfig()
-    if not A.entries:
-        witness = np.zeros(A.dim * A.order)
-        witness[0] = 1.0
-        witness.setflags(write=False)
-        return OptReport(0.0, witness, (0.0,), True, 1)
-
-    start_tuples: list[list[np.ndarray]] = []
-    for group in extra_starts:
-        if len(group) != A.order:
-            raise ValueError(f"each extra start needs {A.order} vectors, got {len(group)}")
-        start_tuples.append([np.asarray(v, dtype=float) / np.linalg.norm(v) for v in group])
-    for rng in _streams(cfg.seed, cfg.starts):
-        vecs = []
-        for _ in range(A.order):
-            v = rng.standard_normal(A.dim)
-            vecs.append(v / np.linalg.norm(v))
-        start_tuples.append(vecs)
-
-    results = []
-    for vecs in start_tuples:
-        value = eval_multilinear(A, vecs)
-        evals = 1
-        converged = False
-        for _ in range(cfg.max_iters):
-            before = value
-            stuck = False
-            for pos in range(A.order):
-                g = contract_all_but_one(A, vecs, pos)
-                gnorm = np.linalg.norm(g)
-                if gnorm == 0.0:
-                    stuck = True
-                    break
-                vecs[pos] = g / gnorm
-                value = gnorm
-            evals += A.order
-            if stuck or value - before <= cfg.value_tol * max(1.0, abs(value)):
-                converged = True
-                break
-        results.append((value, np.concatenate(vecs), evals, converged))
-    return _report(results)
-
-
 # ---------------------------------------------------------------------------
 # Certified sphere grid bound
 
@@ -439,11 +384,6 @@ def grid_lower_and_upper(A: SymTensor, resolution: float, point_budget: int = _N
         net_max = float(np.max(np.abs(rows @ factors[-1].T)))
     lipschitz = A.order * frobenius(A)
     return net_max, net_max + lipschitz * resolution
-
-
-def grid_certified_max(A: SymTensor, resolution: float, point_budget: int = _NET_BUDGET) -> float:
-    """Sound upper bound on max over unit h of |A(h, ..., h)| via a spherical net."""
-    return grid_lower_and_upper(A, resolution, point_budget)[1]
 
 
 # ---------------------------------------------------------------------------

@@ -1,37 +1,38 @@
-"""Clique-to-tensor gadgets and their exact rational thresholds.
+"""The clique gadget, its two parameter sets, and exact rational thresholds.
 
-Two constructions turn a graph G (n vertices, m >= 1 edges) into a decision
-instance about a homogeneous form:
+One construction turns a graph G (n vertices, m >= 1 edges) into a
+symmetric tensor A whose form, raised to a power p, has sphere maximum
+c * (1 - 1/omega(G)).  It comes with two parameter sets, one record each in
+`GADGETS`:
 
-* cubic: a symmetric 3-tensor on R^(n+m) whose coordinates split into one u
-  per vertex and one w per edge.  Each edge {i, j} with edge index k
-  contributes the index orbit of (i, j, n+k) with orbit value 1/6 so that
-  the induced form is exactly  sum over edges of u_i * u_j * w_ij.
-  Its squared sphere maximum is (2/27) * (1 - 1/omega(G)): the simplex
-  quadratic maximum (1/2)(1 - 1/omega) from the clique identity, carried to
-  the sphere by the square substitution x_i = u_i^2, Cauchy-Schwarz
-  coupling (`optimize.couple_w_from_u`) and the 2/3 split
+* cubic (order 3, c = 2/27, p = 2): a tensor on R^(n+m) whose coordinates
+  split into one u per vertex and one w per edge.  Each edge {i, j} with
+  edge index k contributes the index orbit of (i, j, n+k) with orbit value
+  1/6 so that the induced form is exactly  sum over edges of
+  u_i * u_j * w_ij.  The squared maximum is the simplex quadratic maximum
+  (1/2)(1 - 1/omega) from the clique identity, carried to the sphere by the
+  square substitution x_i = u_i^2, Cauchy-Schwarz coupling
+  (`optimize.couple_w_from_u`) and the 2/3 split
   (`optimize.split_to_joint_sphere`), whence the constant
   (2/(3*sqrt(3)))^2 * 1/2 = 2/27.
 
-* quartic: a symmetric 4-tensor on R^n where each edge contributes the
-  orbit of (i, i, j, j) with value 1/6, so the form is
-  sum over edges of h_i^2 * h_j^2, with sphere maximum
-  (1/2) * (1 - 1/omega(G)).
+* quartic (order 4, c = 1/2, p = 1): a tensor on R^n where each edge
+  contributes the orbit of (i, i, j, j) with value 1/6, so the form is
+  sum over edges of h_i^2 * h_j^2.
 
 An instance pairs the tensor with a threshold q.  For a target clique size
 k and a curvature parameter (sigma for cubic, tau for quartic), the model
 function  f(x) = (gamma/2) x.x + A(x,..,x)/order!  has Hessian gamma*I and
 order-th derivative A at the origin, and the defining inequality at the
-origin collapses to
+origin collapses to  A(h,..,h)^p <= q (h.h)^(p*order/2)  with
 
-    cubic:    [A(h,h,h)]^2 <= q (h.h)^3,    q = 4*sigma*gamma^3 = (2/27)(1 - 1/(k-1))
-    quartic:  A(h,h,h,h)  <= q (h.h)^2,     q = 6*tau*gamma^2  = (1/2)(1 - 1/(k-1))
+    cubic:    q = 4*sigma*gamma^3 = (2/27)(1 - 1/(k-1))
+    quartic:  q = 6*tau*gamma^2   = (1/2)(1 - 1/(k-1))
 
 gamma itself is irrational in general; only gamma^3 (resp. gamma^2) is
-stored, exactly, so every threshold comparison stays in rational
-arithmetic.  The inequality holds for all h exactly when omega(G) <= k-1,
-with equality of maximum and threshold at omega = k-1.
+derived, exactly, from q and the parameter, so every threshold comparison
+stays in rational arithmetic.  The inequality holds for all h exactly when
+omega(G) <= k-1, with equality of maximum and threshold at omega = k-1.
 """
 
 from __future__ import annotations
@@ -39,30 +40,30 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import Callable, Iterable
 
 import numpy as np
 
 from .graphs import Graph, max_clique
+from .optimize import couple_w_from_u, split_to_joint_sphere
 from .tensors import SymTensor, sym_from_entries
 
 __all__ = [
+    "Gadget",
+    "GADGETS",
     "CliqueInstance",
     "ConcordanceInstance",
     "build_cubic_tensor",
     "build_quartic_tensor",
-    "cubic_threshold",
-    "quartic_threshold",
-    "gamma_cubed_from_sigma",
-    "gamma_squared_from_tau",
+    "threshold",
+    "true_max",
+    "build_instance",
     "build_cubic_instance",
     "build_quartic_instance",
     "witness_from_clique",
     "quartic_witness_from_clique",
     "rational_cubic_witness",
     "rational_quartic_witness",
-    "true_max_square",
-    "true_max_quartic",
 ]
 
 
@@ -95,34 +96,39 @@ class CliqueInstance:
 class ConcordanceInstance:
     """A point-model of a function at the origin, reduced to form data.
 
-    `kind` selects the inequality shape: "cubic" compares the squared
-    3-form against q*(h.h)^3, "quartic" compares the 4-form against
-    q*(h.h)^2.  `gamma_power` holds gamma^3 (cubic) or gamma^2 (quartic)
-    when the instance came from a (graph, k, parameter) construction;
-    instances built directly from a tensor and a threshold leave the
-    optional fields unset.
+    `kind` names the gadget record whose inequality shape applies: "cubic"
+    compares the squared 3-form against q*(h.h)^3, "quartic" compares the
+    4-form against q*(h.h)^2.  `sigma_or_tau` and `provenance` are set when
+    the instance came from a (graph, k, parameter) construction; instances
+    built directly from a tensor and a threshold leave them unset.
     """
 
     kind: str
     A: SymTensor
     q: Fraction
-    gamma_power: Fraction | None = None
     sigma_or_tau: Fraction | None = None
     provenance: CliqueInstance | None = None
 
     def __post_init__(self):
-        if self.kind not in ("cubic", "quartic"):
-            raise ValueError(f"kind must be 'cubic' or 'quartic', got {self.kind!r}")
-        expected = 3 if self.kind == "cubic" else 4
+        if self.kind not in GADGETS:
+            raise ValueError(f"kind must be one of {tuple(GADGETS)}, got {self.kind!r}")
+        expected = GADGETS[self.kind].order
         if self.A.order != expected:
             raise ValueError(f"{self.kind} instance needs an order-{expected} tensor, got order {self.A.order}")
         object.__setattr__(self, "q", _rational(self.q, "q"))
         if self.q <= 0:
             raise ValueError(f"threshold q must be positive, got {self.q}")
 
+    @property
+    def gamma_power(self) -> Fraction | None:
+        """gamma^3 (cubic) or gamma^2 (quartic): q / (multiplier * parameter)."""
+        if self.sigma_or_tau is None:
+            return None
+        return self.q / (GADGETS[self.kind].multiplier * self.sigma_or_tau)
+
 
 # ---------------------------------------------------------------------------
-# Gadget tensors
+# Gadget tensors and clique witnesses
 
 
 def build_cubic_tensor(G: Graph) -> SymTensor:
@@ -147,92 +153,6 @@ def build_quartic_tensor(G: Graph) -> SymTensor:
     return sym_from_entries(4, G.n, raw)
 
 
-# ---------------------------------------------------------------------------
-# Thresholds and curvature powers
-
-
-def cubic_threshold(k: int) -> Fraction:
-    """q = (2/27) * (1 - 1/(k-1)), the cubic decision threshold for clique size k."""
-    if k < 2:
-        raise ValueError(f"k must be >= 2, got {k}")
-    return Fraction(2, 27) * (1 - Fraction(1, k - 1))
-
-
-def quartic_threshold(k: int) -> Fraction:
-    """q = (1/2) * (1 - 1/(k-1)), the quartic decision threshold."""
-    if k < 2:
-        raise ValueError(f"k must be >= 2, got {k}")
-    return Fraction(1, 2) * (1 - Fraction(1, k - 1))
-
-
-def gamma_cubed_from_sigma(sigma, k: int) -> Fraction:
-    """gamma^3 = (1/27) * (1/(2*sigma)) * (1 - 1/(k-1)); 4*sigma*gamma^3 is the cubic threshold.
-
-    k = 2 is rejected: it forces gamma = 0, a degenerate (flat) curvature
-    the construction cannot use.
-    """
-    sigma = _rational(sigma, "sigma")
-    if sigma <= 0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
-    if k < 2:
-        raise ValueError(f"k must be >= 2, got {k}")
-    if k == 2:
-        raise ValueError("k = 2 gives gamma = 0 (degenerate curvature)")
-    return Fraction(1, 27) / (2 * sigma) * (1 - Fraction(1, k - 1))
-
-
-def gamma_squared_from_tau(tau, k: int) -> Fraction:
-    """gamma^2 = (1/(12*tau)) * (1 - 1/(k-1)); 6*tau*gamma^2 is the quartic threshold."""
-    tau = _rational(tau, "tau")
-    if tau <= 0:
-        raise ValueError(f"tau must be positive, got {tau}")
-    if k < 2:
-        raise ValueError(f"k must be >= 2, got {k}")
-    if k == 2:
-        raise ValueError("k = 2 gives gamma = 0 (degenerate curvature)")
-    return (1 - Fraction(1, k - 1)) / (12 * tau)
-
-
-def build_cubic_instance(G: Graph, k: int, sigma) -> ConcordanceInstance:
-    """Cubic decision instance for (G, k, sigma); q is exactly the cubic threshold."""
-    if k < 3:
-        raise ValueError(f"cubic instances need k >= 3, got {k}")
-    gamma3 = gamma_cubed_from_sigma(sigma, k)
-    sigma = _rational(sigma, "sigma")
-    q = 4 * sigma * gamma3
-    assert q == cubic_threshold(k)
-    return ConcordanceInstance(
-        kind="cubic",
-        A=build_cubic_tensor(G),
-        q=q,
-        gamma_power=gamma3,
-        sigma_or_tau=sigma,
-        provenance=CliqueInstance(G, k),
-    )
-
-
-def build_quartic_instance(G: Graph, k: int, tau) -> ConcordanceInstance:
-    """Quartic decision instance for (G, k, tau); q is exactly the quartic threshold."""
-    if k < 3:
-        raise ValueError(f"quartic instances need k >= 3, got {k}")
-    gamma2 = gamma_squared_from_tau(tau, k)
-    tau = _rational(tau, "tau")
-    q = 6 * tau * gamma2
-    assert q == quartic_threshold(k)
-    return ConcordanceInstance(
-        kind="quartic",
-        A=build_quartic_tensor(G),
-        q=q,
-        gamma_power=gamma2,
-        sigma_or_tau=tau,
-        provenance=CliqueInstance(G, k),
-    )
-
-
-# ---------------------------------------------------------------------------
-# Witnesses
-
-
 def _check_clique(G: Graph, C: Iterable[int]) -> list[int]:
     members = sorted(set(C))
     if len(members) < 2:
@@ -247,58 +167,22 @@ def _check_clique(G: Graph, C: Iterable[int]) -> list[int]:
     return members
 
 
+def quartic_witness_from_clique(G: Graph, C: Iterable[int]) -> np.ndarray:
+    """Unit maximizer of the quartic gadget form: the clique indicator over sqrt(c)."""
+    u = np.array(rational_quartic_witness(G, C), dtype=float)
+    return u / math.sqrt(u.sum())
+
+
 def witness_from_clique(G: Graph, C: Iterable[int]) -> np.ndarray:
     """Exact maximizer of the cubic gadget form on the joint unit sphere.
 
-    For a clique C of size c: u_i = sqrt(2/(3c)) on C, and w_ij on the
-    edges inside C carries the Cauchy-Schwarz coupling scaled into the
-    1/3 block.  The form value is sqrt((2/27) * (1 - 1/c)); when C is a
+    For a clique C of size c: u is the quartic maximizer (1/sqrt(c) on C),
+    w its Cauchy-Schwarz coupling, and the pair is split 2/3 : 1/3 onto the
+    joint sphere.  The form value is sqrt((2/27) * (1 - 1/c)); when C is a
     maximum clique this is the global sphere maximum.
     """
-    _require_reducible(G)
-    members = _check_clique(G, C)
-    c = len(members)
-    u = np.zeros(G.n)
-    u[[v - 1 for v in members]] = 1.0 / math.sqrt(c)
-    # alpha = sqrt(sum over C-internal edges of (1/c^2)) = sqrt((c-1)/(2c))
-    alpha = math.sqrt((c - 1) / (2.0 * c))
-    inside = set(members)
-    w = np.array([
-        (1.0 / c) / alpha if (i in inside and j in inside) else 0.0
-        for i, j in G.edge_order
-    ])
-    return np.concatenate([math.sqrt(2.0 / 3.0) * u, math.sqrt(1.0 / 3.0) * w])
-
-
-def quartic_witness_from_clique(G: Graph, C: Iterable[int]) -> np.ndarray:
-    """Unit maximizer of the quartic gadget form: 1/sqrt(c) on the clique."""
-    _require_reducible(G)
-    members = _check_clique(G, C)
-    h = np.zeros(G.n)
-    h[[v - 1 for v in members]] = 1.0 / math.sqrt(len(members))
-    return h
-
-
-def rational_cubic_witness(G: Graph, C: Iterable[int], max_denominator: int = 10**12) -> tuple[Fraction, ...]:
-    """Rational near-maximizer of the cubic form ratio, for exact certificates.
-
-    The violation check is scale invariant, so normalization is dropped:
-    u = 1 on the clique and w = t on its internal edges with rational t
-    close to the optimal coupling scale 1/sqrt(c-1).  The achieved ratio
-    [A(h)]^2 / (h.h)^3 differs from the maximum (2/27)(1 - 1/c) only to
-    second order in the approximation error of t.
-    """
-    _require_reducible(G)
-    members = _check_clique(G, C)
-    c = len(members)
-    if c == 2:
-        t = Fraction(1)
-    else:
-        t = Fraction(1.0 / math.sqrt(c - 1)).limit_denominator(max_denominator)
-    inside = set(members)
-    u = [Fraction(1) if v in inside else Fraction(0) for v in range(1, G.n + 1)]
-    w = [t if (i in inside and j in inside) else Fraction(0) for i, j in G.edge_order]
-    return tuple(u + w)
+    u = quartic_witness_from_clique(G, C)
+    return split_to_joint_sphere(u, couple_w_from_u(u, G))
 
 
 def rational_quartic_witness(G: Graph, C: Iterable[int]) -> tuple[Fraction, ...]:
@@ -308,19 +192,86 @@ def rational_quartic_witness(G: Graph, C: Iterable[int]) -> tuple[Fraction, ...]
     return tuple(Fraction(1) if v in members else Fraction(0) for v in range(1, G.n + 1))
 
 
+def rational_cubic_witness(G: Graph, C: Iterable[int], max_denominator: int = 10**12) -> tuple[Fraction, ...]:
+    """Rational near-maximizer of the cubic form ratio, for exact certificates.
+
+    The violation check is scale invariant, so normalization is dropped:
+    u = 1 on the clique (the quartic witness) and w = t on its internal
+    edges with rational t close to the optimal coupling scale 1/sqrt(c-1).
+    The achieved ratio [A(h)]^2 / (h.h)^3 differs from the maximum
+    (2/27)(1 - 1/c) only to second order in the approximation error of t.
+    """
+    u = rational_quartic_witness(G, C)
+    t = Fraction(1.0 / math.sqrt(u.count(1) - 1)).limit_denominator(max_denominator)
+    return u + tuple(t if u[i - 1] and u[j - 1] else Fraction(0) for i, j in G.edge_order)
+
+
 # ---------------------------------------------------------------------------
-# Exact optimum values
+# The gadget table
 
 
-def true_max_square(G: Graph) -> Fraction:
-    """Exact squared sphere maximum of the cubic gadget form: (2/27)(1 - 1/omega)."""
+@dataclass(frozen=True)
+class Gadget:
+    """One parameter set of the clique gadget.
+
+    The sphere maximum of A(h,..,h)^p is c * (1 - 1/omega(G)) for the tensor
+    A = `tensor`(G) of order `order`, attained at `witness`(G, C) for a
+    maximum clique C.  The threshold for clique size k is
+    q = c * (1 - 1/(k-1)) = `multiplier` * parameter * gamma-power; instance
+    JSON names the parameter `param` and the gamma-power `gamma`.
+    """
+
+    order: int
+    c: Fraction
+    p: int
+    multiplier: int
+    param: str
+    gamma: str
+    tensor: Callable[[Graph], SymTensor]
+    witness: Callable[[Graph, Iterable[int]], np.ndarray]
+
+
+GADGETS = {
+    "cubic": Gadget(3, Fraction(2, 27), 2, 4, "sigma", "gamma_cubed", build_cubic_tensor, witness_from_clique),
+    "quartic": Gadget(
+        4, Fraction(1, 2), 1, 6, "tau", "gamma_squared", build_quartic_tensor, quartic_witness_from_clique
+    ),
+}
+
+
+def threshold(kind: str, k: int) -> Fraction:
+    """q = c * (1 - 1/(k-1)), the decision threshold of the `kind` gadget for clique size k."""
+    if k < 2:
+        raise ValueError(f"k must be >= 2, got {k}")
+    return GADGETS[kind].c * (1 - Fraction(1, k - 1))
+
+
+def true_max(kind: str, G: Graph) -> Fraction:
+    """Exact sphere maximum of A^p for the `kind` gadget of G: c * (1 - 1/omega)."""
     _require_reducible(G)
-    omega = len(max_clique(G))
-    return Fraction(2, 27) * (1 - Fraction(1, omega))
+    return GADGETS[kind].c * (1 - Fraction(1, len(max_clique(G))))
 
 
-def true_max_quartic(G: Graph) -> Fraction:
-    """Exact sphere maximum of the quartic gadget form: (1/2)(1 - 1/omega)."""
-    _require_reducible(G)
-    omega = len(max_clique(G))
-    return Fraction(1, 2) * (1 - Fraction(1, omega))
+def build_instance(G: Graph, kind: str, k: int, param) -> ConcordanceInstance:
+    """Decision instance for (G, k, parameter); q is exactly the `kind` threshold.
+
+    k < 3 is rejected: k = 2 gives q = 0, i.e. gamma = 0, a degenerate
+    (flat) curvature the construction cannot use.
+    """
+    if k < 3:
+        raise ValueError(f"{kind} instances need k >= 3, got {k}")
+    name = GADGETS[kind].param
+    param = _rational(param, name)
+    if param <= 0:
+        raise ValueError(f"{name} must be positive, got {param}")
+    return ConcordanceInstance(kind, GADGETS[kind].tensor(G), threshold(kind, k), param, CliqueInstance(G, k))
+
+
+def build_cubic_instance(G: Graph, k: int, sigma) -> ConcordanceInstance:
+    """Cubic decision instance for (G, k, sigma)."""
+    return build_instance(G, "cubic", k, sigma)
+
+
+def build_quartic_instance(G: Graph, k: int, tau) -> ConcordanceInstance:
+    """Quartic decision instance for (G, k, tau)."""
+    return build_instance(G, "quartic", k, tau)

@@ -34,8 +34,6 @@ __all__ = [
     "eval_form_batch",
     "eval_form_exact",
     "grad_form",
-    "eval_multilinear",
-    "contract_all_but_one",
     "frobenius",
     "spectral_upper_bound",
     "tensor_to_text",
@@ -205,45 +203,6 @@ def grad_form(A: SymTensor, h) -> np.ndarray:
     targets = loo_target + A.dim * np.arange(count)[:, None]
     g = np.bincount(targets.ravel(), weights=terms.ravel(), minlength=count * A.dim)
     return g.reshape(h.shape)
-
-
-def eval_multilinear(A: SymTensor, vectors: Sequence) -> float:
-    """A(h1, ..., hd) with possibly distinct arguments."""
-    if len(vectors) != A.order:
-        raise ValueError(f"expected {A.order} vectors, got {len(vectors)}")
-    vs = [np.asarray(v, dtype=float) for v in vectors]
-    for v in vs:
-        _check_dim(A, v.shape[0])
-    total = 0.0
-    for key, value in A.entries.items():
-        fval = float(value)
-        for perm in set(permutations(key)):
-            prod = fval
-            for pos, i in enumerate(perm):
-                prod *= vs[pos][i - 1]
-            total += prod
-    return total
-
-
-def contract_all_but_one(A: SymTensor, vectors: Sequence, pos: int) -> np.ndarray:
-    """Vector g with g_p = A(h1, ..., e_p at slot `pos`, ..., hd).
-
-    `vectors[pos]` is ignored; the remaining arguments are contracted so
-    that <g, x> = A(..., x at slot pos, ...) for every x.
-    """
-    if len(vectors) != A.order:
-        raise ValueError(f"expected {A.order} vectors, got {len(vectors)}")
-    vs = [None if q == pos else np.asarray(vectors[q], dtype=float) for q in range(A.order)]
-    g = np.zeros(A.dim)
-    for key, value in A.entries.items():
-        fval = float(value)
-        for perm in set(permutations(key)):
-            prod = fval
-            for q, i in enumerate(perm):
-                if q != pos:
-                    prod *= vs[q][i - 1]
-            g[perm[pos] - 1] += prod
-    return g
 
 
 def frobenius(A: SymTensor) -> float:

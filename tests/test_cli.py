@@ -3,8 +3,12 @@
 import json
 import subprocess
 import sys
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
+
+from selfconcord.cli import _instance_from_obj
 
 K3_DIMACS = "p edge 3 3\ne 1 2\ne 2 3\ne 1 3\n"
 FOOTNOTE_DIMACS = "p edge 3 1\ne 1 2\n"
@@ -97,6 +101,30 @@ def test_reduce_then_check_sc_roundtrip(k3_file, tmp_path):
     verdict = json.loads(proc.stdout)
     assert verdict["status"] == "NOT_SELF_CONCORDANT"
     assert verdict["certificate"]["kind"] == "witness"
+
+
+def test_instance_json_fields_must_agree_with_q(k3_file, tmp_path):
+    instance = json.loads(run_cli(["reduce", k3_file, "--k", "3", "--sigma", "1/2"]).stdout)
+    path = tmp_path / "inst.json"
+
+    def check(obj):
+        path.write_text(json.dumps(obj))
+        return run_cli(["check-sc", str(path), "--mode", "oracle"])
+
+    assert check(instance).returncode == 1
+    # only the kind's own parameter key is read: a cubic file's tau is ignored
+    bare = {key: value for key, value in instance.items() if key not in ("sigma", "gamma_cubed")}
+    assert _instance_from_obj({**bare, "tau": "7/3"}).sigma_or_tau is None
+    assert _instance_from_obj(instance).sigma_or_tau == Fraction(1, 2)
+    # a stated gamma power that contradicts q and sigma is an error naming the field
+    unplaced = {key: value for key, value in instance.items() if key != "k"}  # no provenance to check
+    proc = check({**unplaced, "q": "1/1000"})
+    assert proc.returncode == 3
+    assert "gamma_cubed" in proc.stderr and "Traceback" not in proc.stderr
+    # so is a k that gives another threshold than q, on a trusted gadget
+    proc = check({**bare, "k": 4})
+    assert proc.returncode == 3
+    assert "'k'" in proc.stderr and "Traceback" not in proc.stderr
 
 
 def test_reduce_quartic(k3_file):
@@ -193,3 +221,36 @@ def test_verify_all_tightened_tolerance_fails():
     proc = run_cli(["verify-all", "--max-n", "2", "--identity-tol", "1e-18", "--format", "text"])
     assert proc.returncode == 1
     assert "FAIL" in proc.stdout
+
+
+def test_readme_transcript(k3_file, footnote_file):
+    """The CLI tour in README.md: footnote-demo lines verbatim, check-sc and reduce fields."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("$ selfconcord footnote-demo --format text\n", 1)[1].split("```", 1)[0]
+    shown = [line for line in block.splitlines() if line and line != "..."]
+    assert len(shown) == 8
+    proc = run_cli(["footnote-demo", "--format", "text"])
+    assert proc.returncode == 0
+    printed = proc.stdout.splitlines()
+    for line in shown:
+        assert line in printed
+
+    proc = run_cli(["check-sc", k3_file, "--k", "3", "--sigma", "1/2", "--mode", "oracle"])
+    assert proc.returncode == 1
+    verdict = json.loads(proc.stdout)
+    assert (verdict["status"], verdict["mode"]) == ("NOT_SELF_CONCORDANT", "oracle")
+    assert verdict["certificate"]["kind"] == "witness"
+    assert verdict["certificate"]["witness"][:3] == ["1", "1", "1"]
+
+    proc = run_cli(["check-sc", footnote_file, "--k", "3", "--sigma", "1/2", "--mode", "oracle"])
+    assert proc.returncode == 0
+    verdict = json.loads(proc.stdout)
+    assert verdict["status"] == "SELF_CONCORDANT"
+    assert verdict["certificate"] == {"kind": "bound", "bound": {"name": "exact_clique_oracle", "value": "1/27"}}
+
+    proc = run_cli(["reduce", k3_file, "--k", "3", "--sigma", "1/2"])
+    assert proc.returncode == 0
+    instance = json.loads(proc.stdout)
+    assert list(instance) == ["kind", "graph", "k", "sigma", "gamma_cubed", "q", "tensor"]
+    assert (instance["kind"], instance["k"], instance["sigma"]) == ("cubic", 3, "1/2")
+    assert (instance["gamma_cubed"], instance["q"]) == ("1/54", "1/27")

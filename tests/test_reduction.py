@@ -8,26 +8,26 @@ import numpy as np
 import pytest
 
 from selfconcord import (
+    GADGETS,
     CliqueInstance,
+    ConcordanceInstance,
     build_cubic_instance,
     build_cubic_tensor,
+    build_instance,
     build_quartic_instance,
     build_quartic_tensor,
     clique_number,
-    cubic_threshold,
     enumerate_graphs,
     eval_form,
     eval_form_exact,
-    gamma_cubed_from_sigma,
-    gamma_squared_from_tau,
     graph_from_edges,
     max_clique,
-    quartic_threshold,
     quartic_witness_from_clique,
     rational_cubic_witness,
     rational_quartic_witness,
-    true_max_quartic,
-    true_max_square,
+    sym_from_entries,
+    threshold,
+    true_max,
     witness_from_clique,
 )
 
@@ -131,42 +131,64 @@ def test_quartic_tensor_form_is_square_pair_sum():
 
 
 def test_cubic_threshold_values():
-    assert cubic_threshold(3) == Fraction(1, 27)
-    assert cubic_threshold(2) == 0
-    assert cubic_threshold(4) == Fraction(4, 81)
+    assert threshold("cubic", 3) == Fraction(1, 27)
+    assert threshold("cubic", 2) == 0
+    assert threshold("cubic", 4) == Fraction(4, 81)
     with pytest.raises(ValueError):
-        cubic_threshold(1)
+        threshold("cubic", 1)
 
 
 def test_quartic_threshold_values():
-    assert quartic_threshold(3) == Fraction(1, 4)
-    assert quartic_threshold(4) == Fraction(1, 3)
+    assert threshold("quartic", 3) == Fraction(1, 4)
+    assert threshold("quartic", 4) == Fraction(1, 3)
 
 
-def test_gamma_cubed_examples():
-    assert gamma_cubed_from_sigma(Fraction(1, 2), 3) == Fraction(1, 54)
+def test_gadget_table():
+    cubic, quartic = GADGETS["cubic"], GADGETS["quartic"]
+    assert (cubic.order, cubic.c, cubic.p, cubic.multiplier) == (3, Fraction(2, 27), 2, 4)
+    assert (quartic.order, quartic.c, quartic.p, quartic.multiplier) == (4, Fraction(1, 2), 1, 6)
+    assert (cubic.param, cubic.gamma, quartic.param, quartic.gamma) == ("sigma", "gamma_cubed", "tau", "gamma_squared")
+    assert cubic.tensor is build_cubic_tensor and quartic.tensor is build_quartic_tensor
+    assert cubic.witness is witness_from_clique and quartic.witness is quartic_witness_from_clique
+
+
+def test_gamma_cubed_examples(k3):
+    assert build_cubic_instance(k3, 3, Fraction(1, 2)).gamma_power == Fraction(1, 54)
     assert 4 * Fraction(1, 2) * Fraction(1, 54) == Fraction(1, 27)
-    assert gamma_cubed_from_sigma(2, 4) == Fraction(1, 162)
+    assert build_cubic_instance(k3, 4, 2).gamma_power == Fraction(1, 162)
     assert 4 * 2 * Fraction(1, 162) == Fraction(4, 81)
+    # instances built from a tensor and a threshold have no parameter, so no gamma
+    assert ConcordanceInstance("cubic", build_cubic_tensor(k3), Fraction(1, 27)).gamma_power is None
 
 
-def test_gamma_cubed_degenerate_and_invalid():
+def test_gamma_cubed_degenerate_and_invalid(k3):
     with pytest.raises(ValueError):
-        gamma_cubed_from_sigma(Fraction(1, 2), 2)
+        build_cubic_instance(k3, 2, Fraction(1, 2))  # k = 2 gives gamma = 0
     with pytest.raises(ValueError):
-        gamma_cubed_from_sigma(0, 3)
+        build_cubic_instance(k3, 3, 0)
     with pytest.raises(ValueError):
-        gamma_cubed_from_sigma(-1, 3)
+        build_cubic_instance(k3, 3, -1)
+    with pytest.raises(ValueError):
+        build_quartic_instance(k3, 3, "x")
+    with pytest.raises(ValueError):
+        ConcordanceInstance("cubic", build_quartic_tensor(k3), Fraction(1, 4))
+    with pytest.raises(ValueError):
+        ConcordanceInstance("quintic", sym_from_entries(5, 2, []), Fraction(1, 4))
 
 
-def test_threshold_identities_random():
+def test_threshold_identities_random(k3):
+    """gamma^3 = (1/27)(1/(2 sigma))(1 - 1/(k-1)) and gamma^2 = (1 - 1/(k-1))/(12 tau)."""
     rng = np.random.default_rng(103)
     for _ in range(100):
         sigma = Fraction(int(rng.integers(1, 50)), int(rng.integers(1, 50)))
         tau = Fraction(int(rng.integers(1, 50)), int(rng.integers(1, 50)))
         k = int(rng.integers(3, 12))
-        assert 4 * sigma * gamma_cubed_from_sigma(sigma, k) == cubic_threshold(k)
-        assert 6 * tau * gamma_squared_from_tau(tau, k) == quartic_threshold(k)
+        cubic = build_instance(k3, "cubic", k, sigma)
+        quartic = build_instance(k3, "quartic", k, tau)
+        assert cubic.gamma_power == Fraction(1, 27) / (2 * sigma) * (1 - Fraction(1, k - 1))
+        assert quartic.gamma_power == (1 - Fraction(1, k - 1)) / (12 * tau)
+        assert cubic.q == 4 * sigma * cubic.gamma_power == threshold("cubic", k)
+        assert quartic.q == 6 * tau * quartic.gamma_power == threshold("quartic", k)
 
 
 # ---------------------------------------------------------------------------
@@ -235,6 +257,12 @@ def test_witness_achieves_claimed_value_all_cliques():
                 continue
             h = witness_from_clique(G, C)
             assert abs(np.linalg.norm(h) - 1.0) <= 1e-12
+            # closed form: u = sqrt(2/(3c)) on C, w = sqrt(2/(3c(c-1))) on the edges inside C
+            c = len(C)
+            inside = [i in C and j in C for i, j in G.edge_order]
+            assert np.allclose(h[: G.n], [math.sqrt(2 / (3 * c)) if v in C else 0.0 for v in range(1, G.n + 1)],
+                               rtol=1e-15, atol=0)
+            assert np.allclose(h[G.n:], np.where(inside, math.sqrt(2 / (3 * c * (c - 1))), 0.0), rtol=1e-15, atol=0)
             target = float(Fraction(2, 27) * (1 - Fraction(1, len(C))))
             assert abs(eval_form(A, h) ** 2 - target) <= 1e-12
 
@@ -252,7 +280,7 @@ def test_rational_cubic_witness_ratio_near_optimum(k3):
     dot = sum(x * x for x in h)
     ratio = value * value / dot**3
     assert abs(float(ratio) - 4.0 / 81.0) <= 1e-9
-    assert ratio > cubic_threshold(3)
+    assert ratio > threshold("cubic", 3)
 
 
 def test_rational_quartic_witness_ratio_exact(k3):
@@ -267,18 +295,20 @@ def test_rational_quartic_witness_ratio_exact(k3):
 
 
 def test_true_max_square_examples(k3, footnote_graph, single_edge):
-    assert true_max_square(k3) == Fraction(4, 81)
-    assert true_max_square(footnote_graph) == Fraction(1, 27)
-    assert true_max_square(single_edge) == Fraction(1, 27)
+    assert true_max("cubic", k3) == Fraction(4, 81)
+    assert true_max("cubic", footnote_graph) == Fraction(1, 27)
+    assert true_max("cubic", single_edge) == Fraction(1, 27)
     # stability variant through the complement: alpha(footnote) = 2
     from selfconcord import complement
 
-    assert true_max_square(complement(footnote_graph)) == Fraction(1, 27)
+    assert true_max("cubic", complement(footnote_graph)) == Fraction(1, 27)
 
 
 def test_true_max_quartic_examples(k3, single_edge):
-    assert true_max_quartic(k3) == Fraction(1, 3)
-    assert true_max_quartic(single_edge) == Fraction(1, 4)
+    assert true_max("quartic", k3) == Fraction(1, 3)
+    assert true_max("quartic", single_edge) == Fraction(1, 4)
+    with pytest.raises(ValueError):
+        true_max("quartic", graph_from_edges(3, []))
 
 
 def test_decision_threshold_equivalence_exhaustive_n4():
@@ -287,8 +317,8 @@ def test_decision_threshold_equivalence_exhaustive_n4():
         for G in enumerate_graphs(n):
             w = clique_number(G)
             for k in range(3, 7):
-                assert (w >= k) == (true_max_square(G) > cubic_threshold(k))
-                assert (w >= k) == (true_max_quartic(G) > quartic_threshold(k))
+                assert (w >= k) == (true_max("cubic", G) > threshold("cubic", k))
+                assert (w >= k) == (true_max("quartic", G) > threshold("quartic", k))
 
 
 def test_boundary_equality():
@@ -296,5 +326,5 @@ def test_boundary_equality():
         for G in enumerate_graphs(n):
             k = clique_number(G) + 1
             if k >= 3:
-                assert true_max_square(G) == cubic_threshold(k)
-                assert true_max_quartic(G) == quartic_threshold(k)
+                assert true_max("cubic", G) == threshold("cubic", k)
+                assert true_max("quartic", G) == threshold("quartic", k)
