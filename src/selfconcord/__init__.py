@@ -72,6 +72,8 @@ from .tensors import (
     eval_form_exact,
     frobenius,
     grad_form,
+    hess_form,
+    hess_product,
     spectral_upper_bound,
     sym_from_entries,
     tensor_from_json_obj,

@@ -6,8 +6,8 @@ it knows:
 
 * NOT_SELF_CONCORDANT is only ever reported with an exact rational witness
   h that violates the inequality under exact rational arithmetic.  Floating
-  candidates from the numeric search are rationalized by continued
-  fractions (denominator bound 2^64 by default) and re-verified exactly;
+  candidates from the numeric search are rounded to rationals on one shared
+  denominator (2^64 by default) and re-verified exactly;
   if re-verification fails the status stays UNDECIDED.  The exact check is
   scale invariant, so witnesses need no normalization.
 * SELF_CONCORDANT is reported when a sound upper bound on the form maximum
@@ -161,8 +161,17 @@ def hessian_psd(H: SymTensor) -> bool:
 
 
 def rationalize_vector(h, max_denominator: int = _DEFAULT_MAX_DENOMINATOR) -> tuple[Fraction, ...]:
-    """Continued-fraction rationalization of a floating vector."""
-    return tuple(Fraction(float(x)).limit_denominator(max_denominator) for x in np.asarray(h, dtype=float))
+    """h rounded to the nearest multiples of 1/max_denominator, coordinate by coordinate.
+
+    All coordinates share the one denominator, so the exact checks' h.h and
+    its powers stay about as long as a single coordinate; with its own
+    denominator per coordinate, the cubic check's (h.h)^3 ran to thousands
+    of digits on large gadgets.  The default 2^64 keeps every bit of a unit
+    vector's binary coordinates down to 2^-64.
+    """
+    return tuple(
+        Fraction(round(Fraction(float(x)) * max_denominator), max_denominator) for x in np.asarray(h, dtype=float)
+    )
 
 
 def _dot_exact(h: tuple[Fraction, ...]) -> Fraction:
@@ -337,7 +346,7 @@ def _check(inst: ConcordanceInstance, cfg: OptConfig | None, mode: str, kind: st
         bound, used, finest = _grid_bound(
             inst.A, good_enough=certifies, hopeless=lambda lower: not certifies(lower)
         )
-        bound_name = f"grid_certified_max(resolution={finest})"
+        bound_name = f"grid_lower_and_upper(resolution={finest})"
         evaluations += used
     if certifies(bound):
         return _bound_verdict(mode, bound_name, format(bound, ".17g"), evaluations)
@@ -374,15 +383,21 @@ def check_sc2(inst: ConcordanceInstance, cfg: OptConfig | None = None, mode: str
 def sigma_opt_bounds(A: SymTensor, cfg: OptConfig | None = None) -> SigmaBounds:
     """Bracket sigma_opt = (spectral norm of A)^2 / 4 for an order-3 tensor.
 
-    Lower bound from the best multistart witness (a feasible point), upper
-    bound from the spectral relaxation, tightened by the certified grid
-    when the dimension admits one.
+    Lower bound from the best multistart witness: A(h,h,h)^2 / (4 (h.h)^3)
+    evaluated exactly at its rationalization and rounded down, so it never
+    exceeds sigma_opt (a float evaluation at a maximizer can round above
+    it).  Upper bound from the spectral relaxation, tightened by the
+    certified grid when the dimension admits one.
     """
     if A.order != 3:
         raise ValueError(f"sigma_opt_bounds needs an order-3 tensor, got order {A.order}")
     cfg = cfg or OptConfig()
-    report = _search(A, None, cfg)
-    norm_lower = max(report.best_value, 0.0)
+    h = rationalize_vector(_search(A, None, cfg).witness)
+    value = eval_form_exact(A, h)
+    exact_lower = value * value / (4 * _dot_exact(h) ** 3)
+    lower = float(exact_lower)
+    if Fraction(lower) > exact_lower:
+        lower = math.nextafter(lower, -math.inf)
     norm_upper = _spectral_bound(A)
     if A.dim <= 5:
         try:
@@ -390,7 +405,6 @@ def sigma_opt_bounds(A: SymTensor, cfg: OptConfig | None = None) -> SigmaBounds:
             norm_upper = min(norm_upper, grid)
         except ValueError:
             pass
-    lower = norm_lower * norm_lower / 4.0
     upper = norm_upper * norm_upper / 4.0
     return SigmaBounds(min(lower, upper), upper)
 

@@ -5,11 +5,15 @@ Two local ascent methods that respect the feasible geometry directly:
 * simplex: a replicator (exponentiated-gradient) update for quadratics with
   nonnegative coefficients, which keeps iterates on the simplex and never
   decreases the objective;
-* sphere: gradient ascent with a normalize-after-step retraction and
-  adaptive step halving, monotone by construction.  All starts advance in
-  lockstep as rows of one array, each with its own step, plateau count and
-  budget, so a round costs one batched gradient and one batched form
-  evaluation however many starts are still running.
+* sphere: regularized Riemannian Newton ascent (Absil, Mahony & Sepulchre,
+  Optimization Algorithms on Matrix Manifolds, 2008, ch. 6) with a
+  normalize-after-step retraction.  A candidate is accepted only if it
+  raises the form, and a rejection raises the regularization, so the
+  ascent is monotone by construction.  All starts advance in lockstep as
+  rows of one array, each with its own regularization, plateau count and
+  budget, so a round costs one batched gradient, Hessian and solve (or
+  truncated CG run, Steihaug 1983, for large sparse tensors) and one
+  batched form evaluation however many starts are still running.
 
 Both are multistart with deterministic per-start random substreams, so a
 fixed seed reproduces results bit for bit.  Reported values are always
@@ -42,6 +46,8 @@ from .tensors import (
     eval_form_batch,
     frobenius,
     grad_form,
+    hess_form,
+    hess_product,
 )
 
 __all__ = [
@@ -59,8 +65,26 @@ __all__ = [
 
 DEFAULT_SEED = 1729
 
-# Consecutive near-flat improvements before a trajectory counts as converged.
+# Consecutive near-flat steps before a trajectory counts as converged.
 _PLATEAU = 3
+
+# Regularization of the Newton steps, in units of order * (order - 1) *
+# frobenius(A), which bounds the norm of the Euclidean Hessian on the unit
+# sphere: every start begins at mu = 1 unit.  The floor keeps the systems
+# nonsingular where the maxima are not isolated and the Hessian has a null
+# space there.
+_MU_FLOOR = 1e-10
+
+# Largest dim whose Newton steps come from dense batched solves; above it,
+# truncated CG with Hessian-vector products is cheaper.  Measured per search
+# of the default budget (9 starts, one BLAS thread): on cubic gadgets the two
+# break even between dim 52 and 67, and CG is 1.5x faster at dim 94 and 2.7x
+# at dim 115; on quartic gadgets they stay within 10% of each other up to
+# dim 160.
+_DENSE_LIMIT = 60
+
+# Truncated CG stops once its residual is this fraction of the gradient.
+_CG_TOL = 1e-2
 
 # Point budget for spherical nets.  The net is never built, so this is a
 # time guard: the matrix product behind one rung costs points x entries.
@@ -207,17 +231,89 @@ def _row_norms(x: np.ndarray) -> np.ndarray:
     return np.sqrt(np.add.reduce(x * x, axis=1))
 
 
+def _bordered_steps(E: np.ndarray, H: np.ndarray, shift: np.ndarray, grad: np.ndarray) -> np.ndarray:
+    """Steps v solving (shift I - E) v + nu h = grad, h^T v = 0, row by row.
+
+    The bordered system keeps v in the tangent space without projecting E.
+    A row whose system is exactly singular gets a NaN step, which the
+    ascent rejects.
+    """
+    count, dim = H.shape
+    M = np.zeros((count, dim + 1, dim + 1))
+    M[:, :dim, :dim] = -E
+    M[:, range(dim), range(dim)] += shift[:, None]
+    M[:, :dim, dim] = M[:, dim, :dim] = H
+    rhs = np.zeros((count, dim + 1, 1))
+    rhs[:, :dim, 0] = grad
+    try:
+        return np.linalg.solve(M, rhs)[:, :dim, 0]
+    except np.linalg.LinAlgError:
+        v = np.full_like(grad, np.nan)
+        for i in range(count):
+            try:
+                v[i] = np.linalg.solve(M[i], rhs[i])[:dim, 0]
+            except np.linalg.LinAlgError:
+                pass
+        return v
+
+
+def _truncated_cg(product, H: np.ndarray, shift: np.ndarray, grad: np.ndarray, mu: np.ndarray) -> np.ndarray:
+    """Steps v solving (shift I - P E P) v = grad on the tangent spaces, row by row.
+
+    `product` maps V to E V (the Euclidean Hessians times V) and P projects
+    onto the tangent space at h.  Each row runs conjugate gradients from 0
+    until its residual falls below `_CG_TOL` times the gradient norm, or
+    until it meets nonpositive curvature (Steihaug): it then keeps the step
+    reached so far, or grad / mu if that step is still zero.
+    """
+    v = np.zeros_like(grad)
+    r = grad.copy()
+    p = grad.copy()
+    rr = np.add.reduce(r * r, axis=1)
+    stop = rr * _CG_TOL**2
+    live = rr > 0.0
+    for _ in range(H.shape[1]):
+        Ep = product(p)
+        Bp = shift[:, None] * p - (Ep - H * np.add.reduce(H * Ep, axis=1)[:, None])
+        curv = np.add.reduce(p * Bp, axis=1)
+        bent = live & (curv <= 0.0)
+        if np.count_nonzero(bent):
+            stuck = bent & ~np.any(v, axis=1)
+            v[stuck] = grad[stuck] / mu[stuck, None]
+            live &= ~bent
+        alpha = np.where(live, rr, 0.0) / np.where(live, curv, 1.0)
+        v += alpha[:, None] * p
+        r -= alpha[:, None] * Bp
+        rr_next = np.add.reduce(r * r, axis=1)
+        live &= rr_next > stop
+        if not np.count_nonzero(live):
+            break
+        p = r + (rr_next / np.where(live, rr, 1.0))[:, None] * p
+        rr = rr_next
+    return v
+
+
 def _ascend_sphere(A: SymTensor, starts: np.ndarray, cfg: OptConfig) -> list[tuple[float, np.ndarray, int, bool]]:
     """Ascend from every row of `starts` (S x dim) in lockstep.
 
-    Each start runs its own gradient ascent with a normalize-after-step
-    retraction: the first step is 0.5, an accepted step doubles (capped at
-    1) and a rejected one halves, and the line search gives up once the
-    step falls below `step_tol`.  A start stops, converged, on a zero
-    gradient, a failed line search or `_PLATEAU` consecutive near-flat
-    gains, and stops unconverged when it needs a gradient step after
-    `max_iters` of them.  Each round makes one `grad_form` call on the
-    starts that just accepted a step (or just started) and one
+    Each start takes regularized Riemannian Newton steps: with g and E the
+    Euclidean gradient and Hessian at h, lam = <g, h>, grad = g - lam h and
+    Hess = P E P - lam I on the tangent space, the step v solves
+    (mu I - Hess) v = grad with v orthogonal to h, and the candidate
+    normalize(h + v) is accepted only if the form value increases.  An
+    accepted step halves mu (down to a floor), a rejected one multiplies it
+    by ten, so a rejected start moves on to ever shorter gradient-like
+    steps and every iterate stays feasible.  Up to `_DENSE_LIMIT` the
+    steps come from one batched solve of the bordered systems
+    [[(lam + mu) I - E, h], [h^T, 0]]; above it, from truncated CG with
+    Hessian-vector products.
+
+    A start stops, converged, after `_PLATEAU` consecutive steps whose
+    candidate value is within `value_tol` of the current one, accepted or
+    not, or on a rejected step shorter than `step_tol`, and stops
+    unconverged after `max_iters` steps.  Every step costs one evaluation.
+    Each round makes one `grad_form` call and one Hessian kernel call on
+    the starts that just accepted a step (or just started) and one
     `eval_form_batch` call on one candidate per running start; stopped
     starts are dropped from the arrays.
     """
@@ -225,58 +321,57 @@ def _ascend_sphere(A: SymTensor, starts: np.ndarray, cfg: OptConfig) -> list[tup
     if np.any(norms == 0.0):
         raise ValueError("start point must be nonzero")
     H = starts / norms[:, None]
-    count = H.shape[0]
+    count, dim = H.shape
+    dense = dim <= _DENSE_LIMIT
+    scale = A.order * (A.order - 1) * frobenius(A)
+    floor = _MU_FLOOR * scale
     values = eval_form_batch(A, H)
     results: list = [None] * count
     ids = np.arange(count)
     evals = np.ones(count, dtype=np.int64)
-    steps = np.full(count, 0.5)
+    mu = np.full(count, scale)
     plateau = np.zeros(count, dtype=np.int64)
-    iters = np.zeros(count, dtype=np.int64)
-    directions = np.empty_like(H)
-    fresh = np.ones(count, dtype=bool)  # needs a gradient before its next line search
-    converged = np.zeros(count, dtype=bool)
-    halt = np.zeros(count, dtype=bool)
+    lam = np.empty(count)
+    grad = np.empty_like(H)
+    E = np.empty((count, dim, dim) if dense else (count, 0, 0))
+    fresh = np.ones(count, dtype=bool)
 
-    while True:
+    for step in range(1, cfg.max_iters + 1):
         if np.count_nonzero(fresh):
-            g = grad_form(A, H[fresh])
-            gnorm = _row_norms(g)
-            iters[fresh] += 1
-            flat = gnorm == 0.0
-            if np.count_nonzero(flat):
-                stopped = np.flatnonzero(fresh)[flat]
-                converged[stopped] = halt[stopped] = True
-                gnorm[flat] = 1.0
-            directions[fresh] = g / gnorm[:, None]
-
+            h = H[fresh]
+            g = grad_form(A, h)
+            lam[fresh] = np.add.reduce(g * h, axis=1)
+            grad[fresh] = g - lam[fresh, None] * h
+            if dense:
+                E[fresh] = hess_form(A, h)
+        if dense:
+            v = _bordered_steps(E, H, lam + mu, grad)
+        else:
+            v = _truncated_cg(hess_product(A, H), H, lam + mu, grad, mu)
+        cand = H + v
+        cand /= _row_norms(cand)[:, None]
+        cand_values = eval_form_batch(A, cand)
+        evals += 1
+        up = cand_values > values
+        gain = cand_values - values
+        np.copyto(H, cand, where=up[:, None])
+        np.copyto(values, cand_values, where=up)
+        mu = np.where(up, np.maximum(0.5 * mu, floor), 10.0 * mu)
+        near_flat = np.abs(gain) <= cfg.value_tol * np.maximum(1.0, np.abs(values))
+        plateau = np.where(near_flat, plateau + 1, 0)
+        converged = (plateau >= _PLATEAU) | (~up & (np.add.reduce(v * v, axis=1) < cfg.step_tol**2))
+        halt = converged | (step == cfg.max_iters)
+        fresh = up & ~halt
         if np.count_nonzero(halt):
             for i in np.flatnonzero(halt):
                 results[ids[i]] = (float(values[i]), H[i], int(evals[i]), bool(converged[i]))
             keep = ~halt
-            ids, H, values, evals, steps, plateau, iters, directions = (
-                x[keep] for x in (ids, H, values, evals, steps, plateau, iters, directions)
+            ids, H, values, evals, mu, plateau, lam, grad, E, fresh = (
+                x[keep] for x in (ids, H, values, evals, mu, plateau, lam, grad, E, fresh)
             )
             if ids.size == 0:
-                return results
-
-        cand = H + steps[:, None] * directions
-        cand_norm = _row_norms(cand)
-        moved = cand_norm != 0.0  # a step that lands exactly on the origin only halves
-        cand /= np.where(moved, cand_norm, 1.0)[:, None]
-        cand_values = eval_form_batch(A, cand)
-        evals += moved
-        up = (cand_values > values) & moved
-        gain = cand_values - values
-        np.copyto(H, cand, where=up[:, None])
-        np.copyto(values, cand_values, where=up)
-        steps *= np.where(up, 2.0, 0.5)
-        np.minimum(steps, 1.0, out=steps)
-        near_flat = gain <= cfg.value_tol * np.maximum(1.0, np.abs(values))
-        plateau = np.where(up & ~near_flat, 0, plateau + up)
-        converged = np.where(up, plateau >= _PLATEAU, steps < cfg.step_tol)
-        halt = converged | (up & (iters >= cfg.max_iters))
-        fresh = up & ~halt
+                break
+    return results
 
 
 def max_form_sphere(
@@ -371,7 +466,7 @@ def grid_lower_and_upper(A: SymTensor, resolution: float, point_budget: int = _N
     tables = _sphere_net(A.dim, n_half, n_full)
     net_max = 0.0
     if A.entries:
-        idx, weights, _, _ = A._packed
+        idx, weights = A._packed.idx, A._packed.weights
         powers = (idx[:, :, None] == np.arange(A.dim)).sum(axis=1)  # entries x dim
         tails = np.cumsum(powers[:, ::-1], axis=1)[:, ::-1]  # tails[:, j] = powers[:, j:].sum(1)
         factors = [

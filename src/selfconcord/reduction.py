@@ -118,6 +118,11 @@ class ConcordanceInstance:
         object.__setattr__(self, "q", _rational(self.q, "q"))
         if self.q <= 0:
             raise ValueError(f"threshold q must be positive, got {self.q}")
+        if self.sigma_or_tau is not None:
+            name = GADGETS[self.kind].param
+            object.__setattr__(self, "sigma_or_tau", _rational(self.sigma_or_tau, name))
+            if self.sigma_or_tau <= 0:
+                raise ValueError(f"{name} must be positive, got {self.sigma_or_tau}")
 
     @property
     def gamma_power(self) -> Fraction | None:
@@ -260,10 +265,6 @@ def build_instance(G: Graph, kind: str, k: int, param) -> ConcordanceInstance:
     """
     if k < 3:
         raise ValueError(f"{kind} instances need k >= 3, got {k}")
-    name = GADGETS[kind].param
-    param = _rational(param, name)
-    if param <= 0:
-        raise ValueError(f"{name} must be positive, got {param}")
     return ConcordanceInstance(kind, GADGETS[kind].tensor(G), threshold(kind, k), param, CliqueInstance(G, k))
 
 

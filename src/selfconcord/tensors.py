@@ -11,9 +11,9 @@ is evaluated over canonical entries alone, each weighted by the size of its
 orbit (a multinomial count).
 
 Coefficients are `fractions.Fraction` values.  Evaluation comes in two
-flavours: floating point (`eval_form`, `grad_form`) for optimization loops,
-and exact rational (`eval_form_exact`) for certificate checks that must not
-incur rounding.
+flavours: floating point (`eval_form`, `grad_form`, `hess_form`) for
+optimization loops, and exact rational (`eval_form_exact`) for certificate
+checks that must not incur rounding.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import permutations
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -34,6 +34,8 @@ __all__ = [
     "eval_form_batch",
     "eval_form_exact",
     "grad_form",
+    "hess_form",
+    "hess_product",
     "frobenius",
     "spectral_upper_bound",
     "tensor_to_text",
@@ -41,6 +43,19 @@ __all__ = [
     "tensor_to_json_obj",
     "tensor_from_json_obj",
 ]
+
+
+class _Packed(NamedTuple):
+    """Float index arrays of a tensor; see `SymTensor._packed`."""
+
+    idx: np.ndarray
+    weights: np.ndarray
+    loo: np.ndarray
+    loo_target: np.ndarray
+    lto: np.ndarray
+    lto_head: np.ndarray
+    lto_tail: np.ndarray
+
 
 def _as_fraction(value) -> Fraction:
     if isinstance(value, Fraction):
@@ -93,13 +108,18 @@ class SymTensor:
         object.__setattr__(self, "entries", clean)
 
     @cached_property
-    def _packed(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    def _packed(self) -> _Packed:
         """Float views of the canonical entries, built once per tensor.
 
         `idx` (K x order, 0-based) and `weights` (orbit size times value)
         drive form evaluation.  For the gradient, `loo` holds, for every slot
         t and entry k (row t*K + k), the entry's indices with slot t left
         out, and `loo_target` the index at slot t that the product feeds.
+        For the Hessian, `lto` holds, for every pair of slots s < t and
+        entry k, the entry's indices with both slots left out, and
+        `lto_head` / `lto_tail` the indices at slots s and t: the row and
+        column of the Hessian entry that the product feeds (and, mirrored,
+        the column and row).
         """
         keys = sorted(self.entries)
         idx = np.array(keys, dtype=np.intp).reshape(len(keys), self.order) - 1
@@ -107,7 +127,11 @@ class SymTensor:
         slots = range(self.order)
         loo = np.concatenate([np.delete(idx, t, axis=1) for t in slots])
         loo_target = np.concatenate([idx[:, t] for t in slots])
-        return idx, weights, loo, loo_target
+        pairs = [(s, t) for s in slots for t in slots if s < t]
+        lto = np.concatenate([np.delete(idx, (s, t), axis=1) for s, t in pairs])
+        lto_head = np.concatenate([idx[:, s] for s, _ in pairs])
+        lto_tail = np.concatenate([idx[:, t] for _, t in pairs])
+        return _Packed(idx, weights, loo, loo_target, lto, lto_head, lto_tail)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SymTensor):
@@ -150,7 +174,7 @@ def eval_form(A: SymTensor, h) -> float:
     """Floating-point value of the homogeneous form A(h, ..., h)."""
     h = np.asarray(h, dtype=float)
     _check_dim(A, h.shape[0])
-    idx, weights, _, _ = A._packed
+    idx, weights = A._packed.idx, A._packed.weights
     if idx.shape[0] == 0:
         return 0.0
     return float(weights @ np.prod(h[idx], axis=1))
@@ -160,7 +184,7 @@ def eval_form_batch(A: SymTensor, points: np.ndarray, chunk: int = 262_144) -> n
     """Form values at many points at once; `points` has shape (N, dim)."""
     points = np.asarray(points, dtype=float)
     _check_dim(A, points.shape[1])
-    idx, weights, _, _ = A._packed
+    idx, weights = A._packed.idx, A._packed.weights
     out = np.zeros(points.shape[0])
     if idx.shape[0] == 0:
         return out
@@ -196,13 +220,66 @@ def grad_form(A: SymTensor, h) -> np.ndarray:
     """
     h = np.asarray(h, dtype=float)
     _check_dim(A, h.shape[-1])
-    _, weights, loo, loo_target = A._packed
+    packed = A._packed
     rows = h.reshape(-1, A.dim)
     count = rows.shape[0]
-    terms = np.prod(rows[:, loo], axis=2).reshape(count, A.order, weights.size) * weights
-    targets = loo_target + A.dim * np.arange(count)[:, None]
+    terms = np.prod(rows[:, packed.loo], axis=2).reshape(count, A.order, packed.weights.size) * packed.weights
+    targets = packed.loo_target + A.dim * np.arange(count)[:, None]
     g = np.bincount(targets.ravel(), weights=terms.ravel(), minlength=count * A.dim)
-    return g.reshape(h.shape)
+    return g.astype(float, copy=False).reshape(h.shape)  # bincount gives ints when there are no entries
+
+
+def _hess_terms(A: SymTensor, rows: np.ndarray) -> np.ndarray:
+    """Weighted leave-two-out products, one row per point (S x pairs*K)."""
+    packed = A._packed
+    pairs = A.order * (A.order - 1) // 2
+    terms = np.prod(rows[:, packed.lto], axis=2).reshape(rows.shape[0], pairs, packed.weights.size)
+    return (terms * packed.weights).reshape(rows.shape[0], -1)
+
+
+def hess_form(A: SymTensor, h) -> np.ndarray:
+    """Hessian of h -> A(h, ..., h), i.e. order * (order - 1) * A(h, ..., h, ., .).
+
+    `h` is one point of shape (dim,) or a batch of shape (S, dim); the
+    result has shape (dim, dim) or (S, dim, dim).  Each Hessian is
+    symmetric and satisfies H h = (order - 1) * grad_form(A, h).  As in
+    `grad_form`, products are taken over the other slots directly, so
+    exact zeros in `h` are safe.  The pairs s < t of slots fill a matrix T,
+    and H = T + T^T, which is symmetric bit for bit.
+    """
+    h = np.asarray(h, dtype=float)
+    _check_dim(A, h.shape[-1])
+    packed = A._packed
+    rows = h.reshape(-1, A.dim)
+    count = rows.shape[0]
+    cells = packed.lto_head * A.dim + packed.lto_tail + A.dim * A.dim * np.arange(count)[:, None]
+    T = np.bincount(cells.ravel(), weights=_hess_terms(A, rows).ravel(), minlength=count * A.dim * A.dim)
+    T = T.astype(float, copy=False).reshape(count, A.dim, A.dim)
+    return (T + T.transpose(0, 2, 1)).reshape(h.shape + (A.dim,))
+
+
+def hess_product(A: SymTensor, h):
+    """The map V -> (Hessian at h) V, row by row, without forming the Hessians.
+
+    `h` has shape (S, dim); the returned function takes an (S, dim) array V
+    and gives the S products, equal to `hess_form(A, h) @ v` for each row.
+    The leave-two-out products are computed once, so a product costs one
+    gather and one scatter over the entries.
+    """
+    h = np.asarray(h, dtype=float)
+    _check_dim(A, h.shape[-1])
+    packed = A._packed
+    count = h.shape[0]
+    terms = np.tile(_hess_terms(A, h), 2)
+    offsets = A.dim * np.arange(count)[:, None]
+    rows = (np.concatenate([packed.lto_head, packed.lto_tail]) + offsets).ravel()
+    cols = np.concatenate([packed.lto_tail, packed.lto_head])
+
+    def product(V: np.ndarray) -> np.ndarray:
+        out = np.bincount(rows, weights=(terms * V[:, cols]).ravel(), minlength=count * A.dim)
+        return out.astype(float, copy=False).reshape(count, A.dim)
+
+    return product
 
 
 def frobenius(A: SymTensor) -> float:

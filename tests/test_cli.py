@@ -1,13 +1,16 @@
 """Command-line contract: formats, determinism, exit codes."""
 
 import json
+import random
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import combinations
 from pathlib import Path
 
 import pytest
 
+from selfconcord import tensor_from_json_obj, violates_cubic
 from selfconcord.cli import _instance_from_obj
 
 K3_DIMACS = "p edge 3 3\ne 1 2\ne 2 3\ne 1 3\n"
@@ -125,6 +128,45 @@ def test_instance_json_fields_must_agree_with_q(k3_file, tmp_path):
     proc = check({**bare, "k": 4})
     assert proc.returncode == 3
     assert "'k'" in proc.stderr and "Traceback" not in proc.stderr
+
+
+def test_instance_json_negative_parameter_exit_3(k3_file, tmp_path):
+    instance = json.loads(run_cli(["reduce", k3_file, "--k", "3", "--sigma", "1/2"]).stdout)
+    del instance["gamma_cubed"]
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps({**instance, "sigma": "-2"}))
+    proc = run_cli(["check-sc", str(path), "--mode", "oracle"])
+    assert proc.returncode == 3
+    assert "sigma must be positive" in proc.stderr and "Traceback" not in proc.stderr
+
+
+def test_instance_json_zero_parameter_exit_3(k3_file, tmp_path):
+    instance = json.loads(run_cli(["reduce", k3_file, "--k", "3", "--sigma", "1/2"]).stdout)
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps({**instance, "sigma": "0"}))  # gamma_cubed stays stated
+    proc = run_cli(["check-sc", str(path), "--mode", "oracle"])
+    assert proc.returncode == 3
+    assert "sigma must be positive" in proc.stderr and "ZeroDivisionError" not in proc.stderr
+
+
+def test_numeric_witness_on_large_gadget_exit_1(tmp_path):
+    # G(24, 138): the relax search's witness has 160 coordinates; on one
+    # shared denominator its exact check stays short enough to print.
+    pairs = list(combinations(range(1, 25), 2))
+    edges = random.Random(3).sample(pairs, 138)
+    graph = tmp_path / "g.col"
+    graph.write_text("p edge 24 138\n" + "".join(f"e {i} {j}\n" for i, j in edges))
+    instance = json.loads(run_cli(["reduce", str(graph), "--k", "3", "--sigma", "1/2"]).stdout)
+    del instance["graph"], instance["k"]
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(instance))
+    proc = run_cli(["check-sc", str(path), "--mode", "relax"])
+    assert proc.returncode == 1, proc.stderr
+    certificate = json.loads(proc.stdout)["certificate"]
+    assert len(certificate["rhs"]) < 1000
+    witness = [Fraction(x) for x in certificate["witness"]]
+    violated, lhs, rhs = violates_cubic(tensor_from_json_obj(instance["tensor"]), witness, Fraction(instance["q"]))
+    assert violated and str(lhs) == certificate["lhs"] and str(rhs) == certificate["rhs"]
 
 
 def test_reduce_quartic(k3_file):

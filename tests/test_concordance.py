@@ -211,6 +211,8 @@ def test_check_sc2_grid_certifies_single_edge(single_edge):
     inst = build_quartic_instance(single_edge, 4, 1)
     verdict = check_sc2(inst, CFG, mode="grid")
     assert verdict.status is Status.SELF_CONCORDANT
+    # the certificate names the function that made the bound
+    assert verdict.certificate["bound"]["name"].startswith("grid_lower_and_upper(resolution=")
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 
 from selfconcord import (
+    GADGETS,
     OptConfig,
     grad_form,
+    hess_form,
     beta_split_max,
     build_cubic_tensor,
     build_quartic_tensor,
@@ -19,6 +21,7 @@ from selfconcord import (
     eval_form_batch,
     graph_from_edges,
     grid_lower_and_upper,
+    max_clique,
     max_form_sphere,
     max_quadratic_simplex,
     spectral_upper_bound,
@@ -26,7 +29,9 @@ from selfconcord import (
     stability_number,
     sym_from_entries,
     frobenius,
+    true_max,
 )
+from selfconcord import optimize
 
 from conftest import random_sym_tensor, random_unit_vector
 
@@ -181,36 +186,39 @@ def test_sphere_extra_start_guarantees_value(k3):
     assert rep.best_value >= 2.0 / 9.0 - 1e-12
 
 
-def reference_ascent(A, h0, cfg):
-    """One start alone: the scalar loop the lockstep search must reproduce."""
+def reference_newton(A, h0, cfg):
+    """One start alone, dense steps: the scalar loop the lockstep search must reproduce."""
+    if not A.entries:
+        return 0.0, True  # answered before any search
     h = h0 / np.linalg.norm(h0)
-    value, step, plateau = eval_form(A, h), 0.5, 0
+    value, plateau = eval_form(A, h), 0
+    scale = A.order * (A.order - 1) * frobenius(A)
+    mu = scale
     for _ in range(cfg.max_iters):
         g = grad_form(A, h)
-        if np.linalg.norm(g) == 0.0:
+        lam = float(g @ h)
+        bordered = np.zeros((A.dim + 1, A.dim + 1))
+        bordered[:-1, :-1] = (lam + mu) * np.eye(A.dim) - hess_form(A, h)
+        bordered[:-1, -1] = bordered[-1, :-1] = h
+        v = np.linalg.solve(bordered, np.append(g - lam * h, 0.0))[:-1]
+        assert abs(v @ h) <= 1e-9 * max(1.0, np.linalg.norm(v))  # a tangent step
+        cand = (h + v) / np.linalg.norm(h + v)
+        cand_value = eval_form(A, cand)
+        gain = cand_value - value
+        if cand_value > value:
+            h, value = cand, cand_value
+            mu = max(mu / 2.0, 1e-10 * scale)
+        elif np.linalg.norm(v) < cfg.step_tol:
             return value, True
-        direction = g / np.linalg.norm(g)
-        while step >= cfg.step_tol:
-            cand = h + step * direction
-            if np.linalg.norm(cand) == 0.0:
-                step *= 0.5
-                continue
-            cand = cand / np.linalg.norm(cand)
-            cand_value = eval_form(A, cand)
-            if cand_value > value:
-                gain, h, value = cand_value - value, cand, cand_value
-                step = min(step * 2.0, 1.0)
-                break
-            step *= 0.5
         else:
-            return value, True
-        plateau = plateau + 1 if gain <= cfg.value_tol * max(1.0, abs(value)) else 0
+            mu *= 10.0
+        plateau = plateau + 1 if abs(gain) <= cfg.value_tol * max(1.0, abs(value)) else 0
         if plateau >= 3:
             return value, True
     return value, False
 
 
-def test_sphere_lockstep_matches_reference_ascent():
+def test_sphere_lockstep_matches_reference_newton():
     rng = np.random.default_rng(103)
     for max_iters in (2, 400):
         cfg = OptConfig(starts=5, max_iters=max_iters, seed=11)
@@ -221,7 +229,7 @@ def test_sphere_lockstep_matches_reference_ascent():
             draws = [np.asarray(extra[0])]
             for gen in np.random.SeedSequence(cfg.seed).spawn(cfg.starts):
                 draws.append(np.random.Generator(np.random.PCG64(gen)).standard_normal(A.dim))
-            expected = [reference_ascent(A, h0, cfg) for h0 in draws]
+            expected = [reference_newton(A, h0, cfg) for h0 in draws]
             for got, (want, _) in zip(rep.per_start_values, expected):
                 assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
             assert rep.converged == expected[int(np.argmax(rep.per_start_values))][1]
@@ -242,17 +250,83 @@ def test_sphere_lockstep_starts_independent():
 
 
 def test_sphere_evaluation_budget():
-    # Per start: one initial value, at most max_iters accepted candidates,
-    # and rejections that halve a step which only accepts can double back
-    # before it falls below step_tol.
+    # Per start: one initial value and one candidate per Newton step.
     rng = np.random.default_rng(101)
     for max_iters in (1, 3, 20):
         cfg = OptConfig(starts=5, max_iters=max_iters, seed=3)
-        halvings = math.ceil(math.log2(0.5 / cfg.step_tol))
         for _ in range(5):
             A = random_sym_tensor(rng, int(rng.integers(2, 5)), int(rng.integers(2, 6)))
             rep = max_form_sphere(A, cfg)
-            assert rep.evaluations <= cfg.starts * (2 + 2 * max_iters + halvings)
+            assert rep.evaluations <= cfg.starts * (1 + max_iters)
+
+
+def test_sphere_values_never_fall_below_start():
+    rng = np.random.default_rng(107)
+    cfg = OptConfig(starts=6, max_iters=50, seed=5)
+    for _ in range(15):
+        A = random_sym_tensor(rng, int(rng.integers(2, 5)), int(rng.integers(1, 6)))
+        draws = [np.random.Generator(np.random.PCG64(gen)).standard_normal(A.dim)
+                 for gen in np.random.SeedSequence(cfg.seed).spawn(cfg.starts)]
+        start_values = eval_form_batch(A, np.array([d / np.linalg.norm(d) for d in draws]))
+        rep = max_form_sphere(A, cfg)
+        assert all(got >= start for got, start in zip(rep.per_start_values, start_values))
+
+
+def record_starts(monkeypatch):
+    """Patch the lockstep ascent to keep every start's (value, point, evaluations, converged)."""
+    runs = []
+    ascend = optimize._ascend_sphere
+
+    def recording(A, starts, cfg):
+        runs.append(ascend(A, starts, cfg))
+        return runs[-1]
+
+    monkeypatch.setattr(optimize, "_ascend_sphere", recording)
+    return runs
+
+
+def test_sphere_every_start_converges_on_small_gadgets(monkeypatch):
+    runs = record_starts(monkeypatch)
+    cfg = OptConfig()
+    for n in (2, 3, 4):
+        for G in enumerate_graphs(n):
+            if not G.edges:
+                continue
+            for kind in GADGETS:
+                gadget = GADGETS[kind]
+                A = gadget.tensor(G)
+                rep = max_form_sphere(A, cfg, (gadget.witness(G, max_clique(G)),), nonnegative_starts=True)
+                target = float(true_max(kind, G)) ** (1.0 / gadget.p)
+                assert abs(rep.best_value - target) <= 1e-12
+                assert all(converged for _, _, _, converged in runs[-1]), (kind, G.edge_order)
+
+
+def test_sphere_singular_newton_system_is_rejected():
+    # h2^2 at e1: no gradient, and the first regularized system, 2 - 2 on the
+    # tangent e2, is exactly singular.  The step is rejected, not raised.
+    A = sym_from_entries(2, 2, [((2, 2), 1)])
+    rep = max_form_sphere(A, OptConfig(starts=2, seed=3), extra_starts=([1.0, 0.0],))
+    assert rep.per_start_values[0] == 0.0
+    assert rep.best_value == 1.0
+
+
+def test_sphere_cg_and_dense_steps_agree(monkeypatch):
+    # A cubic gadget above the dense limit: truncated CG steps by default,
+    # dense bordered solves when the limit is raised.
+    G = graph_from_edges(16, [(i, j) for i, j in combinations(range(1, 17), 2) if (i + j) % 4])
+    A = build_cubic_tensor(G)
+    assert A.dim > optimize._DENSE_LIMIT
+    cfg = OptConfig(starts=4, seed=17)
+    runs = record_starts(monkeypatch)
+    cg = max_form_sphere(A, cfg, nonnegative_starts=True)
+    monkeypatch.setattr(optimize, "_DENSE_LIMIT", A.dim)
+    dense = max_form_sphere(A, cfg, nonnegative_starts=True)
+    target = math.sqrt(float(true_max("cubic", G)))
+    for rep, run in zip((cg, dense), runs):
+        assert all(converged for _, _, _, converged in run)
+        assert rep.best_value <= target + 1e-12
+        assert abs(rep.best_value - target) <= 1e-9
+        assert abs(rep.best_value - eval_form(A, rep.witness)) <= 1e-12
 
 
 def test_banach_single_vs_multilinear_agree():

@@ -25,6 +25,8 @@ from selfconcord import (
     frobenius,
     graph_from_edges,
     grad_form,
+    hess_form,
+    hess_product,
     spectral_upper_bound,
     sym_from_entries,
     tensor_from_json_obj,
@@ -73,6 +75,19 @@ def brute_force_grad(A: SymTensor, h) -> np.ndarray:
                 term *= h[i - 1]
             g[idx[0] - 1] += term
     return g
+
+
+def brute_force_hess(A: SymTensor, h) -> np.ndarray:
+    """order * (order - 1) * A(., ., h, ..., h) by full dim**order summation."""
+    H = np.zeros((A.dim, A.dim))
+    for idx in product(range(1, A.dim + 1), repeat=A.order):
+        value = A.entries.get(tuple(sorted(idx)))
+        if value is not None:
+            term = A.order * (A.order - 1) * float(value)
+            for i in idx[2:]:
+                term *= h[i - 1]
+            H[idx[0] - 1, idx[1] - 1] += term
+    return H
 
 
 def dense_spectral_reference(A: SymTensor) -> float:
@@ -281,6 +296,35 @@ def test_grad_vs_central_finite_differences():
             e[i] = step
             fd[i] = (brute_force_eval(A, h + e) - brute_force_eval(A, h - e)) / (2 * step)
         assert np.linalg.norm(fd - g) <= 1e-6 * max(1.0, np.linalg.norm(g))
+
+
+def test_hess_batch_matches_rows_and_reference():
+    rng = np.random.default_rng(31)
+    for order in (2, 3, 4):
+        for dim in range(1, 7):
+            A = random_sym_tensor(rng, order, dim)
+            H = rng.standard_normal((5, dim))
+            H[rng.random((5, dim)) < 0.4] = 0.0  # clique-derived points carry exact zeros
+            hessians = hess_form(A, H)
+            assert hessians.shape == (5, dim, dim)
+            grads = grad_form(A, H)
+            V = rng.standard_normal((5, dim))
+            products = hess_product(A, H)(V)
+            for h, E, g, v, Ev in zip(H, hessians, grads, V, products):
+                assert np.array_equal(E, hess_form(A, h))
+                assert np.array_equal(E, E.T)
+                ref = brute_force_hess(A, h)
+                assert np.linalg.norm(E - ref) <= 1e-12 * max(1.0, np.linalg.norm(ref))
+                assert np.linalg.norm(E @ h - (order - 1) * g) <= 1e-12 * max(1.0, np.linalg.norm(g))
+                assert np.linalg.norm(Ev - E @ v) <= 1e-12 * max(1.0, np.linalg.norm(E @ v))
+
+
+def test_hess_zero_tensor():
+    A = sym_from_entries(3, 2, [])
+    h = np.array([[1.0, -2.0]])
+    for result in (grad_form(A, h), hess_form(A, h), hess_product(A, h)(h)):
+        assert result.dtype == float
+        assert np.all(result == 0.0)
 
 
 # ---------------------------------------------------------------------------
