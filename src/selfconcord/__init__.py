@@ -14,7 +14,6 @@ from .concordance import (
     Verdict,
     check_sc,
     check_sc2,
-    decide_clique_via_sc,
     hessian_psd,
     rationalize_vector,
     sigma_opt_bounds,

@@ -31,6 +31,7 @@ from .graphs import Graph, clique_number, complement, enumerate_graphs, max_cliq
 from .optimize import (
     DEFAULT_SEED,
     OptConfig,
+    OptReport,
     beta_split_max,
     grid_lower_and_upper,
     max_form_sphere,
@@ -45,7 +46,17 @@ from .reduction import (
 )
 from .tensors import eval_form, grad_form, sym_from_entries
 
-__all__ = ["CriterionResult", "run_all", "format_table", "CRITERIA", "FOOTNOTE_GRAPH", "footnote_sides"]
+__all__ = [
+    "CriterionResult",
+    "IdentitySide",
+    "run_all",
+    "format_table",
+    "CRITERIA",
+    "FOOTNOTE_GRAPH",
+    "simplex_side",
+    "sphere_side",
+    "footnote_sides",
+]
 
 # Per gadget kind: the curvature parameter (sigma, tau) of the criteria's
 # instances, the three-valued decision and the exact violation re-check.
@@ -83,13 +94,40 @@ def _random_tensor(rng: np.random.Generator, order: int, dim: int):
     return sym_from_entries(order, dim, raw)
 
 
-def footnote_sides(cfg: OptConfig) -> tuple[int, float, float, float]:
-    """alpha of `FOOTNOTE_GRAPH` and the sides sqrt(1 - 1/alpha), 3*sqrt(3) * max, 27/2 * max^2,
-    max being the gadget search's sphere maximum of the complement's cubic gadget under `cfg`."""
+@dataclass(frozen=True)
+class IdentitySide:
+    """One side of an identity: `scaled`, from the searched `max_value`, against its closed form `target`."""
+
+    max_value: float
+    scaled: float
+    target: float
+    report: OptReport | None
+
+    @property
+    def gap(self) -> float:
+        return abs(self.scaled - self.target)
+
+
+def simplex_side(G: Graph, cfg: OptConfig) -> IdentitySide:
+    """2 * max of sum x_i x_j over the edges of G on the simplex, against 1 - 1/omega(G)."""
+    rep = max_quadratic_simplex(G, cfg)
+    return IdentitySide(rep.best_value, 2.0 * rep.best_value, 1.0 - 1.0 / clique_number(G), rep)
+
+
+def sphere_side(G: Graph, cfg: OptConfig) -> IdentitySide:
+    """27/2 * max^2 against 1 - 1/omega(G), max being the gadget search's sphere
+    maximum of G's cubic gadget (0 when G has no edge)."""
+    rep = _search(build_cubic_tensor(G), G, cfg) if G.m else None
+    best = rep.best_value if rep is not None else 0.0
+    return IdentitySide(best, 13.5 * best**2, 1.0 - 1.0 / clique_number(G), rep)
+
+
+def footnote_sides(cfg: OptConfig) -> tuple[int, float, float, IdentitySide]:
+    """alpha of `FOOTNOTE_GRAPH`, the erroneous sides sqrt(1 - 1/alpha) and
+    3*sqrt(3) * max, and the corrected side: the sphere side of the complement."""
     alpha = stability_number(FOOTNOTE_GRAPH)
-    Gc = complement(FOOTNOTE_GRAPH)
-    best = _search(build_cubic_tensor(Gc), Gc, cfg).best_value
-    return alpha, math.sqrt(1.0 - 1.0 / alpha), 3.0 * math.sqrt(3.0) * best, 13.5 * best**2
+    corrected = sphere_side(complement(FOOTNOTE_GRAPH), cfg)
+    return alpha, math.sqrt(1.0 - 1.0 / alpha), 3.0 * math.sqrt(3.0) * corrected.max_value, corrected
 
 
 # ---------------------------------------------------------------------------
@@ -105,9 +143,7 @@ def criterion_motzkin_straus(max_n: int = 5, seed: int = DEFAULT_SEED, tol: floa
     count = 0
     for G in _reduction_graphs(max_n):
         count += 1
-        clique_gap = abs(2.0 * max_quadratic_simplex(G, True, cfg).best_value - (1.0 - 1.0 / clique_number(G)))
-        stab_gap = abs(2.0 * max_quadratic_simplex(G, False, cfg).best_value - (1.0 - 1.0 / stability_number(G)))
-        worst = max(worst, clique_gap, stab_gap)
+        worst = max(worst, simplex_side(G, cfg).gap, simplex_side(complement(G), cfg).gap)
     seconds = time.perf_counter() - t0
     passed = worst <= tol and seconds <= 120.0
     return CriterionResult(
@@ -129,13 +165,10 @@ def criterion_sphere_constants(max_n: int = 5, seed: int = DEFAULT_SEED, tol: fl
     count = 0
     for G in _reduction_graphs(max_n):
         count += 1
-        omega = clique_number(G)
-        target = 1.0 - 1.0 / omega
-        A = build_cubic_tensor(G)
+        side = sphere_side(G, cfg)
         w = witness_from_clique(G, max_clique(G))
-        worst_witness = max(worst_witness, abs(eval_form(A, w) ** 2 - (2.0 / 27.0) * target))
-        rep = _search(A, G, cfg)
-        worst_opt = max(worst_opt, abs(13.5 * rep.best_value**2 - target))
+        worst_witness = max(worst_witness, abs(eval_form(build_cubic_tensor(G), w) ** 2 - (2.0 / 27.0) * side.target))
+        worst_opt = max(worst_opt, side.gap)
     seconds = time.perf_counter() - t0
     passed = worst_opt <= tol and worst_witness <= 1e-12
     return CriterionResult(
@@ -155,9 +188,9 @@ def criterion_footnote(max_n: int = 5, seed: int = DEFAULT_SEED, tol: float = 1e
     27/2 * max^2 = 1 - 1/alpha, balances to 1e-9.
     """
     t0 = time.perf_counter()
-    alpha, erroneous_lhs, erroneous_rhs, corrected = footnote_sides(OptConfig(starts=3, max_iters=300, seed=seed))
+    _, erroneous_lhs, erroneous_rhs, corrected = footnote_sides(OptConfig(starts=3, max_iters=300, seed=seed))
     mismatch = abs(erroneous_rhs - erroneous_lhs)
-    corrected_gap = abs(corrected - (1.0 - 1.0 / alpha))
+    corrected_gap = corrected.gap
     seconds = time.perf_counter() - t0
     passed = (
         abs(erroneous_lhs - 1.0 / math.sqrt(2.0)) <= 1e-12

@@ -3,7 +3,10 @@
 Subcommands cover the graph oracles, the identity checks with the corrected
 constants, the counterexample demo for the mis-stated stability constant,
 instance generation, the three-valued checkers, the optimal-parameter
-bracket, and the full acceptance suite.
+bracket, and the full acceptance suite.  Each subcommand takes only the
+flags it reads: the search flags (--seed, --starts, --max-iters, --tol)
+belong to ms-check, nesterov-check, footnote-demo, check-sc, check-sc2 and
+sigma-opt; verify-all takes --seed; omega, alpha and reduce take none.
 
 Conventions:
 
@@ -26,23 +29,19 @@ import os
 import sys
 from fractions import Fraction
 
-from .acceptance import FOOTNOTE_GRAPH, footnote_sides, format_table, run_all
-from .concordance import MODES, Status, _search, check_sc, check_sc2, sigma_opt_bounds, verdict_to_json_obj
+from .acceptance import (
+    FOOTNOTE_GRAPH,
+    IdentitySide,
+    footnote_sides,
+    format_table,
+    run_all,
+    simplex_side,
+    sphere_side,
+)
+from .concordance import MODES, Status, check_sc, check_sc2, sigma_opt_bounds, verdict_to_json_obj
 from .graphs import Graph, complement, max_clique, max_stable_set, parse_graph_text
-from .optimize import (
-    DEFAULT_SEED,
-    OptConfig,
-    max_quadratic_simplex,
-    report_to_json_obj,
-)
-from .reduction import (
-    GADGETS,
-    CliqueInstance,
-    ConcordanceInstance,
-    build_cubic_tensor,
-    build_instance,
-    threshold,
-)
+from .optimize import DEFAULT_SEED, OptConfig, report_to_json_obj
+from .reduction import GADGETS, CliqueInstance, ConcordanceInstance, build_instance, threshold
 from .tensors import tensor_from_json_obj, tensor_from_text, tensor_to_json_obj
 
 _IDENTITY_TOL = 1e-6
@@ -118,60 +117,44 @@ def _cmd_alpha(args):
     return {"stability_number": len(witness), "witness": witness}, 0
 
 
-def _simplex_side(G: Graph, over_edges: bool, cfg: OptConfig, order_size: int) -> dict:
-    rep = max_quadratic_simplex(G, over_edges, cfg)
-    target = 1.0 - 1.0 / order_size
-    gap = abs(2.0 * rep.best_value - target)
+def _simplex_obj(side: IdentitySide) -> dict:
     return {
-        "twice_max": _fmt(2.0 * rep.best_value),
-        "target": _fmt(target),
-        "gap": _fmt(gap),
-        "report": report_to_json_obj(rep),
-    }, gap
+        "twice_max": _fmt(side.scaled),
+        "target": _fmt(side.target),
+        "gap": _fmt(side.gap),
+        "report": report_to_json_obj(side.report),
+    }
+
+
+def _sphere_obj(side: IdentitySide) -> dict:
+    obj = {
+        "max_value": _fmt(side.max_value),
+        "scaled_square": _fmt(side.scaled),
+        "target": _fmt(side.target),
+        "gap": _fmt(side.gap),
+    }
+    if side.report is not None:
+        obj["report"] = report_to_json_obj(side.report)
+    return obj
+
+
+def _identity_check(args, side, render) -> tuple[dict, int]:
+    """`side` of the input graph (clique) and of its complement (stability), rendered."""
+    G = _load_graph(args.input)
+    if G.m < 1:
+        raise ValueError("identity checks need a graph with at least one edge")
+    cfg = _cfg(args)
+    clique, stability = side(G, cfg), side(complement(G), cfg)
+    report = {"clique": render(clique), "stability": render(stability), "tolerance": _fmt(_IDENTITY_TOL)}
+    return report, 0 if max(clique.gap, stability.gap) <= _IDENTITY_TOL else 1
 
 
 def _cmd_ms_check(args):
-    G = _load_graph(args.input)
-    if G.m < 1:
-        raise ValueError("identity checks need a graph with at least one edge")
-    cfg = _cfg(args)
-    clique_side, g1 = _simplex_side(G, True, cfg, len(max_clique(G)))
-    stab_side, g2 = _simplex_side(G, False, cfg, len(max_stable_set(G)))
-    report = {"clique": clique_side, "stability": stab_side, "tolerance": _fmt(_IDENTITY_TOL)}
-    return report, 0 if max(g1, g2) <= _IDENTITY_TOL else 1
-
-
-def _sphere_side(G: Graph, cfg: OptConfig) -> tuple[dict, float]:
-    """One side of the sphere identity: 13.5 * max^2 against 1 - 1/omega(G)."""
-    C = max_clique(G)
-    rep = None
-    if G.m >= 1:
-        rep = _search(build_cubic_tensor(G), G, cfg)
-        best = rep.best_value
-    else:
-        best = 0.0
-    target = 1.0 - 1.0 / len(C) if C else 0.0
-    gap = abs(13.5 * best * best - target)
-    side = {
-        "max_value": _fmt(best),
-        "scaled_square": _fmt(13.5 * best * best),
-        "target": _fmt(target),
-        "gap": _fmt(gap),
-    }
-    if rep is not None:
-        side["report"] = report_to_json_obj(rep)
-    return side, gap
+    return _identity_check(args, simplex_side, _simplex_obj)
 
 
 def _cmd_nesterov_check(args):
-    G = _load_graph(args.input)
-    if G.m < 1:
-        raise ValueError("identity checks need a graph with at least one edge")
-    cfg = _cfg(args)
-    clique_side, g1 = _sphere_side(G, cfg)
-    stab_side, g2 = _sphere_side(complement(G), cfg)
-    report = {"clique": clique_side, "stability": stab_side, "tolerance": _fmt(_IDENTITY_TOL)}
-    return report, 0 if max(g1, g2) <= _IDENTITY_TOL else 1
+    return _identity_check(args, sphere_side, _sphere_obj)
 
 
 def _cmd_footnote_demo(args):
@@ -187,9 +170,9 @@ def _cmd_footnote_demo(args):
         },
         "corrected_identity": {
             "statement": "1 - 1/alpha = 27/2 * max^2",
-            "lhs": _fmt(1.0 - 1.0 / alpha),
-            "rhs": _fmt(corrected),
-            "gap": _fmt(abs(corrected - (1.0 - 1.0 / alpha))),
+            "lhs": _fmt(corrected.target),
+            "rhs": _fmt(corrected.scaled),
+            "gap": _fmt(corrected.gap),
         },
     }
     return report, 0
@@ -306,68 +289,60 @@ def _cmd_verify_all(args):
 # Parser wiring
 
 
-def _add_common(sub, with_input=True):
+def _command(commands, name: str, summary: str, handler, with_input=True, search=True):
+    """A subcommand with `--format`, the input file unless `with_input` is false,
+    and the search flags read by `_cfg` when `search` is true."""
+    sub = commands.add_parser(name, help=summary)
     if with_input:
         sub.add_argument("input", help="graph/instance/tensor file, or '-' for stdin")
-    sub.add_argument("--seed", type=int, default=DEFAULT_SEED, help="random seed (default %(default)s)")
-    sub.add_argument("--starts", type=int, default=8, help="multistart count (default %(default)s)")
-    sub.add_argument("--max-iters", type=int, default=400, help="iterations per start (default %(default)s)")
-    sub.add_argument("--tol", type=float, default=1e-13, help="value plateau tolerance (default %(default)s)")
+    if search:
+        _add_seed(sub)
+        sub.add_argument("--starts", type=int, default=8, help="multistart count (default %(default)s)")
+        sub.add_argument("--max-iters", type=int, default=400, help="iterations per start (default %(default)s)")
+        sub.add_argument("--tol", type=float, default=1e-13, help="value plateau tolerance (default %(default)s)")
     sub.add_argument("--format", choices=("json", "text"), default="json", help="report format")
+    sub.set_defaults(handler=handler)
+    return sub
+
+
+def _add_seed(sub):
+    sub.add_argument("--seed", type=int, default=DEFAULT_SEED, help="random seed (default %(default)s)")
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="selfconcord", description=__doc__.splitlines()[0])
     commands = parser.add_subparsers(dest="command", required=True)
 
-    sub = commands.add_parser("omega", help="exact clique number with witness")
-    _add_common(sub)
-    sub.set_defaults(handler=_cmd_omega)
+    _command(commands, "omega", "exact clique number with witness", _cmd_omega, search=False)
+    _command(commands, "alpha", "exact stability number with witness", _cmd_alpha, search=False)
+    _command(commands, "ms-check", "simplex quadratic identities for clique and stability numbers", _cmd_ms_check)
+    _command(commands, "nesterov-check", "sphere cubic-form identities (corrected constants)", _cmd_nesterov_check)
+    _command(commands, "footnote-demo", "counterexample to the mis-stated stability constant", _cmd_footnote_demo,
+             with_input=False)
 
-    sub = commands.add_parser("alpha", help="exact stability number with witness")
-    _add_common(sub)
-    sub.set_defaults(handler=_cmd_alpha)
-
-    sub = commands.add_parser("ms-check", help="simplex quadratic identities for clique and stability numbers")
-    _add_common(sub)
-    sub.set_defaults(handler=_cmd_ms_check)
-
-    sub = commands.add_parser("nesterov-check", help="sphere cubic-form identities (corrected constants)")
-    _add_common(sub)
-    sub.set_defaults(handler=_cmd_nesterov_check)
-
-    sub = commands.add_parser("footnote-demo", help="counterexample to the mis-stated stability constant")
-    _add_common(sub, with_input=False)
-    sub.set_defaults(handler=_cmd_footnote_demo)
-
-    sub = commands.add_parser("reduce", help="emit a decision instance for (graph, k, parameter)")
-    _add_common(sub)
+    sub = _command(commands, "reduce", "emit a decision instance for (graph, k, parameter)", _cmd_reduce,
+                   search=False)
     sub.add_argument("--k", type=int, required=True, help="target clique size (>= 3)")
     sub.add_argument("--kind", choices=tuple(GADGETS), default="cubic")
     sub.add_argument("--sigma", help="curvature parameter as p/q (cubic)")
     sub.add_argument("--tau", help="curvature parameter as p/q (quartic)")
-    sub.set_defaults(handler=_cmd_reduce)
 
     for name, kind, check in (("check-sc", "cubic", check_sc), ("check-sc2", "quartic", check_sc2)):
-        sub = commands.add_parser(name, help=f"three-valued {kind} decision")
-        _add_common(sub)
+        sub = _command(commands, name, f"three-valued {kind} decision", _cmd_check)
         sub.add_argument("--mode", choices=MODES, default="relax")
         sub.add_argument("--k", type=int, default=3, help="clique target when input is a graph")
         sub.add_argument(f"--{GADGETS[kind].param}", help="curvature parameter as p/q when input is a graph")
-        sub.set_defaults(handler=_cmd_check, kind=kind, check=check)
+        sub.set_defaults(kind=kind, check=check)
 
-    sub = commands.add_parser("sigma-opt", help="bracket the optimal parameter of an order-3 tensor")
-    _add_common(sub)
-    sub.set_defaults(handler=_cmd_sigma_opt)
+    _command(commands, "sigma-opt", "bracket the optimal parameter of an order-3 tensor", _cmd_sigma_opt)
 
-    sub = commands.add_parser("verify-all", help="run the acceptance suite")
-    _add_common(sub, with_input=False)
+    sub = _command(commands, "verify-all", "run the acceptance suite", _cmd_verify_all, with_input=False, search=False)
+    _add_seed(sub)
     sub.add_argument("--max-n", type=int, default=5, help="largest vertex count in exhaustive sweeps")
     sub.add_argument(
         "--identity-tol", type=float, default=1e-6,
         help="identity tolerance for the simplex/sphere sweeps (default %(default)s)",
     )
-    sub.set_defaults(handler=_cmd_verify_all)
 
     return parser
 

@@ -7,7 +7,7 @@ it knows:
 * NOT_SELF_CONCORDANT is only ever reported with an exact rational witness
   h that violates the inequality under exact rational arithmetic.  Floating
   candidates from the numeric search are rounded to rationals on one shared
-  denominator (2^64 by default) and re-verified exactly;
+  denominator (2^64) and re-verified exactly;
   if re-verification fails the status stays UNDECIDED.  The exact check is
   scale invariant, so witnesses need no normalization.
 * SELF_CONCORDANT is reported when a sound upper bound on the form maximum
@@ -45,12 +45,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from .graphs import Graph, has_clique, max_clique
+from .graphs import Graph, max_clique
 from .optimize import OptConfig, OptReport, grid_lower_and_upper, max_form_sphere
 from .reduction import (
     GADGETS,
     ConcordanceInstance,
-    build_cubic_instance,
     rational_cubic_witness,
     rational_quartic_witness,
     true_max,
@@ -69,7 +68,6 @@ __all__ = [
     "check_sc",
     "check_sc2",
     "sigma_opt_bounds",
-    "decide_clique_via_sc",
     "verdict_to_json_obj",
 ]
 
@@ -79,7 +77,8 @@ MODES = ("relax", "grid", "oracle")
 # the boundary is decidable only by the oracle.
 _EQ_BAND = 1e-9
 
-_DEFAULT_MAX_DENOMINATOR = 2**64
+# The shared denominator of rationalized search witnesses.
+_DENOMINATOR = 2**64
 
 # Coarse-to-fine certified-grid ladder; entries that blow the point budget
 # for a given dim are skipped.
@@ -160,18 +159,16 @@ def hessian_psd(H: SymTensor) -> bool:
     return True
 
 
-def rationalize_vector(h, max_denominator: int = _DEFAULT_MAX_DENOMINATOR) -> tuple[Fraction, ...]:
-    """h rounded to the nearest multiples of 1/max_denominator, coordinate by coordinate.
+def rationalize_vector(h) -> tuple[Fraction, ...]:
+    """h rounded to the nearest multiples of 1/2^64, coordinate by coordinate.
 
     All coordinates share the one denominator, so the exact checks' h.h and
     its powers stay about as long as a single coordinate; with its own
     denominator per coordinate, the cubic check's (h.h)^3 ran to thousands
-    of digits on large gadgets.  The default 2^64 keeps every bit of a unit
-    vector's binary coordinates down to 2^-64.
+    of digits on large gadgets.  2^64 keeps every bit of a unit vector's
+    binary coordinates down to 2^-64.
     """
-    return tuple(
-        Fraction(round(Fraction(float(x)) * max_denominator), max_denominator) for x in np.asarray(h, dtype=float)
-    )
+    return tuple(Fraction(round(Fraction(float(x)) * _DENOMINATOR), _DENOMINATOR) for x in np.asarray(h, dtype=float))
 
 
 def _dot_exact(h: tuple[Fraction, ...]) -> Fraction:
@@ -286,25 +283,6 @@ def _grid_bound(A: SymTensor, good_enough=None, hopeless=None) -> tuple[float, i
     return best, used, finest
 
 
-def _oracle_not_witness(inst: ConcordanceInstance, violates) -> tuple[tuple[Fraction, ...], Fraction, Fraction]:
-    """Deterministic exact witness from a maximum clique; must verify when omega >= k."""
-    G = inst.provenance.graph
-    C = max_clique(G)
-    if inst.kind == "cubic":
-        builders = (
-            lambda: rational_cubic_witness(G, C),
-            lambda: rational_cubic_witness(G, C, max_denominator=10**24),
-        )
-    else:
-        builders = (lambda: rational_quartic_witness(G, C),)
-    for build in builders:
-        h = build()
-        violated, lhs, rhs = violates(inst.A, h, inst.q)
-        if violated:
-            return h, lhs, rhs
-    raise AssertionError("oracle witness failed exact verification despite omega >= k")
-
-
 def _check(inst: ConcordanceInstance, cfg: OptConfig | None, mode: str, kind: str) -> Verdict:
     if inst.kind != kind:
         raise ValueError(f"expected a {kind} instance, got {inst.kind}")
@@ -323,7 +301,12 @@ def _check(inst: ConcordanceInstance, cfg: OptConfig | None, mode: str, kind: st
         true_opt = true_max(kind, G)
         if true_opt <= inst.q:
             return _bound_verdict(mode, "exact_clique_oracle", str(true_opt), 1)
-        h, lhs, rhs = _oracle_not_witness(inst, violates)
+        # The exact witness from a maximum clique verifies whenever omega >= k.
+        build = rational_cubic_witness if kind == "cubic" else rational_quartic_witness
+        h = build(G, max_clique(G))
+        violated, lhs, rhs = violates(inst.A, h, inst.q)
+        if not violated:
+            raise AssertionError("oracle witness failed exact verification despite omega >= k")
         return _witness_verdict(mode, h, lhs, rhs, 1)
 
     report = _search(inst.A, inst.provenance.graph if inst.provenance is not None else None, cfg)
@@ -377,7 +360,7 @@ def check_sc2(inst: ConcordanceInstance, cfg: OptConfig | None = None, mode: str
 
 
 # ---------------------------------------------------------------------------
-# Optimal-parameter bracket and end-to-end decision
+# Optimal-parameter bracket and JSON
 
 
 def sigma_opt_bounds(A: SymTensor, cfg: OptConfig | None = None) -> SigmaBounds:
@@ -407,17 +390,6 @@ def sigma_opt_bounds(A: SymTensor, cfg: OptConfig | None = None) -> SigmaBounds:
             pass
     upper = norm_upper * norm_upper / 4.0
     return SigmaBounds(min(lower, upper), upper)
-
-
-def decide_clique_via_sc(G: Graph, k: int, sigma, cfg: OptConfig | None = None) -> tuple[bool, Verdict]:
-    """Answer a clique query through the origin-inequality decision.
-
-    Returns (has_clique(G, k), oracle verdict); a clique of size k exists
-    exactly when the verdict is NOT_SELF_CONCORDANT.
-    """
-    inst = build_cubic_instance(G, k, sigma)
-    verdict = check_sc(inst, cfg, mode="oracle")
-    return has_clique(G, k), verdict
 
 
 def verdict_to_json_obj(verdict: Verdict, seed: int | None = None) -> dict:

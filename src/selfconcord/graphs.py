@@ -31,6 +31,10 @@ __all__ = [
     "enumerate_graphs",
 ]
 
+# Largest vertex count a graph file may declare.  The header is checked
+# before anything is built per vertex, so an oversized count fails at once.
+MAX_VERTICES = 10_000
+
 
 @dataclass(frozen=True)
 class Graph:
@@ -81,6 +85,13 @@ def graph_from_edges(n: int, pairs: Iterable[tuple[int, int]]) -> Graph:
     return Graph(n, frozenset(edges))
 
 
+def _declared_vertices(field: str) -> int:
+    n = int(field)
+    if n > MAX_VERTICES:
+        raise ValueError(f"header declares {n} vertices, above the limit of {MAX_VERTICES}")
+    return n
+
+
 def parse_dimacs(text: str) -> Graph:
     """DIMACS subset: 'p edge n m' header, 'e i j' lines, 'c' comments."""
     n = None
@@ -95,7 +106,7 @@ def parse_dimacs(text: str) -> Graph:
                 raise ValueError(f"line {lineno}: duplicate 'p' header")
             if len(parts) != 4 or parts[1] != "edge":
                 raise ValueError(f"line {lineno}: malformed header {line!r}, expected 'p edge n m'")
-            n = int(parts[2])
+            n = _declared_vertices(parts[2])
         elif parts[0] == "e":
             if n is None:
                 raise ValueError(f"line {lineno}: edge before 'p edge' header")
@@ -117,7 +128,7 @@ def parse_edge_list(text: str) -> Graph:
     head = lines[0].split()
     if len(head) != 2:
         raise ValueError(f"malformed edge-list header {lines[0]!r}, expected 'n m'")
-    n, m = int(head[0]), int(head[1])
+    n, m = _declared_vertices(head[0]), int(head[1])
     pairs = []
     for ln in lines[1:]:
         parts = ln.split()

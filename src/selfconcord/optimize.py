@@ -39,7 +39,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .graphs import Graph, complement, max_clique
+from .graphs import Graph, max_clique
 from .tensors import (
     SymTensor,
     eval_form,
@@ -67,6 +67,9 @@ DEFAULT_SEED = 1729
 
 # Consecutive near-flat steps before a trajectory counts as converged.
 _PLATEAU = 3
+
+# A rejected Newton step shorter than this ends a sphere ascent, converged.
+_STEP_TOL = 1e-12
 
 # Regularization of the Newton steps, in units of order * (order - 1) *
 # frobenius(A), which bounds the norm of the Euclidean Hessian on the unit
@@ -97,7 +100,6 @@ class OptConfig:
 
     starts: int = 8
     max_iters: int = 400
-    step_tol: float = 1e-12
     value_tol: float = 1e-13
     seed: int = DEFAULT_SEED
 
@@ -106,8 +108,8 @@ class OptConfig:
             raise ValueError("starts must be >= 1")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
-        if self.step_tol <= 0 or self.value_tol <= 0:
-            raise ValueError("tolerances must be positive")
+        if self.value_tol <= 0:
+            raise ValueError("value_tol must be positive")
 
 
 @dataclass(frozen=True, eq=False)
@@ -186,19 +188,17 @@ def _replicator(W: np.ndarray, x: np.ndarray, cfg: OptConfig) -> tuple[float, np
     return value, best_x, evals, converged
 
 
-def max_quadratic_simplex(G: Graph, over_edges: bool = True, cfg: OptConfig | None = None) -> OptReport:
-    """Maximize sum of x_i * x_j over the listed pairs on the unit simplex.
+def max_quadratic_simplex(G: Graph, cfg: OptConfig | None = None) -> OptReport:
+    """Maximize the sum of x_i * x_j over the edges of G on the unit simplex.
 
-    `over_edges=True` sums over the edges of G; `over_edges=False` sums over
-    the non-edges (the stability variant).  Start 0 is the uniform vector on
-    a maximum clique of the summand graph (the analytic optimum of the
+    (The stability variant is this on the complement.)  Start 0 is the
+    uniform vector on a maximum clique of G (the analytic optimum of the
     clique quadratic), the remaining starts are random interior points.
     """
     if G.n < 1:
         raise ValueError("graph must have at least one vertex")
     cfg = cfg or OptConfig()
-    summand = G if over_edges else complement(G)
-    pairs = summand.edge_order
+    pairs = G.edge_order
     n = G.n
     if not pairs:
         witness = np.zeros(n)
@@ -210,7 +210,7 @@ def max_quadratic_simplex(G: Graph, over_edges: bool = True, cfg: OptConfig | No
     for i, j in pairs:
         W[i - 1, j - 1] = W[j - 1, i - 1] = 1.0
 
-    clique = sorted(max_clique(summand))
+    clique = sorted(max_clique(G))
     analytic = np.zeros(n)
     analytic[[v - 1 for v in clique]] = 1.0 / len(clique)
 
@@ -310,7 +310,7 @@ def _ascend_sphere(A: SymTensor, starts: np.ndarray, cfg: OptConfig) -> list[tup
 
     A start stops, converged, after `_PLATEAU` consecutive steps whose
     candidate value is within `value_tol` of the current one, accepted or
-    not, or on a rejected step shorter than `step_tol`, and stops
+    not, or on a rejected step shorter than `_STEP_TOL`, and stops
     unconverged after `max_iters` steps.  Every step costs one evaluation.
     Each round makes one `grad_form` call and one Hessian kernel call on
     the starts that just accepted a step (or just started) and one
@@ -359,7 +359,7 @@ def _ascend_sphere(A: SymTensor, starts: np.ndarray, cfg: OptConfig) -> list[tup
         mu = np.where(up, np.maximum(0.5 * mu, floor), 10.0 * mu)
         near_flat = np.abs(gain) <= cfg.value_tol * np.maximum(1.0, np.abs(values))
         plateau = np.where(near_flat, plateau + 1, 0)
-        converged = (plateau >= _PLATEAU) | (~up & (np.add.reduce(v * v, axis=1) < cfg.step_tol**2))
+        converged = (plateau >= _PLATEAU) | (~up & (np.add.reduce(v * v, axis=1) < _STEP_TOL**2))
         halt = converged | (step == cfg.max_iters)
         fresh = up & ~halt
         if np.count_nonzero(halt):

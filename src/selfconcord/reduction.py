@@ -197,17 +197,20 @@ def rational_quartic_witness(G: Graph, C: Iterable[int]) -> tuple[Fraction, ...]
     return tuple(Fraction(1) if v in members else Fraction(0) for v in range(1, G.n + 1))
 
 
-def rational_cubic_witness(G: Graph, C: Iterable[int], max_denominator: int = 10**12) -> tuple[Fraction, ...]:
+def rational_cubic_witness(G: Graph, C: Iterable[int]) -> tuple[Fraction, ...]:
     """Rational near-maximizer of the cubic form ratio, for exact certificates.
 
     The violation check is scale invariant, so normalization is dropped:
     u = 1 on the clique (the quartic witness) and w = t on its internal
-    edges with rational t close to the optimal coupling scale 1/sqrt(c-1).
-    The achieved ratio [A(h)]^2 / (h.h)^3 differs from the maximum
-    (2/27)(1 - 1/c) only to second order in the approximation error of t.
+    edges, t the fraction with denominator at most 10^12 nearest the float
+    1/sqrt(c-1), the optimal coupling scale.  The achieved ratio
+    [A(h)]^2 / (h.h)^3 falls short of the maximum (2/27)(1 - 1/c) only to
+    second order in the error of t (about 1e-16, from the float square
+    root); when c >= k the maximum exceeds the threshold by at least
+    (2/27)/(c(c-1)), so the witness verifies.
     """
     u = rational_quartic_witness(G, C)
-    t = Fraction(1.0 / math.sqrt(u.count(1) - 1)).limit_denominator(max_denominator)
+    t = Fraction(1.0 / math.sqrt(u.count(1) - 1)).limit_denominator(10**12)
     return u + tuple(t if u[i - 1] and u[j - 1] else Fraction(0) for i, j in G.edge_order)
 
 

@@ -44,6 +44,9 @@ __all__ = [
     "tensor_from_json_obj",
 ]
 
+# Points per block of `eval_form_batch`: a block's products take rows x entries floats.
+_BATCH_ROWS = 262_144
+
 
 class _Packed(NamedTuple):
     """Float index arrays of a tensor; see `SymTensor._packed`."""
@@ -180,7 +183,7 @@ def eval_form(A: SymTensor, h) -> float:
     return float(weights @ np.prod(h[idx], axis=1))
 
 
-def eval_form_batch(A: SymTensor, points: np.ndarray, chunk: int = 262_144) -> np.ndarray:
+def eval_form_batch(A: SymTensor, points: np.ndarray) -> np.ndarray:
     """Form values at many points at once; `points` has shape (N, dim)."""
     points = np.asarray(points, dtype=float)
     _check_dim(A, points.shape[1])
@@ -188,8 +191,8 @@ def eval_form_batch(A: SymTensor, points: np.ndarray, chunk: int = 262_144) -> n
     out = np.zeros(points.shape[0])
     if idx.shape[0] == 0:
         return out
-    for lo in range(0, points.shape[0], chunk):
-        block = points[lo:lo + chunk]
+    for lo in range(0, points.shape[0], _BATCH_ROWS):
+        block = points[lo:lo + _BATCH_ROWS]
         prod = block[:, idx[:, 0]]
         for t in range(1, A.order):
             prod *= block[:, idx[:, t]]

@@ -233,6 +233,24 @@ def test_bad_arguments_exit_3():
     assert "Traceback" not in proc.stderr
 
 
+def test_flags_a_command_does_not_read_exit_3(k3_file):
+    for args in (["omega", k3_file], ["alpha", k3_file], ["reduce", k3_file, "--k", "3", "--sigma", "1/2"]):
+        proc = run_cli([*args, "--starts", "0"])
+        assert proc.returncode == 3
+        assert "unrecognized arguments: --starts 0" in proc.stderr
+    proc = run_cli(["verify-all", "--max-iters", "5"])
+    assert proc.returncode == 3
+    assert "unrecognized arguments: --max-iters 5" in proc.stderr
+
+
+def test_oversized_vertex_count_exit_3():
+    for header in ("p edge 100000000 0\n", "100000000 0\n"):
+        proc = run_cli(["omega", "-"], stdin=header)
+        assert proc.returncode == 3
+        assert "above the limit of 10000" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+
 def test_closed_stdout_exits_3(tmp_path):
     # The report (~240 kB) outgrows the pipe buffer, so the writer is still
     # writing when the reader closes its end after one byte.

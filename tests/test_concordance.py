@@ -23,7 +23,6 @@ from selfconcord import (
     build_quartic_tensor,
     check_sc,
     check_sc2,
-    decide_clique_via_sc,
     enumerate_graphs,
     graph_from_edges,
     has_clique,
@@ -299,22 +298,21 @@ def test_sigma_opt_requires_order3(k3):
 # End-to-end decision
 
 
+def _oracle_status(G, k):
+    return check_sc(build_cubic_instance(G, k, Fraction(1, 2)), mode="oracle").status
+
+
 def test_decide_clique_examples(k3, footnote_graph, c5):
-    answer, verdict = decide_clique_via_sc(k3, 3, Fraction(1, 2))
-    assert answer and verdict.status is Status.NOT_SELF_CONCORDANT
-    answer, verdict = decide_clique_via_sc(footnote_graph, 3, Fraction(1, 2))
-    assert not answer and verdict.status is Status.SELF_CONCORDANT
-    answer, verdict = decide_clique_via_sc(c5, 3, Fraction(1, 2))
-    assert not answer and verdict.status is Status.SELF_CONCORDANT
+    assert has_clique(k3, 3) and _oracle_status(k3, 3) is Status.NOT_SELF_CONCORDANT
+    assert not has_clique(footnote_graph, 3) and _oracle_status(footnote_graph, 3) is Status.SELF_CONCORDANT
+    assert not has_clique(c5, 3) and _oracle_status(c5, 3) is Status.SELF_CONCORDANT
 
 
 def test_decide_clique_matches_oracle_exhaustive_n4():
     for n in range(2, 5):
         for G in enumerate_graphs(n):
             for k in (3, 4):
-                answer, verdict = decide_clique_via_sc(G, k, Fraction(1, 2))
-                assert answer == has_clique(G, k)
-                assert answer == (verdict.status is Status.NOT_SELF_CONCORDANT)
+                assert has_clique(G, k) == (_oracle_status(G, k) is Status.NOT_SELF_CONCORDANT)
 
 
 def test_verdict_json_shape(k3):

@@ -22,6 +22,7 @@ from selfconcord import (
     parse_graph_text,
     stability_number,
 )
+from selfconcord.graphs import MAX_VERTICES
 
 
 def brute_force_clique_number(G: Graph) -> int:
@@ -78,6 +79,14 @@ def test_parse_edge_list(single_edge):
     assert parse_edge_list("2 1\n1 2") == single_edge
     with pytest.raises(ValueError):
         parse_edge_list("2 2\n1 2")
+
+
+def test_parsers_refuse_vertex_counts_above_the_limit():
+    assert parse_dimacs(f"p edge {MAX_VERTICES} 0").n == MAX_VERTICES
+    assert parse_edge_list(f"{MAX_VERTICES} 0").n == MAX_VERTICES
+    for text in (f"p edge {MAX_VERTICES + 1} 0", f"{MAX_VERTICES + 1} 0"):
+        with pytest.raises(ValueError, match=f"limit of {MAX_VERTICES}"):
+            parse_graph_text(text)
 
 
 def test_parse_graph_text_autodetect(k3, single_edge):

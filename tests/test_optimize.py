@@ -15,6 +15,7 @@ from selfconcord import (
     build_cubic_tensor,
     build_quartic_tensor,
     clique_number,
+    complement,
     couple_w_from_u,
     enumerate_graphs,
     eval_form,
@@ -38,11 +39,8 @@ from conftest import random_sym_tensor, random_unit_vector
 CFG = OptConfig(starts=6, max_iters=300, seed=101)
 
 
-def simplex_quadratic(G, x, over_edges=True):
-    pairs = G.edge_order if over_edges else [
-        (i, j) for i, j in combinations(range(1, G.n + 1), 2) if (i, j) not in G.edges
-    ]
-    return sum(x[i - 1] * x[j - 1] for i, j in pairs)
+def simplex_quadratic(G, x):
+    return sum(x[i - 1] * x[j - 1] for i, j in G.edge_order)
 
 
 # ---------------------------------------------------------------------------
@@ -64,14 +62,14 @@ def test_simplex_single_edge(single_edge):
 
 
 def test_simplex_footnote_stability_variant(footnote_graph):
-    rep = max_quadratic_simplex(footnote_graph, over_edges=False, cfg=CFG)
+    rep = max_quadratic_simplex(complement(footnote_graph), cfg=CFG)
     assert abs(rep.best_value - 0.25) <= 1e-9
     assert abs(2.0 * rep.best_value - (1.0 - 1.0 / stability_number(footnote_graph))) <= 1e-9
 
 
 def test_simplex_empty_summand(k3):
     # complete graph: the stability variant has no non-edges to sum
-    rep = max_quadratic_simplex(k3, over_edges=False, cfg=CFG)
+    rep = max_quadratic_simplex(complement(k3), cfg=CFG)
     assert rep.best_value == 0.0
     assert rep.converged
     assert rep.witness.sum() == 1.0
@@ -208,7 +206,7 @@ def reference_newton(A, h0, cfg):
         if cand_value > value:
             h, value = cand, cand_value
             mu = max(mu / 2.0, 1e-10 * scale)
-        elif np.linalg.norm(v) < cfg.step_tol:
+        elif np.linalg.norm(v) < optimize._STEP_TOL:
             return value, True
         else:
             mu *= 10.0
