@@ -18,6 +18,7 @@ from .concordance import (
     rationalize_vector,
     sigma_opt_bounds,
     verdict_to_json_obj,
+    violates,
     violates_cubic,
     violates_quartic,
 )
@@ -40,12 +41,10 @@ from .optimize import (
     OptConfig,
     OptReport,
     beta_split_max,
-    couple_w_from_u,
     grid_lower_and_upper,
     max_form_sphere,
     max_quadratic_simplex,
     report_to_json_obj,
-    split_to_joint_sphere,
 )
 from .reduction import (
     GADGETS,
@@ -57,12 +56,11 @@ from .reduction import (
     build_instance,
     build_quartic_instance,
     build_quartic_tensor,
-    quartic_witness_from_clique,
     rational_cubic_witness,
     rational_quartic_witness,
     threshold,
     true_max,
-    witness_from_clique,
+    unit_witness,
 )
 from .tensors import (
     SymTensor,

@@ -24,8 +24,7 @@ from .concordance import (
     check_sc,
     check_sc2,
     sigma_opt_bounds,
-    violates_cubic,
-    violates_quartic,
+    violates,
 )
 from .graphs import Graph, clique_number, complement, enumerate_graphs, max_clique, stability_number
 from .optimize import (
@@ -37,13 +36,7 @@ from .optimize import (
     max_form_sphere,
     max_quadratic_simplex,
 )
-from .reduction import (
-    build_cubic_tensor,
-    build_instance,
-    threshold,
-    true_max,
-    witness_from_clique,
-)
+from .reduction import build_cubic_tensor, build_instance, threshold, true_max, unit_witness
 from .tensors import eval_form, grad_form, sym_from_entries
 
 __all__ = [
@@ -59,10 +52,10 @@ __all__ = [
 ]
 
 # Per gadget kind: the curvature parameter (sigma, tau) of the criteria's
-# instances, the three-valued decision and the exact violation re-check.
+# instances and the three-valued decision.
 _KINDS = {
-    "cubic": (Fraction(1, 2), check_sc, violates_cubic),
-    "quartic": (Fraction(1), check_sc2, violates_quartic),
+    "cubic": (Fraction(1, 2), check_sc),
+    "quartic": (Fraction(1), check_sc2),
 }
 
 # Three vertices, one edge: the counterexample to the mis-stated stability constant.
@@ -155,8 +148,8 @@ def criterion_motzkin_straus(max_n: int = 5, seed: int = DEFAULT_SEED, tol: floa
 def criterion_sphere_constants(max_n: int = 5, seed: int = DEFAULT_SEED, tol: float = 1e-6) -> CriterionResult:
     """27/2 times the squared sphere maximum hits 1 - 1/omega within 1e-6.
 
-    Also checks the analytic clique witness itself evaluates to the exact
-    constant within 1e-12 (exact construction, floating evaluation).
+    Also checks that the search's clique start, the exact rational witness
+    scaled to the unit sphere, evaluates to the exact constant within 1e-12.
     """
     t0 = time.perf_counter()
     cfg = OptConfig(starts=3, max_iters=300, seed=seed)
@@ -166,7 +159,7 @@ def criterion_sphere_constants(max_n: int = 5, seed: int = DEFAULT_SEED, tol: fl
     for G in _reduction_graphs(max_n):
         count += 1
         side = sphere_side(G, cfg)
-        w = witness_from_clique(G, max_clique(G))
+        w = unit_witness("cubic", G, max_clique(G))
         worst_witness = max(worst_witness, abs(eval_form(build_cubic_tensor(G), w) ** 2 - (2.0 / 27.0) * side.target))
         worst_opt = max(worst_opt, side.gap)
     seconds = time.perf_counter() - t0
@@ -212,7 +205,7 @@ def _oracle_equivalence(number: int, name: str, kind: str, max_n: int, seed: int
     n <= max_n and k = 3..6: exact comparisons, zero tolerance, within one minute."""
     t0 = time.perf_counter()
     cfg = OptConfig(seed=seed)
-    param, check, _ = _KINDS[kind]
+    param, check = _KINDS[kind]
     checked = 0
     disagreements = 0
     undecided = 0
@@ -230,7 +223,7 @@ def _oracle_equivalence(number: int, name: str, kind: str, max_n: int, seed: int
     return CriterionResult(
         number, name,
         passed,
-        f"{checked} instances, {disagreements} disagreements, {undecided} undecided, {seconds:.1f}s <= 60s",
+        f"{checked} instances, {disagreements} disagreements, {undecided} undecided, time limit 60s",
         seconds,
     )
 
@@ -244,7 +237,7 @@ def criterion_boundary_exactness(max_n: int = 5, seed: int = DEFAULT_SEED, tol: 
     """At omega = k-1 the exact maximum equals the threshold and the verdict is YES."""
     t0 = time.perf_counter()
     cfg = OptConfig(seed=seed)
-    sigma, check, _ = _KINDS["cubic"]
+    sigma, check = _KINDS["cubic"]
     checked = 0
     failures = 0
     for G in _reduction_graphs(max_n):
@@ -296,7 +289,7 @@ def criterion_sigma_opt(max_n: int = 5, seed: int = DEFAULT_SEED, tol: float = 1
 def criterion_beta_split(max_n: int = 5, seed: int = DEFAULT_SEED, tol: float = 1e-6) -> CriterionResult:
     """Grid maximum of beta*sqrt(1-beta) reproduces 2/(3*sqrt(3)) at beta = 2/3."""
     t0 = time.perf_counter()
-    beta, value = beta_split_max(1e-6)
+    beta, value = beta_split_max()
     target = 2.0 / (3.0 * math.sqrt(3.0))
     passed = abs(value - target) <= 1e-9 and abs(beta - 2.0 / 3.0) <= 2e-6
     seconds = time.perf_counter() - t0
@@ -361,7 +354,7 @@ def criterion_property_suite(max_n: int = 4, seed: int = DEFAULT_SEED, tol: floa
     contradictions = 0
     for G in _reduction_graphs(min(max_n, 4)):
         for k in (3, 4, 5, 6):
-            for kind, (param, check, violates) in _KINDS.items():
+            for kind, (param, check) in _KINDS.items():
                 inst = build_instance(G, kind, k, param)
                 statuses = set()
                 for mode in ("relax", "grid", "oracle"):

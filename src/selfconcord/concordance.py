@@ -28,20 +28,21 @@ Of a numeric decision, only the comparisons against q depend on k: the
 multistart search (with the clique start and nonnegative starts when the
 instance has graph provenance), the spectral bound and each grid rung depend
 on the tensor, the provenance graph and the `OptConfig` alone.  They are
-computed once per (tensor, provenance, config) in a process and kept in a
-bounded memo, so a k-sweep or a relax-then-grid pair searches each gadget
-once.  The band comparisons, rationalization, exact re-verification and the
-grid ladder's stopping rule still run on every decision, so a verdict,
-`evaluations` included, is the same whether the analysis was reused or not.
+computed once per (tensor, provenance, config) in a process and kept in
+bounded LRU caches, so a k-sweep or a relax-then-grid pair searches each
+gadget once.  The band comparisons, rationalization, exact re-verification
+and the grid ladder's stopping rule still run on every decision, so a
+verdict, `evaluations` included, is the same whether the analysis was
+reused or not.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -53,6 +54,7 @@ from .reduction import (
     rational_cubic_witness,
     rational_quartic_witness,
     true_max,
+    unit_witness,
 )
 from .tensors import SymTensor, eval_form_exact, spectral_upper_bound
 
@@ -62,6 +64,7 @@ __all__ = [
     "SigmaBounds",
     "MODES",
     "hessian_psd",
+    "violates",
     "violates_cubic",
     "violates_quartic",
     "rationalize_vector",
@@ -84,14 +87,14 @@ _DENOMINATOR = 2**64
 # for a given dim are skipped.
 _GRID_LADDER = (0.2, 0.1, 0.05, 0.02, 0.01, 0.005, 0.002, 0.001)
 
-# The k-independent analyses (searches, spectral bounds, grid rungs) kept per
-# process, least recently used first out.  One (graph, kind) pair of a k-sweep
-# needs at most 1 + 1 + len(_GRID_LADDER) of them.
+# Entries of each cache of k-independent analyses (searches, spectral bounds,
+# grid rungs) kept per process, least recently used first out.  One
+# (graph, kind) pair of a k-sweep needs one search, one spectral bound and at
+# most len(_GRID_LADDER) grid rungs.
 _KEPT_ANALYSES = 64
-_analyses: OrderedDict = OrderedDict()
 
-# A provenance graph's gadget, told apart by the order of its tensor.
-_GADGET_OF_ORDER = {gadget.order: gadget for gadget in GADGETS.values()}
+# A tensor's gadget kind, told apart by its order.
+_KIND_OF_ORDER = {gadget.order: kind for kind, gadget in GADGETS.items()}
 
 
 class Status(enum.Enum):
@@ -175,21 +178,23 @@ def _dot_exact(h: tuple[Fraction, ...]) -> Fraction:
     return sum(x * x for x in h)
 
 
-def violates_cubic(A: SymTensor, h, q: Fraction) -> tuple[bool, Fraction, Fraction]:
-    """Exact test of [A(h,h,h)]^2 > q*(h.h)^3; returns (violated, lhs, rhs)."""
+def violates(A: SymTensor, h, q: Fraction) -> tuple[bool, Fraction, Fraction]:
+    """Exact test of A(h,..,h)^p > q*(h.h)^(p*order/2); returns (violated, lhs, rhs).
+
+    p is the exponent of the gadget of A's order: [A(h,h,h)]^2 > q*(h.h)^3
+    for order 3, A(h,h,h,h) > q*(h.h)^2 for order 4.
+    """
+    if A.order not in _KIND_OF_ORDER:
+        raise ValueError(f"violation tests need an order-3 or order-4 tensor, got order {A.order}")
+    p = GADGETS[_KIND_OF_ORDER[A.order]].p
     hq = tuple(Fraction(x) for x in h)
-    value = eval_form_exact(A, hq)
-    lhs = value * value
-    rhs = Fraction(q) * _dot_exact(hq) ** 3
+    lhs = eval_form_exact(A, hq) ** p
+    rhs = Fraction(q) * _dot_exact(hq) ** (p * A.order // 2)
     return lhs > rhs, lhs, rhs
 
 
-def violates_quartic(A: SymTensor, h, q: Fraction) -> tuple[bool, Fraction, Fraction]:
-    """Exact test of A(h,h,h,h) > q*(h.h)^2; returns (violated, lhs, rhs)."""
-    hq = tuple(Fraction(x) for x in h)
-    lhs = eval_form_exact(A, hq)
-    rhs = Fraction(q) * _dot_exact(hq) ** 2
-    return lhs > rhs, lhs, rhs
+# The per-kind names of `violates`; `_check` reads them on each call.
+violates_cubic = violates_quartic = violates
 
 
 def _pow(x: float, p: int) -> float:
@@ -222,44 +227,35 @@ def _undecided_verdict(mode: str, description: str, extra: dict, evaluations: in
     return Verdict(Status.UNDECIDED, mode, certificate, evaluations)
 
 
-def _remembered(key: tuple, compute):
-    """`compute()`, kept under `key` among the last `_KEPT_ANALYSES` keys."""
-    try:
-        _analyses.move_to_end(key)
-        return _analyses[key]
-    except KeyError:
-        pass
-    value = _analyses[key] = compute()
-    if len(_analyses) > _KEPT_ANALYSES:
-        _analyses.popitem(last=False)
-    return value
-
-
+@lru_cache(maxsize=_KEPT_ANALYSES)
 def _search(A: SymTensor, G: Graph | None, cfg: OptConfig) -> OptReport:
     """Multistart sphere search on A; a provenance graph G adds the clique
     start and restricts the random starts to the nonnegative orthant."""
-
-    def run():
-        extra = ()
-        if G is not None:
-            extra = (_GADGET_OF_ORDER[A.order].witness(G, max_clique(G)),)
-        return max_form_sphere(A, cfg, extra_starts=extra, nonnegative_starts=G is not None)
-
-    return _remembered(("search", A, G, cfg), run)
+    extra = ()
+    if G is not None:
+        extra = (unit_witness(_KIND_OF_ORDER[A.order], G, max_clique(G)),)
+    return max_form_sphere(A, cfg, extra_starts=extra, nonnegative_starts=G is not None)
 
 
+@lru_cache(maxsize=_KEPT_ANALYSES)
 def _spectral_bound(A: SymTensor) -> float:
-    return _remembered(("spectral", A), lambda: spectral_upper_bound(A))
+    return spectral_upper_bound(A)
 
 
-def _grid_bound(A: SymTensor, good_enough=None, hopeless=None) -> tuple[float, int, float | None]:
+@lru_cache(maxsize=_KEPT_ANALYSES)
+def _grid_rung(A: SymTensor, resolution: float) -> tuple[float, float]:
+    """One rung of the grid ladder; a rung over the point budget raises and is not kept."""
+    return grid_lower_and_upper(A, resolution)
+
+
+def _grid_bound(A: SymTensor, certifies=None) -> tuple[float, int, float | None]:
     """Best certified grid bound on the resolution ladder: (bound, rungs, finest).
 
     Runs coarse to fine (every rung is sound; finer is tighter) and stops
-    early once `good_enough(bound)` is true, or once `hopeless(net_max)` is:
-    the net maximum is a lower bound on the true maximum, so if it already
-    clears the certification target no finer rung can ever certify.  Rungs
-    whose net exceeds the point budget are skipped.
+    early once `certifies(bound)` is true, or once `certifies(net_max)` is
+    false: the net maximum is a lower bound on the true maximum, so if it
+    already fails the certification target no finer rung can ever certify.
+    Rungs whose net exceeds the point budget are skipped.
     """
     if A.dim > 5:
         raise ValueError(f"grid mode supports dim <= 5, got {A.dim}")
@@ -268,15 +264,13 @@ def _grid_bound(A: SymTensor, good_enough=None, hopeless=None) -> tuple[float, i
     finest = None
     for resolution in _GRID_LADDER:
         try:
-            lower, bound = _remembered(("grid", A, resolution), lambda: grid_lower_and_upper(A, resolution))
+            lower, bound = _grid_rung(A, resolution)
         except ValueError:
             continue
         best = min(best, bound)
         finest = resolution
         used += 1
-        if good_enough is not None and good_enough(best):
-            break
-        if hopeless is not None and hopeless(lower):
+        if certifies is not None and (certifies(best) or not certifies(lower)):
             break
     if finest is None:
         raise ValueError(f"no ladder resolution within point budget for dim {A.dim}")
@@ -291,7 +285,7 @@ def _check(inst: ConcordanceInstance, cfg: OptConfig | None, mode: str, kind: st
     cfg = cfg or OptConfig()
     p = GADGETS[kind].p
     # Looked up by name on each call, so that a wrapper installed on the module global sees it.
-    violates = violates_cubic if kind == "cubic" else violates_quartic
+    verify = violates_cubic if kind == "cubic" else violates_quartic
     qf = float(inst.q)
 
     if mode == "oracle":
@@ -304,7 +298,7 @@ def _check(inst: ConcordanceInstance, cfg: OptConfig | None, mode: str, kind: st
         # The exact witness from a maximum clique verifies whenever omega >= k.
         build = rational_cubic_witness if kind == "cubic" else rational_quartic_witness
         h = build(G, max_clique(G))
-        violated, lhs, rhs = violates(inst.A, h, inst.q)
+        violated, lhs, rhs = verify(inst.A, h, inst.q)
         if not violated:
             raise AssertionError("oracle witness failed exact verification despite omega >= k")
         return _witness_verdict(mode, h, lhs, rhs, 1)
@@ -314,7 +308,7 @@ def _check(inst: ConcordanceInstance, cfg: OptConfig | None, mode: str, kind: st
     best = report.best_value
     if _pow(best, p) > qf * (1.0 + _EQ_BAND):
         h = rationalize_vector(report.witness)
-        violated, lhs, rhs = violates(inst.A, h, inst.q)
+        violated, lhs, rhs = verify(inst.A, h, inst.q)
         if violated:
             return _witness_verdict(mode, h, lhs, rhs, evaluations)
 
@@ -326,9 +320,7 @@ def _check(inst: ConcordanceInstance, cfg: OptConfig | None, mode: str, kind: st
         bound_name = "spectral_upper_bound"
         evaluations += 1
     else:
-        bound, used, finest = _grid_bound(
-            inst.A, good_enough=certifies, hopeless=lambda lower: not certifies(lower)
-        )
+        bound, used, finest = _grid_bound(inst.A, certifies)
         bound_name = f"grid_lower_and_upper(resolution={finest})"
         evaluations += used
     if certifies(bound):

@@ -24,11 +24,9 @@ of gridded hyperspherical angles without building the net's points: each
 monomial factors into one term per angle, so the form over the whole net is
 one matrix product of per-angle tables.
 
-Also provides the exact witness transformations that tie sphere maxima of
-edge-coupled cubic forms back to clique quadratics: the Cauchy-Schwarz
-equality coupling `couple_w_from_u` and the 2/3-1/3 sphere splitting
-`split_to_joint_sphere` whose constant 2/(3*sqrt(3)) is the maximum of
-beta*sqrt(1-beta) over (0,1).
+`beta_split_max` grids beta * sqrt(1 - beta) over (0, 1), whose maximum
+2/(3*sqrt(3)) at beta = 2/3 is the sphere-splitting constant of the cubic
+clique gadget.
 """
 
 from __future__ import annotations
@@ -58,8 +56,6 @@ __all__ = [
     "max_quadratic_simplex",
     "max_form_sphere",
     "grid_lower_and_upper",
-    "couple_w_from_u",
-    "split_to_joint_sphere",
     "beta_split_max",
 ]
 
@@ -89,9 +85,13 @@ _DENSE_LIMIT = 60
 # Truncated CG stops once its residual is this fraction of the gradient.
 _CG_TOL = 1e-2
 
-# Point budget for spherical nets.  The net is never built, so this is a
-# time guard: the matrix product behind one rung costs points x entries.
+# Point budget for spherical nets, read on each call.  The net is never
+# built, so this is a time guard: the matrix product behind one rung costs
+# points x entries.
 _NET_BUDGET = 2_500_000
+
+# Spacing of the beta grid of `beta_split_max`.
+_BETA_STEP = 1e-6
 
 
 @dataclass(frozen=True)
@@ -432,7 +432,7 @@ def _sphere_net(dim: int, n_half: int, n_full: int) -> tuple[tuple[np.ndarray, n
     return (tables[:2],) * (dim - 2) + (tables[2:],)
 
 
-def grid_lower_and_upper(A: SymTensor, resolution: float, point_budget: int = _NET_BUDGET) -> tuple[float, float]:
+def grid_lower_and_upper(A: SymTensor, resolution: float) -> tuple[float, float]:
     """(net maximum, certified bound) for |A| on the unit sphere.
 
     The net maximum is a lower bound on max |A| (net points are feasible);
@@ -458,10 +458,10 @@ def grid_lower_and_upper(A: SymTensor, resolution: float, point_budget: int = _N
     n_half = int(math.ceil(math.pi / spacing)) + 1
     n_full = int(math.ceil(2.0 * math.pi / spacing))
     n_points = n_half ** (A.dim - 2) * n_full
-    if n_points > point_budget:
+    if n_points > _NET_BUDGET:
         raise ValueError(
             f"net of {n_points} points for dim {A.dim} at resolution {resolution} "
-            f"exceeds budget {point_budget}"
+            f"exceeds budget {_NET_BUDGET}"
         )
     tables = _sphere_net(A.dim, n_half, n_full)
     net_max = 0.0
@@ -481,50 +481,9 @@ def grid_lower_and_upper(A: SymTensor, resolution: float, point_budget: int = _N
     return net_max, net_max + lipschitz * resolution
 
 
-# ---------------------------------------------------------------------------
-# Exact witness transformations
-
-
-def couple_w_from_u(u, G: Graph) -> np.ndarray:
-    """Per-edge weights achieving equality in the Cauchy-Schwarz step.
-
-    Given u on the vertices, returns unit-norm w with
-    w_ij = u_i * u_j / alpha over G.edge_order, where
-    alpha = sqrt(sum over edges of u_i^2 * u_j^2).  Then
-    sum u_i * u_j * w_ij = alpha exactly.
-    """
-    u = np.asarray(u, dtype=float)
-    if u.shape[0] != G.n:
-        raise ValueError(f"u has dim {u.shape[0]}, graph has {G.n} vertices")
-    if not G.edge_order:
-        raise ValueError("graph has no edges")
-    products = np.array([u[i - 1] * u[j - 1] for i, j in G.edge_order])
-    alpha = math.sqrt(float(products @ products))
-    if alpha == 0.0:
-        raise ValueError("no edge support: u vanishes on every edge")
-    return products / alpha
-
-
-def split_to_joint_sphere(u, w) -> np.ndarray:
-    """Merge unit u and unit w into (sqrt(2/3) u, sqrt(1/3) w) on the joint sphere.
-
-    2/3 maximizes beta * sqrt(1 - beta), so for any cubic form of the shape
-    sum u_i u_j w_ij the value at the output is 2/(3*sqrt(3)) times the
-    value of the coupled sum.
-    """
-    u = np.asarray(u, dtype=float)
-    w = np.asarray(w, dtype=float)
-    for name, v in (("u", u), ("w", w)):
-        if abs(np.linalg.norm(v) - 1.0) > 1e-10:
-            raise ValueError(f"{name} must have unit norm, got {np.linalg.norm(v)!r}")
-    return np.concatenate([math.sqrt(2.0 / 3.0) * u, math.sqrt(1.0 / 3.0) * w])
-
-
-def beta_split_max(grid_step: float = 1e-6) -> tuple[float, float]:
-    """Grid maximum of beta * sqrt(1 - beta) over (0, 1): (argmax, value)."""
-    if not 0.0 < grid_step < 1.0:
-        raise ValueError("grid_step must be in (0, 1)")
-    betas = np.arange(grid_step, 1.0, grid_step)
+def beta_split_max() -> tuple[float, float]:
+    """Grid maximum of beta * sqrt(1 - beta) over (0, 1) at spacing `_BETA_STEP`: (argmax, value)."""
+    betas = np.arange(_BETA_STEP, 1.0, _BETA_STEP)
     values = betas * np.sqrt(1.0 - betas)
     best = int(np.argmax(values))
     return float(betas[best]), float(values[best])

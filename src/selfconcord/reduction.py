@@ -11,10 +11,13 @@ c * (1 - 1/omega(G)).  It comes with two parameter sets, one record each in
   1/6 so that the induced form is exactly  sum over edges of
   u_i * u_j * w_ij.  The squared maximum is the simplex quadratic maximum
   (1/2)(1 - 1/omega) from the clique identity, carried to the sphere by the
-  square substitution x_i = u_i^2, Cauchy-Schwarz coupling
-  (`optimize.couple_w_from_u`) and the 2/3 split
-  (`optimize.split_to_joint_sphere`), whence the constant
-  (2/(3*sqrt(3)))^2 * 1/2 = 2/27.
+  square substitution x_i = u_i^2, the Cauchy-Schwarz coupling
+  w_ij proportional to u_i * u_j (its equality case) and the split of the
+  unit mass 2/3 onto u and 1/3 onto w (2/3 maximizes beta * sqrt(1-beta),
+  at 2/(3*sqrt(3)) = 0.3849), whence the constant
+  (2/(3*sqrt(3)))^2 * 1/2 = 2/27.  At a clique C of size c, u = 1 on C and
+  w = 1/sqrt(c-1) on the edges inside C meet every step with equality:
+  they put mass c on u and c/2 on w, the 2/3 split.
 
 * quartic (order 4, c = 1/2, p = 1): a tensor on R^n where each edge
   contributes the orbit of (i, i, j, j) with value 1/6, so the form is
@@ -45,7 +48,6 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .graphs import Graph, max_clique
-from .optimize import couple_w_from_u, split_to_joint_sphere
 from .tensors import SymTensor, sym_from_entries
 
 __all__ = [
@@ -60,10 +62,9 @@ __all__ = [
     "build_instance",
     "build_cubic_instance",
     "build_quartic_instance",
-    "witness_from_clique",
-    "quartic_witness_from_clique",
     "rational_cubic_witness",
     "rational_quartic_witness",
+    "unit_witness",
 ]
 
 
@@ -172,24 +173,6 @@ def _check_clique(G: Graph, C: Iterable[int]) -> list[int]:
     return members
 
 
-def quartic_witness_from_clique(G: Graph, C: Iterable[int]) -> np.ndarray:
-    """Unit maximizer of the quartic gadget form: the clique indicator over sqrt(c)."""
-    u = np.array(rational_quartic_witness(G, C), dtype=float)
-    return u / math.sqrt(u.sum())
-
-
-def witness_from_clique(G: Graph, C: Iterable[int]) -> np.ndarray:
-    """Exact maximizer of the cubic gadget form on the joint unit sphere.
-
-    For a clique C of size c: u is the quartic maximizer (1/sqrt(c) on C),
-    w its Cauchy-Schwarz coupling, and the pair is split 2/3 : 1/3 onto the
-    joint sphere.  The form value is sqrt((2/27) * (1 - 1/c)); when C is a
-    maximum clique this is the global sphere maximum.
-    """
-    u = quartic_witness_from_clique(G, C)
-    return split_to_joint_sphere(u, couple_w_from_u(u, G))
-
-
 def rational_quartic_witness(G: Graph, C: Iterable[int]) -> tuple[Fraction, ...]:
     """Indicator vector of the clique: its quartic ratio is exactly (1/2)(1 - 1/c)."""
     _require_reducible(G)
@@ -223,10 +206,11 @@ class Gadget:
     """One parameter set of the clique gadget.
 
     The sphere maximum of A(h,..,h)^p is c * (1 - 1/omega(G)) for the tensor
-    A = `tensor`(G) of order `order`, attained at `witness`(G, C) for a
-    maximum clique C.  The threshold for clique size k is
-    q = c * (1 - 1/(k-1)) = `multiplier` * parameter * gamma-power; instance
-    JSON names the parameter `param` and the gamma-power `gamma`.
+    A = `tensor`(G) of order `order`, attained (up to scale) at the exact
+    rational `witness`(G, C) for a maximum clique C.  The threshold for
+    clique size k is q = c * (1 - 1/(k-1)) = `multiplier` * parameter *
+    gamma-power; instance JSON names the parameter `param` and the
+    gamma-power `gamma`.
     """
 
     order: int
@@ -236,15 +220,23 @@ class Gadget:
     param: str
     gamma: str
     tensor: Callable[[Graph], SymTensor]
-    witness: Callable[[Graph, Iterable[int]], np.ndarray]
+    witness: Callable[[Graph, Iterable[int]], tuple[Fraction, ...]]
 
 
 GADGETS = {
-    "cubic": Gadget(3, Fraction(2, 27), 2, 4, "sigma", "gamma_cubed", build_cubic_tensor, witness_from_clique),
-    "quartic": Gadget(
-        4, Fraction(1, 2), 1, 6, "tau", "gamma_squared", build_quartic_tensor, quartic_witness_from_clique
-    ),
+    "cubic": Gadget(3, Fraction(2, 27), 2, 4, "sigma", "gamma_cubed", build_cubic_tensor, rational_cubic_witness),
+    "quartic": Gadget(4, Fraction(1, 2), 1, 6, "tau", "gamma_squared", build_quartic_tensor, rational_quartic_witness),
 }
+
+
+def unit_witness(kind: str, G: Graph, C: Iterable[int]) -> np.ndarray:
+    """The `kind` gadget's clique witness h scaled to the unit sphere, h / |h|.
+
+    For a maximum clique C this is the sphere maximizer that a search starts
+    from; A(h,..,h)^p there is c * (1 - 1/|C|) up to rounding.
+    """
+    h = np.array(GADGETS[kind].witness(G, C), dtype=float)
+    return h / np.linalg.norm(h)
 
 
 def threshold(kind: str, k: int) -> Fraction:

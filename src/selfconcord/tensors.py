@@ -47,6 +47,12 @@ __all__ = [
 # Points per block of `eval_form_batch`: a block's products take rows x entries floats.
 _BATCH_ROWS = 262_144
 
+# Largest unfolding, in floats (80 MB), that `spectral_upper_bound` builds and
+# decomposes.  The cubic gadget of a 32-vertex graph with 248 edges unfolds
+# to 280 x 1,488; that of a 250-vertex graph with 15,562 edges would unfold
+# to 15,812 x 93,372 (11.8 GB).
+_SVD_LIMIT = 10_000_000
+
 
 class _Packed(NamedTuple):
     """Float index arrays of a tensor; see `SymTensor._packed`."""
@@ -304,7 +310,8 @@ def spectral_upper_bound(A: SymTensor) -> float:
     permuted, so one SVD serves all modes.  Only the nonzero columns of M
     are built: one per distinct tail (i2, ..., id) of a permuted entry,
     which leaves the singular values unchanged and never materializes
-    dim ** order floats.
+    dim ** order floats.  When M would exceed `_SVD_LIMIT` floats, the
+    bound is the Frobenius norm alone, which is still sound.
     """
     bound = frobenius(A)
     if not A.entries:
@@ -318,7 +325,10 @@ def spectral_upper_bound(A: SymTensor) -> float:
             values.append(fval)
     _, column = np.unique(np.array(tails), axis=0, return_inverse=True)
     column = column.ravel()
-    M = np.zeros((A.dim, int(column.max()) + 1))
+    width = int(column.max()) + 1
+    if A.dim * width > _SVD_LIMIT:
+        return bound
+    M = np.zeros((A.dim, width))
     M[heads, column] = values
     sigma = float(np.linalg.svd(M, compute_uv=False)[0])
     return min(bound, sigma)

@@ -6,6 +6,10 @@ a table.  Tolerances are pinned inside each criterion; see the criterion
 docstrings in `selfconcord.acceptance`.
 """
 
+from itertools import count
+from types import SimpleNamespace
+
+from selfconcord import acceptance
 from selfconcord.acceptance import (
     criterion_beta_split,
     criterion_boundary_exactness,
@@ -32,8 +36,8 @@ def test_criterion_1_simplex_identities():
 
 
 def test_criterion_2_sphere_identities():
-    """Same graphs: 27/2 * max^2 matches 1 - 1/omega to 1e-6, and the
-    analytic clique witness evaluates to (2/27)(1 - 1/omega) to 1e-12."""
+    """Same graphs: 27/2 * max^2 matches 1 - 1/omega to 1e-6, and the unit
+    clique witness evaluates to (2/27)(1 - 1/omega) to 1e-12."""
     _assert_criterion(criterion_sphere_constants(max_n=5))
 
 
@@ -48,6 +52,18 @@ def test_criterion_4_decision_equivalence():
     NOT exactly when a k-clique exists; exact rational, zero tolerance,
     under one minute."""
     _assert_criterion(criterion_decision_equivalence(max_n=5))
+
+
+def test_oracle_criterion_details_do_not_depend_on_time(monkeypatch):
+    """The 60 s gate is in `passed` and the time in `seconds`; the details are the same however long a run takes."""
+    runs = []
+    for step in (0.5, 7.0):
+        ticks = count(0.0, step)
+        monkeypatch.setattr(acceptance, "time", SimpleNamespace(perf_counter=lambda: next(ticks)))
+        runs.append(criterion_decision_equivalence(max_n=3))
+    assert [r.seconds for r in runs] == [0.5, 7.0]
+    assert all(r.passed for r in runs)
+    assert runs[0].details == runs[1].details
 
 
 def test_criterion_5_boundary_exactness():

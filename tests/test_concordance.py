@@ -32,7 +32,7 @@ from selfconcord import (
     sym_from_entries,
     verdict_to_json_obj,
 )
-from selfconcord import concordance
+from selfconcord import concordance, optimize
 
 CFG = OptConfig(starts=4, max_iters=200, seed=211)
 
@@ -230,6 +230,23 @@ def test_witness_scale_invariance(k3):
         assert violates_cubic(inst.A, scaled, inst.q)[0] == base
 
 
+def test_violation_test_reads_its_exponent_from_the_order(k3):
+    from selfconcord import violates, violates_cubic, violates_quartic
+
+    assert violates_cubic is violates_quartic is violates
+    h = (Fraction(1), Fraction(2), Fraction(3), Fraction(1, 2), Fraction(1, 3), Fraction(1, 5))
+    cubic = build_cubic_tensor(k3)
+    value = exact_form_value(cubic, h)
+    dot = sum(x * x for x in h)
+    assert violates(cubic, h, Fraction(1, 27)) == (value**2 > dot**3 / 27, value**2, dot**3 / 27)
+    quartic = build_quartic_tensor(k3)
+    value = exact_form_value(quartic, h[:3])
+    dot = sum(x * x for x in h[:3])
+    assert violates(quartic, h[:3], Fraction(1, 4)) == (value > dot**2 / 4, value, dot**2 / 4)
+    with pytest.raises(ValueError, match="order-3 or order-4"):
+        violates(sym_from_entries(2, 2, [((1, 2), 1)]), (1, 1), Fraction(1))
+
+
 def test_monotone_in_threshold_oracle():
     """Raising k (hence q) never flips SELF_CONCORDANT back to NOT."""
     for G in enumerate_graphs(3):
@@ -329,10 +346,18 @@ def test_verdict_json_shape(k3):
 # Reuse of the k-independent analysis
 
 
+ANALYSES = (concordance._search, concordance._spectral_bound, concordance._grid_rung)
+
+
+def clear_analyses():
+    for cached in ANALYSES:
+        cached.cache_clear()
+
+
 @pytest.fixture
 def counted(monkeypatch):
-    """Clear the analysis memo and count the real computations behind it."""
-    concordance._analyses.clear()
+    """Clear the analysis caches and count the real computations behind them."""
+    clear_analyses()
     calls = Counter()
     for name in ("max_form_sphere", "spectral_upper_bound", "grid_lower_and_upper"):
         real = getattr(concordance, name)
@@ -344,7 +369,7 @@ def counted(monkeypatch):
 
         monkeypatch.setattr(concordance, name, wrapper)
     yield calls
-    concordance._analyses.clear()
+    clear_analyses()
 
 
 def _small_sweep():
@@ -363,12 +388,13 @@ def _small_sweep():
 def test_sweep_verdicts_do_not_depend_on_reuse():
     cold = []
     for inst, mode, check in _small_sweep():
-        concordance._analyses.clear()
+        clear_analyses()
         cold.append(verdict_to_json_obj(check(inst, CFG, mode=mode), seed=CFG.seed))
     warm = [verdict_to_json_obj(check(inst, CFG, mode=mode), seed=CFG.seed) for inst, mode, check in _small_sweep()]
     assert json.dumps(warm) == json.dumps(cold)
-    # The sweep touched far more analyses than the memo keeps.
-    assert len(concordance._analyses) == concordance._KEPT_ANALYSES
+    # The sweep touched far more analyses of each kind than a cache keeps.
+    for cached in ANALYSES:
+        assert cached.cache_info().currsize == cached.cache_info().maxsize == concordance._KEPT_ANALYSES
 
 
 def test_equal_tensors_hit_the_memo_and_other_keys_miss(counted, footnote_graph):
@@ -393,6 +419,21 @@ def test_equal_tensors_hit_the_memo_and_other_keys_miss(counted, footnote_graph)
         check_sc(inst, cfg, mode="relax")
         assert counted["max_form_sphere"] == searches
     assert counted["spectral_upper_bound"] == 1
+
+
+def test_over_budget_rungs_raise_and_are_not_kept(monkeypatch, footnote_graph):
+    clear_analyses()
+    A = build_cubic_tensor(footnote_graph)
+    budget = optimize._NET_BUDGET
+    monkeypatch.setattr(optimize, "_NET_BUDGET", 0)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="exceeds budget"):
+            concordance._grid_rung(A, 0.2)
+    assert concordance._grid_rung.cache_info().currsize == 0
+    monkeypatch.setattr(optimize, "_NET_BUDGET", budget)
+    assert concordance._grid_rung(A, 0.2) is concordance._grid_rung(A, 0.2)
+    assert concordance._grid_rung.cache_info().currsize == 1
+    clear_analyses()
 
 
 def test_one_search_decides_not_at_omega_and_not_above(counted):

@@ -1,4 +1,4 @@
-"""Simplex/sphere maximizers, witness transformations, certified grid bound."""
+"""Simplex/sphere maximizers, certified grid bound, sphere-splitting constant."""
 
 import math
 from itertools import combinations
@@ -16,7 +16,6 @@ from selfconcord import (
     build_quartic_tensor,
     clique_number,
     complement,
-    couple_w_from_u,
     enumerate_graphs,
     eval_form,
     eval_form_batch,
@@ -26,11 +25,11 @@ from selfconcord import (
     max_form_sphere,
     max_quadratic_simplex,
     spectral_upper_bound,
-    split_to_joint_sphere,
     stability_number,
     sym_from_entries,
     frobenius,
     true_max,
+    unit_witness,
 )
 from selfconcord import optimize
 
@@ -176,11 +175,9 @@ def test_sphere_deterministic(k3):
 
 
 def test_sphere_extra_start_guarantees_value(k3):
-    from selfconcord import witness_from_clique
-
     A = build_cubic_tensor(k3)
     lean = OptConfig(starts=1, max_iters=5, seed=7)
-    rep = max_form_sphere(A, lean, extra_starts=(witness_from_clique(k3, {1, 2, 3}),))
+    rep = max_form_sphere(A, lean, extra_starts=(unit_witness("cubic", k3, {1, 2, 3}),))
     assert rep.best_value >= 2.0 / 9.0 - 1e-12
 
 
@@ -293,7 +290,7 @@ def test_sphere_every_start_converges_on_small_gadgets(monkeypatch):
             for kind in GADGETS:
                 gadget = GADGETS[kind]
                 A = gadget.tensor(G)
-                rep = max_form_sphere(A, cfg, (gadget.witness(G, max_clique(G)),), nonnegative_starts=True)
+                rep = max_form_sphere(A, cfg, (unit_witness(kind, G, max_clique(G)),), nonnegative_starts=True)
                 target = float(true_max(kind, G)) ** (1.0 / gadget.p)
                 assert abs(rep.best_value - target) <= 1e-12
                 assert all(converged for _, _, _, converged in runs[-1]), (kind, G.edge_order)
@@ -388,7 +385,7 @@ def reference_net(dim, resolution):
     return pts
 
 
-def test_grid_net_max_matches_reference_net():
+def test_grid_net_max_matches_reference_net(monkeypatch):
     rng = np.random.default_rng(29)
     for dim, resolution in ((2, 0.01), (3, 0.05), (4, 0.2), (5, 0.4)):
         pts = reference_net(dim, resolution)
@@ -402,9 +399,12 @@ def test_grid_net_max_matches_reference_net():
             assert bound == net_max + order * frobenius(A) * resolution
             assert grid_lower_and_upper(sym_from_entries(order, dim, []), resolution)[0] == 0.0
         # The budget counts the points of the net even though they are never built.
+        monkeypatch.setattr(optimize, "_NET_BUDGET", pts.shape[0] - 1)
         with pytest.raises(ValueError, match="exceeds budget"):
-            grid_lower_and_upper(A, resolution, point_budget=pts.shape[0] - 1)
-        assert grid_lower_and_upper(A, resolution, point_budget=pts.shape[0])[0] == net_max
+            grid_lower_and_upper(A, resolution)
+        monkeypatch.setattr(optimize, "_NET_BUDGET", pts.shape[0])
+        assert grid_lower_and_upper(A, resolution)[0] == net_max
+        monkeypatch.undo()
 
 
 def test_grid_dim_guard():
@@ -419,81 +419,20 @@ def test_grid_budget_guard():
         grid_lower_and_upper(A, 1e-3)
 
 
-# ---------------------------------------------------------------------------
-# Witness transformations
-
-
-def test_couple_k3_uniform(k3):
-    u = np.full(3, 1.0 / math.sqrt(3.0))
-    w = couple_w_from_u(u, k3)
-    assert np.allclose(w, np.full(3, 1.0 / math.sqrt(3.0)), atol=1e-14)
-
-
-def test_couple_single_edge(single_edge):
-    u = np.full(2, 1.0 / math.sqrt(2.0))
-    w = couple_w_from_u(u, single_edge)
-    assert np.allclose(w, [1.0], atol=1e-14)
-
-
-def test_couple_no_edge_support(footnote_graph):
-    u = np.array([0.0, 0.0, 1.0])  # vertex 3 is isolated from the single edge (1,2)
-    with pytest.raises(ValueError):
-        couple_w_from_u(u, footnote_graph)
-
-
-def test_couple_achieves_equality():
-    rng = np.random.default_rng(79)
-    for _ in range(20):
-        n = int(rng.integers(2, 6))
-        pairs = [(i, j) for i, j in combinations(range(1, n + 1), 2) if rng.random() < 0.6]
-        if not pairs:
-            continue
-        G = graph_from_edges(n, pairs)
-        u = random_unit_vector(rng, n)
-        alpha_sq = sum((u[i - 1] * u[j - 1]) ** 2 for i, j in G.edge_order)
-        if alpha_sq == 0.0:
-            continue
-        w = couple_w_from_u(u, G)
-        assert abs(np.linalg.norm(w) - 1.0) <= 1e-12
-        coupled = sum(u[i - 1] * u[j - 1] * w[e] for e, (i, j) in enumerate(G.edge_order))
-        assert abs(coupled - math.sqrt(alpha_sq)) <= 1e-12
-
-
-def test_split_k3_witness_coordinates(k3):
-    u = np.full(3, 1.0 / math.sqrt(3.0))
-    w = couple_w_from_u(u, k3)
-    h = split_to_joint_sphere(u, w)
-    assert np.allclose(h[:3], math.sqrt(2.0) / 3.0, atol=1e-14)
-    assert np.allclose(h[3:], 1.0 / 3.0, atol=1e-14)
-    assert abs(eval_form(build_cubic_tensor(k3), h) - 2.0 / 9.0) <= 1e-12
-
-
-def test_split_unit_norm_random():
-    rng = np.random.default_rng(83)
-    for _ in range(20):
-        u = random_unit_vector(rng, int(rng.integers(1, 6)))
-        w = random_unit_vector(rng, int(rng.integers(1, 6)))
-        assert abs(np.linalg.norm(split_to_joint_sphere(u, w)) - 1.0) <= 1e-12
-
-
 def test_split_scales_edge_form_by_split_constant(footnote_graph):
+    """Mass 2/3 on unit u and 1/3 on unit w scales the coupled edge sum by 2/(3*sqrt(3))."""
     rng = np.random.default_rng(89)
     A = build_cubic_tensor(footnote_graph)
     for _ in range(10):
         u = random_unit_vector(rng, 3)
         w = random_unit_vector(rng, 1)
         coupled = sum(u[i - 1] * u[j - 1] * w[e] for e, (i, j) in enumerate(footnote_graph.edge_order))
-        h = split_to_joint_sphere(u, w)
+        h = np.concatenate([math.sqrt(2.0 / 3.0) * u, math.sqrt(1.0 / 3.0) * w])
         assert abs(eval_form(A, h) - (2.0 / (3.0 * math.sqrt(3.0))) * coupled) <= 1e-12
 
 
-def test_split_rejects_non_unit():
-    with pytest.raises(ValueError):
-        split_to_joint_sphere(np.array([1.0, 1.0]), np.array([1.0]))
-
-
 def test_beta_split_max():
-    beta, value = beta_split_max(1e-6)
+    beta, value = beta_split_max()
     assert abs(value - 2.0 / (3.0 * math.sqrt(3.0))) <= 1e-9
     assert abs(beta - 2.0 / 3.0) <= 2e-6
 

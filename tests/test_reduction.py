@@ -21,14 +21,12 @@ from selfconcord import (
     eval_form,
     eval_form_exact,
     graph_from_edges,
-    max_clique,
-    quartic_witness_from_clique,
     rational_cubic_witness,
     rational_quartic_witness,
     sym_from_entries,
     threshold,
     true_max,
-    witness_from_clique,
+    unit_witness,
 )
 
 
@@ -149,7 +147,7 @@ def test_gadget_table():
     assert (quartic.order, quartic.c, quartic.p, quartic.multiplier) == (4, Fraction(1, 2), 1, 6)
     assert (cubic.param, cubic.gamma, quartic.param, quartic.gamma) == ("sigma", "gamma_cubed", "tau", "gamma_squared")
     assert cubic.tensor is build_cubic_tensor and quartic.tensor is build_quartic_tensor
-    assert cubic.witness is witness_from_clique and quartic.witness is quartic_witness_from_clique
+    assert cubic.witness is rational_cubic_witness and quartic.witness is rational_quartic_witness
 
 
 def test_gamma_cubed_examples(k3):
@@ -228,7 +226,7 @@ def test_build_quartic_instance_values(k3):
 
 
 def test_witness_k3_coordinates(k3):
-    h = witness_from_clique(k3, {1, 2, 3})
+    h = unit_witness("cubic", k3, {1, 2, 3})
     assert np.allclose(h[:3], math.sqrt(2.0) / 3.0, atol=1e-15)
     assert np.allclose(h[3:], 1.0 / 3.0, atol=1e-15)
     assert abs(np.linalg.norm(h) - 1.0) <= 1e-12
@@ -236,39 +234,52 @@ def test_witness_k3_coordinates(k3):
 
 
 def test_witness_single_edge(single_edge):
-    h = witness_from_clique(single_edge, {1, 2})
+    h = unit_witness("cubic", single_edge, {1, 2})
     value = eval_form(build_cubic_tensor(single_edge), h)
     assert abs(value**2 - 1.0 / 27.0) <= 1e-12
 
 
 def test_witness_rejects_non_clique(footnote_graph):
-    with pytest.raises(ValueError):
-        witness_from_clique(footnote_graph, {1, 2, 3})
-    with pytest.raises(ValueError):
-        witness_from_clique(footnote_graph, {1})
+    for kind in GADGETS:
+        with pytest.raises(ValueError, match="not a clique"):
+            unit_witness(kind, footnote_graph, {1, 2, 3})
+        with pytest.raises(ValueError, match="at least 2 vertices"):
+            unit_witness(kind, footnote_graph, {1})
+        with pytest.raises(ValueError, match="out of range"):
+            unit_witness(kind, footnote_graph, {1, 4})
+
+
+def cliques(G):
+    """Every vertex set of G with at least two vertices that is a clique."""
+    for mask in range(1, 2**G.n):
+        C = {v for v in range(1, G.n + 1) if mask >> (v - 1) & 1}
+        if len(C) >= 2 and all((i, j) in G.edges for i in C for j in C if i < j):
+            yield C
 
 
 def test_witness_achieves_claimed_value_all_cliques():
-    for n in range(2, 5):
+    for n in range(2, 6):
         for G in enumerate_graphs(n):
-            A = build_cubic_tensor(G)
-            C = max_clique(G)
-            if len(C) < 2:
+            if not G.edges:
                 continue
-            h = witness_from_clique(G, C)
-            assert abs(np.linalg.norm(h) - 1.0) <= 1e-12
-            # closed form: u = sqrt(2/(3c)) on C, w = sqrt(2/(3c(c-1))) on the edges inside C
-            c = len(C)
-            inside = [i in C and j in C for i, j in G.edge_order]
-            assert np.allclose(h[: G.n], [math.sqrt(2 / (3 * c)) if v in C else 0.0 for v in range(1, G.n + 1)],
-                               rtol=1e-15, atol=0)
-            assert np.allclose(h[G.n:], np.where(inside, math.sqrt(2 / (3 * c * (c - 1))), 0.0), rtol=1e-15, atol=0)
-            target = float(Fraction(2, 27) * (1 - Fraction(1, len(C))))
-            assert abs(eval_form(A, h) ** 2 - target) <= 1e-12
+            tensors = {kind: gadget.tensor(G) for kind, gadget in GADGETS.items()}
+            for C in cliques(G):
+                c = len(C)
+                for kind, gadget in GADGETS.items():
+                    h = unit_witness(kind, G, C)
+                    assert abs(np.linalg.norm(h) - 1.0) <= 1e-12
+                    target = float(gadget.c * (1 - Fraction(1, c)))
+                    assert abs(eval_form(tensors[kind], h) ** gadget.p - target) <= 1e-12
+                # closed form: u = sqrt(2/(3c)) on C, w = sqrt(2/(3c(c-1))) on the edges inside C
+                h = unit_witness("cubic", G, C)
+                inside = [i in C and j in C for i, j in G.edge_order]
+                u = [math.sqrt(2 / (3 * c)) if v in C else 0.0 for v in range(1, G.n + 1)]
+                assert np.allclose(h[: G.n], u, rtol=1e-15, atol=0)
+                assert np.allclose(h[G.n:], np.where(inside, math.sqrt(2 / (3 * c * (c - 1))), 0.0), rtol=1e-15, atol=0)
 
 
 def test_quartic_witness(k3):
-    h = quartic_witness_from_clique(k3, {1, 2, 3})
+    h = unit_witness("quartic", k3, {1, 2, 3})
     assert abs(np.linalg.norm(h) - 1.0) <= 1e-15
     assert abs(eval_form(build_quartic_tensor(k3), h) - 1.0 / 3.0) <= 1e-12
 

@@ -33,7 +33,7 @@ from selfconcord import (
     tensor_from_text,
     tensor_to_json_obj,
     tensor_to_text,
-    witness_from_clique,
+    unit_witness,
 )
 
 from conftest import random_sym_tensor, random_unit_vector
@@ -167,7 +167,7 @@ def test_eval_zero_tensor():
 
 def test_eval_k3_cubic_at_clique_witness(k3):
     A = build_cubic_tensor(k3)
-    h = witness_from_clique(k3, {1, 2, 3})
+    h = unit_witness("cubic", k3, {1, 2, 3})
     value = eval_form(A, h)
     assert abs(value - 2.0 / 9.0) <= 1e-12
     assert abs(value - brute_force_eval(A, h)) <= 1e-12
@@ -245,7 +245,7 @@ def test_grad_zero_tensor():
 
 def test_grad_euler_identity_k3_witness(k3):
     A = build_cubic_tensor(k3)
-    h = witness_from_clique(k3, {1, 2, 3})
+    h = unit_witness("cubic", k3, {1, 2, 3})
     g = grad_form(A, h)
     assert abs(float(g @ h) - 3.0 * (2.0 / 9.0)) <= 1e-12
 
@@ -392,6 +392,18 @@ def test_spectral_upper_bound_large_cubic_gadget_undecided():
     assert inst.A.dim == 280
     assert math.isfinite(spectral_upper_bound(inst.A))
     assert check_sc(inst, mode="relax").status is Status.UNDECIDED
+
+
+def test_spectral_upper_bound_falls_back_to_frobenius_above_the_svd_limit(monkeypatch, k3):
+    from selfconcord import tensors
+
+    A = build_cubic_tensor(k3)  # 6 x 18 unfolding
+    svd = spectral_upper_bound(A)
+    assert svd < frobenius(A)
+    monkeypatch.setattr(tensors, "_SVD_LIMIT", 6 * 18)
+    assert spectral_upper_bound(A) == svd
+    monkeypatch.setattr(tensors, "_SVD_LIMIT", 6 * 18 - 1)
+    assert spectral_upper_bound(A) == frobenius(A)
 
 
 # ---------------------------------------------------------------------------
