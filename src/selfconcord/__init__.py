@@ -12,6 +12,7 @@ from .concordance import (
     SigmaBounds,
     Status,
     Verdict,
+    certifies,
     check_sc,
     check_sc2,
     hessian_psd,
@@ -34,6 +35,7 @@ from .graphs import (
     parse_dimacs,
     parse_edge_list,
     parse_graph_text,
+    proper_coloring,
     stability_number,
 )
 from .optimize import (

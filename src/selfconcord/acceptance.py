@@ -21,6 +21,7 @@ import numpy as np
 from .concordance import (
     Status,
     _search,
+    certifies,
     check_sc,
     check_sc2,
     sigma_opt_bounds,
@@ -303,9 +304,9 @@ def criterion_beta_split(max_n: int = 5, seed: int = DEFAULT_SEED, tol: float = 
 
 def criterion_property_suite(max_n: int = 4, seed: int = DEFAULT_SEED, tol: float = 1e-6) -> CriterionResult:
     """Cross-cutting properties: calculus identities, symmetric-maximizer
-    agreement, exact re-verification of every NOT certificate, and no
-    contradiction across certification modes on the graphs with
-    n <= min(max_n, 4)."""
+    agreement, exact re-verification of every NOT certificate and of every
+    coloring certificate, and no contradiction across certification modes on
+    the graphs with n <= min(max_n, 4)."""
     t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
     problems: list[str] = []
@@ -347,10 +348,12 @@ def criterion_property_suite(max_n: int = 4, seed: int = DEFAULT_SEED, tol: floa
     if net_excess > 1e-12:
         problems.append(f"net maximum exceeds the search by {net_excess:.2e}")
 
-    # Mode sweep: every NOT certificate re-verifies exactly; no instance is
-    # both certified YES and exactly refuted across relax/grid/oracle.
+    # Mode sweep: every NOT certificate and every coloring certificate
+    # re-verifies exactly; no instance is both certified YES and exactly
+    # refuted across relax/grid/oracle.
     cfg = OptConfig(starts=4, max_iters=150, seed=seed)
     not_certificates = 0
+    coloring_certificates = 0
     contradictions = 0
     for G in _reduction_graphs(min(max_n, 4)):
         for k in (3, 4, 5, 6):
@@ -367,6 +370,10 @@ def criterion_property_suite(max_n: int = 4, seed: int = DEFAULT_SEED, tol: floa
                         h = tuple(Fraction(s) for s in verdict.certificate["witness"])
                         if not violates(inst.A, h, inst.q)[0]:
                             problems.append(f"NOT certificate failed exact re-verification ({kind}, k={k})")
+                    elif verdict.certificate["kind"] == "coloring":
+                        coloring_certificates += 1
+                        if not certifies(inst.A, inst.q, verdict.certificate):
+                            problems.append(f"coloring certificate failed exact re-verification ({kind}, k={k})")
                 if {Status.SELF_CONCORDANT, Status.NOT_SELF_CONCORDANT} <= statuses:
                     contradictions += 1
     if contradictions:
@@ -378,7 +385,8 @@ def criterion_property_suite(max_n: int = 4, seed: int = DEFAULT_SEED, tol: floa
         not problems,
         (f"100 calculus checks, symmetric-maximizer worst {banach_worst:.2e} (tol 1e-4), "
          f"net excess {net_excess:.2e} (tol 1e-12), "
-         f"{not_certificates} NOT certificates re-verified exactly, 0 contradictions"
+         f"{not_certificates} NOT and {coloring_certificates} coloring certificates re-verified exactly, "
+         "0 contradictions"
          if not problems else "; ".join(problems[:5])),
         seconds,
     )

@@ -12,7 +12,8 @@ Conventions:
 
 * rationals cross the boundary as "p/q" strings, never as floats;
 * floating values are printed as decimal strings with 17 significant
-  digits, so identical runs produce byte-identical reports;
+  digits, so identical runs produce byte-identical reports, except
+  verify-all, which prints each criterion's wall time;
 * reports go to stdout, diagnostics to stderr;
 * exit codes for check-sc / check-sc2: 0 = SELF_CONCORDANT,
   1 = NOT_SELF_CONCORDANT, 2 = UNDECIDED, 3 = error.  Identity checks exit

@@ -10,24 +10,28 @@ it knows:
   denominator (2^64) and re-verified exactly;
   if re-verification fails the status stays UNDECIDED.  The exact check is
   scale invariant, so witnesses need no normalization.
-* SELF_CONCORDANT is reported when a sound upper bound on the form maximum
-  clears the threshold, or in oracle mode by an exact rational comparison
-  against the clique-derived optimum.  Numeric modes refuse to certify
-  inside a relative band of 1e-9 around the threshold (exact equality is a
-  legal boundary and floats cannot resolve it); oracle mode decides the
-  boundary exactly (the inequality is non-strict, so equality is a YES).
+* SELF_CONCORDANT is reported in relax and grid mode from a proper coloring
+  whenever the tensor has gadget shape (see `certifies`): a coloring of its
+  support graph with r colors bounds max A^p by c(1 - 1/r) (Motzkin-Straus),
+  compared with q in rationals, boundary included.  Otherwise it needs a
+  float upper bound on the form maximum that clears the threshold outside a
+  relative band of 1e-9 (exact equality is a legal boundary and floats
+  cannot resolve it).  Oracle mode compares the clique-derived optimum with
+  q exactly (the inequality is non-strict, so equality is a YES).
 * UNDECIDED carries the exhausted budget and the best bound seen.
 
-Modes: "relax" bounds via `tensors.spectral_upper_bound`, "grid" via the
-certified bound of `optimize.grid_lower_and_upper` on a resolution ladder
-(dim <= 5 only), "oracle" requires graph provenance and is complete on it.
+Modes: "relax" and "grid" run the search, then the coloring rung, then a
+float bound: "relax" `tensors.spectral_upper_bound`, "grid" the certified
+bound of `optimize.grid_lower_and_upper` on a resolution ladder (dim <= 5
+only).  "oracle" requires graph provenance and is complete on it.
 The parameter convention follows the defining inequality as written here:
 larger sigma (larger q) is a weaker requirement.
 
 Of a numeric decision, only the comparisons against q depend on k: the
 multistart search (with the clique start and nonnegative starts when the
 instance has graph provenance), the spectral bound and each grid rung depend
-on the tensor, the provenance graph and the `OptConfig` alone.  They are
+on the tensor, the provenance graph and the `OptConfig` alone, and the
+coloring on the tensor alone.  They are
 computed once per (tensor, provenance, config) in a process and kept in
 bounded LRU caches, so a k-sweep or a relax-then-grid pair searches each
 gadget once.  The band comparisons, rationalization, exact re-verification
@@ -46,7 +50,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .graphs import Graph, max_clique
+from .graphs import Graph, max_clique, proper_coloring
 from .optimize import OptConfig, OptReport, grid_lower_and_upper, max_form_sphere
 from .reduction import (
     GADGETS,
@@ -68,6 +72,7 @@ __all__ = [
     "violates_cubic",
     "violates_quartic",
     "rationalize_vector",
+    "certifies",
     "check_sc",
     "check_sc2",
     "sigma_opt_bounds",
@@ -87,14 +92,18 @@ _DENOMINATOR = 2**64
 # for a given dim are skipped.
 _GRID_LADDER = (0.2, 0.1, 0.05, 0.02, 0.01, 0.005, 0.002, 0.001)
 
-# Entries of each cache of k-independent analyses (searches, spectral bounds,
-# grid rungs) kept per process, least recently used first out.  One
-# (graph, kind) pair of a k-sweep needs one search, one spectral bound and at
-# most len(_GRID_LADDER) grid rungs.
+# Entries of each cache of k-independent analyses (searches, colorings,
+# spectral bounds, grid rungs) kept per process, least recently used first
+# out.  One (graph, kind) pair of a k-sweep needs one search, one coloring,
+# one spectral bound and at most len(_GRID_LADDER) grid rungs.
 _KEPT_ANALYSES = 64
 
 # A tensor's gadget kind, told apart by its order.
 _KIND_OF_ORDER = {gadget.order: kind for kind, gadget in GADGETS.items()}
+
+# The largest |value| of an entry of gadget shape.  A gadget puts 1/6 on each
+# orbit, which has 6 positions, so its monomial enters the form once.
+_GADGET_ENTRY = Fraction(1, 6)
 
 
 class Status(enum.Enum):
@@ -197,6 +206,73 @@ def violates(A: SymTensor, h, q: Fraction) -> tuple[bool, Fraction, Fraction]:
 violates_cubic = violates_quartic = violates
 
 
+def _gadget_support(A: SymTensor) -> tuple[tuple[int, ...], list[tuple[int, int]]] | None:
+    """The vertex coordinates and the vertex pairs of a tensor of gadget shape, else None.
+
+    Gadget shape: at least one entry (the float bounds are exactly 0 on the
+    zero tensor), every |value| <= 1/6, and every entry on a gadget orbit,
+    (i, i, j, j) with i < j for order 4 or (i, j, w) with i < j < w for
+    order 3, where each edge coordinate w is in one entry only and is no
+    entry's i or j, and no pair (i, j) repeats.  The vertex coordinates are
+    all coordinates but the edge coordinates.
+    """
+    if A.order not in _KIND_OF_ORDER or not A.entries:
+        return None
+    pairs = []
+    edge_coordinates = set()
+    for key, value in A.entries.items():
+        if abs(value) > _GADGET_ENTRY:
+            return None
+        if A.order == 4:
+            i, i2, j, j2 = key
+            if not i == i2 < j == j2:
+                return None
+        else:
+            i, j, w = key
+            if not i < j < w or w in edge_coordinates:
+                return None
+            edge_coordinates.add(w)
+        pairs.append((i, j))
+    if len(set(pairs)) < len(pairs) or any(v in edge_coordinates for pair in pairs for v in pair):
+        return None
+    return tuple(v for v in range(1, A.dim + 1) if v not in edge_coordinates), pairs
+
+
+def _coloring_bound(order: int, colors) -> Fraction:
+    """c(1 - 1/r) of the gadget of this order, r the number of distinct colors."""
+    return GADGETS[_KIND_OF_ORDER[order]].c * (1 - Fraction(1, len(set(colors))))
+
+
+def certifies(A: SymTensor, q, certificate: dict) -> bool:
+    """Exact re-check, from A, q and the certificate's JSON alone, that a coloring proves max A^p <= q.
+
+    A must have gadget shape (see `_gadget_support`); "vertices" (order 3
+    only) must list its vertex coordinates in increasing order, and "colors"
+    must give each vertex coordinate an integer, with no entry's pair (i, j)
+    inside one color; "bound" must read c(1 - 1/r), r the number of distinct
+    colors, and be <= q.  The bound is Motzkin-Straus: no edge joins two
+    vertices of one color, so with y_a the simplex mass of color a, the edge
+    quadratic is at most sum over a < b of y_a y_b <= (1/2)(1 - 1/r).
+    Entries of at most 1/6 bound |A(h)| by the gadget form at |h|, and the
+    chain of `reduction` (for order 3: Cauchy-Schwarz in w, then the
+    2/3 : 1/3 split) carries that to max A^p <= c(1 - 1/r).
+    """
+    support = _gadget_support(A)
+    if support is None or certificate.get("kind") != "coloring":
+        return False
+    vertices, pairs = support
+    if A.order == 3 and certificate.get("vertices") != list(vertices):
+        return False
+    colors = certificate.get("colors")
+    if not (isinstance(colors, list) and len(colors) == len(vertices) and all(type(c) is int for c in colors)):
+        return False
+    color_of = dict(zip(vertices, colors))
+    if any(color_of[i] == color_of[j] for i, j in pairs):
+        return False
+    bound = _coloring_bound(A.order, colors)
+    return certificate.get("bound") == str(bound) and bound <= Fraction(q)
+
+
 def _pow(x: float, p: int) -> float:
     """x**p as a product of p factors; `**` calls libm pow, which can round differently."""
     return math.prod([x] * p)
@@ -214,6 +290,15 @@ def _witness_verdict(mode: str, h: tuple[Fraction, ...], lhs: Fraction, rhs: Fra
         "rhs": str(rhs),
     }
     return Verdict(Status.NOT_SELF_CONCORDANT, mode, certificate, evaluations)
+
+
+def _coloring_verdict(mode: str, order: int, vertices, colors, bound: Fraction, evaluations: int) -> Verdict:
+    certificate: dict = {"kind": "coloring"}
+    if order == 3:
+        certificate["vertices"] = list(vertices)
+    certificate["colors"] = list(colors)
+    certificate["bound"] = str(bound)
+    return Verdict(Status.SELF_CONCORDANT, mode, certificate, evaluations)
 
 
 def _bound_verdict(mode: str, name: str, value: str, evaluations: int) -> Verdict:
@@ -238,6 +323,18 @@ def _search(A: SymTensor, G: Graph | None, cfg: OptConfig) -> OptReport:
 
 
 @lru_cache(maxsize=_KEPT_ANALYSES)
+def _coloring(A: SymTensor) -> tuple[tuple[int, ...], tuple[int, ...], Fraction] | None:
+    """(vertex coordinates, their colors, c(1 - 1/r)) of a tensor of gadget shape, else None."""
+    support = _gadget_support(A)
+    if support is None:
+        return None
+    vertices, pairs = support
+    position = {v: i for i, v in enumerate(vertices, start=1)}
+    colors = proper_coloring(Graph(len(vertices), frozenset((position[i], position[j]) for i, j in pairs)))
+    return vertices, colors, _coloring_bound(A.order, colors)
+
+
+@lru_cache(maxsize=_KEPT_ANALYSES)
 def _spectral_bound(A: SymTensor) -> float:
     return spectral_upper_bound(A)
 
@@ -248,11 +345,11 @@ def _grid_rung(A: SymTensor, resolution: float) -> tuple[float, float]:
     return grid_lower_and_upper(A, resolution)
 
 
-def _grid_bound(A: SymTensor, certifies=None) -> tuple[float, int, float | None]:
+def _grid_bound(A: SymTensor, clears=None) -> tuple[float, int, float | None]:
     """Best certified grid bound on the resolution ladder: (bound, rungs, finest).
 
     Runs coarse to fine (every rung is sound; finer is tighter) and stops
-    early once `certifies(bound)` is true, or once `certifies(net_max)` is
+    early once `clears(bound)` is true, or once `clears(net_max)` is
     false: the net maximum is a lower bound on the true maximum, so if it
     already fails the certification target no finer rung can ever certify.
     Rungs whose net exceeds the point budget are skipped.
@@ -270,7 +367,7 @@ def _grid_bound(A: SymTensor, certifies=None) -> tuple[float, int, float | None]
         best = min(best, bound)
         finest = resolution
         used += 1
-        if certifies is not None and (certifies(best) or not certifies(lower)):
+        if clears is not None and (clears(best) or not clears(lower)):
             break
     if finest is None:
         raise ValueError(f"no ladder resolution within point budget for dim {A.dim}")
@@ -312,7 +409,13 @@ def _check(inst: ConcordanceInstance, cfg: OptConfig | None, mode: str, kind: st
         if violated:
             return _witness_verdict(mode, h, lhs, rhs, evaluations)
 
-    def certifies(bound: float) -> bool:
+    coloring = _coloring(inst.A)
+    if coloring is not None:
+        vertices, colors, bound = coloring
+        if bound <= inst.q:
+            return _coloring_verdict(mode, inst.A.order, vertices, colors, bound, evaluations)
+
+    def clears(bound: float) -> bool:
         return _pow(bound, p) <= qf * (1.0 - _EQ_BAND)
 
     if mode == "relax":
@@ -320,10 +423,10 @@ def _check(inst: ConcordanceInstance, cfg: OptConfig | None, mode: str, kind: st
         bound_name = "spectral_upper_bound"
         evaluations += 1
     else:
-        bound, used, finest = _grid_bound(inst.A, certifies)
+        bound, used, finest = _grid_bound(inst.A, clears)
         bound_name = f"grid_lower_and_upper(resolution={finest})"
         evaluations += used
-    if certifies(bound):
+    if clears(bound):
         return _bound_verdict(mode, bound_name, format(bound, ".17g"), evaluations)
 
     return _undecided_verdict(

@@ -7,6 +7,8 @@ constructions use to lay out per-edge coordinates deterministically.
 The clique oracle is a plain branch-and-bound with a greedy-coloring bound.
 It is exponential in the worst case and intended for desk-scale graphs
 (n up to ~20); it is the ground truth the reduction suites compare against.
+`proper_coloring` gives the upper side: a coloring with r colors shows
+omega <= r, and the checkers turn it into an exact certificate.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ __all__ = [
     "parse_graph_text",
     "complement",
     "max_clique",
+    "proper_coloring",
     "clique_number",
     "max_stable_set",
     "stability_number",
@@ -34,6 +37,10 @@ __all__ = [
 # Largest vertex count a graph file may declare.  The header is checked
 # before anything is built per vertex, so an oversized count fails at once.
 MAX_VERTICES = 10_000
+
+# Largest vertex count that `proper_coloring` colors with the fewest colors;
+# above it, the DSATUR coloring stands.
+_EXACT_COLORING_LIMIT = 32
 
 
 @dataclass(frozen=True)
@@ -202,6 +209,66 @@ def max_clique(G: Graph) -> frozenset:
 
     expand([], set(range(1, G.n + 1)))
     return frozenset(best)
+
+
+def proper_coloring(G: Graph) -> tuple[int, ...]:
+    """Colors 0..r-1 of the vertices 1..n (vertex v gets entry v-1), no edge inside a color.
+
+    DSATUR (Brelaz, CACM 1979) colors the vertex whose neighbours already use
+    the most distinct colors next (then the highest degree, then the lowest
+    index), with the lowest color they leave free.  Up to
+    `_EXACT_COLORING_LIMIT` vertices, a backtracking search in the same order
+    then lowers r to the chromatic number: it tries only colorings with fewer
+    colors than the best so far, and stops at the size of a greedily found
+    clique.  Like `max_clique`, it is exponential in the worst case.
+    """
+    adj = G.adjacency
+    color = [-1] * (G.n + 1)
+    uncolored = set(adj)
+
+    def most_saturated() -> int:
+        return max(uncolored, key=lambda v: (len({color[u] for u in adj[v]} - {-1}), len(adj[v]), -v))
+
+    while uncolored:
+        v = most_saturated()
+        taken = {color[u] for u in adj[v]}
+        color[v] = next(c for c in range(G.n) if c not in taken)
+        uncolored.remove(v)
+    best = color[1:]
+    if G.n > _EXACT_COLORING_LIMIT:
+        return tuple(best)
+
+    clique: list[int] = []
+    for v in sorted(adj, key=lambda v: (-len(adj[v]), v)):
+        if adj[v].issuperset(clique):
+            clique.append(v)
+    best_r = max(best, default=-1) + 1
+    color = [-1] * (G.n + 1)
+    uncolored = set(adj)
+
+    def extend(used: int) -> bool:
+        """Color the rest with fewer than best_r colors; True once best_r meets the clique."""
+        nonlocal best, best_r
+        if used >= best_r:  # a better coloring turned up after this branch began
+            return False
+        if not uncolored:
+            best, best_r = color[1:], used
+            return used <= len(clique)
+        v = most_saturated()
+        taken = {color[u] for u in adj[v]}
+        uncolored.remove(v)
+        for c in range(min(used + 1, best_r - 1)):
+            if c not in taken:
+                color[v] = c
+                if extend(max(used, c + 1)):
+                    return True
+        color[v] = -1
+        uncolored.add(v)
+        return False
+
+    if best_r > len(clique):
+        extend(0)
+    return tuple(best)
 
 
 def clique_number(G: Graph) -> int:

@@ -1,12 +1,13 @@
 """Shared fixtures: canonical small graphs and random tensor generation."""
 
+import dataclasses
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
 import numpy as np
 import pytest
 
-from selfconcord import Graph, graph_from_edges, sym_from_entries
+from selfconcord import Graph, SymTensor, graph_from_edges, sym_from_entries
 
 
 @pytest.fixture
@@ -47,3 +48,14 @@ def random_unit_vector(rng: np.random.Generator, dim: int) -> np.ndarray:
     while np.linalg.norm(v) == 0.0:
         v = rng.standard_normal(dim)
     return v / np.linalg.norm(v)
+
+
+def off_orbit(inst):
+    """`inst` with one more tensor entry, (1, ..., 1) = 1/1000, which lies on no gadget orbit.
+
+    No support graph can be read off the result, so relax and grid decisions
+    on it go past the coloring rung to the float bounds.  The provenance
+    stays, so the search keeps its clique start.
+    """
+    A = inst.A
+    return dataclasses.replace(inst, A=SymTensor(A.order, A.dim, {**A.entries, (1,) * A.order: Fraction(1, 1000)}))

@@ -10,11 +10,12 @@ from pathlib import Path
 
 import pytest
 
-from selfconcord import tensor_from_json_obj, violates_cubic
+from selfconcord import certifies, tensor_from_json_obj, violates_cubic
 from selfconcord.cli import _instance_from_obj
 
 K3_DIMACS = "p edge 3 3\ne 1 2\ne 2 3\ne 1 3\n"
 FOOTNOTE_DIMACS = "p edge 3 1\ne 1 2\n"
+C5_DIMACS = "p edge 5 5\ne 1 2\ne 2 3\ne 3 4\ne 4 5\ne 1 5\n"
 SINGLE_EDGE_LIST = "2 1\n1 2\n"
 
 
@@ -175,18 +176,40 @@ def test_reduce_quartic(k3_file):
     assert json.loads(proc.stdout)["q"] == "1/4"
 
 
-def test_check_sc_exit_codes(footnote_file, k3_file):
+def test_check_sc_exit_codes(footnote_file, k3_file, tmp_path):
     # boundary instance: exactly at threshold, oracle says yes
     proc = run_cli(["check-sc", footnote_file, "--k", "3", "--sigma", "1/2", "--mode", "oracle"])
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["status"] == "SELF_CONCORDANT"
-    # numeric mode cannot resolve the boundary: undecided, exit 2
-    proc = run_cli(["check-sc", footnote_file, "--k", "3", "--sigma", "1/2", "--mode", "grid"])
+    # a boundary instance no coloring with k - 1 colors settles (the 5-cycle:
+    # omega 2, three colors, k = 3): a float bound cannot resolve it: undecided, exit 2
+    c5_file = tmp_path / "c5.col"
+    c5_file.write_text(C5_DIMACS)
+    proc = run_cli(["check-sc2", str(c5_file), "--k", "3", "--tau", "1", "--mode", "grid"])
     assert proc.returncode == 2
     assert json.loads(proc.stdout)["status"] == "UNDECIDED"
     # missing parameters on a graph input: error, exit 3
     proc = run_cli(["check-sc", k3_file])
     assert proc.returncode == 3
+
+
+def test_coloring_verdict_without_provenance(footnote_file, tmp_path):
+    """The footnote boundary instance exits 0 with a coloring certificate in
+    relax and grid mode, from the graph and from reduce JSON without graph and k."""
+    for command, kind, param, mode in (("check-sc", "cubic", "--sigma", "relax"),
+                                       ("check-sc2", "quartic", "--tau", "grid")):
+        instance = json.loads(run_cli(["reduce", footnote_file, "--k", "3", "--kind", kind, param, "1/2"]).stdout)
+        del instance["graph"], instance["k"]
+        path = tmp_path / f"{kind}.json"
+        path.write_text(json.dumps(instance))
+        from_graph = run_cli([command, footnote_file, "--k", "3", param, "1/2", "--mode", mode])
+        bare = run_cli([command, str(path), "--mode", mode])
+        assert from_graph.returncode == bare.returncode == 0, bare.stderr
+        verdict, bare_verdict = json.loads(from_graph.stdout), json.loads(bare.stdout)
+        assert bare_verdict["status"] == verdict["status"] == "SELF_CONCORDANT"
+        assert bare_verdict["certificate"] == verdict["certificate"]
+        assert verdict["certificate"]["kind"] == "coloring"
+        assert certifies(tensor_from_json_obj(instance["tensor"]), Fraction(instance["q"]), verdict["certificate"])
 
 
 def test_check_sc2_on_graph_input(k3_file):

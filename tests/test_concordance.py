@@ -17,12 +17,16 @@ from selfconcord import (
     ConcordanceInstance,
     OptConfig,
     Status,
+    SymTensor,
     build_cubic_instance,
     build_cubic_tensor,
+    build_instance,
     build_quartic_instance,
     build_quartic_tensor,
+    certifies,
     check_sc,
     check_sc2,
+    clique_number,
     enumerate_graphs,
     graph_from_edges,
     has_clique,
@@ -33,6 +37,8 @@ from selfconcord import (
     verdict_to_json_obj,
 )
 from selfconcord import concordance, optimize
+
+from conftest import off_orbit
 
 CFG = OptConfig(starts=4, max_iters=200, seed=211)
 
@@ -207,7 +213,7 @@ def test_check_sc2_zero_tensor():
 
 
 def test_check_sc2_grid_certifies_single_edge(single_edge):
-    inst = build_quartic_instance(single_edge, 4, 1)
+    inst = off_orbit(build_quartic_instance(single_edge, 4, 1))
     verdict = check_sc2(inst, CFG, mode="grid")
     assert verdict.status is Status.SELF_CONCORDANT
     # the certificate names the function that made the bound
@@ -287,6 +293,74 @@ def test_rationalize_vector_reconstructs_simple_floats():
 
 
 # ---------------------------------------------------------------------------
+# Coloring certificates
+
+
+def test_certifies_every_coloring_certificate_on_small_graphs():
+    """Relax verdicts on every graph with n <= 5 and every k = 3..6 with omega < k:
+    each coloring certificate re-checks, and the coloring settles every one
+    but the labeled 5-cycles (omega 2, three colors) at k = 3."""
+    cfg = OptConfig(starts=1, max_iters=5, seed=211)  # with omega < k no search can refute; keep it short
+    for kind, check in (("cubic", check_sc), ("quartic", check_sc2)):
+        certified, total, misses = Counter(), Counter(), []
+        for n in range(2, 6):
+            for G in enumerate_graphs(n):
+                omega = clique_number(G)
+                for k in range(max(3, omega + 1), 7):
+                    inst = build_instance(G, kind, k, 1)
+                    verdict = check(inst, cfg, mode="relax")
+                    truth = "boundary" if omega == k - 1 else "interior"
+                    total[truth] += 1
+                    if verdict.certificate["kind"] == "coloring":
+                        assert verdict.status is Status.SELF_CONCORDANT
+                        assert certifies(inst.A, inst.q, verdict.certificate)
+                        certified[truth] += 1
+                    else:
+                        misses.append((G, k))
+        assert (certified["interior"], total["interior"]) == (2554, 2554)
+        assert (certified["boundary"], total["boundary"]) == (1082, 1094)
+        assert len(misses) == 12
+        assert all(k == 3 and G.n == 5 and all(len(a) == 2 for a in G.adjacency.values()) for G, k in misses)
+
+
+def test_certifies_rejects_tampered_certificates(footnote_graph):
+    cubic = build_cubic_instance(footnote_graph, 3, Fraction(1, 2))  # form u1 u2 w4, q = 1/27
+    certificate = check_sc(cubic, CFG, mode="relax").certificate
+    assert certificate == {"kind": "coloring", "vertices": [1, 2, 3], "colors": [0, 1, 0], "bound": "1/27"}
+    assert certifies(cubic.A, cubic.q, certificate)
+    assert not certifies(cubic.A, cubic.q, {**certificate, "colors": [0, 0, 1]})  # improper
+    assert not certifies(cubic.A, cubic.q, {**certificate, "vertices": [1, 2, 4]})  # names the edge coordinate
+    assert not certifies(cubic.A, cubic.q, {**certificate, "bound": "1/54"})
+    assert not certifies(cubic.A, cubic.q - Fraction(1, 10**9), certificate)  # q < c(1 - 1/r)
+    assert not certifies(cubic.A, cubic.q, {**certificate, "kind": "bound"})
+
+    # Each tensor below has the footnote certificate's support shape but a
+    # squared maximum above q = 1/27: an entry above 1/6, an edge coordinate
+    # shared by two entries (2/27), and a vertex pair in two entries (2/27).
+    heavy = SymTensor(3, 4, {(1, 2, 4): Fraction(1, 6) + Fraction(1, 10**6)})
+    shared = SymTensor(3, 4, {(1, 2, 4): Fraction(1, 6), (1, 3, 4): Fraction(1, 6)})
+    repeated = SymTensor(3, 4, {(1, 2, 3): Fraction(1, 6), (1, 2, 4): Fraction(1, 6)})
+    for A, fields in (
+        (heavy, {}),
+        (shared, {"colors": [0, 1, 1]}),
+        (repeated, {"vertices": [1, 2], "colors": [0, 1]}),
+    ):
+        assert not certifies(A, cubic.q, {**certificate, **fields})
+        inst = ConcordanceInstance(kind="cubic", A=A, q=cubic.q)
+        verdict = check_sc(inst, CFG, mode="relax")
+        assert verdict.status is Status.NOT_SELF_CONCORDANT
+        recheck_not_certificate(inst, verdict)
+
+    quartic = build_quartic_instance(footnote_graph, 3, 1)  # form h1^2 h2^2, q = 1/4
+    certificate = check_sc2(quartic, CFG, mode="grid").certificate
+    assert certificate == {"kind": "coloring", "colors": [0, 1, 0], "bound": "1/4"}
+    assert certifies(quartic.A, quartic.q, certificate)
+    assert not certifies(quartic.A, quartic.q, {**certificate, "colors": [1, 1, 0]})
+    assert not certifies(quartic.A, quartic.q, {**certificate, "colors": [0, 1]})
+    assert not certifies(quartic.A, quartic.q - Fraction(1, 10**9), certificate)
+
+
+# ---------------------------------------------------------------------------
 # Optimal-parameter bracket
 
 
@@ -346,7 +420,7 @@ def test_verdict_json_shape(k3):
 # Reuse of the k-independent analysis
 
 
-ANALYSES = (concordance._search, concordance._spectral_bound, concordance._grid_rung)
+ANALYSES = (concordance._search, concordance._coloring, concordance._spectral_bound, concordance._grid_rung)
 
 
 def clear_analyses():
@@ -359,7 +433,7 @@ def counted(monkeypatch):
     """Clear the analysis caches and count the real computations behind them."""
     clear_analyses()
     calls = Counter()
-    for name in ("max_form_sphere", "spectral_upper_bound", "grid_lower_and_upper"):
+    for name in ("max_form_sphere", "proper_coloring", "spectral_upper_bound", "grid_lower_and_upper"):
         real = getattr(concordance, name)
 
         def wrapper(*args, _name=name, _real=real, **kwargs):
@@ -373,7 +447,8 @@ def counted(monkeypatch):
 
 
 def _small_sweep():
-    """(instance, mode, checker): k = 3..6, both kinds, relax and grid, all graphs with n <= 4."""
+    """(instance, mode, checker): k = 3..6, both kinds, relax and grid, all graphs
+    with n <= 4, each gadget instance followed by its `off_orbit` twin."""
     for n in range(2, 5):
         for G in enumerate_graphs(n):
             for k in (3, 4, 5, 6):
@@ -381,8 +456,9 @@ def _small_sweep():
                     (build_cubic_instance(G, k, Fraction(1, 2)), check_sc),
                     (build_quartic_instance(G, k, 1), check_sc2),
                 ):
-                    for mode in ("relax", "grid") if inst.A.dim <= 5 else ("relax",):
-                        yield inst, mode, check
+                    for variant in (inst, off_orbit(inst)):
+                        for mode in ("relax", "grid") if inst.A.dim <= 5 else ("relax",):
+                            yield variant, mode, check
 
 
 def test_sweep_verdicts_do_not_depend_on_reuse():
@@ -398,8 +474,8 @@ def test_sweep_verdicts_do_not_depend_on_reuse():
 
 
 def test_equal_tensors_hit_the_memo_and_other_keys_miss(counted, footnote_graph):
-    first = build_cubic_instance(footnote_graph, 3, Fraction(1, 2))
-    later = build_cubic_instance(footnote_graph, 5, Fraction(1, 2))
+    first = off_orbit(build_cubic_instance(footnote_graph, 3, Fraction(1, 2)))
+    later = off_orbit(build_cubic_instance(footnote_graph, 5, Fraction(1, 2)))
     assert first.A is not later.A and first.A == later.A
     check_sc(first, CFG, mode="relax")
     check_sc(later, CFG, mode="relax")
@@ -407,7 +483,7 @@ def test_equal_tensors_hit_the_memo_and_other_keys_miss(counted, footnote_graph)
     assert counted["max_form_sphere"] == 1
     assert counted["spectral_upper_bound"] == 1
     rungs = counted["grid_lower_and_upper"]
-    check_sc(build_cubic_instance(footnote_graph, 5, Fraction(1, 2)), CFG, mode="grid")
+    check_sc(off_orbit(build_cubic_instance(footnote_graph, 5, Fraction(1, 2))), CFG, mode="grid")
     assert counted["grid_lower_and_upper"] == rungs
 
     bare = ConcordanceInstance(kind="cubic", A=later.A, q=later.q)
@@ -419,6 +495,19 @@ def test_equal_tensors_hit_the_memo_and_other_keys_miss(counted, footnote_graph)
         check_sc(inst, cfg, mode="relax")
         assert counted["max_form_sphere"] == searches
     assert counted["spectral_upper_bound"] == 1
+
+
+def test_equal_gadget_tensors_color_once(counted, footnote_graph):
+    verdicts = [
+        check_sc(build_cubic_instance(footnote_graph, k, Fraction(1, 2)), CFG, mode=mode)
+        for k in (3, 4, 5, 6) for mode in ("relax", "grid")
+    ]
+    assert (counted["max_form_sphere"], counted["proper_coloring"]) == (1, 1)
+    assert counted["spectral_upper_bound"] == counted["grid_lower_and_upper"] == 0
+    assert all(v.certificate == verdicts[0].certificate for v in verdicts)
+    verdicts[0].certificate["colors"].append(2)  # a caller's edit reaches no later verdict
+    again = check_sc(build_cubic_instance(footnote_graph, 3, Fraction(1, 2)), CFG, mode="relax")
+    assert again.certificate == verdicts[1].certificate != verdicts[0].certificate
 
 
 def test_over_budget_rungs_raise_and_are_not_kept(monkeypatch, footnote_graph):

@@ -4,7 +4,7 @@ The reference oracle is brute-force subset enumeration, independent of the
 branch-and-bound path in the library.
 """
 
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -20,8 +20,10 @@ from selfconcord import (
     parse_dimacs,
     parse_edge_list,
     parse_graph_text,
+    proper_coloring,
     stability_number,
 )
+from selfconcord import graphs
 from selfconcord.graphs import MAX_VERTICES
 
 
@@ -32,6 +34,21 @@ def brute_force_clique_number(G: Graph) -> int:
             if all((a, b) in G.edges for a, b in combinations(subset, 2)):
                 best = max(best, size)
     return best
+
+
+def brute_force_chromatic_number(G: Graph) -> int:
+    for r in range(1, G.n + 1):
+        if any(all(c[i - 1] != c[j - 1] for i, j in G.edges) for c in product(range(r), repeat=G.n)):
+            return r
+    return 0
+
+
+def assert_proper(G: Graph, colors) -> int:
+    """The number of colors of a proper coloring that uses exactly the colors 0..r-1."""
+    assert len(colors) == G.n
+    assert all(colors[i - 1] != colors[j - 1] for i, j in G.edges)
+    assert sorted(set(colors)) == list(range(len(set(colors))))
+    return len(set(colors))
 
 
 # ---------------------------------------------------------------------------
@@ -157,6 +174,22 @@ def test_stability_equals_complement_clique_exhaustive_n6():
         assert stability_number(G) == clique_number(complement(G))
         count += 1
     assert count == 2**15 - 1
+
+
+def test_proper_coloring_is_minimal_up_to_the_limit(monkeypatch, c5):
+    for n in range(2, 6):
+        for G in enumerate_graphs(n):
+            assert assert_proper(G, proper_coloring(G)) == brute_force_chromatic_number(G)
+    assert proper_coloring(c5) == (0, 1, 0, 1, 2)
+    grotzsch = graph_from_edges(11, [(1, 2), (1, 5), (2, 3), (3, 4), (4, 5), (1, 7), (1, 10), (2, 6), (2, 8),
+                                     (3, 7), (3, 9), (4, 8), (4, 10), (5, 6), (5, 9), (6, 11), (7, 11), (8, 11),
+                                     (9, 11), (10, 11)])
+    assert clique_number(grotzsch) == 2 and assert_proper(grotzsch, proper_coloring(grotzsch)) == 4
+    # Above the limit the DSATUR coloring stands: still proper, not always minimal.
+    monkeypatch.setattr(graphs, "_EXACT_COLORING_LIMIT", 0)
+    for G in enumerate_graphs(5):
+        assert assert_proper(G, proper_coloring(G)) >= brute_force_chromatic_number(G)
+    assert assert_proper(Graph(0, frozenset()), proper_coloring(Graph(0, frozenset()))) == 0
 
 
 def test_has_clique_examples(k3, footnote_graph):

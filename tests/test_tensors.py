@@ -36,7 +36,7 @@ from selfconcord import (
     unit_witness,
 )
 
-from conftest import random_sym_tensor, random_unit_vector
+from conftest import off_orbit, random_sym_tensor, random_unit_vector
 
 
 def brute_force_eval(A: SymTensor, h) -> float:
@@ -383,12 +383,13 @@ def test_spectral_upper_bound_matches_dense_reference():
 
 
 def test_spectral_upper_bound_large_cubic_gadget_undecided():
-    # dim 32 + 248 = 280: the full hypermatrix would hold 22M floats
+    # dim 32 + 248 = 280: the full hypermatrix would hold 22M floats.  The
+    # off-orbit entry keeps the coloring rung out, so the spectral bound decides.
     rng = np.random.default_rng(280)
     pairs = [(i, j) for i in range(1, 33) for j in range(i + 1, 33)]
     chosen = rng.choice(len(pairs), 248, replace=False)
     G = graph_from_edges(32, [pairs[c] for c in chosen])
-    inst = build_cubic_instance(G, clique_number(G) + 2, Fraction(1, 2))
+    inst = off_orbit(build_cubic_instance(G, clique_number(G) + 2, Fraction(1, 2)))
     assert inst.A.dim == 280
     assert math.isfinite(spectral_upper_bound(inst.A))
     assert check_sc(inst, mode="relax").status is Status.UNDECIDED
