@@ -361,8 +361,6 @@ def criterion_property_suite(max_n: int = 4, seed: int = DEFAULT_SEED, tol: floa
                 inst = build_instance(G, kind, k, param)
                 statuses = set()
                 for mode in ("relax", "grid", "oracle"):
-                    if mode == "grid" and inst.A.dim > 5:
-                        continue
                     verdict = check(inst, cfg, mode=mode)
                     statuses.add(verdict.status)
                     if verdict.status is Status.NOT_SELF_CONCORDANT:

@@ -4,9 +4,9 @@ Subcommands cover the graph oracles, the identity checks with the corrected
 constants, the counterexample demo for the mis-stated stability constant,
 instance generation, the three-valued checkers, the optimal-parameter
 bracket, and the full acceptance suite.  Each subcommand takes only the
-flags it reads: the search flags (--seed, --starts, --max-iters, --tol)
-belong to ms-check, nesterov-check, footnote-demo, check-sc, check-sc2 and
-sigma-opt; verify-all takes --seed; omega, alpha and reduce take none.
+flags it reads: the search flags (--seed, --starts, --max-iters) belong to
+ms-check, nesterov-check, footnote-demo, check-sc, check-sc2 and sigma-opt;
+verify-all takes --seed; omega, alpha and reduce take none.
 
 Conventions:
 
@@ -72,12 +72,7 @@ def _load_graph(path: str) -> Graph:
 
 
 def _cfg(args) -> OptConfig:
-    return OptConfig(
-        starts=args.starts,
-        max_iters=args.max_iters,
-        value_tol=args.tol,
-        seed=args.seed,
-    )
+    return OptConfig(starts=args.starts, max_iters=args.max_iters, seed=args.seed)
 
 
 def _render(obj: dict, fmt: str) -> str:
@@ -300,7 +295,6 @@ def _command(commands, name: str, summary: str, handler, with_input=True, search
         _add_seed(sub)
         sub.add_argument("--starts", type=int, default=8, help="multistart count (default %(default)s)")
         sub.add_argument("--max-iters", type=int, default=400, help="iterations per start (default %(default)s)")
-        sub.add_argument("--tol", type=float, default=1e-13, help="value plateau tolerance (default %(default)s)")
     sub.add_argument("--format", choices=("json", "text"), default="json", help="report format")
     sub.set_defaults(handler=handler)
     return sub

@@ -22,22 +22,23 @@ it knows:
 
 Modes: "relax" and "grid" run the search, then the coloring rung, then a
 float bound: "relax" `tensors.spectral_upper_bound`, "grid" the certified
-bound of `optimize.grid_lower_and_upper` on a resolution ladder (dim <= 5
-only).  "oracle" requires graph provenance and is complete on it.
+bound of `optimize.grid_lower_and_upper` on a resolution ladder.  Above dim 5
+the ladder runs no rung, so a grid decision that the coloring does not
+settle ends UNDECIDED and names the dim limit.  "oracle" requires graph
+provenance and is complete on it.
 The parameter convention follows the defining inequality as written here:
 larger sigma (larger q) is a weaker requirement.
 
-Of a numeric decision, only the comparisons against q depend on k: the
+Of a numeric decision, only the comparisons against q depend on k.  The
 multistart search (with the clique start and nonnegative starts when the
-instance has graph provenance), the spectral bound and each grid rung depend
-on the tensor, the provenance graph and the `OptConfig` alone, and the
-coloring on the tensor alone.  They are
-computed once per (tensor, provenance, config) in a process and kept in
-bounded LRU caches, so a k-sweep or a relax-then-grid pair searches each
-gadget once.  The band comparisons, rationalization, exact re-verification
-and the grid ladder's stopping rule still run on every decision, so a
-verdict, `evaluations` included, is the same whether the analysis was
-reused or not.
+instance has graph provenance) depends on the tensor, the provenance graph
+and the `OptConfig` alone, and the coloring on the tensor alone; both are
+kept in bounded LRU caches, so a k-sweep or a relax-then-grid pair searches
+and colors each gadget once.  The float bounds run on each decision that
+reaches them, which the coloring leaves to tensors without gadget shape and
+to gadgets whose coloring bound exceeds q.  Comparisons, rationalization
+and exact re-verification run on every decision, so a verdict,
+`evaluations` included, is the same whether the analysis was reused or not.
 """
 
 from __future__ import annotations
@@ -88,14 +89,15 @@ _EQ_BAND = 1e-9
 # The shared denominator of rationalized search witnesses.
 _DENOMINATOR = 2**64
 
-# Coarse-to-fine certified-grid ladder; entries that blow the point budget
-# for a given dim are skipped.
+# Coarse-to-fine certified-grid ladder; it ends at the first rung that
+# `grid_lower_and_upper` refuses, since finer rungs only cost more.  At the
+# default point budget the first rung fits every dim up to 5 (2,264,031
+# points at dim 5).
 _GRID_LADDER = (0.2, 0.1, 0.05, 0.02, 0.01, 0.005, 0.002, 0.001)
 
-# Entries of each cache of k-independent analyses (searches, colorings,
-# spectral bounds, grid rungs) kept per process, least recently used first
-# out.  One (graph, kind) pair of a k-sweep needs one search, one coloring,
-# one spectral bound and at most len(_GRID_LADDER) grid rungs.
+# Entries of each cache of k-independent analyses (searches, colorings) kept
+# per process, least recently used first out.  One (graph, kind) pair of a
+# k-sweep needs one search and one coloring.
 _KEPT_ANALYSES = 64
 
 # A tensor's gadget kind, told apart by its order.
@@ -334,44 +336,31 @@ def _coloring(A: SymTensor) -> tuple[tuple[int, ...], tuple[int, ...], Fraction]
     return vertices, colors, _coloring_bound(A.order, colors)
 
 
-@lru_cache(maxsize=_KEPT_ANALYSES)
-def _spectral_bound(A: SymTensor) -> float:
-    return spectral_upper_bound(A)
-
-
-@lru_cache(maxsize=_KEPT_ANALYSES)
-def _grid_rung(A: SymTensor, resolution: float) -> tuple[float, float]:
-    """One rung of the grid ladder; a rung over the point budget raises and is not kept."""
-    return grid_lower_and_upper(A, resolution)
-
-
-def _grid_bound(A: SymTensor, clears=None) -> tuple[float, int, float | None]:
-    """Best certified grid bound on the resolution ladder: (bound, rungs, finest).
+def _grid_bound(A: SymTensor, clears=None) -> tuple[float, int, str]:
+    """Best certified grid bound on the resolution ladder: (bound, rungs, label).
 
     Runs coarse to fine (every rung is sound; finer is tighter) and stops
     early once `clears(bound)` is true, or once `clears(net_max)` is
     false: the net maximum is a lower bound on the true maximum, so if it
     already fails the certification target no finer rung can ever certify.
-    Rungs whose net exceeds the point budget are skipped.
+    It also stops at the first rung that `grid_lower_and_upper` refuses
+    (above dim 5, the first).  The label names the finest rung run; if none
+    ran, the bound is infinite and the label names the limit.
     """
-    if A.dim > 5:
-        raise ValueError(f"grid mode supports dim <= 5, got {A.dim}")
-    best = float("inf")
+    best = math.inf
     used = 0
-    finest = None
+    label = ""
     for resolution in _GRID_LADDER:
         try:
-            lower, bound = _grid_rung(A, resolution)
-        except ValueError:
-            continue
+            lower, bound = grid_lower_and_upper(A, resolution)
+        except ValueError as limit:  # dim above 5 or a net over the point budget
+            return best, used, label or str(limit)
         best = min(best, bound)
-        finest = resolution
+        label = f"resolution={resolution}"
         used += 1
         if clears is not None and (clears(best) or not clears(lower)):
             break
-    if finest is None:
-        raise ValueError(f"no ladder resolution within point budget for dim {A.dim}")
-    return best, used, finest
+    return best, used, label
 
 
 def _check(inst: ConcordanceInstance, cfg: OptConfig | None, mode: str, kind: str) -> Verdict:
@@ -419,12 +408,12 @@ def _check(inst: ConcordanceInstance, cfg: OptConfig | None, mode: str, kind: st
         return _pow(bound, p) <= qf * (1.0 - _EQ_BAND)
 
     if mode == "relax":
-        bound = _spectral_bound(inst.A)
+        bound = spectral_upper_bound(inst.A)
         bound_name = "spectral_upper_bound"
         evaluations += 1
     else:
-        bound, used, finest = _grid_bound(inst.A, clears)
-        bound_name = f"grid_lower_and_upper(resolution={finest})"
+        bound, used, label = _grid_bound(inst.A, clears)
+        bound_name = f"grid_lower_and_upper({label})"
         evaluations += used
     if clears(bound):
         return _bound_verdict(mode, bound_name, format(bound, ".17g"), evaluations)
@@ -476,13 +465,7 @@ def sigma_opt_bounds(A: SymTensor, cfg: OptConfig | None = None) -> SigmaBounds:
     lower = float(exact_lower)
     if Fraction(lower) > exact_lower:
         lower = math.nextafter(lower, -math.inf)
-    norm_upper = _spectral_bound(A)
-    if A.dim <= 5:
-        try:
-            grid, _, _ = _grid_bound(A)
-            norm_upper = min(norm_upper, grid)
-        except ValueError:
-            pass
+    norm_upper = min(spectral_upper_bound(A), _grid_bound(A)[0])
     upper = norm_upper * norm_upper / 4.0
     return SigmaBounds(min(lower, upper), upper)
 

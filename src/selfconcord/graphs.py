@@ -79,17 +79,8 @@ class Graph:
 
 
 def graph_from_edges(n: int, pairs: Iterable[tuple[int, int]]) -> Graph:
-    """Canonicalize orientation, drop duplicates, reject self-loops."""
-    edges = set()
-    for i, j in pairs:
-        if i == j:
-            raise ValueError(f"self-loop at vertex {i}")
-        if i > j:
-            i, j = j, i
-        if not (1 <= i and j <= n):
-            raise ValueError(f"edge ({i},{j}) out of range for n={n}")
-        edges.add((i, j))
-    return Graph(n, frozenset(edges))
+    """Canonicalize orientation and drop duplicates; `Graph` rejects self-loops and out-of-range edges."""
+    return Graph(n, frozenset((min(i, j), max(i, j)) for i, j in pairs))
 
 
 def _declared_vertices(field: str) -> int:

@@ -67,6 +67,10 @@ _PLATEAU = 3
 # A rejected Newton step shorter than this ends a sphere ascent, converged.
 _STEP_TOL = 1e-12
 
+# A step that changes the value by at most this, relative to max(1, |value|),
+# counts as near-flat.
+_VALUE_TOL = 1e-13
+
 # Regularization of the Newton steps, in units of order * (order - 1) *
 # frobenius(A), which bounds the norm of the Euclidean Hessian on the unit
 # sphere: every start begins at mu = 1 unit.  The floor keeps the systems
@@ -100,7 +104,6 @@ class OptConfig:
 
     starts: int = 8
     max_iters: int = 400
-    value_tol: float = 1e-13
     seed: int = DEFAULT_SEED
 
     def __post_init__(self):
@@ -108,8 +111,6 @@ class OptConfig:
             raise ValueError("starts must be >= 1")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
-        if self.value_tol <= 0:
-            raise ValueError("value_tol must be positive")
 
 
 @dataclass(frozen=True, eq=False)
@@ -178,7 +179,7 @@ def _replicator(W: np.ndarray, x: np.ndarray, cfg: OptConfig) -> tuple[float, np
         gain = new - value
         if new > value:
             value, best_x = new, x
-        if gain <= cfg.value_tol * max(1.0, abs(new)):
+        if gain <= _VALUE_TOL * max(1.0, abs(new)):
             plateau += 1
             if plateau >= _PLATEAU:
                 converged = True
@@ -309,7 +310,7 @@ def _ascend_sphere(A: SymTensor, starts: np.ndarray, cfg: OptConfig) -> list[tup
     Hessian-vector products.
 
     A start stops, converged, after `_PLATEAU` consecutive steps whose
-    candidate value is within `value_tol` of the current one, accepted or
+    candidate value is within `_VALUE_TOL` of the current one, accepted or
     not, or on a rejected step shorter than `_STEP_TOL`, and stops
     unconverged after `max_iters` steps.  Every step costs one evaluation.
     Each round makes one `grad_form` call and one Hessian kernel call on
@@ -357,7 +358,7 @@ def _ascend_sphere(A: SymTensor, starts: np.ndarray, cfg: OptConfig) -> list[tup
         np.copyto(H, cand, where=up[:, None])
         np.copyto(values, cand_values, where=up)
         mu = np.where(up, np.maximum(0.5 * mu, floor), 10.0 * mu)
-        near_flat = np.abs(gain) <= cfg.value_tol * np.maximum(1.0, np.abs(values))
+        near_flat = np.abs(gain) <= _VALUE_TOL * np.maximum(1.0, np.abs(values))
         plateau = np.where(near_flat, plateau + 1, 0)
         converged = (plateau >= _PLATEAU) | (~up & (np.add.reduce(v * v, axis=1) < _STEP_TOL**2))
         halt = converged | (step == cfg.max_iters)

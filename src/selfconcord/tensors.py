@@ -160,15 +160,11 @@ def sym_from_entries(order: int, dim: int, raw_entries: Iterable[tuple[Sequence[
 
     Indices may arrive in any permutation; records whose sorted indices
     coincide are summed.  Zero totals are dropped, so the result is always
-    in canonical form.
+    in canonical form.  `SymTensor` rejects indices of the wrong length or
+    out of range.
     """
     acc: dict[tuple[int, ...], Fraction] = {}
     for key, value in raw_entries:
-        key = tuple(key)
-        if len(key) != order:
-            raise ValueError(f"index {key} has length {len(key)}, expected {order}")
-        if any(i < 1 or i > dim for i in key):
-            raise ValueError(f"index {key} out of range 1..{dim}")
         canon = tuple(sorted(key))
         acc[canon] = acc.get(canon, Fraction(0)) + _as_fraction(value)
     return SymTensor(order, dim, acc)

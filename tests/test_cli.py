@@ -188,6 +188,12 @@ def test_check_sc_exit_codes(footnote_file, k3_file, tmp_path):
     proc = run_cli(["check-sc2", str(c5_file), "--k", "3", "--tau", "1", "--mode", "grid"])
     assert proc.returncode == 2
     assert json.loads(proc.stdout)["status"] == "UNDECIDED"
+    # the cubic 5-cycle gadget has dim 10, where the grid ladder runs no rung: undecided, exit 2
+    proc = run_cli(["check-sc", str(c5_file), "--k", "3", "--sigma", "1/2", "--mode", "grid"])
+    assert proc.returncode == 2
+    verdict = json.loads(proc.stdout)
+    assert verdict["status"] == "UNDECIDED"
+    assert "supports dim <= 5, got 10" in verdict["certificate"]["bound_name"]
     # missing parameters on a graph input: error, exit 3
     proc = run_cli(["check-sc", k3_file])
     assert proc.returncode == 3
@@ -261,6 +267,9 @@ def test_flags_a_command_does_not_read_exit_3(k3_file):
         proc = run_cli([*args, "--starts", "0"])
         assert proc.returncode == 3
         assert "unrecognized arguments: --starts 0" in proc.stderr
+    proc = run_cli(["check-sc", k3_file, "--k", "3", "--sigma", "1/2", "--tol", "1e-13"])
+    assert proc.returncode == 3
+    assert "unrecognized arguments: --tol 1e-13" in proc.stderr
     proc = run_cli(["verify-all", "--max-iters", "5"])
     assert proc.returncode == 3
     assert "unrecognized arguments: --max-iters 5" in proc.stderr

@@ -158,9 +158,14 @@ def test_check_sc_grid_modes(single_edge, k3):
 
 
 def test_check_sc_grid_rejects_large_dim(c5):
-    inst = build_cubic_instance(c5, 3, Fraction(1, 2))  # dim 10
-    with pytest.raises(ValueError):
-        check_sc(inst, CFG, mode="grid")
+    """Above dim 5 the grid ladder runs no rung: a decision the coloring does
+    not settle ends UNDECIDED, names the dim limit and counts the search only."""
+    inst = build_cubic_instance(c5, 3, Fraction(1, 2))  # dim 10; omega 2, three colors
+    verdict = check_sc(inst, CFG, mode="grid")
+    assert verdict.status is Status.UNDECIDED
+    assert verdict.certificate["bound_name"] == "grid_lower_and_upper(grid certification supports dim <= 5, got 10)"
+    assert verdict.certificate["bound_value"] == "inf"
+    assert verdict.evaluations == concordance._search(inst.A, c5, CFG).evaluations
 
 
 def test_check_sc_oracle_requires_provenance():
@@ -280,8 +285,7 @@ def test_no_mode_contradiction_small():
             inst = build_cubic_instance(G, k, Fraction(1, 2))
             statuses = {check_sc(inst, CFG, mode="oracle").status}
             statuses.add(check_sc(inst, CFG, mode="relax").status)
-            if inst.A.dim <= 5:
-                statuses.add(check_sc(inst, CFG, mode="grid").status)
+            statuses.add(check_sc(inst, CFG, mode="grid").status)
             assert not {Status.SELF_CONCORDANT, Status.NOT_SELF_CONCORDANT} <= statuses
 
 
@@ -420,7 +424,7 @@ def test_verdict_json_shape(k3):
 # Reuse of the k-independent analysis
 
 
-ANALYSES = (concordance._search, concordance._coloring, concordance._spectral_bound, concordance._grid_rung)
+ANALYSES = (concordance._search, concordance._coloring)
 
 
 def clear_analyses():
@@ -481,10 +485,14 @@ def test_equal_tensors_hit_the_memo_and_other_keys_miss(counted, footnote_graph)
     check_sc(later, CFG, mode="relax")
     check_sc(later, CFG, mode="grid")
     assert counted["max_form_sphere"] == 1
+    # The float bounds are not kept: each decision that reaches one runs it
+    # (`first` is refuted by the search and reaches none).
     assert counted["spectral_upper_bound"] == 1
     rungs = counted["grid_lower_and_upper"]
+    assert rungs >= 1
     check_sc(off_orbit(build_cubic_instance(footnote_graph, 5, Fraction(1, 2))), CFG, mode="grid")
-    assert counted["grid_lower_and_upper"] == rungs
+    assert counted["grid_lower_and_upper"] == 2 * rungs
+    assert counted["max_form_sphere"] == 1
 
     bare = ConcordanceInstance(kind="cubic", A=later.A, q=later.q)
     others = [(later, OptConfig(starts=CFG.starts, max_iters=CFG.max_iters, seed=CFG.seed + 1)),
@@ -494,7 +502,7 @@ def test_equal_tensors_hit_the_memo_and_other_keys_miss(counted, footnote_graph)
     for searches, (inst, cfg) in enumerate(others, start=2):
         check_sc(inst, cfg, mode="relax")
         assert counted["max_form_sphere"] == searches
-    assert counted["spectral_upper_bound"] == 1
+        assert counted["spectral_upper_bound"] == searches
 
 
 def test_equal_gadget_tensors_color_once(counted, footnote_graph):
@@ -510,19 +518,19 @@ def test_equal_gadget_tensors_color_once(counted, footnote_graph):
     assert again.certificate == verdicts[1].certificate != verdicts[0].certificate
 
 
-def test_over_budget_rungs_raise_and_are_not_kept(monkeypatch, footnote_graph):
-    clear_analyses()
-    A = build_cubic_tensor(footnote_graph)
-    budget = optimize._NET_BUDGET
+def test_over_budget_rungs_raise_and_are_not_kept(counted, monkeypatch, footnote_graph):
+    """With no rung within the point budget, `grid_lower_and_upper` raises, and
+    a grid decision runs no rung and ends UNDECIDED naming the budget."""
+    inst = off_orbit(build_cubic_instance(footnote_graph, 5, Fraction(1, 2)))
     monkeypatch.setattr(optimize, "_NET_BUDGET", 0)
-    for _ in range(2):
-        with pytest.raises(ValueError, match="exceeds budget"):
-            concordance._grid_rung(A, 0.2)
-    assert concordance._grid_rung.cache_info().currsize == 0
-    monkeypatch.setattr(optimize, "_NET_BUDGET", budget)
-    assert concordance._grid_rung(A, 0.2) is concordance._grid_rung(A, 0.2)
-    assert concordance._grid_rung.cache_info().currsize == 1
-    clear_analyses()
+    with pytest.raises(ValueError, match="exceeds budget"):
+        optimize.grid_lower_and_upper(inst.A, 0.2)
+    verdict = check_sc(inst, CFG, mode="grid")
+    assert verdict.status is Status.UNDECIDED
+    assert "exceeds budget 0" in verdict.certificate["bound_name"]
+    assert verdict.certificate["bound_value"] == "inf"
+    assert counted["grid_lower_and_upper"] == 0
+    assert verdict.evaluations == concordance._search(inst.A, footnote_graph, CFG).evaluations
 
 
 def test_one_search_decides_not_at_omega_and_not_above(counted):

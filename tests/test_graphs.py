@@ -92,6 +92,13 @@ def test_parse_dimacs_self_loop():
         parse_dimacs("p edge 3 1\ne 2 2")
 
 
+def test_graph_from_edges_errors_name_the_edge():
+    with pytest.raises(ValueError, match=r"edge \(1, 3\) out of range for n=2"):
+        graph_from_edges(2, [(3, 1)])
+    with pytest.raises(ValueError, match="self-loop at vertex 2"):
+        graph_from_edges(3, [(2, 2)])
+
+
 def test_parse_edge_list(single_edge):
     assert parse_edge_list("2 1\n1 2") == single_edge
     with pytest.raises(ValueError):

@@ -142,6 +142,17 @@ def test_sym_from_entries_length_mismatch():
         sym_from_entries(3, 2, [((1, 2), 1)])
 
 
+def test_sym_from_entries_errors_name_the_index():
+    """`SymTensor` checks the summed records, so each message names the bad index,
+    also for records that cancel to zero."""
+    with pytest.raises(ValueError, match=r"index \(1, 3\) out of range 1\.\.2"):
+        sym_from_entries(2, 2, [((3, 1), 1)])
+    with pytest.raises(ValueError, match=r"index \(1, 2\) has length 2, expected 3"):
+        sym_from_entries(3, 2, [((1, 2), 1)])
+    with pytest.raises(ValueError, match=r"index \(0, 3\) out of range"):
+        sym_from_entries(2, 2, [((3, 0), 1), ((0, 3), -1)])
+
+
 def test_symtensor_rejects_noncanonical_key():
     with pytest.raises(ValueError):
         SymTensor(2, 2, {(2, 1): Fraction(1)})
