@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import time
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
@@ -305,8 +306,8 @@ def criterion_beta_split(max_n: int = 5, seed: int = DEFAULT_SEED, tol: float = 
 def criterion_property_suite(max_n: int = 4, seed: int = DEFAULT_SEED, tol: float = 1e-6) -> CriterionResult:
     """Cross-cutting properties: calculus identities, symmetric-maximizer
     agreement, exact re-verification of every NOT certificate and of every
-    coloring certificate, and no contradiction across certification modes on
-    the graphs with n <= min(max_n, 4)."""
+    coloring and clique-number certificate, and no contradiction across
+    certification modes on the graphs with n <= min(max_n, 4)."""
     t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
     problems: list[str] = []
@@ -348,12 +349,14 @@ def criterion_property_suite(max_n: int = 4, seed: int = DEFAULT_SEED, tol: floa
     if net_excess > 1e-12:
         problems.append(f"net maximum exceeds the search by {net_excess:.2e}")
 
-    # Mode sweep: every NOT certificate and every coloring certificate
-    # re-verifies exactly; no instance is both certified YES and exactly
-    # refuted across relax/grid/oracle.
+    # Mode sweep: every NOT certificate re-verifies exactly, and so does every
+    # SELF_CONCORDANT one, a coloring or an exact_clique_oracle comparison
+    # (oracle verdicts included): on gadgets no verdict needs a float bound.
+    # No instance is both certified YES and exactly refuted across
+    # relax/grid/oracle.
     cfg = OptConfig(starts=4, max_iters=150, seed=seed)
     not_certificates = 0
-    coloring_certificates = 0
+    exact_certificates = Counter()
     contradictions = 0
     for G in _reduction_graphs(min(max_n, 4)):
         for k in (3, 4, 5, 6):
@@ -368,10 +371,11 @@ def criterion_property_suite(max_n: int = 4, seed: int = DEFAULT_SEED, tol: floa
                         h = tuple(Fraction(s) for s in verdict.certificate["witness"])
                         if not violates(inst.A, h, inst.q)[0]:
                             problems.append(f"NOT certificate failed exact re-verification ({kind}, k={k})")
-                    elif verdict.certificate["kind"] == "coloring":
-                        coloring_certificates += 1
+                    elif verdict.status is Status.SELF_CONCORDANT:
+                        exact_certificates[verdict.certificate["kind"]] += 1
                         if not certifies(inst.A, inst.q, verdict.certificate):
-                            problems.append(f"coloring certificate failed exact re-verification ({kind}, k={k})")
+                            problems.append(f"{verdict.certificate['kind']} certificate failed exact "
+                                            f"re-verification ({kind}, {mode}, k={k})")
                 if {Status.SELF_CONCORDANT, Status.NOT_SELF_CONCORDANT} <= statuses:
                     contradictions += 1
     if contradictions:
@@ -383,7 +387,8 @@ def criterion_property_suite(max_n: int = 4, seed: int = DEFAULT_SEED, tol: floa
         not problems,
         (f"100 calculus checks, symmetric-maximizer worst {banach_worst:.2e} (tol 1e-4), "
          f"net excess {net_excess:.2e} (tol 1e-12), "
-         f"{not_certificates} NOT and {coloring_certificates} coloring certificates re-verified exactly, "
+         f"{not_certificates} NOT, {exact_certificates['coloring']} coloring and "
+         f"{exact_certificates['bound']} exact_clique_oracle certificates re-verified exactly, "
          "0 contradictions"
          if not problems else "; ".join(problems[:5])),
         seconds,

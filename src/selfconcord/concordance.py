@@ -10,22 +10,26 @@ it knows:
   denominator (2^64) and re-verified exactly;
   if re-verification fails the status stays UNDECIDED.  The exact check is
   scale invariant, so witnesses need no normalization.
-* SELF_CONCORDANT is reported in relax and grid mode from a proper coloring
-  whenever the tensor has gadget shape (see `certifies`): a coloring of its
-  support graph with r colors bounds max A^p by c(1 - 1/r) (Motzkin-Straus),
-  compared with q in rationals, boundary included.  Otherwise it needs a
-  float upper bound on the form maximum that clears the threshold outside a
-  relative band of 1e-9 (exact equality is a legal boundary and floats
+* SELF_CONCORDANT is reported in relax and grid mode from the support graph
+  H whenever the tensor has gadget shape (see `certifies`): by
+  Motzkin-Straus, max A^p <= c(1 - 1/omega(H)) <= c(1 - 1/r) for a proper
+  coloring of H with r colors, each compared with q in rationals, boundary
+  included.  A coloring with r <= k - 1 colors is the certificate.  When H
+  needs more colors, the comparison with omega(H) from `max_clique` is,
+  named "exact_clique_oracle" as in oracle mode.  Otherwise it needs
+  a float upper bound on the form maximum that clears the threshold outside
+  a relative band of 1e-9 (exact equality is a legal boundary and floats
   cannot resolve it).  Oracle mode compares the clique-derived optimum with
   q exactly (the inequality is non-strict, so equality is a YES).
 * UNDECIDED carries the exhausted budget and the best bound seen.
 
-Modes: "relax" and "grid" run the search, then the coloring rung, then a
-float bound: "relax" `tensors.spectral_upper_bound`, "grid" the certified
-bound of `optimize.grid_lower_and_upper` on a resolution ladder.  Above dim 5
-the ladder runs no rung, so a grid decision that the coloring does not
-settle ends UNDECIDED and names the dim limit.  "oracle" requires graph
-provenance and is complete on it.
+Modes: "relax" and "grid" run the search, then the coloring rung, then the
+clique-number rung, then a float bound: "relax"
+`tensors.spectral_upper_bound`, "grid" the certified bound of
+`optimize.grid_lower_and_upper` on a resolution ladder.  Above dim 5 the
+ladder runs no rung, so a grid decision on a tensor without gadget shape
+ends UNDECIDED and names the dim limit.  "oracle" requires graph provenance
+and is complete on it.
 The parameter convention follows the defining inequality as written here:
 larger sigma (larger q) is a weaker requirement.
 
@@ -34,9 +38,11 @@ multistart search (with the clique start and nonnegative starts when the
 instance has graph provenance) depends on the tensor, the provenance graph
 and the `OptConfig` alone, and the coloring on the tensor alone; both are
 kept in bounded LRU caches, so a k-sweep or a relax-then-grid pair searches
-and colors each gadget once.  The float bounds run on each decision that
-reaches them, which the coloring leaves to tensors without gadget shape and
-to gadgets whose coloring bound exceeds q.  Comparisons, rationalization
+and colors each gadget once.  `graphs` memoizes `proper_coloring` and
+`max_clique` by graph, so the cubic and quartic gadgets of one graph share
+one coloring and one clique.  The float bounds run on each decision that
+reaches them, which the exact rungs leave to tensors without gadget shape
+and to gadgets whose clique-number bound exceeds q.  Comparisons, rationalization
 and exact re-verification run on every decision, so a verdict,
 `evaluations` included, is the same whether the analysis was reused or not.
 """
@@ -95,9 +101,10 @@ _DENOMINATOR = 2**64
 # points at dim 5).
 _GRID_LADDER = (0.2, 0.1, 0.05, 0.02, 0.01, 0.005, 0.002, 0.001)
 
-# Entries of each cache of k-independent analyses (searches, colorings) kept
-# per process, least recently used first out.  One (graph, kind) pair of a
-# k-sweep needs one search and one coloring.
+# Entries of each cache of k-independent analyses (searches, per-tensor
+# colorings) kept per process, least recently used first out.  One (graph,
+# kind) pair of a k-sweep needs one search and one coloring; the coloring's
+# support graph keys `graphs`' own caches of colorings and cliques.
 _KEPT_ANALYSES = 64
 
 # A tensor's gadget kind, told apart by its order.
@@ -240,39 +247,60 @@ def _gadget_support(A: SymTensor) -> tuple[tuple[int, ...], list[tuple[int, int]
     return tuple(v for v in range(1, A.dim + 1) if v not in edge_coordinates), pairs
 
 
-def _coloring_bound(order: int, colors) -> Fraction:
-    """c(1 - 1/r) of the gadget of this order, r the number of distinct colors."""
-    return GADGETS[_KIND_OF_ORDER[order]].c * (1 - Fraction(1, len(set(colors))))
+def _support_graph(vertices: tuple[int, ...], pairs: list[tuple[int, int]]) -> Graph:
+    """The support graph H of a tensor of gadget shape, its vertex coordinates renumbered 1..n in order."""
+    position = {v: i for i, v in enumerate(vertices, start=1)}
+    return Graph(len(vertices), frozenset((position[i], position[j]) for i, j in pairs))
+
+
+def _gadget_bound(order: int, r: int) -> Fraction:
+    """c(1 - 1/r) of the gadget of this order."""
+    return GADGETS[_KIND_OF_ORDER[order]].c * (1 - Fraction(1, r))
 
 
 def certifies(A: SymTensor, q, certificate: dict) -> bool:
-    """Exact re-check, from A, q and the certificate's JSON alone, that a coloring proves max A^p <= q.
+    """Exact re-check, from A, q and the certificate's JSON alone, that the support graph proves max A^p <= q.
 
-    A must have gadget shape (see `_gadget_support`); "vertices" (order 3
-    only) must list its vertex coordinates in increasing order, and "colors"
-    must give each vertex coordinate an integer, with no entry's pair (i, j)
-    inside one color; "bound" must read c(1 - 1/r), r the number of distinct
-    colors, and be <= q.  The bound is Motzkin-Straus: no edge joins two
-    vertices of one color, so with y_a the simplex mass of color a, the edge
-    quadratic is at most sum over a < b of y_a y_b <= (1/2)(1 - 1/r).
-    Entries of at most 1/6 bound |A(h)| by the gadget form at |h|, and the
-    chain of `reduction` (for order 3: Cauchy-Schwarz in w, then the
-    2/3 : 1/3 split) carries that to max A^p <= c(1 - 1/r).
+    A must have gadget shape (see `_gadget_support`).  A "coloring"
+    certificate's "vertices" (order 3 only) must list its vertex coordinates
+    in increasing order, and its "colors" must give each vertex coordinate
+    an integer, with no entry's pair (i, j) inside one color; its "bound"
+    must read c(1 - 1/r), r the number of distinct colors.  A "bound"
+    certificate must name "exact_clique_oracle" and read c(1 - 1/omega(H))
+    for the support graph H, recomputed with `max_clique`.  Either bound
+    must be <= q.  Both are Motzkin-Straus: the edge quadratic of H has
+    simplex maximum (1/2)(1 - 1/omega(H)), and no edge joins two vertices of
+    one color, so with y_a the simplex mass of color a, it is also at most
+    sum over a < b of y_a y_b <= (1/2)(1 - 1/r).  Entries of at most 1/6
+    bound |A(h)| by the gadget form at |h|, and the chain of `reduction`
+    (for order 3: Cauchy-Schwarz in w, then the 2/3 : 1/3 split) carries
+    that to max A^p <= c(1 - 1/omega(H)) <= c(1 - 1/r).  Float bounds are
+    refused.
     """
     support = _gadget_support(A)
-    if support is None or certificate.get("kind") != "coloring":
+    if support is None:
         return False
     vertices, pairs = support
-    if A.order == 3 and certificate.get("vertices") != list(vertices):
+    if certificate.get("kind") == "bound":
+        named = certificate.get("bound")
+        if not (isinstance(named, dict) and named.get("name") == "exact_clique_oracle"):
+            return False
+        bound = _gadget_bound(A.order, len(max_clique(_support_graph(vertices, pairs))))
+        value = named.get("value")
+    elif certificate.get("kind") == "coloring":
+        if A.order == 3 and certificate.get("vertices") != list(vertices):
+            return False
+        colors = certificate.get("colors")
+        if not (isinstance(colors, list) and len(colors) == len(vertices) and all(type(c) is int for c in colors)):
+            return False
+        color_of = dict(zip(vertices, colors))
+        if any(color_of[i] == color_of[j] for i, j in pairs):
+            return False
+        bound = _gadget_bound(A.order, len(set(colors)))
+        value = certificate.get("bound")
+    else:
         return False
-    colors = certificate.get("colors")
-    if not (isinstance(colors, list) and len(colors) == len(vertices) and all(type(c) is int for c in colors)):
-        return False
-    color_of = dict(zip(vertices, colors))
-    if any(color_of[i] == color_of[j] for i, j in pairs):
-        return False
-    bound = _coloring_bound(A.order, colors)
-    return certificate.get("bound") == str(bound) and bound <= Fraction(q)
+    return value == str(bound) and bound <= Fraction(q)
 
 
 def _pow(x: float, p: int) -> float:
@@ -325,15 +353,15 @@ def _search(A: SymTensor, G: Graph | None, cfg: OptConfig) -> OptReport:
 
 
 @lru_cache(maxsize=_KEPT_ANALYSES)
-def _coloring(A: SymTensor) -> tuple[tuple[int, ...], tuple[int, ...], Fraction] | None:
-    """(vertex coordinates, their colors, c(1 - 1/r)) of a tensor of gadget shape, else None."""
+def _coloring(A: SymTensor) -> tuple[tuple[int, ...], tuple[int, ...], Fraction, Graph] | None:
+    """(vertex coordinates, their colors, c(1 - 1/r), support graph) of a tensor of gadget shape, else None."""
     support = _gadget_support(A)
     if support is None:
         return None
     vertices, pairs = support
-    position = {v: i for i, v in enumerate(vertices, start=1)}
-    colors = proper_coloring(Graph(len(vertices), frozenset((position[i], position[j]) for i, j in pairs)))
-    return vertices, colors, _coloring_bound(A.order, colors)
+    H = _support_graph(vertices, pairs)
+    colors = proper_coloring(H)
+    return vertices, colors, _gadget_bound(A.order, len(set(colors))), H
 
 
 def _grid_bound(A: SymTensor, clears=None) -> tuple[float, int, str]:
@@ -400,9 +428,14 @@ def _check(inst: ConcordanceInstance, cfg: OptConfig | None, mode: str, kind: st
 
     coloring = _coloring(inst.A)
     if coloring is not None:
-        vertices, colors, bound = coloring
+        vertices, colors, bound, H = coloring
         if bound <= inst.q:
             return _coloring_verdict(mode, inst.A.order, vertices, colors, bound, evaluations)
+        # H needs more colors than k - 1; its clique number may still clear q
+        # (chi(H) > omega(H), the boundary that no float bound can resolve).
+        bound = _gadget_bound(inst.A.order, len(max_clique(H)))
+        if bound <= inst.q:
+            return _bound_verdict(mode, "exact_clique_oracle", str(bound), evaluations)
 
     def clears(bound: float) -> bool:
         return _pow(bound, p) <= qf * (1.0 - _EQ_BAND)

@@ -202,6 +202,7 @@ def max_clique(G: Graph) -> frozenset:
     return frozenset(best)
 
 
+@lru_cache(maxsize=16384)
 def proper_coloring(G: Graph) -> tuple[int, ...]:
     """Colors 0..r-1 of the vertices 1..n (vertex v gets entry v-1), no edge inside a color.
 
@@ -211,7 +212,8 @@ def proper_coloring(G: Graph) -> tuple[int, ...]:
     `_EXACT_COLORING_LIMIT` vertices, a backtracking search in the same order
     then lowers r to the chromatic number: it tries only colorings with fewer
     colors than the best so far, and stops at the size of a greedily found
-    clique.  Like `max_clique`, it is exponential in the worst case.
+    clique.  Like `max_clique`, it is exponential in the worst case, and
+    memoized by graph.
     """
     adj = G.adjacency
     color = [-1] * (G.n + 1)

@@ -93,6 +93,7 @@ def test_criterion_9_property_suite():
     """Calculus identities at 1e-6 on 100 random instances; on 50 random
     order-3 tensors, ||grad||/3 at the search witness equals the best value
     to 1e-4 relative and no point of a 0.1 net exceeds it by more than
-    1e-12; every NOT certificate re-verifies exactly; no cross-mode
-    contradictions on the exhaustive n <= 4 sweep."""
+    1e-12; every NOT certificate and every SELF_CONCORDANT one (coloring or
+    exact_clique_oracle) re-verifies exactly; no cross-mode contradictions on
+    the exhaustive n <= 4 sweep."""
     _assert_criterion(criterion_property_suite(max_n=4))

@@ -182,15 +182,26 @@ def test_check_sc_exit_codes(footnote_file, k3_file, tmp_path):
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["status"] == "SELF_CONCORDANT"
     # a boundary instance no coloring with k - 1 colors settles (the 5-cycle:
-    # omega 2, three colors, k = 3): a float bound cannot resolve it: undecided, exit 2
+    # omega 2, three colors, k = 3): its clique number settles it exactly, exit 0
     c5_file = tmp_path / "c5.col"
     c5_file.write_text(C5_DIMACS)
-    proc = run_cli(["check-sc2", str(c5_file), "--k", "3", "--tau", "1", "--mode", "grid"])
-    assert proc.returncode == 2
-    assert json.loads(proc.stdout)["status"] == "UNDECIDED"
-    # the cubic 5-cycle gadget has dim 10, where the grid ladder runs no rung: undecided, exit 2
-    proc = run_cli(["check-sc", str(c5_file), "--k", "3", "--sigma", "1/2", "--mode", "grid"])
-    assert proc.returncode == 2
+    for command, param, value, mode, bound in (("check-sc2", "--tau", "1", "relax", "1/4"),
+                                               ("check-sc2", "--tau", "1", "grid", "1/4"),
+                                               ("check-sc", "--sigma", "1/2", "grid", "1/27")):
+        proc = run_cli([command, str(c5_file), "--k", "3", param, value, "--mode", mode])
+        assert proc.returncode == 0, proc.stderr
+        verdict = json.loads(proc.stdout)
+        assert verdict["status"] == "SELF_CONCORDANT"
+        assert verdict["certificate"] == {"kind": "bound", "bound": {"name": "exact_clique_oracle", "value": bound}}
+    # one entry off the gadget orbits leaves no support graph; the cubic
+    # 5-cycle tensor has dim 10, where the grid ladder runs no rung: undecided, exit 2
+    instance = json.loads(run_cli(["reduce", str(c5_file), "--k", "4", "--sigma", "1/2"]).stdout)
+    del instance["graph"], instance["k"]
+    instance["tensor"]["entries"].append([[1, 1, 1], "1/1000"])
+    path = tmp_path / "off_orbit.json"
+    path.write_text(json.dumps(instance))
+    proc = run_cli(["check-sc", str(path), "--mode", "grid"])
+    assert proc.returncode == 2, proc.stderr
     verdict = json.loads(proc.stdout)
     assert verdict["status"] == "UNDECIDED"
     assert "supports dim <= 5, got 10" in verdict["certificate"]["bound_name"]

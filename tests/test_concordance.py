@@ -36,7 +36,7 @@ from selfconcord import (
     sym_from_entries,
     verdict_to_json_obj,
 )
-from selfconcord import concordance, optimize
+from selfconcord import concordance, graphs, optimize
 
 from conftest import off_orbit
 
@@ -158,9 +158,10 @@ def test_check_sc_grid_modes(single_edge, k3):
 
 
 def test_check_sc_grid_rejects_large_dim(c5):
-    """Above dim 5 the grid ladder runs no rung: a decision the coloring does
-    not settle ends UNDECIDED, names the dim limit and counts the search only."""
-    inst = build_cubic_instance(c5, 3, Fraction(1, 2))  # dim 10; omega 2, three colors
+    """Above dim 5 the grid ladder runs no rung: a decision on a tensor without
+    gadget shape that the search does not refute ends UNDECIDED, names the dim
+    limit and counts the search only."""
+    inst = off_orbit(build_cubic_instance(c5, 4, Fraction(1, 2)))  # dim 10; no support graph
     verdict = check_sc(inst, CFG, mode="grid")
     assert verdict.status is Status.UNDECIDED
     assert verdict.certificate["bound_name"] == "grid_lower_and_upper(grid certification supports dim <= 5, got 10)"
@@ -302,11 +303,12 @@ def test_rationalize_vector_reconstructs_simple_floats():
 
 def test_certifies_every_coloring_certificate_on_small_graphs():
     """Relax verdicts on every graph with n <= 5 and every k = 3..6 with omega < k:
-    each coloring certificate re-checks, and the coloring settles every one
-    but the labeled 5-cycles (omega 2, three colors) at k = 3."""
+    each exact certificate re-checks, the coloring settles every one but the
+    labeled 5-cycles (omega 2, three colors) at k = 3, and the clique number
+    settles those."""
     cfg = OptConfig(starts=1, max_iters=5, seed=211)  # with omega < k no search can refute; keep it short
     for kind, check in (("cubic", check_sc), ("quartic", check_sc2)):
-        certified, total, misses = Counter(), Counter(), []
+        certified, total, by_clique = Counter(), Counter(), []
         for n in range(2, 6):
             for G in enumerate_graphs(n):
                 omega = clique_number(G)
@@ -315,16 +317,38 @@ def test_certifies_every_coloring_certificate_on_small_graphs():
                     verdict = check(inst, cfg, mode="relax")
                     truth = "boundary" if omega == k - 1 else "interior"
                     total[truth] += 1
+                    assert verdict.status is Status.SELF_CONCORDANT
+                    assert certifies(inst.A, inst.q, verdict.certificate)
                     if verdict.certificate["kind"] == "coloring":
-                        assert verdict.status is Status.SELF_CONCORDANT
-                        assert certifies(inst.A, inst.q, verdict.certificate)
                         certified[truth] += 1
                     else:
-                        misses.append((G, k))
+                        assert verdict.certificate["bound"]["name"] == "exact_clique_oracle"
+                        by_clique.append((G, k))
         assert (certified["interior"], total["interior"]) == (2554, 2554)
         assert (certified["boundary"], total["boundary"]) == (1082, 1094)
-        assert len(misses) == 12
-        assert all(k == 3 and G.n == 5 and all(len(a) == 2 for a in G.adjacency.values()) for G, k in misses)
+        assert len(by_clique) == 12
+        assert all(k == 3 and G.n == 5 and all(len(a) == 2 for a in G.adjacency.values()) for G, k in by_clique)
+
+
+def test_clique_number_settles_the_five_cycle(c5):
+    """chi > omega at the boundary: relax and grid certify the 5-cycle gadgets at
+    k = 3 from omega = 2, and `certifies` refuses every tampered copy."""
+    for inst, check, value in ((build_cubic_instance(c5, 3, Fraction(1, 2)), check_sc, "1/27"),
+                               (build_quartic_instance(c5, 3, 1), check_sc2, "1/4")):
+        assert inst.q == Fraction(value)
+        for mode in ("relax", "grid"):
+            verdict = check(inst, CFG, mode=mode)
+            assert verdict.status is Status.SELF_CONCORDANT
+            assert verdict.certificate == {"kind": "bound", "bound": {"name": "exact_clique_oracle", "value": value}}
+            assert verdict.evaluations == concordance._search(inst.A, c5, CFG).evaluations
+            assert certifies(inst.A, inst.q, verdict.certificate)
+        certificate = verdict.certificate
+        assert certifies(inst.A, inst.q, check(inst, CFG, mode="oracle").certificate)
+        assert not certifies(inst.A, inst.q, {"kind": "bound", "bound": {"name": "exact_clique_oracle", "value": "1/3"}})
+        assert not certifies(inst.A, inst.q - Fraction(1, 10**9), certificate)  # q < c(1 - 1/omega)
+        assert not certifies(off_orbit(inst).A, inst.q, certificate)  # no support graph
+        assert not certifies(inst.A, inst.q, {"kind": "bound", "bound": {"name": "spectral_upper_bound", "value": value}})
+        assert not certifies(inst.A, inst.q, {"kind": "bound", "bound": "exact_clique_oracle"})
 
 
 def test_certifies_rejects_tampered_certificates(footnote_graph):
@@ -430,6 +454,7 @@ ANALYSES = (concordance._search, concordance._coloring)
 def clear_analyses():
     for cached in ANALYSES:
         cached.cache_clear()
+    graphs.proper_coloring.cache_clear()
 
 
 @pytest.fixture
@@ -516,6 +541,18 @@ def test_equal_gadget_tensors_color_once(counted, footnote_graph):
     verdicts[0].certificate["colors"].append(2)  # a caller's edit reaches no later verdict
     again = check_sc(build_cubic_instance(footnote_graph, 3, Fraction(1, 2)), CFG, mode="relax")
     assert again.certificate == verdicts[1].certificate != verdicts[0].certificate
+
+
+def test_both_gadgets_of_a_graph_color_once(counted, c5):
+    """The cubic and quartic gadgets of one graph have one support graph, so
+    they cost one `proper_coloring` miss; the float bounds never run."""
+    for k in (3, 4):
+        assert check_sc(build_cubic_instance(c5, k, Fraction(1, 2)), CFG, mode="relax").status is Status.SELF_CONCORDANT
+        assert check_sc2(build_quartic_instance(c5, k, 1), CFG, mode="grid").status is Status.SELF_CONCORDANT
+    assert counted["proper_coloring"] == 2  # one per gadget tensor, from `_coloring`
+    info = graphs.proper_coloring.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    assert counted["spectral_upper_bound"] == counted["grid_lower_and_upper"] == 0
 
 
 def test_over_budget_rungs_raise_and_are_not_kept(counted, monkeypatch, footnote_graph):

@@ -183,7 +183,16 @@ def test_stability_equals_complement_clique_exhaustive_n6():
     assert count == 2**15 - 1
 
 
-def test_proper_coloring_is_minimal_up_to_the_limit(monkeypatch, c5):
+@pytest.fixture
+def fresh_colorings():
+    """An empty `proper_coloring` memo, emptied again on teardown, so that no
+    coloring made under a patched limit reaches a later test."""
+    proper_coloring.cache_clear()
+    yield
+    proper_coloring.cache_clear()
+
+
+def test_proper_coloring_is_minimal_up_to_the_limit(monkeypatch, fresh_colorings, c5):
     for n in range(2, 6):
         for G in enumerate_graphs(n):
             assert assert_proper(G, proper_coloring(G)) == brute_force_chromatic_number(G)
@@ -194,6 +203,7 @@ def test_proper_coloring_is_minimal_up_to_the_limit(monkeypatch, c5):
     assert clique_number(grotzsch) == 2 and assert_proper(grotzsch, proper_coloring(grotzsch)) == 4
     # Above the limit the DSATUR coloring stands: still proper, not always minimal.
     monkeypatch.setattr(graphs, "_EXACT_COLORING_LIMIT", 0)
+    proper_coloring.cache_clear()  # else the exact colorings above would be returned again
     for G in enumerate_graphs(5):
         assert assert_proper(G, proper_coloring(G)) >= brute_force_chromatic_number(G)
     assert assert_proper(Graph(0, frozenset()), proper_coloring(Graph(0, frozenset()))) == 0
