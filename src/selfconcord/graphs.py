@@ -34,8 +34,9 @@ __all__ = [
     "enumerate_graphs",
 ]
 
-# Largest vertex count a graph file may declare.  The header is checked
-# before anything is built per vertex, so an oversized count fails at once.
+# Largest vertex count a graph file (or the graph of an instance JSON) may
+# declare.  The count is checked before anything is built per vertex, so an
+# oversized count fails at once.
 MAX_VERTICES = 10_000
 
 # Largest vertex count that `proper_coloring` colors with the fewest colors;

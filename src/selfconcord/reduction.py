@@ -43,6 +43,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, Iterable
 
 import numpy as np
@@ -136,9 +137,16 @@ class ConcordanceInstance:
 # ---------------------------------------------------------------------------
 # Gadget tensors and clique witnesses
 
+# Gadget tensors of each kind kept per process, least recently used first
+# out.  A tensor depends on its graph alone, so every decision of a k-sweep
+# gets the same object, whose hash and packed arrays are computed once and
+# which the checker's caches then find by identity.
+_KEPT_GADGETS = 64
 
+
+@lru_cache(maxsize=_KEPT_GADGETS)
 def build_cubic_tensor(G: Graph) -> SymTensor:
-    """Edge-coupled cubic tensor on R^(n+m).
+    """Edge-coupled cubic tensor on R^(n+m), memoized by graph.
 
     Coordinates: h = (u_1, ..., u_n, w_e1, ..., w_em) with edges in
     G.edge_order.  One canonical entry per edge, value 1/6 (the orbit has 6
@@ -152,8 +160,9 @@ def build_cubic_tensor(G: Graph) -> SymTensor:
     return sym_from_entries(3, n + G.m, raw)
 
 
+@lru_cache(maxsize=_KEPT_GADGETS)
 def build_quartic_tensor(G: Graph) -> SymTensor:
-    """Square-pair quartic tensor on R^n: form is sum over edges of h_i^2 h_j^2."""
+    """Square-pair quartic tensor on R^n, memoized by graph: form is sum over edges of h_i^2 h_j^2."""
     _require_reducible(G)
     raw = [((i, i, j, j), Fraction(1, 6)) for i, j in G.edge_order]
     return sym_from_entries(4, G.n, raw)
@@ -239,8 +248,9 @@ def unit_witness(kind: str, G: Graph, C: Iterable[int]) -> np.ndarray:
     return h / np.linalg.norm(h)
 
 
+@lru_cache(maxsize=256, typed=True)
 def threshold(kind: str, k: int) -> Fraction:
-    """q = c * (1 - 1/(k-1)), the decision threshold of the `kind` gadget for clique size k."""
+    """q = c * (1 - 1/(k-1)), the decision threshold of the `kind` gadget for clique size k, memoized."""
     if k < 2:
         raise ValueError(f"k must be >= 2, got {k}")
     return GADGETS[kind].c * (1 - Fraction(1, k - 1))

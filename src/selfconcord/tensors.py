@@ -23,7 +23,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import permutations
-from typing import Iterable, NamedTuple, Sequence
+from types import MappingProxyType
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -95,7 +96,7 @@ class SymTensor:
 
     order: int
     dim: int
-    entries: dict[tuple[int, ...], Fraction]
+    entries: Mapping[tuple[int, ...], Fraction]
 
     def __post_init__(self):
         if self.order not in (2, 3, 4):
@@ -114,7 +115,8 @@ class SymTensor:
             value = _as_fraction(value)
             if value != 0:
                 clean[key] = value
-        object.__setattr__(self, "entries", clean)
+        # Read-only: `reduction` hands one memoized gadget tensor to every caller.
+        object.__setattr__(self, "entries", MappingProxyType(clean))
 
     @cached_property
     def _packed(self) -> _Packed:

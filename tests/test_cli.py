@@ -294,6 +294,20 @@ def test_oversized_vertex_count_exit_3():
         assert "Traceback" not in proc.stderr
 
 
+def test_instance_json_oversized_graph_exit_3(k3_file, tmp_path):
+    # A triangle on 20,000 vertices: the quartic gadget's entries do not move
+    # with n, so only the declared counts grow past the graph-file limit.
+    instance = json.loads(run_cli(["reduce", k3_file, "--k", "3", "--kind", "quartic", "--tau", "1"]).stdout)
+    instance["graph"]["n"] = instance["tensor"]["dim"] = 20_000
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(instance))
+    for mode in ("oracle", "relax"):
+        proc = run_cli(["check-sc2", str(path), "--mode", mode])
+        assert proc.returncode == 3, proc.stdout
+        assert "20000 vertices, above the limit of 10000" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+
 def test_closed_stdout_exits_3(tmp_path):
     # The report (~240 kB) outgrows the pipe buffer, so the writer is still
     # writing when the reader closes its end after one byte.

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from selfconcord import (
+    GADGETS,
     ConcordanceInstance,
     OptConfig,
     Status,
@@ -36,7 +37,7 @@ from selfconcord import (
     sym_from_entries,
     verdict_to_json_obj,
 )
-from selfconcord import concordance, graphs, optimize
+from selfconcord import concordance, graphs, optimize, reduction
 
 from conftest import off_orbit
 
@@ -449,12 +450,14 @@ def test_verdict_json_shape(k3):
 
 
 ANALYSES = (concordance._search, concordance._coloring)
+GADGET_MEMOS = (reduction.build_cubic_tensor, reduction.build_quartic_tensor)
 
 
 def clear_analyses():
-    for cached in ANALYSES:
+    for cached in ANALYSES + GADGET_MEMOS:
         cached.cache_clear()
     graphs.proper_coloring.cache_clear()
+    reduction.threshold.cache_clear()
 
 
 @pytest.fixture
@@ -500,6 +503,26 @@ def test_sweep_verdicts_do_not_depend_on_reuse():
     # The sweep touched far more analyses of each kind than a cache keeps.
     for cached in ANALYSES:
         assert cached.cache_info().currsize == cached.cache_info().maxsize == concordance._KEPT_ANALYSES
+    for cached in GADGET_MEMOS:
+        assert cached.cache_info().currsize == cached.cache_info().maxsize == reduction._KEPT_GADGETS
+
+
+def test_a_k_sweep_shares_one_gadget_tensor(c5):
+    """Each decision of a k-sweep over one graph and kind gets the same
+    tensor object, also from an equal graph built anew, so the analysis
+    caches find it by identity; an `off_orbit` copy is a new object each time.
+    The shared tensor's entries are read-only."""
+    clear_analyses()
+    for kind in GADGETS:
+        sweep = [build_instance(c5, kind, k, 1) for k in (3, 4, 5, 6)]
+        sweep.append(build_instance(graph_from_edges(5, sorted(c5.edges)), kind, 3, 1))
+        assert all(inst.A is GADGETS[kind].tensor(c5) for inst in sweep)
+        with pytest.raises(TypeError):
+            sweep[0].A.entries[(1,) * sweep[0].A.order] = Fraction(1)
+        copies = [off_orbit(inst) for inst in sweep]
+        assert len({id(copy.A) for copy in copies}) == len(copies)
+        assert all(copy.A == copies[0].A != sweep[0].A for copy in copies)
+    assert [cached.cache_info().misses for cached in GADGET_MEMOS] == [1, 1]
 
 
 def test_equal_tensors_hit_the_memo_and_other_keys_miss(counted, footnote_graph):
