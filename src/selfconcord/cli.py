@@ -40,7 +40,7 @@ from .acceptance import (
     sphere_side,
 )
 from .concordance import MODES, Status, check_sc, check_sc2, sigma_opt_bounds, verdict_to_json_obj
-from .graphs import MAX_VERTICES, Graph, complement, max_clique, max_stable_set, parse_graph_text
+from .graphs import Graph, complement, declared_vertices, max_clique, max_stable_set, parse_graph_text
 from .optimize import DEFAULT_SEED, OptConfig, report_to_json_obj
 from .reduction import GADGETS, CliqueInstance, ConcordanceInstance, build_instance, threshold
 from .tensors import tensor_from_json_obj, tensor_from_text, tensor_to_json_obj
@@ -198,10 +198,7 @@ def _instance_from_obj(obj: dict) -> ConcordanceInstance:
     provenance = None
     if "graph" in obj and "k" in obj:
         g = obj["graph"]
-        n = int(g["n"])
-        if n > MAX_VERTICES:
-            raise ValueError(f"field 'graph.n' declares {n} vertices, above the limit of {MAX_VERTICES}")
-        G = Graph(n, frozenset(tuple(e) for e in g["edges"]))
+        G = Graph(declared_vertices(g["n"], "field 'graph.n'"), frozenset(tuple(e) for e in g["edges"]))
         # only trust provenance if the tensor really is the standard gadget
         if gadget.tensor(G) == A:
             provenance = CliqueInstance(G, int(obj["k"]))

@@ -34,21 +34,21 @@ The parameter convention follows the defining inequality as written here:
 larger sigma (larger q) is a weaker requirement.
 
 Of a numeric decision, only the comparisons against q depend on k.
-`reduction` memoizes the gadget tensors by graph and the thresholds by
-(kind, k), so the decisions of a k-sweep share one tensor object, which
-the caches of the search and the coloring find by identity instead of
-comparing its entries.  The multistart search (with the clique start and
-nonnegative starts when the instance has graph provenance) depends on the
-tensor, the provenance graph and the `OptConfig` alone, and the coloring
-on the tensor alone; both are kept in bounded LRU caches, so a k-sweep or
-a relax-then-grid pair searches and colors each gadget once.  `graphs`
-memoizes `proper_coloring` and `max_clique` by graph, so the cubic and
-quartic gadgets of one graph share one coloring and one clique.  The float
-bounds run on each decision that reaches them, which the exact rungs leave
-to tensors without gadget shape and to gadgets whose clique-number bound
-exceeds q.  Comparisons, rationalization and exact re-verification run on
-every decision, so a verdict, `evaluations` included, is the same whether
-the analysis was reused or not.
+`reduction` memoizes the last graph's gadget tensor of each kind and the
+thresholds by (kind, k), so the decisions of a k-sweep share one tensor
+object, which the caches of the search and the coloring find by identity
+instead of comparing its entries.  The multistart search (with the clique
+start and nonnegative starts when the instance has graph provenance)
+depends on the tensor, the provenance graph and the `OptConfig` alone, and
+the coloring on the tensor alone; both are kept in bounded LRU caches, so
+a k-sweep or a relax-then-grid pair searches and colors each gadget once.
+`graphs` memoizes `proper_coloring` and `max_clique` by graph, so the cubic
+and quartic gadgets of one graph share one coloring and one clique.  The
+float bounds run on each decision that reaches them, which the exact rungs
+leave to tensors without gadget shape and to gadgets whose clique-number
+bound exceeds q.  Comparisons, rationalization and exact re-verification
+run on every decision, so a verdict, `evaluations` included, is the same
+whether the analysis was reused or not.
 """
 
 from __future__ import annotations

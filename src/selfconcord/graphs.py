@@ -84,10 +84,11 @@ def graph_from_edges(n: int, pairs: Iterable[tuple[int, int]]) -> Graph:
     return Graph(n, frozenset((min(i, j), max(i, j)) for i, j in pairs))
 
 
-def _declared_vertices(field: str) -> int:
+def declared_vertices(field, source: str = "header") -> int:
+    """The vertex count `field` that `source` declares, refused above `MAX_VERTICES`."""
     n = int(field)
     if n > MAX_VERTICES:
-        raise ValueError(f"header declares {n} vertices, above the limit of {MAX_VERTICES}")
+        raise ValueError(f"{source} declares {n} vertices, above the limit of {MAX_VERTICES}")
     return n
 
 
@@ -105,7 +106,7 @@ def parse_dimacs(text: str) -> Graph:
                 raise ValueError(f"line {lineno}: duplicate 'p' header")
             if len(parts) != 4 or parts[1] != "edge":
                 raise ValueError(f"line {lineno}: malformed header {line!r}, expected 'p edge n m'")
-            n = _declared_vertices(parts[2])
+            n = declared_vertices(parts[2])
         elif parts[0] == "e":
             if n is None:
                 raise ValueError(f"line {lineno}: edge before 'p edge' header")
@@ -127,7 +128,7 @@ def parse_edge_list(text: str) -> Graph:
     head = lines[0].split()
     if len(head) != 2:
         raise ValueError(f"malformed edge-list header {lines[0]!r}, expected 'n m'")
-    n, m = _declared_vertices(head[0]), int(head[1])
+    n, m = declared_vertices(head[0]), int(head[1])
     pairs = []
     for ln in lines[1:]:
         parts = ln.split()

@@ -137,11 +137,13 @@ class ConcordanceInstance:
 # ---------------------------------------------------------------------------
 # Gadget tensors and clique witnesses
 
-# Gadget tensors of each kind kept per process, least recently used first
-# out.  A tensor depends on its graph alone, so every decision of a k-sweep
-# gets the same object, whose hash and packed arrays are computed once and
-# which the checker's caches then find by identity.
-_KEPT_GADGETS = 64
+# Gadget tensors of each kind kept per process: the last graph's.  A tensor
+# depends on its graph alone, so every decision of a k-sweep gets the same
+# object, whose hash and packed arrays are computed once and which the
+# checker's caches then find by identity.  Sweeps are graph-major (all k and
+# modes of one graph in a row), so a deeper memo would add no hit, only keep
+# the gadgets of graphs already done alive.
+_KEPT_GADGETS = 1
 
 
 @lru_cache(maxsize=_KEPT_GADGETS)
@@ -248,6 +250,8 @@ def unit_witness(kind: str, G: Graph, C: Iterable[int]) -> np.ndarray:
     return h / np.linalg.norm(h)
 
 
+# Typed, so that a float k still fails in `Fraction` instead of reading the
+# entry of the equal int.
 @lru_cache(maxsize=256, typed=True)
 def threshold(kind: str, k: int) -> Fraction:
     """q = c * (1 - 1/(k-1)), the decision threshold of the `kind` gadget for clique size k, memoized."""

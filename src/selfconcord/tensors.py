@@ -144,6 +144,10 @@ class SymTensor:
         lto_tail = np.concatenate([idx[:, t] for _, t in pairs])
         return _Packed(idx, weights, loo, loo_target, lto, lto_head, lto_tail)
 
+    def __reduce__(self):
+        # The read-only view does not pickle; rebuild from a plain dict.
+        return (SymTensor, (self.order, self.dim, dict(self.entries)))
+
     def __eq__(self, other) -> bool:
         if not isinstance(other, SymTensor):
             return NotImplemented

@@ -4,7 +4,9 @@ Independent re-verification of NOT certificates is done here with a
 test-local full-hypermatrix rational evaluation, not the library's path.
 """
 
+import copy
 import json
+import pickle
 from collections import Counter
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
@@ -503,8 +505,13 @@ def test_sweep_verdicts_do_not_depend_on_reuse():
     # The sweep touched far more analyses of each kind than a cache keeps.
     for cached in ANALYSES:
         assert cached.cache_info().currsize == cached.cache_info().maxsize == concordance._KEPT_ANALYSES
+    # The warm sweep is graph-major, so it built each gadget once per graph
+    # and found it in the memo for the other three k.
+    graph_count = sum(1 for n in range(2, 5) for _ in enumerate_graphs(n))
     for cached in GADGET_MEMOS:
-        assert cached.cache_info().currsize == cached.cache_info().maxsize == reduction._KEPT_GADGETS
+        info = cached.cache_info()
+        assert info.currsize == info.maxsize == reduction._KEPT_GADGETS
+        assert (info.misses, info.hits) == (graph_count, 3 * graph_count)
 
 
 def test_a_k_sweep_shares_one_gadget_tensor(c5):
@@ -519,10 +526,22 @@ def test_a_k_sweep_shares_one_gadget_tensor(c5):
         assert all(inst.A is GADGETS[kind].tensor(c5) for inst in sweep)
         with pytest.raises(TypeError):
             sweep[0].A.entries[(1,) * sweep[0].A.order] = Fraction(1)
-        copies = [off_orbit(inst) for inst in sweep]
-        assert len({id(copy.A) for copy in copies}) == len(copies)
-        assert all(copy.A == copies[0].A != sweep[0].A for copy in copies)
+        perturbed = [off_orbit(inst) for inst in sweep]
+        assert len({id(inst.A) for inst in perturbed}) == len(perturbed)
+        assert all(inst.A == perturbed[0].A != sweep[0].A for inst in perturbed)
     assert [cached.cache_info().misses for cached in GADGET_MEMOS] == [1, 1]
+
+
+@pytest.mark.parametrize("kind", sorted(GADGETS))
+def test_a_shared_gadget_tensor_pickles_and_copies(c5, kind):
+    """A memoized tensor survives `pickle` and `copy.deepcopy` as an equal,
+    separate tensor whose entries still refuse an edit."""
+    A = GADGETS[kind].tensor(c5)
+    assert len(A._packed.idx) == len(A.entries)  # a cached float view must not stop the copy
+    for clone in (pickle.loads(pickle.dumps(A)), copy.deepcopy(A)):
+        assert clone == A and clone is not A and hash(clone) == hash(A)
+        with pytest.raises(TypeError):
+            clone.entries[(1,) * A.order] = Fraction(1)
 
 
 def test_equal_tensors_hit_the_memo_and_other_keys_miss(counted, footnote_graph):

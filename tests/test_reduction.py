@@ -134,6 +134,9 @@ def test_cubic_threshold_values():
     assert threshold("cubic", 4) == Fraction(4, 81)
     with pytest.raises(ValueError):
         threshold("cubic", 1)
+    # The memo keeps a float k failing after the equal int was memoized.
+    with pytest.raises(TypeError):
+        threshold("cubic", 3.0)
 
 
 def test_quartic_threshold_values():
