@@ -193,7 +193,7 @@ def _instance_from_obj(obj: dict) -> ConcordanceInstance:
     if kind not in GADGETS:
         raise ValueError(f"instance kind must be one of {tuple(GADGETS)}, got {kind!r}")
     gadget = GADGETS[kind]
-    A = tensor_from_json_obj(obj["tensor"])
+    A = tensor_from_json_obj(obj["tensor"], "field 'tensor.dim'")
     q = Fraction(obj["q"])
     provenance = None
     if "graph" in obj and "k" in obj:

@@ -114,10 +114,6 @@ _KEPT_ANALYSES = 64
 # A tensor's gadget kind, told apart by its order.
 _KIND_OF_ORDER = {gadget.order: kind for kind, gadget in GADGETS.items()}
 
-# The largest |value| of an entry of gadget shape.  A gadget puts 1/6 on each
-# orbit, which has 6 positions, so its monomial enters the form once.
-_GADGET_ENTRY = Fraction(1, 6)
-
 
 class Status(enum.Enum):
     SELF_CONCORDANT = "SELF_CONCORDANT"
@@ -227,39 +223,50 @@ def _gadget_support(A: SymTensor) -> tuple[tuple[int, ...], list[tuple[int, int]
     (i, i, j, j) with i < j for order 4 or (i, j, w) with i < j < w for
     order 3, where each edge coordinate w is in one entry only and is no
     entry's i or j, and no pair (i, j) repeats.  The vertex coordinates are
-    all coordinates but the edge coordinates.
+    all coordinates but the edge coordinates.  (A gadget puts 1/6 on each
+    orbit, which has 6 positions, so its monomial enters the form once.)
+    One pass over the entries, in integers: |value| <= 1/6 is
+    6 |numerator| <= denominator.
     """
     if A.order not in _KIND_OF_ORDER or not A.entries:
         return None
     pairs = []
+    ends = set()  # every entry's i and j
     edge_coordinates = set()
     for key, value in A.entries.items():
-        if abs(value) > _GADGET_ENTRY:
+        if 6 * abs(value.numerator) > value.denominator:
             return None
         if A.order == 4:
             i, i2, j, j2 = key
-            if not i == i2 < j == j2:
+            if not i == i2 < j == j2:  # distinct keys, so no pair repeats
                 return None
         else:
             i, j, w = key
-            if not i < j < w or w in edge_coordinates:
+            if not i < j < w or w in edge_coordinates or w in ends:
+                return None
+            if i in edge_coordinates or j in edge_coordinates:
                 return None
             edge_coordinates.add(w)
+            ends.add(i)
+            ends.add(j)
         pairs.append((i, j))
-    if len(set(pairs)) < len(pairs) or any(v in edge_coordinates for pair in pairs for v in pair):
+    if A.order == 3 and len(set(pairs)) < len(pairs):
         return None
     return tuple(v for v in range(1, A.dim + 1) if v not in edge_coordinates), pairs
 
 
 def _support_graph(vertices: tuple[int, ...], pairs: list[tuple[int, int]]) -> Graph:
     """The support graph H of a tensor of gadget shape, its vertex coordinates renumbered 1..n in order."""
+    if vertices[-1] == len(vertices):  # already 1..n, as in every gadget built from a graph
+        return Graph(len(vertices), frozenset(pairs))
     position = {v: i for i, v in enumerate(vertices, start=1)}
     return Graph(len(vertices), frozenset((position[i], position[j]) for i, j in pairs))
 
 
 def _gadget_bound(order: int, r: int) -> Fraction:
     """c(1 - 1/r) of the gadget of this order."""
-    return GADGETS[_KIND_OF_ORDER[order]].c * (1 - Fraction(1, r))
+    c = GADGETS[_KIND_OF_ORDER[order]].c
+    return Fraction(c.numerator * (r - 1), c.denominator * r)
 
 
 def certifies(A: SymTensor, q, certificate: dict) -> bool:

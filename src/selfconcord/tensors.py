@@ -45,6 +45,14 @@ __all__ = [
     "tensor_from_json_obj",
 ]
 
+# Largest dim a tensor file or JSON object may declare, checked before any
+# entry is parsed.  Above `optimize._DENSE_LIMIT` a default search (8 random
+# starts and a clique start) keeps about fifteen (starts x dim) float arrays
+# live in its truncated-CG steps: a measured peak of ~1.1 KB per coordinate
+# at dim 10^5 (tracemalloc), so ~1.1 GB at this cap.  The cubic gadget of a
+# 250-vertex half-edge graph has dim 15,812.
+MAX_DIM = 1_000_000
+
 # Points per block of `eval_form_batch`: a block's products take rows x entries floats.
 _BATCH_ROWS = 262_144
 
@@ -349,6 +357,14 @@ def tensor_to_text(A: SymTensor) -> str:
     return "\n".join(lines) + "\n"
 
 
+def declared_dim(field, source: str = "header") -> int:
+    """The dim `field` that `source` declares, refused above `MAX_DIM`."""
+    dim = int(field)
+    if dim > MAX_DIM:
+        raise ValueError(f"{source} declares dim {dim}, above the limit of {MAX_DIM}")
+    return dim
+
+
 def tensor_from_text(text: str) -> SymTensor:
     lines = [ln.strip() for ln in text.splitlines() if ln.strip() and not ln.lstrip().startswith("#")]
     if not lines:
@@ -356,7 +372,7 @@ def tensor_from_text(text: str) -> SymTensor:
     head = lines[0].split()
     if len(head) != 2:
         raise ValueError(f"malformed tensor header {lines[0]!r}, expected 'order dim'")
-    order, dim = int(head[0]), int(head[1])
+    order, dim = int(head[0]), declared_dim(head[1])
     raw = []
     for ln in lines[1:]:
         parts = ln.split()
@@ -374,6 +390,8 @@ def tensor_to_json_obj(A: SymTensor) -> dict:
     }
 
 
-def tensor_from_json_obj(obj: dict) -> SymTensor:
+def tensor_from_json_obj(obj: dict, source: str = "field 'dim'") -> SymTensor:
+    """The tensor of a JSON object; `source` names its dim field in the refusal of an oversized dim."""
+    dim = declared_dim(obj["dim"], source)
     raw = [(tuple(key), Fraction(value)) for key, value in obj["entries"]]
-    return sym_from_entries(int(obj["order"]), int(obj["dim"]), raw)
+    return sym_from_entries(int(obj["order"]), dim, raw)

@@ -1,13 +1,17 @@
-"""Shared fixtures: canonical small graphs and random tensor generation."""
+"""Shared fixtures: canonical small graphs, random tensor generation and a reference coloring."""
 
 import dataclasses
+import importlib.util
+import sys
 from fractions import Fraction
 from itertools import combinations_with_replacement
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from selfconcord import Graph, SymTensor, graph_from_edges, sym_from_entries
+from selfconcord.graphs import _EXACT_COLORING_LIMIT
 
 
 @pytest.fixture
@@ -59,3 +63,91 @@ def off_orbit(inst):
     """
     A = inst.A
     return dataclasses.replace(inst, A=SymTensor(A.order, A.dim, {**A.entries, (1,) * A.order: Fraction(1, 1000)}))
+
+
+def reference_coloring(G: Graph) -> tuple[int, ...]:
+    """The set-based DSATUR and exact phase that `graphs.proper_coloring` replaced, kept as its reference.
+
+    Saturation is recounted from every neighbour's color at every step, and
+    the exact phase stops at a greedily found clique instead of at omega.
+    The selection order and the lowest-free-color rule are those of
+    `proper_coloring`, so both return the same colors.
+    """
+    adj = G.adjacency
+    color = [-1] * (G.n + 1)
+    uncolored = set(adj)
+
+    def most_saturated() -> int:
+        return max(uncolored, key=lambda v: (len({color[u] for u in adj[v]} - {-1}), len(adj[v]), -v))
+
+    while uncolored:
+        v = most_saturated()
+        taken = {color[u] for u in adj[v]}
+        color[v] = next(c for c in range(G.n) if c not in taken)
+        uncolored.remove(v)
+    best = color[1:]
+    if G.n > _EXACT_COLORING_LIMIT:
+        return tuple(best)
+
+    clique: list[int] = []
+    for v in sorted(adj, key=lambda v: (-len(adj[v]), v)):
+        if adj[v].issuperset(clique):
+            clique.append(v)
+    best_r = max(best, default=-1) + 1
+    color = [-1] * (G.n + 1)
+    uncolored = set(adj)
+
+    def extend(used: int) -> bool:
+        nonlocal best, best_r
+        if used >= best_r:
+            return False
+        if not uncolored:
+            best, best_r = color[1:], used
+            return used <= len(clique)
+        v = most_saturated()
+        taken = {color[u] for u in adj[v]}
+        uncolored.remove(v)
+        for c in range(min(used + 1, best_r - 1)):
+            if c not in taken:
+                color[v] = c
+                if extend(max(used, c + 1)):
+                    return True
+        color[v] = -1
+        uncolored.add(v)
+        return False
+
+    if best_r > len(clique):
+        extend(0)
+    return tuple(best)
+
+
+def gnm(n: int, m: int, seed: int) -> Graph:
+    """A seeded G(n, M) graph: m distinct edges drawn uniformly from the n(n-1)/2 pairs."""
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    chosen = np.random.default_rng(seed).choice(len(pairs), size=m, replace=False)
+    return graph_from_edges(n, [pairs[c] for c in chosen])
+
+
+def mycielskian(G: Graph) -> Graph:
+    """Mycielski's graph of G: one more color, no larger clique (omega stays 2 from C5 on).
+
+    Vertices 1..n are G's, n + i shadows vertex i (joined to i's neighbours),
+    and 2n + 1 is joined to every shadow.  From C5 it gives the Grötzsch
+    graph (11 vertices, chromatic number 4), then 23 vertices with 5.
+    """
+    n = G.n
+    edges = list(G.edges)
+    for i, j in G.edges:
+        edges += [(i, n + j), (j, n + i)]
+    edges += [(n + i, 2 * n + 1) for i in range(1, n + 1)]
+    return graph_from_edges(2 * n + 1, edges)
+
+
+def relax_ladder_graphs(seed: int) -> list[Graph]:
+    """The graphs of the benchmark's relax-ladder workload at `seed` (perfbench/workloads.py)."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads  # dataclasses resolve the module's annotations through it
+    spec.loader.exec_module(workloads)
+    return workloads.relax_ladder(seed).graphs

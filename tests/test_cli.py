@@ -10,8 +10,9 @@ from pathlib import Path
 
 import pytest
 
-from selfconcord import certifies, tensor_from_json_obj, violates_cubic
+from selfconcord import certifies, cli, concordance, tensor_from_json_obj, tensors, violates_cubic
 from selfconcord.cli import _instance_from_obj
+from selfconcord.tensors import MAX_DIM
 
 K3_DIMACS = "p edge 3 3\ne 1 2\ne 2 3\ne 1 3\n"
 FOOTNOTE_DIMACS = "p edge 3 1\ne 1 2\n"
@@ -306,6 +307,28 @@ def test_instance_json_oversized_graph_exit_3(k3_file, tmp_path):
         assert proc.returncode == 3, proc.stdout
         assert "20000 vertices, above the limit of 10000" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+
+def test_tensor_dim_above_the_cap_exit_3(tmp_path, monkeypatch, capsys):
+    """A declared dim of MAX_DIM + 1 exits 3 naming the field and the limit,
+    before any entry is read or any search draws a start of that length."""
+    built = []
+    monkeypatch.setattr(tensors, "sym_from_entries", lambda *args: built.append(args))
+    monkeypatch.setattr(concordance, "max_form_sphere", lambda *args, **kwargs: built.append(args))
+    tensor = {"order": 3, "dim": MAX_DIM + 1, "entries": [[[1, 2, 3], "1/6"]]}
+    instance = {"kind": "cubic", "q": "1/27", "tensor": tensor}
+    cases = (
+        (["sigma-opt"], f"3 {MAX_DIM + 1}\n1 2 3 1/6\n", "header"),
+        (["sigma-opt"], json.dumps(tensor), "field 'dim'"),
+        (["check-sc", "--mode", "relax"], json.dumps(instance), "field 'tensor.dim'"),
+    )
+    for command, text, field in cases:
+        path = tmp_path / "input"
+        path.write_text(text)
+        assert cli.main([*command, str(path)]) == 3
+        message = capsys.readouterr().err
+        assert f"{field} declares dim {MAX_DIM + 1}, above the limit of {MAX_DIM}" in message, message
+    assert built == []
 
 
 def test_closed_stdout_exits_3(tmp_path):

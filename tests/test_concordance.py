@@ -391,6 +391,30 @@ def test_certifies_rejects_tampered_certificates(footnote_graph):
     assert not certifies(quartic.A, quartic.q - Fraction(1, 10**9), certificate)
 
 
+def test_gadget_shape_reads_one_sixth_exactly(footnote_graph):
+    """|value| <= 1/6 is read in integers, boundary included: entries 1/6,
+    -1/6 and 1/6 - 10^-30 keep the footnote gadget's coloring certificate,
+    while 1/6 + 10^-30 and its negative have no gadget shape, so neither
+    `certifies` nor the coloring rung accepts them."""
+    sixth, tiny = Fraction(1, 6), Fraction(1, 10**30)
+    for base, check, key in (
+        (build_cubic_instance(footnote_graph, 3, Fraction(1, 2)), check_sc, (1, 2, 4)),
+        (build_quartic_instance(footnote_graph, 3, 1), check_sc2, (1, 1, 2, 2)),
+    ):
+        certificate = check(base, CFG, mode="relax").certificate
+        assert certificate["kind"] == "coloring"
+        for value, accepted in ((sixth, True), (-sixth, True), (sixth - tiny, True),
+                                (sixth + tiny, False), (-(sixth + tiny), False)):
+            A = SymTensor(base.A.order, base.A.dim, {key: value})
+            assert certifies(A, base.q, certificate) is accepted
+            inst = ConcordanceInstance(kind=base.kind, A=A, q=base.q)
+            verdict = check(inst, CFG, mode="relax")
+            if accepted:
+                assert verdict.status is Status.SELF_CONCORDANT and verdict.certificate == certificate
+            else:  # the maximum is within the float band around q, so no other rung decides
+                assert verdict.status is Status.UNDECIDED
+
+
 # ---------------------------------------------------------------------------
 # Optimal-parameter bracket
 

@@ -24,7 +24,9 @@ from selfconcord import (
     stability_number,
 )
 from selfconcord import graphs
-from selfconcord.graphs import MAX_VERTICES
+from selfconcord.graphs import MAX_VERTICES, _EXACT_COLORING_LIMIT
+
+from conftest import gnm, mycielskian, reference_coloring, relax_ladder_graphs
 
 
 def brute_force_clique_number(G: Graph) -> int:
@@ -207,6 +209,39 @@ def test_proper_coloring_is_minimal_up_to_the_limit(monkeypatch, fresh_colorings
     for G in enumerate_graphs(5):
         assert assert_proper(G, proper_coloring(G)) >= brute_force_chromatic_number(G)
     assert assert_proper(Graph(0, frozenset()), proper_coloring(Graph(0, frozenset()))) == 0
+
+
+def test_proper_coloring_matches_the_set_based_reference(fresh_colorings, c5):
+    """The bitmask DSATUR and the exact phase that stops at omega return the
+    reference's colors, on graphs that DSATUR colors optimally, that the exact
+    phase lowers, with chi > omega (5-cycle and Mycielskians), and above
+    the exact limit (DSATUR only)."""
+    corpus = [Graph(n, frozenset()) for n in range(6)]
+    for n in range(2, 6):
+        corpus += enumerate_graphs(n)
+    corpus += relax_ladder_graphs(1) + relax_ladder_graphs(5)
+    grotzsch = mycielskian(c5)
+    corpus += [c5, grotzsch, mycielskian(grotzsch)]
+    assert _EXACT_COLORING_LIMIT == 32  # n = 6..32 run the exact phase, n = 33 and up DSATUR only
+    corpus += [gnm(n, n * (n - 1) // 4, seed=n) for n in list(range(6, 41)) + [60, 100, 250]]
+    for G in corpus:
+        assert proper_coloring(G) == reference_coloring(G), G
+    assert clique_number(mycielskian(grotzsch)) == 2 and len(set(proper_coloring(mycielskian(grotzsch)))) == 5
+
+
+def test_proper_coloring_stops_at_omega(monkeypatch, fresh_colorings):
+    """Graphs where DSATUR needs omega + 1 colors and chi = omega: the exact
+    phase lowers the count to omega.  A stop any later would keep DSATUR's
+    coloring."""
+    corpus = [gnm(n, n * (n - 1) // 4, seed=n) for n in range(6, _EXACT_COLORING_LIMIT + 1)]
+    exact = [proper_coloring(G) for G in corpus]
+    monkeypatch.setattr(graphs, "_EXACT_COLORING_LIMIT", 0)
+    proper_coloring.cache_clear()
+    lowered = [
+        G.n for G, colors in zip(corpus, exact)
+        if assert_proper(G, proper_coloring(G)) == clique_number(G) + 1 == assert_proper(G, colors) + 1
+    ]
+    assert lowered == [18, 23, 24, 26, 32]
 
 
 def test_has_clique_examples(k3, footnote_graph):
