@@ -15,7 +15,6 @@ from .concordance import (
     certifies,
     check_sc,
     check_sc2,
-    hessian_psd,
     rationalize_vector,
     sigma_opt_bounds,
     verdict_to_json_obj,
@@ -50,7 +49,6 @@ from .optimize import (
 )
 from .reduction import (
     GADGETS,
-    CliqueInstance,
     ConcordanceInstance,
     Gadget,
     build_cubic_instance,

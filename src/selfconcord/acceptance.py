@@ -112,7 +112,7 @@ def simplex_side(G: Graph, cfg: OptConfig) -> IdentitySide:
 def sphere_side(G: Graph, cfg: OptConfig) -> IdentitySide:
     """27/2 * max^2 against 1 - 1/omega(G), max being the gadget search's sphere
     maximum of G's cubic gadget (0 when G has no edge)."""
-    rep = _search(build_cubic_tensor(G), G, cfg) if G.m else None
+    rep = _search(build_cubic_tensor(G), cfg) if G.m else None
     best = rep.best_value if rep is not None else 0.0
     return IdentitySide(best, 13.5 * best**2, 1.0 - 1.0 / clique_number(G), rep)
 

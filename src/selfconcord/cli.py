@@ -40,9 +40,9 @@ from .acceptance import (
     sphere_side,
 )
 from .concordance import MODES, Status, check_sc, check_sc2, sigma_opt_bounds, verdict_to_json_obj
-from .graphs import Graph, complement, declared_vertices, max_clique, max_stable_set, parse_graph_text
+from .graphs import Graph, complement, max_clique, max_stable_set, parse_graph_text
 from .optimize import DEFAULT_SEED, OptConfig, report_to_json_obj
-from .reduction import GADGETS, CliqueInstance, ConcordanceInstance, build_instance, threshold
+from .reduction import GADGETS, ConcordanceInstance, build_instance, threshold
 from .tensors import tensor_from_json_obj, tensor_from_text, tensor_to_json_obj
 
 _IDENTITY_TOL = 1e-6
@@ -174,44 +174,23 @@ def _cmd_footnote_demo(args):
     return report, 0
 
 
-def _instance_obj(inst: ConcordanceInstance) -> dict:
-    gadget = GADGETS[inst.kind]
-    obj: dict = {"kind": inst.kind}
-    if inst.provenance is not None:
-        obj["graph"] = _graph_obj(inst.provenance.graph)
-        obj["k"] = inst.provenance.k
-    if inst.sigma_or_tau is not None:
-        obj[gadget.param] = str(inst.sigma_or_tau)
-        obj[gadget.gamma] = str(inst.gamma_power)
-    obj["q"] = str(inst.q)
-    obj["tensor"] = tensor_to_json_obj(inst.A)
-    return obj
-
-
 def _instance_from_obj(obj: dict) -> ConcordanceInstance:
+    """The instance of a JSON object.  A stated `k` must be an integer that
+    gives q; a `graph` is not read, since the checker reads it from the tensor."""
     kind = obj["kind"]
     if kind not in GADGETS:
         raise ValueError(f"instance kind must be one of {tuple(GADGETS)}, got {kind!r}")
     gadget = GADGETS[kind]
     A = tensor_from_json_obj(obj["tensor"], "field 'tensor.dim'")
     q = Fraction(obj["q"])
-    provenance = None
-    if "graph" in obj and "k" in obj:
-        g = obj["graph"]
-        G = Graph(declared_vertices(g["n"], "field 'graph.n'"), frozenset(tuple(e) for e in g["edges"]))
-        # only trust provenance if the tensor really is the standard gadget
-        if gadget.tensor(G) == A:
-            provenance = CliqueInstance(G, int(obj["k"]))
-            if threshold(kind, provenance.k) != q:
-                raise ValueError(f"field 'k' ({provenance.k}) disagrees with q = {q}")
+    if "k" in obj:
+        k = obj["k"]
+        if type(k) is not int:  # a bool or a float would otherwise pass as an int
+            raise ValueError(f"field 'k' must be an integer, got {k!r}")
+        if threshold(kind, k) != q:
+            raise ValueError(f"field 'k' ({k}) disagrees with q = {q}")
     param = obj.get(gadget.param)
-    inst = ConcordanceInstance(
-        kind=kind,
-        A=A,
-        q=q,
-        sigma_or_tau=Fraction(param) if param is not None else None,
-        provenance=provenance,
-    )
+    inst = ConcordanceInstance(kind=kind, A=A, q=q, sigma_or_tau=Fraction(param) if param is not None else None)
     power = obj.get(gadget.gamma)
     if power is not None and param is not None and Fraction(power) != inst.gamma_power:
         raise ValueError(f"field {gadget.gamma!r} ({power}) disagrees with q = {q} and {gadget.param} = {param}")
@@ -228,7 +207,14 @@ def _instance_from_graph(G: Graph, args) -> ConcordanceInstance:
 
 
 def _cmd_reduce(args):
-    return _instance_obj(_instance_from_graph(_load_graph(args.input), args)), 0
+    G = _load_graph(args.input)
+    inst = _instance_from_graph(G, args)
+    gadget = GADGETS[inst.kind]
+    return {
+        "kind": inst.kind, "graph": _graph_obj(G), "k": args.k,
+        gadget.param: str(inst.sigma_or_tau), gadget.gamma: str(inst.gamma_power),
+        "q": str(inst.q), "tensor": tensor_to_json_obj(inst.A),
+    }, 0
 
 
 _EXIT_BY_STATUS = {

@@ -15,12 +15,13 @@ it knows:
   Motzkin-Straus, max A^p <= c(1 - 1/omega(H)) <= c(1 - 1/r) for a proper
   coloring of H with r colors, each compared with q in rationals, boundary
   included.  A coloring with r <= k - 1 colors is the certificate.  When H
-  needs more colors, the comparison with omega(H) from `max_clique` is,
-  named "exact_clique_oracle" as in oracle mode.  Otherwise it needs
-  a float upper bound on the form maximum that clears the threshold outside
-  a relative band of 1e-9 (exact equality is a legal boundary and floats
-  cannot resolve it).  Oracle mode compares the clique-derived optimum with
-  q exactly (the inequality is non-strict, so equality is a YES).
+  needs more colors, the comparison of c(1 - 1/omega(H)), omega(H) from
+  `max_clique`, with q is the certificate, named "exact_clique_oracle" as
+  in oracle mode.  Otherwise it needs a float upper bound on the form
+  maximum that clears the threshold outside a relative band of 1e-9 (exact
+  equality is a legal boundary and floats cannot resolve it).  Oracle mode
+  compares the clique-derived optimum with q exactly (the inequality is
+  non-strict, so equality is a YES).
 * UNDECIDED carries the exhausted budget and the best bound seen.
 
 Modes: "relax" and "grid" run the search, then the coloring rung, then the
@@ -28,8 +29,9 @@ clique-number rung, then a float bound: "relax"
 `tensors.spectral_upper_bound`, "grid" the certified bound of
 `optimize.grid_lower_and_upper` on a resolution ladder.  Above dim 5 the
 ladder runs no rung, so a grid decision on a tensor without gadget shape
-ends UNDECIDED and names the dim limit.  "oracle" requires graph provenance
-and is complete on it.
+ends UNDECIDED and names the dim limit.  "oracle" reads the graph from the
+tensor: it requires a tensor that is the gadget of its support graph, and
+is complete on it.
 The parameter convention follows the defining inequality as written here:
 larger sigma (larger q) is a weaker requirement.
 
@@ -37,11 +39,14 @@ Of a numeric decision, only the comparisons against q depend on k.
 `reduction` memoizes the last graph's gadget tensor of each kind and the
 thresholds by (kind, k), so the decisions of a k-sweep share one tensor
 object, which the caches of the search and the coloring find by identity
-instead of comparing its entries.  The multistart search (with the clique
-start and nonnegative starts when the instance has graph provenance)
-depends on the tensor, the provenance graph and the `OptConfig` alone, and
-the coloring on the tensor alone; both are kept in bounded LRU caches, so
-a k-sweep or a relax-then-grid pair searches and colors each gadget once.
+instead of comparing its entries.  A decision reads the tensor alone: one
+support read per tensor (`_support`: its vertex coordinates, its support
+graph H and whether it is the gadget of H) gives the search its clique
+start and nonnegative starts, oracle mode its graph and the coloring rung
+its graph.  The multistart search depends on the tensor and the
+`OptConfig` alone, and the coloring on the tensor alone; both are kept in
+bounded LRU caches, so a k-sweep or a relax-then-grid pair searches and
+colors each gadget once.
 `graphs` memoizes `proper_coloring` and `max_clique` by graph, so the cubic
 and quartic gadgets of one graph share one coloring and one clique.  The
 float bounds run on each decision that reaches them, which the exact rungs
@@ -68,7 +73,6 @@ from .reduction import (
     ConcordanceInstance,
     rational_cubic_witness,
     rational_quartic_witness,
-    true_max,
     unit_witness,
 )
 from .tensors import SymTensor, eval_form_exact, spectral_upper_bound
@@ -78,7 +82,6 @@ __all__ = [
     "Verdict",
     "SigmaBounds",
     "MODES",
-    "hessian_psd",
     "violates",
     "violates_cubic",
     "violates_quartic",
@@ -110,6 +113,12 @@ _GRID_LADDER = (0.2, 0.1, 0.05, 0.02, 0.01, 0.005, 0.002, 0.001)
 # kind) pair of a k-sweep needs one search and one coloring; the coloring's
 # support graph keys `graphs`' own caches of colorings and cliques.
 _KEPT_ANALYSES = 64
+
+# Support reads (`_support`) kept per process.  Every decision plan is
+# graph-major with both kinds interleaved, so one read per kind of the
+# current graph serves it; a deeper cache would only keep the support
+# graphs of graphs already done alive.
+_KEPT_SUPPORTS = 2
 
 # A tensor's gadget kind, told apart by its order.
 _KIND_OF_ORDER = {gadget.order: kind for kind, gadget in GADGETS.items()}
@@ -143,41 +152,6 @@ class SigmaBounds:
 
 # ---------------------------------------------------------------------------
 # Exact building blocks
-
-
-def hessian_psd(H: SymTensor) -> bool:
-    """Exact positive-semidefiniteness of a rational symmetric matrix.
-
-    Pivoted LDL^T elimination in rational arithmetic: pick the largest
-    remaining diagonal pivot; a negative pivot is a certificate of
-    indefiniteness, a zero pivot forces its whole row to vanish.
-    """
-    if H.order != 2:
-        raise ValueError(f"hessian_psd needs an order-2 tensor, got order {H.order}")
-    n = H.dim
-    M = [[Fraction(0)] * n for _ in range(n)]
-    for (i, j), value in H.entries.items():
-        M[i - 1][j - 1] = value
-        M[j - 1][i - 1] = value
-    active = list(range(n))
-    while active:
-        p = max(active, key=lambda i: M[i][i])
-        pivot = M[p][p]
-        if pivot < 0:
-            return False
-        if pivot == 0:
-            # Largest diagonal is zero, so every remaining diagonal is <= 0,
-            # hence all are zero or the matrix is indefinite; any nonzero
-            # off-diagonal entry in a zero-diagonal row is indefinite too.
-            return all(M[i][j] == 0 for i in active for j in active)
-        active.remove(p)
-        for i in active:
-            if M[i][p] == 0:
-                continue
-            factor = M[i][p] / pivot
-            for j in active:
-                M[i][j] -= factor * M[p][j]
-    return True
 
 
 def rationalize_vector(h) -> tuple[Fraction, ...]:
@@ -215,8 +189,9 @@ def violates(A: SymTensor, h, q: Fraction) -> tuple[bool, Fraction, Fraction]:
 violates_cubic = violates_quartic = violates
 
 
-def _gadget_support(A: SymTensor) -> tuple[tuple[int, ...], list[tuple[int, int]]] | None:
-    """The vertex coordinates and the vertex pairs of a tensor of gadget shape, else None.
+@lru_cache(maxsize=_KEPT_SUPPORTS)
+def _support(A: SymTensor) -> tuple[tuple[int, ...], Graph, bool] | None:
+    """(vertex coordinates, support graph H, whether A is the gadget of H) of a tensor of gadget shape, else None.
 
     Gadget shape: at least one entry (the float bounds are exactly 0 on the
     zero tensor), every |value| <= 1/6, and every entry on a gadget orbit,
@@ -226,7 +201,12 @@ def _gadget_support(A: SymTensor) -> tuple[tuple[int, ...], list[tuple[int, int]
     all coordinates but the edge coordinates.  (A gadget puts 1/6 on each
     orbit, which has 6 positions, so its monomial enters the form once.)
     One pass over the entries, in integers: |value| <= 1/6 is
-    6 |numerator| <= denominator.
+    6 |numerator| <= denominator.  H joins i and j for each entry, its
+    vertex coordinates renumbered 1..n in order.  A is the gadget of H,
+    `GADGETS[kind].tensor(H)`, when every value is 1/6 and the edge
+    coordinates follow the vertex coordinates in H's edge order; then H
+    carries all of A, which is what oracle mode and the search's clique
+    start need.
     """
     if A.order not in _KIND_OF_ORDER or not A.entries:
         return None
@@ -252,31 +232,27 @@ def _gadget_support(A: SymTensor) -> tuple[tuple[int, ...], list[tuple[int, int]
         pairs.append((i, j))
     if A.order == 3 and len(set(pairs)) < len(pairs):
         return None
-    return tuple(v for v in range(1, A.dim + 1) if v not in edge_coordinates), pairs
+    vertices = tuple(v for v in range(1, A.dim + 1) if v not in edge_coordinates)
+    if vertices[-1] != len(vertices):  # not 1..n, as in every gadget built from a graph
+        position = {v: i for i, v in enumerate(vertices, start=1)}
+        pairs = [(position[i], position[j]) for i, j in pairs]
+    H = Graph(len(vertices), frozenset(pairs))
+    return vertices, H, GADGETS[_KIND_OF_ORDER[A.order]].tensor(H) == A
 
 
-def _support_graph(vertices: tuple[int, ...], pairs: list[tuple[int, int]]) -> Graph:
-    """The support graph H of a tensor of gadget shape, its vertex coordinates renumbered 1..n in order."""
-    if vertices[-1] == len(vertices):  # already 1..n, as in every gadget built from a graph
-        return Graph(len(vertices), frozenset(pairs))
-    position = {v: i for i, v in enumerate(vertices, start=1)}
-    return Graph(len(vertices), frozenset((position[i], position[j]) for i, j in pairs))
-
-
-def _gadget_bound(order: int, r: int) -> Fraction:
-    """c(1 - 1/r) of the gadget of this order."""
-    c = GADGETS[_KIND_OF_ORDER[order]].c
-    return Fraction(c.numerator * (r - 1), c.denominator * r)
+def _clique_bound(order: int, H: Graph) -> Fraction:
+    """c(1 - 1/omega(H)) of the gadget of this order: by Motzkin-Straus, max A^p for a support graph H."""
+    return GADGETS[_KIND_OF_ORDER[order]].bound(len(max_clique(H)))
 
 
 def certifies(A: SymTensor, q, certificate: dict) -> bool:
     """Exact re-check, from A, q and the certificate's JSON alone, that the support graph proves max A^p <= q.
 
-    A must have gadget shape (see `_gadget_support`).  A "coloring"
-    certificate's "vertices" (order 3 only) must list its vertex coordinates
-    in increasing order, and its "colors" must give each vertex coordinate
-    an integer, with no entry's pair (i, j) inside one color; its "bound"
-    must read c(1 - 1/r), r the number of distinct colors.  A "bound"
+    A must have gadget shape (see `_support`).  A "coloring" certificate's
+    "vertices" (order 3 only) must list its vertex coordinates in
+    increasing order, and its "colors" must give each vertex coordinate an
+    integer, with no entry's pair (i, j) inside one color; its "bound" must
+    read c(1 - 1/r), r the number of distinct colors.  A "bound"
     certificate must name "exact_clique_oracle" and read c(1 - 1/omega(H))
     for the support graph H, recomputed with `max_clique`.  Either bound
     must be <= q.  Both are Motzkin-Straus: the edge quadratic of H has
@@ -288,15 +264,15 @@ def certifies(A: SymTensor, q, certificate: dict) -> bool:
     that to max A^p <= c(1 - 1/omega(H)) <= c(1 - 1/r).  Float bounds are
     refused.
     """
-    support = _gadget_support(A)
+    support = _support(A)
     if support is None:
         return False
-    vertices, pairs = support
+    vertices, H, _ = support
     if certificate.get("kind") == "bound":
         named = certificate.get("bound")
         if not (isinstance(named, dict) and named.get("name") == "exact_clique_oracle"):
             return False
-        bound = _gadget_bound(A.order, len(max_clique(_support_graph(vertices, pairs))))
+        bound = _clique_bound(A.order, H)
         value = named.get("value")
     elif certificate.get("kind") == "coloring":
         if A.order == 3 and certificate.get("vertices") != list(vertices):
@@ -304,10 +280,9 @@ def certifies(A: SymTensor, q, certificate: dict) -> bool:
         colors = certificate.get("colors")
         if not (isinstance(colors, list) and len(colors) == len(vertices) and all(type(c) is int for c in colors)):
             return False
-        color_of = dict(zip(vertices, colors))
-        if any(color_of[i] == color_of[j] for i, j in pairs):
+        if any(colors[i - 1] == colors[j - 1] for i, j in H.edges):  # H's vertex v is vertices[v - 1]
             return False
-        bound = _gadget_bound(A.order, len(set(colors)))
+        bound = GADGETS[_KIND_OF_ORDER[A.order]].bound(len(set(colors)))
         value = certificate.get("bound")
     else:
         return False
@@ -354,25 +329,27 @@ def _undecided_verdict(mode: str, description: str, extra: dict, evaluations: in
 
 
 @lru_cache(maxsize=_KEPT_ANALYSES)
-def _search(A: SymTensor, G: Graph | None, cfg: OptConfig) -> OptReport:
-    """Multistart sphere search on A; a provenance graph G adds the clique
-    start and restricts the random starts to the nonnegative orthant."""
+def _search(A: SymTensor, cfg: OptConfig) -> OptReport:
+    """Multistart sphere search on A.  When A is the gadget of its support
+    graph H, a maximum clique of H adds a start and the random starts keep
+    to the nonnegative orthant."""
+    support = _support(A)
+    H = support[1] if support is not None and support[2] else None
     extra = ()
-    if G is not None:
-        extra = (unit_witness(_KIND_OF_ORDER[A.order], G, max_clique(G)),)
-    return max_form_sphere(A, cfg, extra_starts=extra, nonnegative_starts=G is not None)
+    if H is not None:
+        extra = (unit_witness(_KIND_OF_ORDER[A.order], H, max_clique(H)),)
+    return max_form_sphere(A, cfg, extra_starts=extra, nonnegative_starts=H is not None)
 
 
 @lru_cache(maxsize=_KEPT_ANALYSES)
 def _coloring(A: SymTensor) -> tuple[tuple[int, ...], tuple[int, ...], Fraction, Graph] | None:
     """(vertex coordinates, their colors, c(1 - 1/r), support graph) of a tensor of gadget shape, else None."""
-    support = _gadget_support(A)
+    support = _support(A)
     if support is None:
         return None
-    vertices, pairs = support
-    H = _support_graph(vertices, pairs)
+    vertices, H, _ = support
     colors = proper_coloring(H)
-    return vertices, colors, _gadget_bound(A.order, len(set(colors))), H
+    return vertices, colors, GADGETS[_KIND_OF_ORDER[A.order]].bound(len(set(colors))), H
 
 
 def _grid_bound(A: SymTensor, clears=None) -> tuple[float, int, str]:
@@ -414,21 +391,22 @@ def _check(inst: ConcordanceInstance, cfg: OptConfig | None, mode: str, kind: st
     qf = float(inst.q)
 
     if mode == "oracle":
-        if inst.provenance is None:
-            raise ValueError("oracle mode needs an instance with graph provenance")
-        G = inst.provenance.graph
-        true_opt = true_max(kind, G)
-        if true_opt <= inst.q:
-            return _bound_verdict(mode, "exact_clique_oracle", str(true_opt), 1)
+        support = _support(inst.A)
+        if support is None or not support[2]:
+            raise ValueError(f"oracle mode needs a tensor that is the {kind} gadget of its support graph")
+        H = support[1]
+        bound = _clique_bound(inst.A.order, H)
+        if bound <= inst.q:
+            return _bound_verdict(mode, "exact_clique_oracle", str(bound), 1)
         # The exact witness from a maximum clique verifies whenever omega >= k.
         build = rational_cubic_witness if kind == "cubic" else rational_quartic_witness
-        h = build(G, max_clique(G))
+        h = build(H, max_clique(H))
         violated, lhs, rhs = verify(inst.A, h, inst.q)
         if not violated:
             raise AssertionError("oracle witness failed exact verification despite omega >= k")
         return _witness_verdict(mode, h, lhs, rhs, 1)
 
-    report = _search(inst.A, inst.provenance.graph if inst.provenance is not None else None, cfg)
+    report = _search(inst.A, cfg)
     evaluations = report.evaluations
     best = report.best_value
     if _pow(best, p) > qf * (1.0 + _EQ_BAND):
@@ -444,7 +422,7 @@ def _check(inst: ConcordanceInstance, cfg: OptConfig | None, mode: str, kind: st
             return _coloring_verdict(mode, inst.A.order, vertices, colors, bound, evaluations)
         # H needs more colors than k - 1; its clique number may still clear q
         # (chi(H) > omega(H), the boundary that no float bound can resolve).
-        bound = _gadget_bound(inst.A.order, len(max_clique(H)))
+        bound = _clique_bound(inst.A.order, H)
         if bound <= inst.q:
             return _bound_verdict(mode, "exact_clique_oracle", str(bound), evaluations)
 
@@ -503,7 +481,7 @@ def sigma_opt_bounds(A: SymTensor, cfg: OptConfig | None = None) -> SigmaBounds:
     if A.order != 3:
         raise ValueError(f"sigma_opt_bounds needs an order-3 tensor, got order {A.order}")
     cfg = cfg or OptConfig()
-    h = rationalize_vector(_search(A, None, cfg).witness)
+    h = rationalize_vector(_search(A, cfg).witness)
     value = eval_form_exact(A, h)
     exact_lower = value * value / (4 * _dot_exact(h) ** 3)
     lower = float(exact_lower)

@@ -36,9 +36,8 @@ __all__ = [
     "enumerate_graphs",
 ]
 
-# Largest vertex count a graph file (or the graph of an instance JSON) may
-# declare.  The count is checked before anything is built per vertex, so an
-# oversized count fails at once.
+# Largest vertex count a graph file may declare.  The count is checked
+# before anything is built per vertex, so an oversized count fails at once.
 MAX_VERTICES = 10_000
 
 # Largest vertex count that `proper_coloring` colors with the fewest colors;
@@ -86,11 +85,11 @@ def graph_from_edges(n: int, pairs: Iterable[tuple[int, int]]) -> Graph:
     return Graph(n, frozenset((min(i, j), max(i, j)) for i, j in pairs))
 
 
-def declared_vertices(field, source: str = "header") -> int:
-    """The vertex count `field` that `source` declares, refused above `MAX_VERTICES`."""
+def declared_vertices(field) -> int:
+    """The vertex count `field` that a graph file's header declares, refused above `MAX_VERTICES`."""
     n = int(field)
     if n > MAX_VERTICES:
-        raise ValueError(f"{source} declares {n} vertices, above the limit of {MAX_VERTICES}")
+        raise ValueError(f"header declares {n} vertices, above the limit of {MAX_VERTICES}")
     return n
 
 

@@ -54,7 +54,6 @@ from .tensors import SymTensor, sym_from_entries
 __all__ = [
     "Gadget",
     "GADGETS",
-    "CliqueInstance",
     "ConcordanceInstance",
     "build_cubic_tensor",
     "build_quartic_tensor",
@@ -82,34 +81,21 @@ def _require_reducible(G: Graph):
 
 
 @dataclass(frozen=True)
-class CliqueInstance:
-    """A clique decision query: does `graph` contain a clique of size k?"""
-
-    graph: Graph
-    k: int
-
-    def __post_init__(self):
-        _require_reducible(self.graph)
-        if self.k < 2:
-            raise ValueError(f"clique target k must be >= 2, got {self.k}")
-
-
-@dataclass(frozen=True)
 class ConcordanceInstance:
     """A point-model of a function at the origin, reduced to form data.
 
     `kind` names the gadget record whose inequality shape applies: "cubic"
     compares the squared 3-form against q*(h.h)^3, "quartic" compares the
-    4-form against q*(h.h)^2.  `sigma_or_tau` and `provenance` are set when
-    the instance came from a (graph, k, parameter) construction; instances
-    built directly from a tensor and a threshold leave them unset.
+    4-form against q*(h.h)^2.  `sigma_or_tau` is set when the instance came
+    from a (graph, k, parameter) construction; instances built directly from
+    a tensor and a threshold leave it unset.  The graph itself is not kept:
+    the checker reads it back from the tensor.
     """
 
     kind: str
     A: SymTensor
     q: Fraction
     sigma_or_tau: Fraction | None = None
-    provenance: CliqueInstance | None = None
 
     def __post_init__(self):
         if self.kind not in GADGETS:
@@ -233,6 +219,10 @@ class Gadget:
     tensor: Callable[[Graph], SymTensor]
     witness: Callable[[Graph, Iterable[int]], tuple[Fraction, ...]]
 
+    def bound(self, r: int) -> Fraction:
+        """c * (1 - 1/r): the maximum of A^p when omega = r, and its bound from an r-coloring."""
+        return Fraction(self.c.numerator * (r - 1), self.c.denominator * r)
+
 
 GADGETS = {
     "cubic": Gadget(3, Fraction(2, 27), 2, 4, "sigma", "gamma_cubed", build_cubic_tensor, rational_cubic_witness),
@@ -257,13 +247,13 @@ def threshold(kind: str, k: int) -> Fraction:
     """q = c * (1 - 1/(k-1)), the decision threshold of the `kind` gadget for clique size k, memoized."""
     if k < 2:
         raise ValueError(f"k must be >= 2, got {k}")
-    return GADGETS[kind].c * (1 - Fraction(1, k - 1))
+    return GADGETS[kind].bound(k - 1)
 
 
 def true_max(kind: str, G: Graph) -> Fraction:
     """Exact sphere maximum of A^p for the `kind` gadget of G: c * (1 - 1/omega)."""
     _require_reducible(G)
-    return GADGETS[kind].c * (1 - Fraction(1, len(max_clique(G))))
+    return GADGETS[kind].bound(len(max_clique(G)))
 
 
 def build_instance(G: Graph, kind: str, k: int, param) -> ConcordanceInstance:
@@ -274,7 +264,7 @@ def build_instance(G: Graph, kind: str, k: int, param) -> ConcordanceInstance:
     """
     if k < 3:
         raise ValueError(f"{kind} instances need k >= 3, got {k}")
-    return ConcordanceInstance(kind, GADGETS[kind].tensor(G), threshold(kind, k), param, CliqueInstance(G, k))
+    return ConcordanceInstance(kind, GADGETS[kind].tensor(G), threshold(kind, k), param)
 
 
 def build_cubic_instance(G: Graph, k: int, sigma) -> ConcordanceInstance:

@@ -58,8 +58,8 @@ def off_orbit(inst):
     """`inst` with one more tensor entry, (1, ..., 1) = 1/1000, which lies on no gadget orbit.
 
     No support graph can be read off the result, so relax and grid decisions
-    on it go past the coloring rung to the float bounds.  The provenance
-    stays, so the search keeps its clique start.
+    on it go past the coloring rung to the float bounds, the search runs
+    without a clique start, and oracle mode refuses it.
     """
     A = inst.A
     return dataclasses.replace(inst, A=SymTensor(A.order, A.dim, {**A.entries, (1,) * A.order: Fraction(1, 1000)}))

@@ -122,14 +122,24 @@ def test_instance_json_fields_must_agree_with_q(k3_file, tmp_path):
     assert _instance_from_obj({**bare, "tau": "7/3"}).sigma_or_tau is None
     assert _instance_from_obj(instance).sigma_or_tau == Fraction(1, 2)
     # a stated gamma power that contradicts q and sigma is an error naming the field
-    unplaced = {key: value for key, value in instance.items() if key != "k"}  # no provenance to check
+    unplaced = {key: value for key, value in instance.items() if key != "k"}  # no k to check
     proc = check({**unplaced, "q": "1/1000"})
     assert proc.returncode == 3
     assert "gamma_cubed" in proc.stderr and "Traceback" not in proc.stderr
-    # so is a k that gives another threshold than q, on a trusted gadget
+    # so is a k that gives another threshold than q
     proc = check({**bare, "k": 4})
     assert proc.returncode == 3
     assert "'k'" in proc.stderr and "Traceback" not in proc.stderr
+
+
+def test_instance_json_k_must_be_an_integer(k3_file, tmp_path, capsys):
+    """A k of 3.7 or true is refused naming the field, not read as 3 or 1."""
+    instance = json.loads(run_cli(["reduce", k3_file, "--k", "3", "--sigma", "1/2"]).stdout)
+    path = tmp_path / "inst.json"
+    for k in (3.7, 3.0, True, "3"):
+        path.write_text(json.dumps({**instance, "k": k}))
+        assert cli.main(["check-sc", str(path), "--mode", "oracle"]) == 3
+        assert f"field 'k' must be an integer, got {k!r}" in capsys.readouterr().err
 
 
 def test_instance_json_negative_parameter_exit_3(k3_file, tmp_path):
@@ -295,17 +305,53 @@ def test_oversized_vertex_count_exit_3():
         assert "Traceback" not in proc.stderr
 
 
-def test_instance_json_oversized_graph_exit_3(k3_file, tmp_path):
-    # A triangle on 20,000 vertices: the quartic gadget's entries do not move
-    # with n, so only the declared counts grow past the graph-file limit.
+def test_instance_json_graph_is_not_read(k3_file, tmp_path, capsys):
+    """An instance is decided from its tensor alone: a `graph` that declares
+    20,000 vertices, past the graph-file limit, changes no verdict."""
     instance = json.loads(run_cli(["reduce", k3_file, "--k", "3", "--kind", "quartic", "--tau", "1"]).stdout)
-    instance["graph"]["n"] = instance["tensor"]["dim"] = 20_000
     path = tmp_path / "inst.json"
-    path.write_text(json.dumps(instance))
     for mode in ("oracle", "relax"):
-        proc = run_cli(["check-sc2", str(path), "--mode", mode])
+        outputs = []
+        for graph in (instance["graph"], {**instance["graph"], "n": 20_000}):
+            path.write_text(json.dumps({**instance, "graph": graph}))
+            assert cli.main(["check-sc2", str(path), "--mode", mode]) == 1
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("kind", ["cubic", "quartic"])
+def test_reduce_json_without_graph_decides_as_the_graph(kind, tmp_path, capsys):
+    """`reduce` JSON with `graph` and `k` removed gives byte-identical output
+    to the graph input, in every mode: the checker reads the graph from the tensor."""
+    command, param = ("check-sc", "--sigma") if kind == "cubic" else ("check-sc2", "--tau")
+    for name, text in (("k3", K3_DIMACS), ("footnote", FOOTNOTE_DIMACS), ("c5", C5_DIMACS)):
+        graph = tmp_path / f"{name}.col"
+        graph.write_text(text)
+        for k in ("3", "4"):
+            assert cli.main(["reduce", str(graph), "--k", k, "--kind", kind, param, "1/2"]) == 0
+            instance = json.loads(capsys.readouterr().out)
+            del instance["graph"], instance["k"]
+            bare = tmp_path / f"{name}-{k}.json"
+            bare.write_text(json.dumps(instance))
+            for mode in ("relax", "grid", "oracle"):
+                code = cli.main([command, str(graph), "--k", k, param, "1/2", "--mode", mode])
+                out = capsys.readouterr().out
+                assert cli.main([command, str(bare), "--mode", mode]) == code
+                assert capsys.readouterr().out == out, (name, k, mode)
+
+
+def test_oracle_on_a_tensor_that_is_no_standard_gadget_exit_3(k3_file, tmp_path):
+    """Oracle mode needs the gadget of the support graph: one entry of 1/7, or
+    the triangle's cubic gadget with its coordinates relabeled, exits 3."""
+    instance = json.loads(run_cli(["reduce", k3_file, "--k", "3", "--sigma", "1/2"]).stdout)
+    entries = instance["tensor"]["entries"]
+    relabeled = [[[1, 2, 3], "1/6"], [[1, 4, 5], "1/6"], [[2, 4, 6], "1/6"]]
+    for changed in ([[entries[0][0], "1/7"], *entries[1:]], relabeled):
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps({**instance, "tensor": {**instance["tensor"], "entries": changed}}))
+        proc = run_cli(["check-sc", str(path), "--mode", "oracle"])
         assert proc.returncode == 3, proc.stdout
-        assert "20000 vertices, above the limit of 10000" in proc.stderr
+        assert "oracle mode needs a tensor that is the cubic gadget of its support graph" in proc.stderr
         assert "Traceback" not in proc.stderr
 
 

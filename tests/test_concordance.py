@@ -33,7 +33,6 @@ from selfconcord import (
     enumerate_graphs,
     graph_from_edges,
     has_clique,
-    hessian_psd,
     rationalize_vector,
     sigma_opt_bounds,
     sym_from_entries,
@@ -69,49 +68,6 @@ def recheck_not_certificate(inst, verdict):
     else:
         assert value > inst.q * dot**2
         assert Fraction(verdict.certificate["lhs"]) == value
-
-
-# ---------------------------------------------------------------------------
-# PSD check
-
-
-def test_hessian_psd_positive_diagonal():
-    H = sym_from_entries(2, 3, [((1, 1), Fraction(1, 54)), ((2, 2), 2), ((3, 3), Fraction(7, 3))])
-    assert hessian_psd(H)
-
-
-def test_hessian_psd_indefinite_diagonal():
-    assert not hessian_psd(sym_from_entries(2, 2, [((1, 1), 1), ((2, 2), -1)]))
-
-
-def test_hessian_psd_zero_matrix():
-    assert hessian_psd(sym_from_entries(2, 3, []))
-
-
-def test_hessian_psd_zero_diagonal_nonzero_offdiagonal():
-    assert not hessian_psd(sym_from_entries(2, 2, [((1, 2), 1)]))
-
-
-def test_hessian_psd_matches_eigenvalues_random():
-    rng = np.random.default_rng(113)
-    for _ in range(40):
-        n = int(rng.integers(1, 6))
-        raw = []
-        for i in range(1, n + 1):
-            for j in range(i, n + 1):
-                raw.append(((i, j), Fraction(int(rng.integers(-4, 5)), int(rng.integers(1, 5)))))
-        H = sym_from_entries(2, n, raw)
-        M = np.zeros((n, n))
-        for (i, j), v in H.entries.items():
-            M[i - 1, j - 1] = M[j - 1, i - 1] = float(v)
-        eig_min = float(np.linalg.eigvalsh(M)[0])
-        if abs(eig_min) > 1e-9:  # skip float-ambiguous boundary cases
-            assert hessian_psd(H) == (eig_min > 0)
-
-
-def test_hessian_psd_requires_order2(k3):
-    with pytest.raises(ValueError):
-        hessian_psd(build_cubic_tensor(k3))
 
 
 # ---------------------------------------------------------------------------
@@ -169,14 +125,15 @@ def test_check_sc_grid_rejects_large_dim(c5):
     assert verdict.status is Status.UNDECIDED
     assert verdict.certificate["bound_name"] == "grid_lower_and_upper(grid certification supports dim <= 5, got 10)"
     assert verdict.certificate["bound_value"] == "inf"
-    assert verdict.evaluations == concordance._search(inst.A, c5, CFG).evaluations
+    assert verdict.evaluations == concordance._search(inst.A, CFG).evaluations
 
 
-def test_check_sc_oracle_requires_provenance():
-    from selfconcord import ConcordanceInstance
-
+def test_check_sc_oracle_requires_a_gadget():
+    """Oracle mode reads the graph from the tensor, so it refuses a tensor
+    that is not the gadget of its support graph (test_cli.py refuses two of
+    gadget shape)."""
     inst = ConcordanceInstance(kind="cubic", A=sym_from_entries(3, 2, [((1, 1, 1), 1)]), q=Fraction(1, 2))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="oracle mode needs a tensor that is the cubic gadget of its support graph"):
         check_sc(inst, CFG, mode="oracle")
 
 
@@ -343,7 +300,7 @@ def test_clique_number_settles_the_five_cycle(c5):
             verdict = check(inst, CFG, mode=mode)
             assert verdict.status is Status.SELF_CONCORDANT
             assert verdict.certificate == {"kind": "bound", "bound": {"name": "exact_clique_oracle", "value": value}}
-            assert verdict.evaluations == concordance._search(inst.A, c5, CFG).evaluations
+            assert verdict.evaluations == concordance._search(inst.A, CFG).evaluations
             assert certifies(inst.A, inst.q, verdict.certificate)
         certificate = verdict.certificate
         assert certifies(inst.A, inst.q, check(inst, CFG, mode="oracle").certificate)
@@ -389,6 +346,21 @@ def test_certifies_rejects_tampered_certificates(footnote_graph):
     assert not certifies(quartic.A, quartic.q, {**certificate, "colors": [1, 1, 0]})
     assert not certifies(quartic.A, quartic.q, {**certificate, "colors": [0, 1]})
     assert not certifies(quartic.A, quartic.q - Fraction(1, 10**9), certificate)
+
+
+def test_coloring_of_a_relabeled_cubic_layout():
+    """Vertex coordinates 1, 2, 4 and edge coordinates 3, 5 (a path): the
+    support graph renumbers the vertex coordinates 1..3, and the certificate
+    names them as they are."""
+    A = sym_from_entries(3, 5, [((1, 2, 3), Fraction(1, 6)), ((2, 4, 5), Fraction(1, 6))])
+    inst = ConcordanceInstance(kind="cubic", A=A, q=Fraction(1, 27))
+    verdict = check_sc(inst, CFG, mode="relax")
+    certificate = {"kind": "coloring", "vertices": [1, 2, 4], "colors": [1, 0, 1], "bound": "1/27"}
+    assert verdict.status is Status.SELF_CONCORDANT and verdict.certificate == certificate
+    assert certifies(A, inst.q, certificate)
+    for colors in ([1, 1, 0], [0, 1, 1]):  # coordinates 1, 2 or 2, 4 share a color
+        assert not certifies(A, inst.q, {**certificate, "colors": colors})
+    assert not certifies(A, inst.q, {**certificate, "vertices": [1, 2, 3]})
 
 
 def test_gadget_shape_reads_one_sixth_exactly(footnote_graph):
@@ -480,7 +452,7 @@ GADGET_MEMOS = (reduction.build_cubic_tensor, reduction.build_quartic_tensor)
 
 
 def clear_analyses():
-    for cached in ANALYSES + GADGET_MEMOS:
+    for cached in ANALYSES + GADGET_MEMOS + (concordance._support,):
         cached.cache_clear()
     graphs.proper_coloring.cache_clear()
     reduction.threshold.cache_clear()
@@ -530,12 +502,15 @@ def test_sweep_verdicts_do_not_depend_on_reuse():
     for cached in ANALYSES:
         assert cached.cache_info().currsize == cached.cache_info().maxsize == concordance._KEPT_ANALYSES
     # The warm sweep is graph-major, so it built each gadget once per graph
-    # and found it in the memo for the other three k.
+    # and found it in the memo for the other three k.  Each support read of
+    # a gadget tensor looks its gadget up once more and finds it too: 95
+    # reads per kind, one per graph and 24 more where the `off_orbit` twins
+    # had pushed the read out of the two-deep support cache.
     graph_count = sum(1 for n in range(2, 5) for _ in enumerate_graphs(n))
     for cached in GADGET_MEMOS:
         info = cached.cache_info()
         assert info.currsize == info.maxsize == reduction._KEPT_GADGETS
-        assert (info.misses, info.hits) == (graph_count, 3 * graph_count)
+        assert (info.misses, info.hits) == (graph_count, 3 * graph_count + 95)
 
 
 def test_a_k_sweep_shares_one_gadget_tensor(c5):
@@ -585,15 +560,17 @@ def test_equal_tensors_hit_the_memo_and_other_keys_miss(counted, footnote_graph)
     assert counted["grid_lower_and_upper"] == 2 * rungs
     assert counted["max_form_sphere"] == 1
 
-    bare = ConcordanceInstance(kind="cubic", A=later.A, q=later.q)
-    others = [(later, OptConfig(starts=CFG.starts, max_iters=CFG.max_iters, seed=CFG.seed + 1)),
-              (later, OptConfig(starts=CFG.starts + 1, max_iters=CFG.max_iters, seed=CFG.seed)),
-              (later, OptConfig(starts=CFG.starts, max_iters=CFG.max_iters + 1, seed=CFG.seed)),
-              (bare, CFG)]
-    for searches, (inst, cfg) in enumerate(others, start=2):
-        check_sc(inst, cfg, mode="relax")
+    others = [OptConfig(starts=CFG.starts, max_iters=CFG.max_iters, seed=CFG.seed + 1),
+              OptConfig(starts=CFG.starts + 1, max_iters=CFG.max_iters, seed=CFG.seed),
+              OptConfig(starts=CFG.starts, max_iters=CFG.max_iters + 1, seed=CFG.seed)]
+    for searches, cfg in enumerate(others, start=2):
+        check_sc(later, cfg, mode="relax")
         assert counted["max_form_sphere"] == searches
         assert counted["spectral_upper_bound"] == searches
+    # An instance built from the tensor alone has the same search.
+    check_sc(ConcordanceInstance(kind="cubic", A=later.A, q=later.q), CFG, mode="relax")
+    assert counted["max_form_sphere"] == 4
+    assert counted["spectral_upper_bound"] == 5
 
 
 def test_equal_gadget_tensors_color_once(counted, footnote_graph):
@@ -633,7 +610,7 @@ def test_over_budget_rungs_raise_and_are_not_kept(counted, monkeypatch, footnote
     assert "exceeds budget 0" in verdict.certificate["bound_name"]
     assert verdict.certificate["bound_value"] == "inf"
     assert counted["grid_lower_and_upper"] == 0
-    assert verdict.evaluations == concordance._search(inst.A, footnote_graph, CFG).evaluations
+    assert verdict.evaluations == concordance._search(inst.A, CFG).evaluations
 
 
 def test_one_search_decides_not_at_omega_and_not_above(counted):
@@ -652,8 +629,8 @@ def test_one_search_decides_not_at_omega_and_not_above(counted):
 
 def test_cached_witness_is_read_only(counted, k3):
     inst = build_cubic_instance(k3, 3, Fraction(1, 2))
-    report = concordance._search(inst.A, k3, CFG)
-    assert concordance._search(inst.A, k3, CFG) is report
+    report = concordance._search(inst.A, CFG)
+    assert concordance._search(inst.A, CFG) is report
     assert counted["max_form_sphere"] == 1
     with pytest.raises(ValueError):
         report.witness[0] = 0.0

@@ -9,7 +9,6 @@ import pytest
 
 from selfconcord import (
     GADGETS,
-    CliqueInstance,
     ConcordanceInstance,
     build_cubic_instance,
     build_cubic_tensor,
@@ -148,6 +147,9 @@ def test_gadget_table():
     cubic, quartic = GADGETS["cubic"], GADGETS["quartic"]
     assert (cubic.order, cubic.c, cubic.p, cubic.multiplier) == (3, Fraction(2, 27), 2, 4)
     assert (quartic.order, quartic.c, quartic.p, quartic.multiplier) == (4, Fraction(1, 2), 1, 6)
+    for gadget in (cubic, quartic):
+        for r in range(1, 8):
+            assert gadget.bound(r) == gadget.c * (1 - Fraction(1, r))  # the one c(1 - 1/r) of the package
     assert (cubic.param, cubic.gamma, quartic.param, quartic.gamma) == ("sigma", "gamma_cubed", "tau", "gamma_squared")
     assert cubic.tensor is build_cubic_tensor and quartic.tensor is build_quartic_tensor
     assert cubic.witness is rational_cubic_witness and quartic.witness is rational_quartic_witness
@@ -201,7 +203,7 @@ def test_build_cubic_instance_k3(k3):
     assert inst.q == Fraction(1, 27)
     assert inst.A.dim == 6
     assert inst.kind == "cubic"
-    assert inst.provenance == CliqueInstance(k3, 3)
+    assert inst.A is build_cubic_tensor(k3)
 
 
 def test_build_cubic_instance_footnote(footnote_graph):
