@@ -181,7 +181,7 @@ def _instance_from_obj(obj: dict) -> ConcordanceInstance:
     if kind not in GADGETS:
         raise ValueError(f"instance kind must be one of {tuple(GADGETS)}, got {kind!r}")
     gadget = GADGETS[kind]
-    A = tensor_from_json_obj(obj["tensor"], "field 'tensor.dim'")
+    A = tensor_from_json_obj(obj["tensor"], "tensor.")
     q = Fraction(obj["q"])
     if "k" in obj:
         k = obj["k"]

@@ -35,6 +35,15 @@ is complete on it.
 The parameter convention follows the defining inequality as written here:
 larger sigma (larger q) is a weaker requirement.
 
+Exact arithmetic runs on Python ints; `Fraction` is kept for the values a
+verdict returns or prints.  A witness is rounded as x * 2.0**64, exact in
+floats, and `violates` evaluates the form and h.h on its integer
+numerators over the one denominator (`tensors.eval_form_exact`).  Each
+rung compares its bound with q by integer cross-multiplication, the bounds
+c(1 - 1/r) are memoized in `reduction.Gadget.bound`, and q's float is its
+numerator over its denominator, so a decision that a rung settles from the
+caches builds no `Fraction`.
+
 Of a numeric decision, only the comparisons against q depend on k.
 `reduction` memoizes the last graph's gadget tensor of each kind and the
 thresholds by (kind, k), so the decisions of a k-sweep share one tensor
@@ -75,7 +84,7 @@ from .reduction import (
     rational_quartic_witness,
     unit_witness,
 )
-from .tensors import SymTensor, eval_form_exact, spectral_upper_bound
+from .tensors import SymTensor, eval_form_exact, exact_numerators, spectral_upper_bound
 
 __all__ = [
     "Status",
@@ -99,8 +108,9 @@ MODES = ("relax", "grid", "oracle")
 # the boundary is decidable only by the oracle.
 _EQ_BAND = 1e-9
 
-# The shared denominator of rationalized search witnesses.
+# The shared denominator of rationalized search witnesses, and its float.
 _DENOMINATOR = 2**64
+_SCALE = float(_DENOMINATOR)
 
 # Coarse-to-fine certified-grid ladder; it ends at the first rung that
 # `grid_lower_and_upper` refuses, since finer rungs only cost more.  At the
@@ -161,27 +171,37 @@ def rationalize_vector(h) -> tuple[Fraction, ...]:
     its powers stay about as long as a single coordinate; with its own
     denominator per coordinate, the cubic check's (h.h)^3 ran to thousands
     of digits on large gadgets.  2^64 keeps every bit of a unit vector's
-    binary coordinates down to 2^-64.
+    binary coordinates down to 2^-64.  The numerator is round(x * 2.0**64)
+    on the float itself: scaling by a power of two is exact (for |x| below
+    2^960, so for every search witness, which is a unit vector), and
+    `round` of a float rounds half to even, as `round` of the exact
+    rational does.
     """
-    return tuple(Fraction(round(Fraction(float(x)) * _DENOMINATOR), _DENOMINATOR) for x in np.asarray(h, dtype=float))
+    return tuple(Fraction(round(x * _SCALE), _DENOMINATOR) for x in np.asarray(h, dtype=float).tolist())
 
 
-def _dot_exact(h: tuple[Fraction, ...]) -> Fraction:
-    return sum(x * x for x in h)
+def _fraction(x) -> Fraction:
+    """x as a Fraction; a Fraction passes through unchanged."""
+    return x if type(x) is Fraction else Fraction(x)
 
 
 def violates(A: SymTensor, h, q: Fraction) -> tuple[bool, Fraction, Fraction]:
     """Exact test of A(h,..,h)^p > q*(h.h)^(p*order/2); returns (violated, lhs, rhs).
 
     p is the exponent of the gadget of A's order: [A(h,h,h)]^2 > q*(h.h)^3
-    for order 3, A(h,h,h,h) > q*(h.h)^2 for order 4.
+    for order 3, A(h,h,h,h) > q*(h.h)^2 for order 4.  The arithmetic runs
+    on integers: with h = x / D on one common denominator
+    (`tensors.exact_numerators`), the form value comes from
+    `eval_form_exact` and h.h is (sum of x_i^2) / D^2; lhs and rhs are
+    returned as Fractions.
     """
     if A.order not in _KIND_OF_ORDER:
         raise ValueError(f"violation tests need an order-3 or order-4 tensor, got order {A.order}")
     p = GADGETS[_KIND_OF_ORDER[A.order]].p
-    hq = tuple(Fraction(x) for x in h)
+    hq = [_fraction(x) for x in h]
+    x, D = exact_numerators(hq)
     lhs = eval_form_exact(A, hq) ** p
-    rhs = Fraction(q) * _dot_exact(hq) ** (p * A.order // 2)
+    rhs = _fraction(q) * Fraction(sum(v * v for v in x), D * D) ** (p * A.order // 2)
     return lhs > rhs, lhs, rhs
 
 
@@ -289,6 +309,11 @@ def certifies(A: SymTensor, q, certificate: dict) -> bool:
     return value == str(bound) and bound <= Fraction(q)
 
 
+def _at_most(a: Fraction, b: Fraction) -> bool:
+    """a <= b by integer cross-multiplication (a Fraction's denominator is positive)."""
+    return a.numerator * b.denominator <= b.numerator * a.denominator
+
+
 def _pow(x: float, p: int) -> float:
     """x**p as a product of p factors; `**` calls libm pow, which can round differently."""
     return math.prod([x] * p)
@@ -388,7 +413,8 @@ def _check(inst: ConcordanceInstance, cfg: OptConfig | None, mode: str, kind: st
     p = GADGETS[kind].p
     # Looked up by name on each call, so that a wrapper installed on the module global sees it.
     verify = violates_cubic if kind == "cubic" else violates_quartic
-    qf = float(inst.q)
+    q = inst.q
+    qf = q.numerator / q.denominator  # float(q), as Fraction computes it
 
     if mode == "oracle":
         support = _support(inst.A)
@@ -396,12 +422,12 @@ def _check(inst: ConcordanceInstance, cfg: OptConfig | None, mode: str, kind: st
             raise ValueError(f"oracle mode needs a tensor that is the {kind} gadget of its support graph")
         H = support[1]
         bound = _clique_bound(inst.A.order, H)
-        if bound <= inst.q:
+        if _at_most(bound, q):
             return _bound_verdict(mode, "exact_clique_oracle", str(bound), 1)
         # The exact witness from a maximum clique verifies whenever omega >= k.
         build = rational_cubic_witness if kind == "cubic" else rational_quartic_witness
         h = build(H, max_clique(H))
-        violated, lhs, rhs = verify(inst.A, h, inst.q)
+        violated, lhs, rhs = verify(inst.A, h, q)
         if not violated:
             raise AssertionError("oracle witness failed exact verification despite omega >= k")
         return _witness_verdict(mode, h, lhs, rhs, 1)
@@ -411,19 +437,19 @@ def _check(inst: ConcordanceInstance, cfg: OptConfig | None, mode: str, kind: st
     best = report.best_value
     if _pow(best, p) > qf * (1.0 + _EQ_BAND):
         h = rationalize_vector(report.witness)
-        violated, lhs, rhs = verify(inst.A, h, inst.q)
+        violated, lhs, rhs = verify(inst.A, h, q)
         if violated:
             return _witness_verdict(mode, h, lhs, rhs, evaluations)
 
     coloring = _coloring(inst.A)
     if coloring is not None:
         vertices, colors, bound, H = coloring
-        if bound <= inst.q:
+        if _at_most(bound, q):
             return _coloring_verdict(mode, inst.A.order, vertices, colors, bound, evaluations)
         # H needs more colors than k - 1; its clique number may still clear q
         # (chi(H) > omega(H), the boundary that no float bound can resolve).
         bound = _clique_bound(inst.A.order, H)
-        if bound <= inst.q:
+        if _at_most(bound, q):
             return _bound_verdict(mode, "exact_clique_oracle", str(bound), evaluations)
 
     def clears(bound: float) -> bool:
@@ -447,7 +473,7 @@ def _check(inst: ConcordanceInstance, cfg: OptConfig | None, mode: str, kind: st
             "best_numeric": format(best, ".17g"),
             "bound_name": bound_name,
             "bound_value": format(bound, ".17g"),
-            "threshold": str(inst.q),
+            "threshold": str(q),
             "starts": cfg.starts,
             "max_iters": cfg.max_iters,
         },
@@ -483,7 +509,8 @@ def sigma_opt_bounds(A: SymTensor, cfg: OptConfig | None = None) -> SigmaBounds:
     cfg = cfg or OptConfig()
     h = rationalize_vector(_search(A, cfg).witness)
     value = eval_form_exact(A, h)
-    exact_lower = value * value / (4 * _dot_exact(h) ** 3)
+    x, D = exact_numerators(h)
+    exact_lower = value * value * D**6 / (4 * sum(v * v for v in x) ** 3)
     lower = float(exact_lower)
     if Fraction(lower) > exact_lower:
         lower = math.nextafter(lower, -math.inf)

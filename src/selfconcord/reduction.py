@@ -41,7 +41,7 @@ omega(G) <= k-1, with equality of maximum and threshold at omega = k-1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Iterable
@@ -69,6 +69,8 @@ __all__ = [
 
 
 def _rational(value, name: str) -> Fraction:
+    if type(value) is Fraction:  # memoized thresholds and parameters pass through unchanged
+        return value
     try:
         return Fraction(value)
     except (TypeError, ValueError) as exc:
@@ -103,13 +105,14 @@ class ConcordanceInstance:
         expected = GADGETS[self.kind].order
         if self.A.order != expected:
             raise ValueError(f"{self.kind} instance needs an order-{expected} tensor, got order {self.A.order}")
+        # Signs are read off the numerators (a Fraction's denominator is positive).
         object.__setattr__(self, "q", _rational(self.q, "q"))
-        if self.q <= 0:
+        if self.q.numerator <= 0:
             raise ValueError(f"threshold q must be positive, got {self.q}")
         if self.sigma_or_tau is not None:
             name = GADGETS[self.kind].param
             object.__setattr__(self, "sigma_or_tau", _rational(self.sigma_or_tau, name))
-            if self.sigma_or_tau <= 0:
+            if self.sigma_or_tau.numerator <= 0:
                 raise ValueError(f"{name} must be positive, got {self.sigma_or_tau}")
 
     @property
@@ -218,10 +221,18 @@ class Gadget:
     gamma: str
     tensor: Callable[[Graph], SymTensor]
     witness: Callable[[Graph, Iterable[int]], tuple[Fraction, ...]]
+    # bound(r) by (type, r): one entry per clique or color count seen.  Typed,
+    # so that a float r still fails in `Fraction` instead of reading the
+    # entry of the equal int.
+    _bounds: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def bound(self, r: int) -> Fraction:
-        """c * (1 - 1/r): the maximum of A^p when omega = r, and its bound from an r-coloring."""
-        return Fraction(self.c.numerator * (r - 1), self.c.denominator * r)
+        """c * (1 - 1/r): the maximum of A^p when omega = r, and its bound from an r-coloring; memoized."""
+        key = (type(r), r)
+        value = self._bounds.get(key)
+        if value is None:
+            value = self._bounds[key] = Fraction(self.c.numerator * (r - 1), self.c.denominator * r)
+        return value
 
 
 GADGETS = {

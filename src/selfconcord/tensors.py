@@ -13,7 +13,10 @@ orbit (a multinomial count).
 Coefficients are `fractions.Fraction` values.  Evaluation comes in two
 flavours: floating point (`eval_form`, `grad_form`, `hess_form`) for
 optimization loops, and exact rational (`eval_form_exact`) for certificate
-checks that must not incur rounding.
+checks that must not incur rounding.  The exact evaluation runs on Python
+ints: the coefficients over one common denominator (kept per tensor) and h
+over another (`exact_numerators`), so a value costs integer products and
+one `Fraction` at the end.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ __all__ = [
     "eval_form",
     "eval_form_batch",
     "eval_form_exact",
+    "exact_numerators",
     "grad_form",
     "hess_form",
     "hess_product",
@@ -52,6 +56,13 @@ __all__ = [
 # at dim 10^5 (tracemalloc), so ~1.1 GB at this cap.  The cubic gadget of a
 # 250-vertex half-edge graph has dim 15,812.
 MAX_DIM = 1_000_000
+
+# Largest number of entry records a tensor file or JSON object may hold,
+# checked before any record is converted.  A relax decision with the default
+# 8 starts peaked at ~3.9 KB per entry on a random order-4 tensor with 50,000
+# entries (~2.1 KB at order 3; tracemalloc, parsing excluded), so ~1 GB at
+# this cap.  The cubic gadget of a 250-vertex half-edge graph has 15,562.
+MAX_ENTRIES = 250_000
 
 # Points per block of `eval_form_batch`: a block's products take rows x entries floats.
 _BATCH_ROWS = 262_144
@@ -76,7 +87,7 @@ class _Packed(NamedTuple):
 
 
 def _as_fraction(value) -> Fraction:
-    if isinstance(value, Fraction):
+    if type(value) is Fraction or isinstance(value, Fraction):  # the first test skips the ABC check
         return value
     if isinstance(value, (int, str)):
         return Fraction(value)
@@ -152,6 +163,25 @@ class SymTensor:
         lto_tail = np.concatenate([idx[:, t] for _, t in pairs])
         return _Packed(idx, weights, loo, loo_target, lto, lto_head, lto_tail)
 
+    @cached_property
+    def _exact(self) -> tuple[int, tuple[int, ...]]:
+        """(E, weights): the orbit-weighted coefficients as integers over one
+        common denominator E, built once per tensor, in the order of `entries`:
+        E * orbit size * value for each entry."""
+        E = math.lcm(*(value.denominator for value in self.entries.values()))
+        return E, tuple(_orbit_size(key) * value.numerator * (E // value.denominator)
+                        for key, value in self.entries.items())
+
+    @cached_property
+    def _frobenius(self) -> float:
+        """See `frobenius`; the sum of orbit size * value^2 runs in integers over E^2,
+        with one correctly rounded division at the end.  E is computed here, not
+        read from `_exact`, so a search does not build the weight table."""
+        E = math.lcm(*(value.denominator for value in self.entries.values()))
+        total = sum(_orbit_size(key) * (value.numerator * (E // value.denominator)) ** 2
+                    for key, value in self.entries.items())
+        return math.sqrt(total / (E * E))
+
     def __reduce__(self):
         # The read-only view does not pickle; rebuild from a plain dict.
         return (SymTensor, (self.order, self.dim, dict(self.entries)))
@@ -180,7 +210,8 @@ def sym_from_entries(order: int, dim: int, raw_entries: Iterable[tuple[Sequence[
     acc: dict[tuple[int, ...], Fraction] = {}
     for key, value in raw_entries:
         canon = tuple(sorted(key))
-        acc[canon] = acc.get(canon, Fraction(0)) + _as_fraction(value)
+        value = _as_fraction(value)
+        acc[canon] = acc[canon] + value if canon in acc else value
     return SymTensor(order, dim, acc)
 
 
@@ -216,17 +247,35 @@ def eval_form_batch(A: SymTensor, points: np.ndarray) -> np.ndarray:
     return out
 
 
+def exact_numerators(h: Sequence) -> tuple[list[int], int]:
+    """(x, D): rational h on one common denominator, h_i = x_i / D with x_i and D integers.
+
+    D is the least common multiple of the denominators; a rationalized
+    search witness already shares one (2^64 or a divisor of it).
+    """
+    hq = [_as_fraction(v) for v in h]
+    D = math.lcm(*(v.denominator for v in hq))
+    return [v.numerator * (D // v.denominator) for v in hq], D
+
+
 def eval_form_exact(A: SymTensor, h: Sequence) -> Fraction:
-    """Exact rational value of A(h, ..., h) for rational h."""
+    """Exact rational value of A(h, ..., h) for rational h, computed in integers.
+
+    With h = x / D (`exact_numerators`) and the orbit-weighted coefficients
+    w / E (one common denominator per tensor), A(h, ..., h) is
+    sum over entries of w * x_i1 * ... * x_id, over E * D^order: integer
+    products and sums, and one `Fraction`, normalized once, at the end.
+    """
     _check_dim(A, len(h))
-    hq = [_as_fraction(x) for x in h]
-    total = Fraction(0)
-    for key, value in A.entries.items():
-        term = value * _orbit_size(key)
+    x, D = exact_numerators(h)
+    x.insert(0, 0)  # 1-based, as the keys
+    E, weights = A._exact
+    total = 0
+    for w, key in zip(weights, A.entries):
         for i in key:
-            term *= hq[i - 1]
-        total += term
-    return total
+            w *= x[i]
+        total += w
+    return Fraction(total, E * D ** A.order)
 
 
 def grad_form(A: SymTensor, h) -> np.ndarray:
@@ -302,11 +351,8 @@ def hess_product(A: SymTensor, h):
 
 
 def frobenius(A: SymTensor) -> float:
-    """Frobenius norm over the full hypermatrix (orbit value^2 times orbit size)."""
-    total = Fraction(0)
-    for key, value in A.entries.items():
-        total += _orbit_size(key) * value * value
-    return math.sqrt(float(total))
+    """Frobenius norm over the full hypermatrix (orbit value^2 times orbit size), computed once per tensor."""
+    return A._frobenius
 
 
 def spectral_upper_bound(A: SymTensor) -> float:
@@ -365,6 +411,11 @@ def declared_dim(field, source: str = "header") -> int:
     return dim
 
 
+def _check_entry_count(count: int, source: str):
+    if count > MAX_ENTRIES:
+        raise ValueError(f"{source} holds {count} entries, above the limit of {MAX_ENTRIES}")
+
+
 def tensor_from_text(text: str) -> SymTensor:
     lines = [ln.strip() for ln in text.splitlines() if ln.strip() and not ln.lstrip().startswith("#")]
     if not lines:
@@ -373,6 +424,7 @@ def tensor_from_text(text: str) -> SymTensor:
     if len(head) != 2:
         raise ValueError(f"malformed tensor header {lines[0]!r}, expected 'order dim'")
     order, dim = int(head[0]), declared_dim(head[1])
+    _check_entry_count(len(lines) - 1, "tensor text")
     raw = []
     for ln in lines[1:]:
         parts = ln.split()
@@ -390,8 +442,10 @@ def tensor_to_json_obj(A: SymTensor) -> dict:
     }
 
 
-def tensor_from_json_obj(obj: dict, source: str = "field 'dim'") -> SymTensor:
-    """The tensor of a JSON object; `source` names its dim field in the refusal of an oversized dim."""
-    dim = declared_dim(obj["dim"], source)
+def tensor_from_json_obj(obj: dict, field: str = "") -> SymTensor:
+    """The tensor of a JSON object; `field` ("tensor." in instance JSON) prefixes the
+    field names in the refusal of an oversized dim or entry list."""
+    dim = declared_dim(obj["dim"], f"field '{field}dim'")
+    _check_entry_count(len(obj["entries"]), f"field '{field}entries'")
     raw = [(tuple(key), Fraction(value)) for key, value in obj["entries"]]
     return sym_from_entries(int(obj["order"]), dim, raw)

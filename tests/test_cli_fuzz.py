@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from selfconcord import build_instance, certifies, cli, parse_graph_text, tensor_from_json_obj, violates
+from selfconcord import build_instance, certifies, cli, parse_graph_text, tensor_from_json_obj, tensors, violates
 from selfconcord.graphs import MAX_VERTICES
 from selfconcord.tensors import MAX_DIM
 
@@ -153,3 +153,25 @@ def test_gadget_shaped_tensors_around_one_sixth(capsys, tmp_path):
         code, out = run(capsys, tmp_path, [command, "--mode", "relax", *SEARCH], json.dumps(instance))
         assert code in (0, 1, 2)
         recheck(code, out, tensor_from_json_obj(instance["tensor"]), Fraction(instance["q"]))
+
+
+def test_entry_lists_over_the_cap_exit_3(capsys, tmp_path, monkeypatch):
+    """Tensor text, tensor JSON and an instance's tensor with more entries than
+    `MAX_ENTRIES` exit 3 naming the limit, before any entry is converted: the
+    last record, which no conversion would accept, is never read."""
+    monkeypatch.setattr(tensors, "MAX_ENTRIES", 2)
+    records = [[[1, 2, 3], "1/6"], [[1, 2, 4], "1/6"], [[1, 2, 5], "x"]]
+    tensor = {"order": 3, "dim": 5, "entries": records}
+    text = "3 5\n" + "".join(f"{' '.join(map(str, key))} {value}\n" for key, value in records)
+    instance = {"kind": "cubic", "q": "1/27", "tensor": tensor}
+    cases = (
+        (["sigma-opt"], text, "tensor text"),
+        (["sigma-opt"], json.dumps(tensor), "field 'entries'"),
+        (["check-sc", "--mode", "relax"], json.dumps(instance), "field 'tensor.entries'"),
+    )
+    for command, text, source in cases:
+        path = tmp_path / "input"
+        path.write_text(text)
+        assert cli.main([*command, *SEARCH, str(path)]) == 3
+        message = capsys.readouterr().err
+        assert message == f"selfconcord: error: ValueError: {source} holds 3 entries, above the limit of 2\n", message

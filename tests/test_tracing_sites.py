@@ -23,9 +23,12 @@ missing = [f"{{module.__name__}}.{{attribute}}" for _, sites, _ in tracing.SITES
 tracer = tracing.Tracer()
 tracing.install(tracer)
 inst = build_cubic_instance(graph_from_edges(3, [(1, 2), (2, 3), (1, 3)]), 3, Fraction(1, 2))
-statuses = [check_sc(inst, OptConfig(starts=2, max_iters=50), mode=mode).status.value for mode in ("oracle", "relax")]
-calls = {{name: span["calls"] for name, span in tracer.summary()["spans"].items()}}
-print(json.dumps({{"missing": missing, "statuses": statuses, "calls": calls}}))
+statuses, calls = [], {{}}
+for mode in ("oracle", "relax"):
+    statuses.append(check_sc(inst, OptConfig(starts=2, max_iters=50), mode=mode).status.value)
+    calls[mode] = {{name: span["calls"] for name, span in tracer.summary()["spans"].items()}}
+relax = {{name: count - calls["oracle"].get(name, 0) for name, count in calls["relax"].items()}}
+print(json.dumps({{"missing": missing, "statuses": statuses, "calls": calls["relax"], "relax_calls": relax}}))
 """
 
 
@@ -38,3 +41,7 @@ def test_every_trace_site_resolves_and_records():
     assert report["statuses"] == ["NOT_SELF_CONCORDANT", "NOT_SELF_CONCORDANT"]
     for name in ("concordance.violates", "graphs.max_clique", "reduction.rational_witness"):
         assert report["calls"].get(name, 0) >= 1, (name, report["calls"])
+    # The relax decision's exact re-check goes through both spans; a check
+    # computed inline would leave them idle without failing anything else.
+    for name in ("tensors.eval_form_exact", "concordance.rationalize_vector"):
+        assert report["relax_calls"].get(name, 0) >= 1, (name, report["relax_calls"])
