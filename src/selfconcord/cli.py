@@ -28,7 +28,6 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 
 from .acceptance import (
     FOOTNOTE_GRAPH,
@@ -43,7 +42,7 @@ from .concordance import MODES, Status, check_sc, check_sc2, sigma_opt_bounds, v
 from .graphs import Graph, complement, max_clique, max_stable_set, parse_graph_text
 from .optimize import DEFAULT_SEED, OptConfig, report_to_json_obj
 from .reduction import GADGETS, ConcordanceInstance, build_instance, threshold
-from .tensors import tensor_from_json_obj, tensor_from_text, tensor_to_json_obj
+from .tensors import json_integer, json_rational, tensor_from_json_obj, tensor_from_text, tensor_to_json_obj
 
 _IDENTITY_TOL = 1e-6
 
@@ -182,17 +181,17 @@ def _instance_from_obj(obj: dict) -> ConcordanceInstance:
         raise ValueError(f"instance kind must be one of {tuple(GADGETS)}, got {kind!r}")
     gadget = GADGETS[kind]
     A = tensor_from_json_obj(obj["tensor"], "tensor.")
-    q = Fraction(obj["q"])
+    q = json_rational(obj["q"], "field 'q'")
     if "k" in obj:
-        k = obj["k"]
-        if type(k) is not int:  # a bool or a float would otherwise pass as an int
-            raise ValueError(f"field 'k' must be an integer, got {k!r}")
+        k = json_integer(obj["k"], "field 'k'")
         if threshold(kind, k) != q:
             raise ValueError(f"field 'k' ({k}) disagrees with q = {q}")
     param = obj.get(gadget.param)
-    inst = ConcordanceInstance(kind=kind, A=A, q=q, sigma_or_tau=Fraction(param) if param is not None else None)
+    if param is not None:
+        param = json_rational(param, f"field '{gadget.param}'")
+    inst = ConcordanceInstance(kind=kind, A=A, q=q, sigma_or_tau=param)
     power = obj.get(gadget.gamma)
-    if power is not None and param is not None and Fraction(power) != inst.gamma_power:
+    if power is not None and param is not None and json_rational(power, f"field '{gadget.gamma}'") != inst.gamma_power:
         raise ValueError(f"field {gadget.gamma!r} ({power}) disagrees with q = {q} and {gadget.param} = {param}")
     return inst
 

@@ -82,6 +82,7 @@ from .reduction import (
     ConcordanceInstance,
     rational_cubic_witness,
     rational_quartic_witness,
+    true_max,
     unit_witness,
 )
 from .tensors import SymTensor, eval_form_exact, exact_numerators, spectral_upper_bound
@@ -260,11 +261,6 @@ def _support(A: SymTensor) -> tuple[tuple[int, ...], Graph, bool] | None:
     return vertices, H, GADGETS[_KIND_OF_ORDER[A.order]].tensor(H) == A
 
 
-def _clique_bound(order: int, H: Graph) -> Fraction:
-    """c(1 - 1/omega(H)) of the gadget of this order: by Motzkin-Straus, max A^p for a support graph H."""
-    return GADGETS[_KIND_OF_ORDER[order]].bound(len(max_clique(H)))
-
-
 def certifies(A: SymTensor, q, certificate: dict) -> bool:
     """Exact re-check, from A, q and the certificate's JSON alone, that the support graph proves max A^p <= q.
 
@@ -274,7 +270,7 @@ def certifies(A: SymTensor, q, certificate: dict) -> bool:
     integer, with no entry's pair (i, j) inside one color; its "bound" must
     read c(1 - 1/r), r the number of distinct colors.  A "bound"
     certificate must name "exact_clique_oracle" and read c(1 - 1/omega(H))
-    for the support graph H, recomputed with `max_clique`.  Either bound
+    for the support graph H, recomputed with `true_max`.  Either bound
     must be <= q.  Both are Motzkin-Straus: the edge quadratic of H has
     simplex maximum (1/2)(1 - 1/omega(H)), and no edge joins two vertices of
     one color, so with y_a the simplex mass of color a, it is also at most
@@ -292,7 +288,7 @@ def certifies(A: SymTensor, q, certificate: dict) -> bool:
         named = certificate.get("bound")
         if not (isinstance(named, dict) and named.get("name") == "exact_clique_oracle"):
             return False
-        bound = _clique_bound(A.order, H)
+        bound = true_max(_KIND_OF_ORDER[A.order], H)
         value = named.get("value")
     elif certificate.get("kind") == "coloring":
         if A.order == 3 and certificate.get("vertices") != list(vertices):
@@ -421,7 +417,7 @@ def _check(inst: ConcordanceInstance, cfg: OptConfig | None, mode: str, kind: st
         if support is None or not support[2]:
             raise ValueError(f"oracle mode needs a tensor that is the {kind} gadget of its support graph")
         H = support[1]
-        bound = _clique_bound(inst.A.order, H)
+        bound = true_max(kind, H)
         if _at_most(bound, q):
             return _bound_verdict(mode, "exact_clique_oracle", str(bound), 1)
         # The exact witness from a maximum clique verifies whenever omega >= k.
@@ -448,7 +444,7 @@ def _check(inst: ConcordanceInstance, cfg: OptConfig | None, mode: str, kind: st
             return _coloring_verdict(mode, inst.A.order, vertices, colors, bound, evaluations)
         # H needs more colors than k - 1; its clique number may still clear q
         # (chi(H) > omega(H), the boundary that no float bound can resolve).
-        bound = _clique_bound(inst.A.order, H)
+        bound = true_max(kind, H)
         if _at_most(bound, q):
             return _bound_verdict(mode, "exact_clique_oracle", str(bound), evaluations)
 

@@ -4,9 +4,11 @@ Vertices are 1..n.  Edges are unordered pairs stored as (i, j) with i < j;
 `edge_order` is the fixed lexicographic edge list that downstream
 constructions use to lay out per-edge coordinates deterministically.
 
-The clique oracle is a plain branch-and-bound with a greedy-coloring bound.
-It is exponential in the worst case and intended for desk-scale graphs
-(n up to ~20); it is the ground truth the reduction suites compare against.
+The clique oracle, `max_clique`, is a branch and bound with a
+greedy-coloring bound on int bitmasks.  It is exponential in the worst case
+and has no budget, so it is meant for desk-scale graphs (G(110, 0.9)
+already takes seconds); it is the ground truth the reduction suites compare
+against.
 `proper_coloring` gives the upper side: a coloring with r colors shows
 omega <= r, and the checkers turn it into an exact certificate.  It runs
 DSATUR on int bitmasks of neighbour colors and, up to 32 vertices, an exact
@@ -44,6 +46,11 @@ MAX_VERTICES = 10_000
 # above it, the DSATUR coloring stands.
 _EXACT_COLORING_LIMIT = 32
 
+# Graphs whose clique and coloring stay memoized.  Every sweep is
+# graph-major, so the graph at hand is always near the front; a deeper memo
+# would only keep the graphs of finished decisions alive as its keys.
+_KEPT_GRAPHS = 64
+
 
 @dataclass(frozen=True)
 class Graph:
@@ -70,14 +77,6 @@ class Graph:
     def edge_order(self) -> tuple[tuple[int, int], ...]:
         """Lexicographic edge list e_1, ..., e_m; fixes per-edge coordinates."""
         return tuple(sorted(self.edges))
-
-    @cached_property
-    def adjacency(self) -> dict[int, frozenset]:
-        adj = {v: set() for v in range(1, self.n + 1)}
-        for i, j in self.edges:
-            adj[i].add(j)
-            adj[j].add(i)
-        return {v: frozenset(s) for v, s in adj.items()}
 
 
 def graph_from_edges(n: int, pairs: Iterable[tuple[int, int]]) -> Graph:
@@ -160,52 +159,53 @@ def complement(G: Graph) -> Graph:
     return Graph(G.n, edges)
 
 
-@lru_cache(maxsize=16384)
+@lru_cache(maxsize=_KEPT_GRAPHS)
 def max_clique(G: Graph) -> frozenset:
-    """A maximum clique, found by branch-and-bound with a greedy-coloring bound.
+    """A maximum clique, found by branch and bound with a greedy-coloring bound.
 
-    Deterministic: candidates are always processed in sorted order, so ties
-    resolve the same way on every run.
+    MCQ (Tomita and Seki, 2003) on int bitmasks, bit v for vertex v, as in
+    BBMC (San Segundo et al., 2011).  Each node splits its candidates into
+    color classes, built one at a time from the uncolored candidates in
+    increasing order, so the color of a candidate bounds the clique it forms
+    with candidates of lower colors.  Candidates are expanded from the last
+    (color, vertex) down, so ties resolve the same way on every run.
     """
-    if G.n == 0:
-        return frozenset()
-    adj = G.adjacency
+    nbrs = [0] * (G.n + 1)
+    for i, j in G.edges:
+        nbrs[i] |= 1 << j
+        nbrs[j] |= 1 << i
     best: list[int] = []
 
-    def expand(clique: list[int], candidates: set[int]):
+    def expand(clique: list[int], candidates: int):
         nonlocal best
         if not candidates:
             if len(clique) > len(best):
                 best = list(clique)
             return
-        # Greedy coloring of the candidate set; the color index of v bounds
-        # the largest clique inside {v} plus earlier-colored candidates.
-        color_of: dict[int, int] = {}
-        classes: list[set[int]] = []
-        for v in sorted(candidates):
-            for ci, cls in enumerate(classes):
-                if not (adj[v] & cls):
-                    cls.add(v)
-                    color_of[v] = ci + 1
-                    break
-            else:
-                classes.append({v})
-                color_of[v] = len(classes)
-        ordered = sorted(candidates, key=lambda v: (color_of[v], v))
-        remaining = set(candidates)
-        for v in reversed(ordered):
-            if len(clique) + color_of[v] <= len(best):
+        ordered: list[tuple[int, int]] = []  # (vertex, color), by color, then vertex
+        uncolored, color = candidates, 0
+        while uncolored:
+            color += 1
+            free = uncolored
+            while free:
+                low = free & -free
+                v = low.bit_length() - 1
+                ordered.append((v, color))
+                uncolored ^= low
+                free &= ~(low | nbrs[v])
+        for v, color in reversed(ordered):
+            if len(clique) + color <= len(best):
                 return
             clique.append(v)
-            expand(clique, remaining & adj[v])
+            expand(clique, candidates & nbrs[v])
             clique.pop()
-            remaining.discard(v)
+            candidates ^= 1 << v
 
-    expand([], set(range(1, G.n + 1)))
+    expand([], (1 << (G.n + 1)) - 2)  # bits 1..n
     return frozenset(best)
 
 
-@lru_cache(maxsize=16384)
+@lru_cache(maxsize=_KEPT_GRAPHS)
 def proper_coloring(G: Graph) -> tuple[int, ...]:
     """Colors 0..r-1 of the vertices 1..n (vertex v gets entry v-1), no edge inside a color.
 
@@ -223,8 +223,6 @@ def proper_coloring(G: Graph) -> tuple[int, ...]:
     it is exponential in the worst case, and memoized by graph.
     """
     n = G.n
-    # Neighbour lists of its own: building `G.adjacency`'s frozensets cost a
-    # relax-ladder k = omega + 1 decision ~30 us more (n = 8, in a pass).
     adj: dict[int, list[int]] = {v: [] for v in range(1, n + 1)}
     for i, j in G.edges:
         adj[i].append(j)

@@ -411,6 +411,20 @@ def declared_dim(field, source: str = "header") -> int:
     return dim
 
 
+def json_integer(value, name: str) -> int:
+    """The JSON integer `value` of field `name`; a bool or a float is refused, naming the field."""
+    if type(value) is not int:  # a bool would otherwise pass as 0 or 1, and int() would truncate a float
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
+def json_rational(value, name: str) -> Fraction:
+    """The rational of field `name`, a JSON integer or a "p/q" string; a bool or a float is refused, naming the field."""
+    if type(value) not in (int, str):
+        raise ValueError(f"{name} must be an integer or a p/q string, got {value!r}")
+    return Fraction(value)
+
+
 def _check_entry_count(count: int, source: str):
     if count > MAX_ENTRIES:
         raise ValueError(f"{source} holds {count} entries, above the limit of {MAX_ENTRIES}")
@@ -444,8 +458,13 @@ def tensor_to_json_obj(A: SymTensor) -> dict:
 
 def tensor_from_json_obj(obj: dict, field: str = "") -> SymTensor:
     """The tensor of a JSON object; `field` ("tensor." in instance JSON) prefixes the
-    field names in the refusal of an oversized dim or entry list."""
-    dim = declared_dim(obj["dim"], f"field '{field}dim'")
+    field names in the refusal of a bool or a float where an integer or a rational
+    belongs, and of an oversized dim or entry list."""
+    order = json_integer(obj["order"], f"field '{field}order'")
+    dim = declared_dim(json_integer(obj["dim"], f"field '{field}dim'"), f"field '{field}dim'")
     _check_entry_count(len(obj["entries"]), f"field '{field}entries'")
-    raw = [(tuple(key), Fraction(value)) for key, value in obj["entries"]]
-    return sym_from_entries(int(obj["order"]), dim, raw)
+    raw = []
+    for n, (key, value) in enumerate(obj["entries"]):
+        name = f"field '{field}entries[{n}]'"
+        raw.append((tuple(json_integer(i, f"{name} index") for i in key), json_rational(value, f"{name} value")))
+    return sym_from_entries(order, dim, raw)

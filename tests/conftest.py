@@ -1,4 +1,4 @@
-"""Shared fixtures: canonical small graphs, random tensor generation and a reference coloring."""
+"""Shared fixtures: canonical small graphs, random tensor generation and reference clique and coloring searches."""
 
 import dataclasses
 import importlib.util
@@ -65,6 +65,55 @@ def off_orbit(inst):
     return dataclasses.replace(inst, A=SymTensor(A.order, A.dim, {**A.entries, (1,) * A.order: Fraction(1, 1000)}))
 
 
+def adjacency(G: Graph) -> dict[int, frozenset]:
+    """The neighbours of each vertex 1..n."""
+    adj = {v: set() for v in range(1, G.n + 1)}
+    for i, j in G.edges:
+        adj[i].add(j)
+        adj[j].add(i)
+    return {v: frozenset(s) for v, s in adj.items()}
+
+
+def reference_max_clique(G: Graph) -> frozenset:
+    """The set-based branch and bound that `graphs.max_clique` replaced, kept as its reference.
+
+    First-fit greedy coloring over the sorted candidates, then expansion
+    from the last (color, vertex) down, so it returns the same clique.
+    """
+    adj = adjacency(G)
+    best: list[int] = []
+
+    def expand(clique: list[int], candidates: set[int]):
+        nonlocal best
+        if not candidates:
+            if len(clique) > len(best):
+                best = list(clique)
+            return
+        color_of: dict[int, int] = {}
+        classes: list[set[int]] = []
+        for v in sorted(candidates):
+            for ci, cls in enumerate(classes):
+                if not (adj[v] & cls):
+                    cls.add(v)
+                    color_of[v] = ci + 1
+                    break
+            else:
+                classes.append({v})
+                color_of[v] = len(classes)
+        ordered = sorted(candidates, key=lambda v: (color_of[v], v))
+        remaining = set(candidates)
+        for v in reversed(ordered):
+            if len(clique) + color_of[v] <= len(best):
+                return
+            clique.append(v)
+            expand(clique, remaining & adj[v])
+            clique.pop()
+            remaining.discard(v)
+
+    expand([], set(range(1, G.n + 1)))
+    return frozenset(best)
+
+
 def reference_coloring(G: Graph) -> tuple[int, ...]:
     """The set-based DSATUR and exact phase that `graphs.proper_coloring` replaced, kept as its reference.
 
@@ -73,7 +122,7 @@ def reference_coloring(G: Graph) -> tuple[int, ...]:
     The selection order and the lowest-free-color rule are those of
     `proper_coloring`, so both return the same colors.
     """
-    adj = G.adjacency
+    adj = adjacency(G)
     color = [-1] * (G.n + 1)
     uncolored = set(adj)
 

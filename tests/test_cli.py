@@ -142,6 +142,42 @@ def test_instance_json_k_must_be_an_integer(k3_file, tmp_path, capsys):
         assert f"field 'k' must be an integer, got {k!r}" in capsys.readouterr().err
 
 
+# (command, path to the field in the K3 instance or, for sigma-opt, in its tensor, value, field named)
+JSON_PROBES = [
+    ("check-sc", ("q",), True, "field 'q'"),
+    ("check-sc", ("q",), 0.5, "field 'q'"),
+    ("check-sc", ("sigma",), True, "field 'sigma'"),
+    ("check-sc", ("gamma_cubed",), 0.25, "field 'gamma_cubed'"),
+    ("check-sc", ("tensor", "order"), True, "field 'tensor.order'"),
+    ("check-sc", ("tensor", "dim"), 6.9, "field 'tensor.dim'"),
+    ("check-sc", ("tensor", "entries", 0, 0, 1), True, "field 'tensor.entries[0]' index"),
+    ("check-sc", ("tensor", "entries", 0, 0, 1), 1.5, "field 'tensor.entries[0]' index"),
+    ("check-sc", ("tensor", "entries", 2, 1), 2.5, "field 'tensor.entries[2]' value"),
+    ("sigma-opt", ("dim",), True, "field 'dim'"),
+    ("sigma-opt", ("entries", 1, 0, 2), 5.0, "field 'entries[1]' index"),
+    ("sigma-opt", ("entries", 1, 1), True, "field 'entries[1]' value"),
+]
+
+
+@pytest.mark.parametrize("command, path, value, field", JSON_PROBES)
+def test_json_bool_or_float_exits_3_naming_the_field(k3_file, capsys, tmp_path, command, path, value, field):
+    """A bool or a float where JSON holds an integer or a rational is refused
+    naming the field, not read as 1, truncated, or left to fail unnamed."""
+    assert cli.main(["reduce", k3_file, "--k", "3", "--sigma", "1/2"]) == 0
+    instance = json.loads(capsys.readouterr().out)
+    obj = instance if command == "check-sc" else instance["tensor"]
+    *parents, last = path
+    target = obj
+    for key in parents:
+        target = target[key]
+    target[last] = value
+    input_path = tmp_path / "input.json"
+    input_path.write_text(json.dumps(obj))
+    assert cli.main([command, str(input_path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"selfconcord: error: ValueError: {field} must be an integer") and err.count("\n") == 1, err
+
+
 def test_instance_json_negative_parameter_exit_3(k3_file, tmp_path):
     instance = json.loads(run_cli(["reduce", k3_file, "--k", "3", "--sigma", "1/2"]).stdout)
     del instance["gamma_cubed"]

@@ -29,7 +29,7 @@ GRAPH_TEXTS = (
 )
 # Values a mutation writes in place of a token or a JSON field.
 ODD_TOKENS = ("0", "-1", "2", "7", "x", "1/0", "0/0", "nan", "1e3", "", str(MAX_VERTICES + 1), str(MAX_DIM + 1))
-ODD_VALUES = (float("nan"), "1/0", "0/0", 0, -1, 7, "x", None, [], MAX_DIM + 1, 10**30)
+ODD_VALUES = (float("nan"), "1/0", "0/0", 0, -1, 7, "x", None, [], MAX_DIM + 1, 10**30, True, 2.5)
 FLOAT_BOUNDS = ("spectral_upper_bound", "grid_lower_and_upper(")
 SIXTH, TINY = Fraction(1, 6), Fraction(1, 10**30)
 NEAR_SIXTH = (SIXTH, -SIXTH, SIXTH - TINY, SIXTH + TINY, -(SIXTH + TINY), Fraction(1, 7))

@@ -40,7 +40,7 @@ from selfconcord import (
 )
 from selfconcord import concordance, graphs, optimize, reduction
 
-from conftest import off_orbit
+from conftest import adjacency, off_orbit
 
 CFG = OptConfig(starts=4, max_iters=200, seed=211)
 
@@ -287,7 +287,7 @@ def test_certifies_every_coloring_certificate_on_small_graphs():
         assert (certified["interior"], total["interior"]) == (2554, 2554)
         assert (certified["boundary"], total["boundary"]) == (1082, 1094)
         assert len(by_clique) == 12
-        assert all(k == 3 and G.n == 5 and all(len(a) == 2 for a in G.adjacency.values()) for G, k in by_clique)
+        assert all(k == 3 and G.n == 5 and all(len(a) == 2 for a in adjacency(G).values()) for G, k in by_clique)
 
 
 def test_clique_number_settles_the_five_cycle(c5):

@@ -257,7 +257,7 @@ def test_instances_refuse_q_as_before(q, error, message):
     ("q", "1/0", "ZeroDivisionError: Fraction(1, 0)"),
     ("sigma", "0", "ValueError: sigma must be positive, got 0"),
     ("sigma", "-1/2", "ValueError: sigma must be positive, got -1/2"),
-    ("sigma", -1.5, "ValueError: sigma must be positive, got -3/2"),
+    ("sigma", -1.5, "ValueError: field 'sigma' must be an integer or a p/q string, got -1.5"),
     ("sigma", "x", "ValueError: Invalid literal for Fraction: 'x'"),
 ])
 def test_instance_json_refuses_as_before(tmp_path, capsys, field, value, message):

@@ -1,7 +1,8 @@
 """Graph parsing, complement, exact clique oracles, enumeration.
 
 The reference oracle is brute-force subset enumeration, independent of the
-branch-and-bound path in the library.
+branch-and-bound path in the library; the set-based search in conftest is
+the reference for which maximum clique `max_clique` returns.
 """
 
 from itertools import combinations, product
@@ -26,7 +27,7 @@ from selfconcord import (
 from selfconcord import graphs
 from selfconcord.graphs import MAX_VERTICES, _EXACT_COLORING_LIMIT
 
-from conftest import gnm, mycielskian, reference_coloring, relax_ladder_graphs
+from conftest import gnm, mycielskian, reference_coloring, reference_max_clique, relax_ladder_graphs
 
 
 def brute_force_clique_number(G: Graph) -> int:
@@ -169,6 +170,19 @@ def test_max_clique_is_a_clique():
         C = max_clique(G)
         assert all((a, b) in G.edges for a, b in combinations(sorted(C), 2))
         assert len(C) == brute_force_clique_number(G)
+
+
+def test_max_clique_returns_the_reference_clique():
+    """The bitmask search walks the reference's tree, so it returns the very same
+    clique (not only one of the same size) on every graph with n <= 6, on
+    G(n, n(n-1)/4) up to n = 150 and on a dense G(80, 0.9)."""
+    for n in range(2, 7):
+        for G in enumerate_graphs(n):
+            assert max_clique(G) == reference_max_clique(G), G
+    rng = np.random.default_rng(80)
+    dense = graph_from_edges(80, [(i, j) for i, j in combinations(range(1, 81), 2) if rng.random() < 0.9])
+    for G in [gnm(n, n * (n - 1) // 4, seed=n) for n in range(10, 151)] + [dense]:
+        assert max_clique(G) == reference_max_clique(G), (G.n, G.m)
 
 
 def test_stability_examples(k3, footnote_graph, c5):
