@@ -177,9 +177,11 @@ def _instance_from_obj(obj: dict) -> ConcordanceInstance:
     """The instance of a JSON object.  A stated `k` must be an integer that
     gives q; a `graph` is not read, since the checker reads it from the tensor."""
     kind = obj["kind"]
-    if kind not in GADGETS:
-        raise ValueError(f"instance kind must be one of {tuple(GADGETS)}, got {kind!r}")
+    if type(kind) is not str or kind not in GADGETS:
+        raise ValueError(f"field 'kind' must be one of {tuple(GADGETS)}, got {kind!r}")
     gadget = GADGETS[kind]
+    if type(obj["tensor"]) is not dict:
+        raise ValueError(f"field 'tensor' must be an object, got {type(obj['tensor']).__name__}")
     A = tensor_from_json_obj(obj["tensor"], "tensor.")
     q = json_rational(obj["q"], "field 'q'")
     if "k" in obj:

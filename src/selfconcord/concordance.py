@@ -44,18 +44,17 @@ c(1 - 1/r) are memoized in `reduction.Gadget.bound`, and q's float is its
 numerator over its denominator, so a decision that a rung settles from the
 caches builds no `Fraction`.
 
-Of a numeric decision, only the comparisons against q depend on k.
-`reduction` memoizes the last graph's gadget tensor of each kind and the
-thresholds by (kind, k), so the decisions of a k-sweep share one tensor
-object, which the caches of the search and the coloring find by identity
-instead of comparing its entries.  A decision reads the tensor alone: one
-support read per tensor (`_support`: its vertex coordinates, its support
-graph H and whether it is the gadget of H) gives the search its clique
-start and nonnegative starts, oracle mode its graph and the coloring rung
-its graph.  The multistart search depends on the tensor and the
-`OptConfig` alone, and the coloring on the tensor alone; both are kept in
-bounded LRU caches, so a k-sweep or a relax-then-grid pair searches and
-colors each gadget once.
+Of a numeric decision, only the comparisons against q depend on k.  A
+decision reads the tensor alone, and what it computes from the tensor alone
+is kept on the tensor object (`SymTensor._analyses`), read in place and
+dropped with the tensor: the support read (`_support`: its vertex
+coordinates, its support graph H and whether it is the gadget of H), which
+gives the search its clique start and nonnegative starts, oracle mode its
+graph and the coloring rung its graph; the coloring; and the multistart
+search of each `OptConfig`.  `reduction` memoizes the last graph's gadget
+tensor of each kind and the thresholds by (kind, k), so the decisions of a
+k-sweep and a relax-then-grid pair share one tensor object, which is read,
+searched and colored once; an equal tensor built anew is analysed anew.
 `graphs` memoizes `proper_coloring` and `max_clique` by graph, so the cubic
 and quartic gadgets of one graph share one coloring and one clique.  The
 float bounds run on each decision that reaches them, which the exact rungs
@@ -71,7 +70,6 @@ import enum
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
@@ -118,18 +116,6 @@ _SCALE = float(_DENOMINATOR)
 # default point budget the first rung fits every dim up to 5 (2,264,031
 # points at dim 5).
 _GRID_LADDER = (0.2, 0.1, 0.05, 0.02, 0.01, 0.005, 0.002, 0.001)
-
-# Entries of each cache of k-independent analyses (searches, per-tensor
-# colorings) kept per process, least recently used first out.  One (graph,
-# kind) pair of a k-sweep needs one search and one coloring; the coloring's
-# support graph keys `graphs`' own caches of colorings and cliques.
-_KEPT_ANALYSES = 64
-
-# Support reads (`_support`) kept per process.  Every decision plan is
-# graph-major with both kinds interleaved, so one read per kind of the
-# current graph serves it; a deeper cache would only keep the support
-# graphs of graphs already done alive.
-_KEPT_SUPPORTS = 2
 
 # A tensor's gadget kind, told apart by its order.
 _KIND_OF_ORDER = {gadget.order: kind for kind, gadget in GADGETS.items()}
@@ -210,9 +196,17 @@ def violates(A: SymTensor, h, q: Fraction) -> tuple[bool, Fraction, Fraction]:
 violates_cubic = violates_quartic = violates
 
 
-@lru_cache(maxsize=_KEPT_SUPPORTS)
 def _support(A: SymTensor) -> tuple[tuple[int, ...], Graph, bool] | None:
-    """(vertex coordinates, support graph H, whether A is the gadget of H) of a tensor of gadget shape, else None.
+    """(vertex coordinates, support graph H, whether A is the gadget of H) of a
+    tensor of gadget shape, else None; read once per tensor object."""
+    analyses = A._analyses
+    if "support" not in analyses:
+        analyses["support"] = _read_support(A)
+    return analyses["support"]
+
+
+def _read_support(A: SymTensor) -> tuple[tuple[int, ...], Graph, bool] | None:
+    """The support read that `_support` keeps, computed from A's entries.
 
     Gadget shape: at least one entry (the float bounds are exactly 0 on the
     zero tensor), every |value| <= 1/6, and every entry on a gadget orbit,
@@ -349,28 +343,34 @@ def _undecided_verdict(mode: str, description: str, extra: dict, evaluations: in
     return Verdict(Status.UNDECIDED, mode, certificate, evaluations)
 
 
-@lru_cache(maxsize=_KEPT_ANALYSES)
 def _search(A: SymTensor, cfg: OptConfig) -> OptReport:
-    """Multistart sphere search on A.  When A is the gadget of its support
-    graph H, a maximum clique of H adds a start and the random starts keep
-    to the nonnegative orthant."""
-    support = _support(A)
-    H = support[1] if support is not None and support[2] else None
-    extra = ()
-    if H is not None:
-        extra = (unit_witness(_KIND_OF_ORDER[A.order], H, max_clique(H)),)
-    return max_form_sphere(A, cfg, extra_starts=extra, nonnegative_starts=H is not None)
+    """Multistart sphere search on A, run once per tensor object and `OptConfig`.
+    When A is the gadget of its support graph H, a maximum clique of H adds a
+    start and the random starts keep to the nonnegative orthant."""
+    report = A._analyses.get(cfg)
+    if report is None:
+        support = _support(A)
+        H = support[1] if support is not None and support[2] else None
+        extra = ()
+        if H is not None:
+            extra = (unit_witness(_KIND_OF_ORDER[A.order], H, max_clique(H)),)
+        report = A._analyses[cfg] = max_form_sphere(A, cfg, extra_starts=extra, nonnegative_starts=H is not None)
+    return report
 
 
-@lru_cache(maxsize=_KEPT_ANALYSES)
 def _coloring(A: SymTensor) -> tuple[tuple[int, ...], tuple[int, ...], Fraction, Graph] | None:
-    """(vertex coordinates, their colors, c(1 - 1/r), support graph) of a tensor of gadget shape, else None."""
-    support = _support(A)
-    if support is None:
-        return None
-    vertices, H, _ = support
-    colors = proper_coloring(H)
-    return vertices, colors, GADGETS[_KIND_OF_ORDER[A.order]].bound(len(set(colors))), H
+    """(vertex coordinates, their colors, c(1 - 1/r), support graph) of a tensor
+    of gadget shape, else None; colored once per tensor object."""
+    analyses = A._analyses
+    if "coloring" not in analyses:
+        support = _support(A)
+        if support is None:
+            analyses["coloring"] = None
+        else:
+            vertices, H, _ = support
+            colors = proper_coloring(H)
+            analyses["coloring"] = vertices, colors, GADGETS[_KIND_OF_ORDER[A.order]].bound(len(set(colors))), H
+    return analyses["coloring"]
 
 
 def _grid_bound(A: SymTensor, clears=None) -> tuple[float, int, str]:

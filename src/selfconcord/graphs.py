@@ -69,6 +69,13 @@ class Graph:
             if not (1 <= i < j <= self.n):
                 raise ValueError(f"edge {e} out of range for n={self.n}")
 
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.n, self.edges))
+
+    def __hash__(self):
+        return self._hash
+
     @property
     def m(self) -> int:
         return len(self.edges)

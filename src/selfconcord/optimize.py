@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -111,6 +111,13 @@ class OptConfig:
             raise ValueError("starts must be >= 1")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.starts, self.max_iters, self.seed))
+
+    def __hash__(self):
+        return self._hash
 
 
 @dataclass(frozen=True, eq=False)

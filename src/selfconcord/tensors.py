@@ -182,8 +182,13 @@ class SymTensor:
                     for key, value in self.entries.items())
         return math.sqrt(total / (E * E))
 
+    @cached_property
+    def _analyses(self) -> dict:
+        """What `concordance` computes once per tensor object, read in place; it dies with the tensor."""
+        return {}
+
     def __reduce__(self):
-        # The read-only view does not pickle; rebuild from a plain dict.
+        # The read-only view does not pickle; rebuild from a plain dict (no cached view or analysis).
         return (SymTensor, (self.order, self.dim, dict(self.entries)))
 
     def __eq__(self, other) -> bool:
@@ -419,10 +424,13 @@ def json_integer(value, name: str) -> int:
 
 
 def json_rational(value, name: str) -> Fraction:
-    """The rational of field `name`, a JSON integer or a "p/q" string; a bool or a float is refused, naming the field."""
+    """The rational of field `name`, a JSON integer or a "p/q" string; a bool, a float or a zero denominator is refused, naming the field."""
     if type(value) not in (int, str):
         raise ValueError(f"{name} must be an integer or a p/q string, got {value!r}")
-    return Fraction(value)
+    try:
+        return Fraction(value)
+    except ZeroDivisionError:
+        raise ValueError(f"{name} must have a nonzero denominator, got {value!r}") from None
 
 
 def _check_entry_count(count: int, source: str):
@@ -459,12 +467,19 @@ def tensor_to_json_obj(A: SymTensor) -> dict:
 def tensor_from_json_obj(obj: dict, field: str = "") -> SymTensor:
     """The tensor of a JSON object; `field` ("tensor." in instance JSON) prefixes the
     field names in the refusal of a bool or a float where an integer or a rational
-    belongs, and of an oversized dim or entry list."""
+    belongs, of an entry list or entry of another shape, and of an oversized dim or
+    entry list."""
     order = json_integer(obj["order"], f"field '{field}order'")
     dim = declared_dim(json_integer(obj["dim"], f"field '{field}dim'"), f"field '{field}dim'")
-    _check_entry_count(len(obj["entries"]), f"field '{field}entries'")
+    entries = obj["entries"]
+    if type(entries) is not list:
+        raise ValueError(f"field '{field}entries' must be a list, got {type(entries).__name__}")
+    _check_entry_count(len(entries), f"field '{field}entries'")
     raw = []
-    for n, (key, value) in enumerate(obj["entries"]):
+    for n, entry in enumerate(entries):
         name = f"field '{field}entries[{n}]'"
+        if not (type(entry) is list and len(entry) == 2 and type(entry[0]) is list):
+            raise ValueError(f"{name} must be a pair [index list, value]")
+        key, value = entry
         raw.append((tuple(json_integer(i, f"{name} index") for i in key), json_rational(value, f"{name} value")))
     return sym_from_entries(order, dim, raw)

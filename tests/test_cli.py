@@ -156,13 +156,23 @@ JSON_PROBES = [
     ("sigma-opt", ("dim",), True, "field 'dim'"),
     ("sigma-opt", ("entries", 1, 0, 2), 5.0, "field 'entries[1]' index"),
     ("sigma-opt", ("entries", 1, 1), True, "field 'entries[1]' value"),
+    # Shapes that used to end in a bare TypeError, ValueError or ZeroDivisionError.
+    ("sigma-opt", ("entries",), 5, "field 'entries'"),
+    ("sigma-opt", ("entries",), {"a": 1}, "field 'entries'"),
+    ("sigma-opt", ("entries", 0, 0), 1, "field 'entries[0]'"),
+    ("sigma-opt", ("entries", 0), [[1, 2, 3]], "field 'entries[0]'"),
+    ("check-sc", ("tensor",), [1], "field 'tensor'"),
+    ("check-sc", ("kind",), ["cubic"], "field 'kind'"),
+    ("check-sc", ("q",), "1/0", "field 'q'"),
+    ("check-sc", ("tensor", "entries", 0, 1), "1/0", "field 'tensor.entries[0]' value"),
 ]
 
 
 @pytest.mark.parametrize("command, path, value, field", JSON_PROBES)
 def test_json_bool_or_float_exits_3_naming_the_field(k3_file, capsys, tmp_path, command, path, value, field):
     """A bool or a float where JSON holds an integer or a rational is refused
-    naming the field, not read as 1, truncated, or left to fail unnamed."""
+    naming the field, not read as 1, truncated, or left to fail unnamed; so
+    is a malformed shape or a zero denominator."""
     assert cli.main(["reduce", k3_file, "--k", "3", "--sigma", "1/2"]) == 0
     instance = json.loads(capsys.readouterr().out)
     obj = instance if command == "check-sc" else instance["tensor"]
@@ -175,7 +185,8 @@ def test_json_bool_or_float_exits_3_naming_the_field(k3_file, capsys, tmp_path, 
     input_path.write_text(json.dumps(obj))
     assert cli.main([command, str(input_path)]) == 3
     err = capsys.readouterr().err
-    assert err.startswith(f"selfconcord: error: ValueError: {field} must be an integer") and err.count("\n") == 1, err
+    expected = "must be an integer" if type(value) in (bool, float) else "must "
+    assert err.startswith(f"selfconcord: error: ValueError: {field} {expected}") and err.count("\n") == 1, err
 
 
 def test_instance_json_negative_parameter_exit_3(k3_file, tmp_path):

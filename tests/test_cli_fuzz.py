@@ -29,7 +29,8 @@ GRAPH_TEXTS = (
 )
 # Values a mutation writes in place of a token or a JSON field.
 ODD_TOKENS = ("0", "-1", "2", "7", "x", "1/0", "0/0", "nan", "1e3", "", str(MAX_VERTICES + 1), str(MAX_DIM + 1))
-ODD_VALUES = (float("nan"), "1/0", "0/0", 0, -1, 7, "x", None, [], MAX_DIM + 1, 10**30, True, 2.5)
+ODD_VALUES = (float("nan"), "1/0", "0/0", 0, -1, 7, "x", None, [], MAX_DIM + 1, 10**30, True, 2.5,
+              {"a": 1}, [1], [[1, 2, 3]], [[1, 2, 3], "1/6", 0], ["cubic"])
 FLOAT_BOUNDS = ("spectral_upper_bound", "grid_lower_and_upper(")
 SIXTH, TINY = Fraction(1, 6), Fraction(1, 10**30)
 NEAR_SIXTH = (SIXTH, -SIXTH, SIXTH - TINY, SIXTH + TINY, -(SIXTH + TINY), Fraction(1, 7))
@@ -43,6 +44,8 @@ def run(capsys, tmp_path, args, text):
     assert code in (0, 1, 2, 3), (args, text, code)
     if code == 3:
         assert err.startswith("selfconcord: error:") and "Traceback" not in err, err
+        # A field of the wrong shape or value is refused naming it, not left to a bare TypeError.
+        assert err.split(": ")[2] in ("ValueError", "KeyError", "JSONDecodeError"), err
     return code, out
 
 

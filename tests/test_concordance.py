@@ -5,10 +5,12 @@ test-local full-hypermatrix rational evaluation, not the library's path.
 """
 
 import copy
+import gc
 import json
 import pickle
+import weakref
 from collections import Counter
-from dataclasses import FrozenInstanceError
+from dataclasses import FrozenInstanceError, replace
 from fractions import Fraction
 from itertools import product
 
@@ -40,7 +42,7 @@ from selfconcord import (
 )
 from selfconcord import concordance, graphs, optimize, reduction
 
-from conftest import adjacency, off_orbit
+from conftest import adjacency, gnm, off_orbit
 
 CFG = OptConfig(starts=4, max_iters=200, seed=211)
 
@@ -447,15 +449,17 @@ def test_verdict_json_shape(k3):
 # Reuse of the k-independent analysis
 
 
-ANALYSES = (concordance._search, concordance._coloring)
 GADGET_MEMOS = (reduction.build_cubic_tensor, reduction.build_quartic_tensor)
 
 
-def clear_analyses():
-    for cached in ANALYSES + GADGET_MEMOS + (concordance._support,):
+def clear_analyses(*tensors):
+    """Empty the gadget, threshold and coloring memos, and drop the analyses kept on `tensors`."""
+    for cached in GADGET_MEMOS:
         cached.cache_clear()
     graphs.proper_coloring.cache_clear()
     reduction.threshold.cache_clear()
+    for A in tensors:
+        vars(A).pop("_analyses", None)
 
 
 @pytest.fixture
@@ -494,23 +498,41 @@ def _small_sweep():
 def test_sweep_verdicts_do_not_depend_on_reuse():
     cold = []
     for inst, mode, check in _small_sweep():
-        clear_analyses()
+        clear_analyses(inst.A)
         cold.append(verdict_to_json_obj(check(inst, CFG, mode=mode), seed=CFG.seed))
     warm = [verdict_to_json_obj(check(inst, CFG, mode=mode), seed=CFG.seed) for inst, mode, check in _small_sweep()]
     assert json.dumps(warm) == json.dumps(cold)
-    # The sweep touched far more analyses of each kind than a cache keeps.
-    for cached in ANALYSES:
-        assert cached.cache_info().currsize == cached.cache_info().maxsize == concordance._KEPT_ANALYSES
     # The warm sweep is graph-major, so it built each gadget once per graph
-    # and found it in the memo for the other three k.  Each support read of
-    # a gadget tensor looks its gadget up once more and finds it too: 95
-    # reads per kind, one per graph and 24 more where the `off_orbit` twins
-    # had pushed the read out of the two-deep support cache.
+    # and found it in the memo for the other three k.  The one support read
+    # of each gadget tensor looks its gadget up once more and finds it too.
     graph_count = sum(1 for n in range(2, 5) for _ in enumerate_graphs(n))
     for cached in GADGET_MEMOS:
         info = cached.cache_info()
         assert info.currsize == info.maxsize == reduction._KEPT_GADGETS
-        assert (info.misses, info.hits) == (graph_count, 3 * graph_count + 95)
+        assert (info.misses, info.hits) == (graph_count, 3 * graph_count + graph_count)
+
+
+def _decide_and_drop(graph_list):
+    """Weak references to the gadget tensors of relax decisions on each graph, both
+    kinds; a function, so that no local of the caller holds the last one."""
+    refs = []
+    for G in graph_list:
+        for inst, check in ((build_cubic_instance(G, 3, Fraction(1, 2)), check_sc), (build_quartic_instance(G, 3, 1), check_sc2)):
+            check(inst, CFG, mode="relax")
+            refs.append(weakref.ref(inst.A))
+    return refs
+
+
+def test_decided_tensors_are_not_kept_alive():
+    """Analyses live on their tensor, so the checker keeps no tensor alive
+    that its caller dropped: after relax decisions on 70 distinct gadgets of
+    each kind, at most one per kind is left, the last graph's in the gadget memo."""
+    graph_list = list({gnm(7, 10, seed): None for seed in range(80)})[:70]
+    assert len(graph_list) == 70
+    refs = _decide_and_drop(graph_list)
+    gc.collect()
+    left = Counter(A.order for A in (ref() for ref in refs) if A is not None)
+    assert max(left.values(), default=0) <= 1, left
 
 
 def test_a_k_sweep_shares_one_gadget_tensor(c5):
@@ -533,20 +555,30 @@ def test_a_k_sweep_shares_one_gadget_tensor(c5):
 
 @pytest.mark.parametrize("kind", sorted(GADGETS))
 def test_a_shared_gadget_tensor_pickles_and_copies(c5, kind):
-    """A memoized tensor survives `pickle` and `copy.deepcopy` as an equal,
-    separate tensor whose entries still refuse an edit."""
-    A = GADGETS[kind].tensor(c5)
+    """A memoized, decided tensor survives `pickle` and `copy.deepcopy` as an
+    equal, separate tensor whose entries still refuse an edit, which carries
+    none of the original's analyses and decides as it does."""
+    inst = build_instance(c5, kind, 3, 1)
+    A = inst.A
+    assert A is GADGETS[kind].tensor(c5)
+    check = check_sc if kind == "cubic" else check_sc2
+    decided = verdict_to_json_obj(check(inst, CFG, mode="relax"))
     assert len(A._packed.idx) == len(A.entries)  # a cached float view must not stop the copy
+    assert CFG in A._analyses  # nor a kept search
     for clone in (pickle.loads(pickle.dumps(A)), copy.deepcopy(A)):
         assert clone == A and clone is not A and hash(clone) == hash(A)
+        assert "_analyses" not in vars(clone)
         with pytest.raises(TypeError):
             clone.entries[(1,) * A.order] = Fraction(1)
+        assert verdict_to_json_obj(check(replace(inst, A=clone), CFG, mode="relax")) == decided
 
 
-def test_equal_tensors_hit_the_memo_and_other_keys_miss(counted, footnote_graph):
+def test_one_tensor_object_hits_the_memo_and_equal_copies_and_other_keys_miss(counted, footnote_graph):
+    """A search is kept on its tensor object: every k and mode of one object
+    share it, an equal tensor built anew is searched anew, and so is each
+    other `OptConfig`."""
     first = off_orbit(build_cubic_instance(footnote_graph, 3, Fraction(1, 2)))
-    later = off_orbit(build_cubic_instance(footnote_graph, 5, Fraction(1, 2)))
-    assert first.A is not later.A and first.A == later.A
+    later = replace(build_cubic_instance(footnote_graph, 5, Fraction(1, 2)), A=first.A)
     check_sc(first, CFG, mode="relax")
     check_sc(later, CFG, mode="relax")
     check_sc(later, CFG, mode="grid")
@@ -556,20 +588,22 @@ def test_equal_tensors_hit_the_memo_and_other_keys_miss(counted, footnote_graph)
     assert counted["spectral_upper_bound"] == 1
     rungs = counted["grid_lower_and_upper"]
     assert rungs >= 1
-    check_sc(off_orbit(build_cubic_instance(footnote_graph, 5, Fraction(1, 2))), CFG, mode="grid")
+    twin = off_orbit(build_cubic_instance(footnote_graph, 5, Fraction(1, 2)))
+    assert twin.A is not first.A and twin.A == first.A
+    check_sc(twin, CFG, mode="grid")
     assert counted["grid_lower_and_upper"] == 2 * rungs
-    assert counted["max_form_sphere"] == 1
+    assert counted["max_form_sphere"] == 2
 
     others = [OptConfig(starts=CFG.starts, max_iters=CFG.max_iters, seed=CFG.seed + 1),
               OptConfig(starts=CFG.starts + 1, max_iters=CFG.max_iters, seed=CFG.seed),
               OptConfig(starts=CFG.starts, max_iters=CFG.max_iters + 1, seed=CFG.seed)]
-    for searches, cfg in enumerate(others, start=2):
+    for searches, cfg in enumerate(others, start=3):
         check_sc(later, cfg, mode="relax")
         assert counted["max_form_sphere"] == searches
-        assert counted["spectral_upper_bound"] == searches
-    # An instance built from the tensor alone has the same search.
+        assert counted["spectral_upper_bound"] == searches - 1
+    # An instance built from the tensor object alone has the same search.
     check_sc(ConcordanceInstance(kind="cubic", A=later.A, q=later.q), CFG, mode="relax")
-    assert counted["max_form_sphere"] == 4
+    assert counted["max_form_sphere"] == 5
     assert counted["spectral_upper_bound"] == 5
 
 

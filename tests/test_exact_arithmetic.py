@@ -254,7 +254,7 @@ def test_instances_refuse_q_as_before(q, error, message):
     ("q", 0, "ValueError: threshold q must be positive, got 0"),
     ("q", -1, "ValueError: threshold q must be positive, got -1"),
     ("q", "x", "ValueError: Invalid literal for Fraction: 'x'"),
-    ("q", "1/0", "ZeroDivisionError: Fraction(1, 0)"),
+    ("q", "1/0", "ValueError: field 'q' must have a nonzero denominator, got '1/0'"),
     ("sigma", "0", "ValueError: sigma must be positive, got 0"),
     ("sigma", "-1/2", "ValueError: sigma must be positive, got -1/2"),
     ("sigma", -1.5, "ValueError: field 'sigma' must be an integer or a p/q string, got -1.5"),
