@@ -12,10 +12,10 @@ from .concordance import (
     SigmaBounds,
     Status,
     Verdict,
-    certifies,
     check_sc,
     check_sc2,
     rationalize_vector,
+    recheck,
     sigma_opt_bounds,
     verdict_to_json_obj,
     violates,

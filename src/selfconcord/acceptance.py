@@ -22,11 +22,10 @@ import numpy as np
 from .concordance import (
     Status,
     _search,
-    certifies,
     check_sc,
     check_sc2,
+    recheck,
     sigma_opt_bounds,
-    violates,
 )
 from .graphs import Graph, clique_number, complement, enumerate_graphs, max_clique, stability_number
 from .optimize import (
@@ -349,14 +348,12 @@ def criterion_property_suite(max_n: int = 4, seed: int = DEFAULT_SEED, tol: floa
     if net_excess > 1e-12:
         problems.append(f"net maximum exceeds the search by {net_excess:.2e}")
 
-    # Mode sweep: every NOT certificate re-verifies exactly, and so does every
-    # SELF_CONCORDANT one, a coloring or an exact_clique_oracle comparison
-    # (oracle verdicts included): on gadgets no verdict needs a float bound.
-    # No instance is both certified YES and exactly refuted across
-    # relax/grid/oracle.
+    # Mode sweep: every certificate, a NOT witness, a coloring or an
+    # exact_clique_oracle comparison (oracle verdicts included), re-verifies
+    # exactly: on gadgets no verdict needs a float bound.  No instance is both
+    # certified YES and exactly refuted across relax/grid/oracle.
     cfg = OptConfig(starts=4, max_iters=150, seed=seed)
-    not_certificates = 0
-    exact_certificates = Counter()
+    certificates = Counter()
     contradictions = 0
     for G in _reduction_graphs(min(max_n, 4)):
         for k in (3, 4, 5, 6):
@@ -366,14 +363,9 @@ def criterion_property_suite(max_n: int = 4, seed: int = DEFAULT_SEED, tol: floa
                 for mode in ("relax", "grid", "oracle"):
                     verdict = check(inst, cfg, mode=mode)
                     statuses.add(verdict.status)
-                    if verdict.status is Status.NOT_SELF_CONCORDANT:
-                        not_certificates += 1
-                        h = tuple(Fraction(s) for s in verdict.certificate["witness"])
-                        if not violates(inst.A, h, inst.q)[0]:
-                            problems.append(f"NOT certificate failed exact re-verification ({kind}, k={k})")
-                    elif verdict.status is Status.SELF_CONCORDANT:
-                        exact_certificates[verdict.certificate["kind"]] += 1
-                        if not certifies(inst.A, inst.q, verdict.certificate):
+                    if verdict.status is not Status.UNDECIDED:
+                        certificates[verdict.certificate["kind"]] += 1
+                        if recheck(inst.A, inst.q, verdict.certificate) is not True:
                             problems.append(f"{verdict.certificate['kind']} certificate failed exact "
                                             f"re-verification ({kind}, {mode}, k={k})")
                 if {Status.SELF_CONCORDANT, Status.NOT_SELF_CONCORDANT} <= statuses:
@@ -387,8 +379,8 @@ def criterion_property_suite(max_n: int = 4, seed: int = DEFAULT_SEED, tol: floa
         not problems,
         (f"100 calculus checks, symmetric-maximizer worst {banach_worst:.2e} (tol 1e-4), "
          f"net excess {net_excess:.2e} (tol 1e-12), "
-         f"{not_certificates} NOT, {exact_certificates['coloring']} coloring and "
-         f"{exact_certificates['bound']} exact_clique_oracle certificates re-verified exactly, "
+         f"{certificates['witness']} NOT, {certificates['coloring']} coloring and "
+         f"{certificates['bound']} exact_clique_oracle certificates re-verified exactly, "
          "0 contradictions"
          if not problems else "; ".join(problems[:5])),
         seconds,

@@ -2,7 +2,8 @@
 
 A complete polynomial-time decision for these inequalities cannot exist
 (deciding them answers clique queries), so the checker is honest about what
-it knows:
+it knows, and `recheck` re-checks each exact certificate from A, q and its
+JSON alone:
 
 * NOT_SELF_CONCORDANT is only ever reported with an exact rational witness
   h that violates the inequality under exact rational arithmetic.  Floating
@@ -11,7 +12,7 @@ it knows:
   if re-verification fails the status stays UNDECIDED.  The exact check is
   scale invariant, so witnesses need no normalization.
 * SELF_CONCORDANT is reported in relax and grid mode from the support graph
-  H whenever the tensor has gadget shape (see `certifies`): by
+  H whenever the tensor has gadget shape (see `recheck`): by
   Motzkin-Straus, max A^p <= c(1 - 1/omega(H)) <= c(1 - 1/r) for a proper
   coloring of H with r colors, each compared with q in rationals, boundary
   included.  A coloring with r <= k - 1 colors is the certificate.  When H
@@ -52,7 +53,7 @@ coordinates, its support graph H and whether it is the gadget of H), which
 gives the search its clique start and nonnegative starts, oracle mode its
 graph and the coloring rung its graph; the coloring; and the multistart
 search of each `OptConfig`.  `reduction` memoizes the last graph's gadget
-tensor of each kind and the thresholds by (kind, k), so the decisions of a
+tensor of each kind and `Gadget.bound` the thresholds, so the decisions of a
 k-sweep and a relax-then-grid pair share one tensor object, which is read,
 searched and colored once; an equal tensor built anew is analysed anew.
 `graphs` memoizes `proper_coloring` and `max_clique` by graph, so the cubic
@@ -94,7 +95,7 @@ __all__ = [
     "violates_cubic",
     "violates_quartic",
     "rationalize_vector",
-    "certifies",
+    "recheck",
     "check_sc",
     "check_sc2",
     "sigma_opt_bounds",
@@ -248,43 +249,51 @@ def _read_support(A: SymTensor) -> tuple[tuple[int, ...], Graph, bool] | None:
     if A.order == 3 and len(set(pairs)) < len(pairs):
         return None
     vertices = tuple(v for v in range(1, A.dim + 1) if v not in edge_coordinates)
-    if vertices[-1] != len(vertices):  # not 1..n, as in every gadget built from a graph
-        position = {v: i for i, v in enumerate(vertices, start=1)}
-        pairs = [(position[i], position[j]) for i, j in pairs]
-    H = Graph(len(vertices), frozenset(pairs))
+    position = {v: i for i, v in enumerate(vertices, start=1)}
+    H = Graph(len(vertices), frozenset((position[i], position[j]) for i, j in pairs))
     return vertices, H, GADGETS[_KIND_OF_ORDER[A.order]].tensor(H) == A
 
 
-def certifies(A: SymTensor, q, certificate: dict) -> bool:
-    """Exact re-check, from A, q and the certificate's JSON alone, that the support graph proves max A^p <= q.
+def recheck(A: SymTensor, q, certificate) -> bool | None:
+    """Exact re-check of a certificate from A, q and its JSON alone.
 
-    A must have gadget shape (see `_support`).  A "coloring" certificate's
-    "vertices" (order 3 only) must list its vertex coordinates in
-    increasing order, and its "colors" must give each vertex coordinate an
-    integer, with no entry's pair (i, j) inside one color; its "bound" must
-    read c(1 - 1/r), r the number of distinct colors.  A "bound"
-    certificate must name "exact_clique_oracle" and read c(1 - 1/omega(H))
-    for the support graph H, recomputed with `true_max`.  Either bound
-    must be <= q.  Both are Motzkin-Straus: the edge quadratic of H has
-    simplex maximum (1/2)(1 - 1/omega(H)), and no edge joins two vertices of
-    one color, so with y_a the simplex mass of color a, it is also at most
-    sum over a < b of y_a y_b <= (1/2)(1 - 1/r).  Entries of at most 1/6
-    bound |A(h)| by the gadget form at |h|, and the chain of `reduction`
-    (for order 3: Cauchy-Schwarz in w, then the 2/3 : 1/3 split) carries
-    that to max A^p <= c(1 - 1/omega(H)) <= c(1 - 1/r).  Float bounds are
-    refused.
+    True when it re-verifies, False when it is refuted or malformed (it never
+    raises), None for a "budget" or a float "bound", which claim no exact
+    proof.  A "witness" must list A.dim rationals h that `violates` A at q,
+    its "lhs" and "rhs" as recomputed.  The other kinds need A of gadget
+    shape (see `_support`) with support graph H.  A "coloring" lists the
+    vertex coordinates in increasing order as "vertices" (order 3 only) and
+    gives each an integer in "colors", no entry's pair (i, j) inside one
+    color, with "bound" c(1 - 1/r), r the number of colors; an
+    "exact_clique_oracle" bound reads c(1 - 1/omega(H)) (`true_max`).
+    Either bound must be <= q.  Both are Motzkin-Straus: the edge quadratic
+    of H has simplex maximum (1/2)(1 - 1/omega(H)) <= (1/2)(1 - 1/r), as no
+    edge joins two vertices of one color.  Entries of at most 1/6 bound
+    |A(h)| by the gadget form at |h|, and the chain of `reduction` (for
+    order 3: Cauchy-Schwarz in w, then the 2/3 : 1/3 split) carries that to
+    max A^p <= c(1 - 1/omega(H)) <= c(1 - 1/r).
     """
+    if not isinstance(certificate, dict):
+        return False
+    kind, named = certificate.get("kind"), certificate.get("bound")
+    if kind == "budget" or kind == "bound" and isinstance(named, dict) and named.get("name") != "exact_clique_oracle":
+        return None
+    if kind == "witness":
+        h = certificate.get("witness")
+        if type(h) is not list or len(h) != A.dim:
+            return False
+        try:
+            violated, lhs, rhs = violates(A, h, q)
+        except (TypeError, ValueError, ArithmeticError):  # a coordinate that is no rational
+            return False
+        return violated and certificate.get("lhs") == str(lhs) and certificate.get("rhs") == str(rhs)
     support = _support(A)
     if support is None:
         return False
     vertices, H, _ = support
-    if certificate.get("kind") == "bound":
-        named = certificate.get("bound")
-        if not (isinstance(named, dict) and named.get("name") == "exact_clique_oracle"):
-            return False
-        bound = true_max(_KIND_OF_ORDER[A.order], H)
-        value = named.get("value")
-    elif certificate.get("kind") == "coloring":
+    if kind == "bound" and isinstance(named, dict):  # named "exact_clique_oracle"
+        bound, value = true_max(_KIND_OF_ORDER[A.order], H), named.get("value")
+    elif kind == "coloring":
         if A.order == 3 and certificate.get("vertices") != list(vertices):
             return False
         colors = certificate.get("colors")
@@ -292,11 +301,10 @@ def certifies(A: SymTensor, q, certificate: dict) -> bool:
             return False
         if any(colors[i - 1] == colors[j - 1] for i, j in H.edges):  # H's vertex v is vertices[v - 1]
             return False
-        bound = GADGETS[_KIND_OF_ORDER[A.order]].bound(len(set(colors)))
-        value = certificate.get("bound")
+        bound, value = GADGETS[_KIND_OF_ORDER[A.order]].bound(len(set(colors))), certificate.get("bound")
     else:
         return False
-    return value == str(bound) and bound <= Fraction(q)
+    return value == str(bound) and bound <= _fraction(q)
 
 
 def _at_most(a: Fraction, b: Fraction) -> bool:
@@ -494,19 +502,18 @@ def check_sc2(inst: ConcordanceInstance, cfg: OptConfig | None = None, mode: str
 def sigma_opt_bounds(A: SymTensor, cfg: OptConfig | None = None) -> SigmaBounds:
     """Bracket sigma_opt = (spectral norm of A)^2 / 4 for an order-3 tensor.
 
-    Lower bound from the best multistart witness: A(h,h,h)^2 / (4 (h.h)^3)
-    evaluated exactly at its rationalization and rounded down, so it never
-    exceeds sigma_opt (a float evaluation at a maximizer can round above
-    it).  Upper bound from the spectral relaxation, tightened by the
-    certified grid when the dimension admits one.
+    Lower bound from the best multistart witness h: A(h,h,h)^2 / (4 (h.h)^3),
+    read exactly off `violates(A, h, 4)` as lhs / rhs at its rationalization
+    and rounded down, so it never exceeds sigma_opt (a float evaluation at a
+    maximizer can round above it).  Upper bound from the spectral
+    relaxation, tightened by the certified grid when the dimension admits
+    one.
     """
     if A.order != 3:
         raise ValueError(f"sigma_opt_bounds needs an order-3 tensor, got order {A.order}")
     cfg = cfg or OptConfig()
-    h = rationalize_vector(_search(A, cfg).witness)
-    value = eval_form_exact(A, h)
-    x, D = exact_numerators(h)
-    exact_lower = value * value * D**6 / (4 * sum(v * v for v in x) ** 3)
+    _, lhs, rhs = violates(A, rationalize_vector(_search(A, cfg).witness), 4)
+    exact_lower = lhs / rhs
     lower = float(exact_lower)
     if Fraction(lower) > exact_lower:
         lower = math.nextafter(lower, -math.inf)

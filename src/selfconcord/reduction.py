@@ -73,7 +73,7 @@ def _rational(value, name: str) -> Fraction:
         return value
     try:
         return Fraction(value)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, ArithmeticError) as exc:  # ArithmeticError: a zero denominator, an infinite float
         raise ValueError(f"{name} must be rational, got {value!r}") from exc
 
 
@@ -251,11 +251,8 @@ def unit_witness(kind: str, G: Graph, C: Iterable[int]) -> np.ndarray:
     return h / np.linalg.norm(h)
 
 
-# Typed, so that a float k still fails in `Fraction` instead of reading the
-# entry of the equal int.
-@lru_cache(maxsize=256, typed=True)
 def threshold(kind: str, k: int) -> Fraction:
-    """q = c * (1 - 1/(k-1)), the decision threshold of the `kind` gadget for clique size k, memoized."""
+    """q = c * (1 - 1/(k-1)), the decision threshold of the `kind` gadget for clique size k."""
     if k < 2:
         raise ValueError(f"k must be >= 2, got {k}")
     return GADGETS[kind].bound(k - 1)

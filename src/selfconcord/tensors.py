@@ -467,8 +467,8 @@ def tensor_to_json_obj(A: SymTensor) -> dict:
 def tensor_from_json_obj(obj: dict, field: str = "") -> SymTensor:
     """The tensor of a JSON object; `field` ("tensor." in instance JSON) prefixes the
     field names in the refusal of a bool or a float where an integer or a rational
-    belongs, of an entry list or entry of another shape, and of an oversized dim or
-    entry list."""
+    belongs, of an entry list or entry of another shape, of an index of the wrong
+    length or out of 1..dim, and of an oversized dim or entry list."""
     order = json_integer(obj["order"], f"field '{field}order'")
     dim = declared_dim(json_integer(obj["dim"], f"field '{field}dim'"), f"field '{field}dim'")
     entries = obj["entries"]
@@ -480,6 +480,8 @@ def tensor_from_json_obj(obj: dict, field: str = "") -> SymTensor:
         name = f"field '{field}entries[{n}]'"
         if not (type(entry) is list and len(entry) == 2 and type(entry[0]) is list):
             raise ValueError(f"{name} must be a pair [index list, value]")
-        key, value = entry
-        raw.append((tuple(json_integer(i, f"{name} index") for i in key), json_rational(value, f"{name} value")))
+        key = tuple(json_integer(i, f"{name} index") for i in entry[0])
+        if len(key) != order or not all(1 <= i <= dim for i in key):
+            raise ValueError(f"{name} index must hold {order} integers in 1..{dim}, got {list(key)}")
+        raw.append((key, json_rational(entry[1], f"{name} value")))
     return sym_from_entries(order, dim, raw)

@@ -4,10 +4,10 @@ Mutated graph files, mutated instance and tensor JSON, and gadget-shaped
 tensors with entries at and around +-1/6 go through the commands that read
 them.  Every run must end in a documented exit code (0, 1, 2 or 3, and 3
 with a one-line diagnostic, never a traceback), exit 1 must carry a witness
-that `violates` re-verifies, and exit 0 must carry a certificate that
-`certifies` accepts or a named float bound.  Vertex counts that mutations
-write stay small (or jump past the limit), so the whole file runs in a few
-seconds; oversized inputs have their own tests in test_cli.py.
+that `recheck` re-verifies, and exit 0 a certificate that `recheck`
+re-verifies or a float bound, for which it returns None.  Vertex counts that
+mutations write stay small (or jump past the limit), so the whole file runs
+in a few seconds; oversized inputs have their own tests in test_cli.py.
 """
 
 import json
@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from selfconcord import build_instance, certifies, cli, parse_graph_text, tensor_from_json_obj, tensors, violates
+from selfconcord import build_instance, cli, parse_graph_text, recheck, tensor_from_json_obj, tensors
 from selfconcord.graphs import MAX_VERTICES
 from selfconcord.tensors import MAX_DIM
 
@@ -31,7 +31,6 @@ GRAPH_TEXTS = (
 ODD_TOKENS = ("0", "-1", "2", "7", "x", "1/0", "0/0", "nan", "1e3", "", str(MAX_VERTICES + 1), str(MAX_DIM + 1))
 ODD_VALUES = (float("nan"), "1/0", "0/0", 0, -1, 7, "x", None, [], MAX_DIM + 1, 10**30, True, 2.5,
               {"a": 1}, [1], [[1, 2, 3]], [[1, 2, 3], "1/6", 0], ["cubic"])
-FLOAT_BOUNDS = ("spectral_upper_bound", "grid_lower_and_upper(")
 SIXTH, TINY = Fraction(1, 6), Fraction(1, 10**30)
 NEAR_SIXTH = (SIXTH, -SIXTH, SIXTH - TINY, SIXTH + TINY, -(SIXTH + TINY), Fraction(1, 7))
 
@@ -49,17 +48,12 @@ def run(capsys, tmp_path, args, text):
     return code, out
 
 
-def recheck(code: int, out: str, A, q):
-    """The verdict's certificate re-checked from the instance (A, q) alone."""
-    certificate = json.loads(out)["certificate"]
-    if code == 1:
-        assert violates(A, [Fraction(x) for x in certificate["witness"]], q)[0]
-    elif code == 0:
-        named = certificate.get("bound", {})
-        if certificate["kind"] == "bound" and named.get("name", "").startswith(FLOAT_BOUNDS):
-            float(named["value"])
-        else:
-            assert certifies(A, q, certificate), certificate
+def assert_rechecked(code: int, out: str, A, q):
+    """A decided verdict's certificate, re-checked from the instance (A, q) alone:
+    exit 1 re-verifies exactly, exit 0 re-verifies or is a float bound (None)."""
+    if code in (0, 1):
+        checked = recheck(A, q, json.loads(out)["certificate"])
+        assert checked is True or (code == 0 and checked is None), out
 
 
 def mutate_text(rng, text: str) -> str:
@@ -122,7 +116,7 @@ def test_mutated_graph_files(capsys, tmp_path):
             code, out = run(capsys, tmp_path, [command, "--k", "3", *param, "--mode", mode, *SEARCH], text)
             if code in (0, 1):
                 inst = build_instance(parse_graph_text(text), kind, 3, param[1])
-                recheck(code, out, inst.A, inst.q)
+                assert_rechecked(code, out, inst.A, inst.q)
 
 
 def test_mutated_instance_and_tensor_json(capsys, tmp_path):
@@ -137,7 +131,7 @@ def test_mutated_instance_and_tensor_json(capsys, tmp_path):
         code, out = run(capsys, tmp_path, [command, "--mode", mode, *SEARCH], text)
         if code in (0, 1):
             obj = json.loads(text)
-            recheck(code, out, tensor_from_json_obj(obj["tensor"]), Fraction(obj["q"]))
+            assert_rechecked(code, out, tensor_from_json_obj(obj["tensor"]), Fraction(obj["q"]))
         tensor_text = mutate_json(rng, instances[rng.integers(len(instances))]["tensor"])
         code, _ = run(capsys, tmp_path, ["sigma-opt", *SEARCH], tensor_text)
         assert code in (0, 3)
@@ -155,7 +149,7 @@ def test_gadget_shaped_tensors_around_one_sixth(capsys, tmp_path):
         command = "check-sc" if instance["kind"] == "cubic" else "check-sc2"
         code, out = run(capsys, tmp_path, [command, "--mode", "relax", *SEARCH], json.dumps(instance))
         assert code in (0, 1, 2)
-        recheck(code, out, tensor_from_json_obj(instance["tensor"]), Fraction(instance["q"]))
+        assert_rechecked(code, out, tensor_from_json_obj(instance["tensor"]), Fraction(instance["q"]))
 
 
 def test_entry_lists_over_the_cap_exit_3(capsys, tmp_path, monkeypatch):

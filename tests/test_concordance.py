@@ -28,7 +28,6 @@ from selfconcord import (
     build_instance,
     build_quartic_instance,
     build_quartic_tensor,
-    certifies,
     check_sc,
     check_sc2,
     clique_number,
@@ -36,6 +35,7 @@ from selfconcord import (
     graph_from_edges,
     has_clique,
     rationalize_vector,
+    recheck,
     sigma_opt_bounds,
     sym_from_entries,
     verdict_to_json_obj,
@@ -60,7 +60,9 @@ def exact_form_value(A, h):
 
 
 def recheck_not_certificate(inst, verdict):
-    """Re-verify a NOT certificate from its serialized strings, independently."""
+    """Re-verify a NOT certificate from its serialized strings, independently,
+    and check that `recheck` accepts it."""
+    assert recheck(inst.A, inst.q, verdict.certificate) is True
     h = tuple(Fraction(s) for s in verdict.certificate["witness"])
     value = exact_form_value(inst.A, h)
     dot = sum(x * x for x in h)
@@ -280,7 +282,7 @@ def test_certifies_every_coloring_certificate_on_small_graphs():
                     truth = "boundary" if omega == k - 1 else "interior"
                     total[truth] += 1
                     assert verdict.status is Status.SELF_CONCORDANT
-                    assert certifies(inst.A, inst.q, verdict.certificate)
+                    assert recheck(inst.A, inst.q, verdict.certificate) is True
                     if verdict.certificate["kind"] == "coloring":
                         certified[truth] += 1
                     else:
@@ -294,7 +296,7 @@ def test_certifies_every_coloring_certificate_on_small_graphs():
 
 def test_clique_number_settles_the_five_cycle(c5):
     """chi > omega at the boundary: relax and grid certify the 5-cycle gadgets at
-    k = 3 from omega = 2, and `certifies` refuses every tampered copy."""
+    k = 3 from omega = 2, and `recheck` refuses every tampered copy."""
     for inst, check, value in ((build_cubic_instance(c5, 3, Fraction(1, 2)), check_sc, "1/27"),
                                (build_quartic_instance(c5, 3, 1), check_sc2, "1/4")):
         assert inst.q == Fraction(value)
@@ -303,26 +305,68 @@ def test_clique_number_settles_the_five_cycle(c5):
             assert verdict.status is Status.SELF_CONCORDANT
             assert verdict.certificate == {"kind": "bound", "bound": {"name": "exact_clique_oracle", "value": value}}
             assert verdict.evaluations == concordance._search(inst.A, CFG).evaluations
-            assert certifies(inst.A, inst.q, verdict.certificate)
+            assert recheck(inst.A, inst.q, verdict.certificate) is True
         certificate = verdict.certificate
-        assert certifies(inst.A, inst.q, check(inst, CFG, mode="oracle").certificate)
-        assert not certifies(inst.A, inst.q, {"kind": "bound", "bound": {"name": "exact_clique_oracle", "value": "1/3"}})
-        assert not certifies(inst.A, inst.q - Fraction(1, 10**9), certificate)  # q < c(1 - 1/omega)
-        assert not certifies(off_orbit(inst).A, inst.q, certificate)  # no support graph
-        assert not certifies(inst.A, inst.q, {"kind": "bound", "bound": {"name": "spectral_upper_bound", "value": value}})
-        assert not certifies(inst.A, inst.q, {"kind": "bound", "bound": "exact_clique_oracle"})
+        assert recheck(inst.A, inst.q, check(inst, CFG, mode="oracle").certificate) is True
+        assert recheck(inst.A, inst.q, {"kind": "bound", "bound": {"name": "exact_clique_oracle", "value": "1/3"}}) is False
+        assert recheck(inst.A, inst.q - Fraction(1, 10**9), certificate) is False  # q < c(1 - 1/omega)
+        assert recheck(off_orbit(inst).A, inst.q, certificate) is False  # no support graph
+        assert recheck(inst.A, inst.q, {"kind": "bound", "bound": {"name": "spectral_upper_bound", "value": value}}) is None
+        assert recheck(inst.A, inst.q, {"kind": "bound", "bound": "exact_clique_oracle"}) is False
 
 
-def test_certifies_rejects_tampered_certificates(footnote_graph):
+def test_recheck_rejects_tampered_certificates(footnote_graph, k3):
+    """Every tampered copy of a coloring or a witness gives False, float bounds
+    and budgets give None, and no certificate makes `recheck` raise."""
     cubic = build_cubic_instance(footnote_graph, 3, Fraction(1, 2))  # form u1 u2 w4, q = 1/27
     certificate = check_sc(cubic, CFG, mode="relax").certificate
     assert certificate == {"kind": "coloring", "vertices": [1, 2, 3], "colors": [0, 1, 0], "bound": "1/27"}
-    assert certifies(cubic.A, cubic.q, certificate)
-    assert not certifies(cubic.A, cubic.q, {**certificate, "colors": [0, 0, 1]})  # improper
-    assert not certifies(cubic.A, cubic.q, {**certificate, "vertices": [1, 2, 4]})  # names the edge coordinate
-    assert not certifies(cubic.A, cubic.q, {**certificate, "bound": "1/54"})
-    assert not certifies(cubic.A, cubic.q - Fraction(1, 10**9), certificate)  # q < c(1 - 1/r)
-    assert not certifies(cubic.A, cubic.q, {**certificate, "kind": "bound"})
+    assert recheck(cubic.A, cubic.q, certificate) is True
+    assert recheck(cubic.A, cubic.q, {**certificate, "colors": [0, 0, 1]}) is False  # improper
+    assert recheck(cubic.A, cubic.q, {**certificate, "vertices": [1, 2, 4]}) is False  # names the edge coordinate
+    assert recheck(cubic.A, cubic.q, {**certificate, "bound": "1/54"}) is False
+    assert recheck(cubic.A, cubic.q - Fraction(1, 10**9), certificate) is False  # q < c(1 - 1/r)
+    assert recheck(cubic.A, cubic.q, {**certificate, "kind": "bound"}) is False
+    assert recheck(cubic.A, cubic.q, {**certificate, "kind": "witness"}) is False
+
+    triangle = build_cubic_instance(k3, 3, Fraction(1, 2))
+    for mode in ("relax", "oracle"):
+        witness = check_sc(triangle, CFG, mode=mode).certificate
+        h = witness["witness"]
+        assert witness["kind"] == "witness" and len(h) == triangle.A.dim == 6
+        assert recheck(triangle.A, triangle.q, witness) is True
+        for tampered in (
+            {"witness": [str(Fraction(h[0]) * 2), *h[1:]]},  # one coordinate
+            {"witness": ["0", *h[1:]]},
+            {"lhs": str(Fraction(witness["lhs"]) + 1)},
+            {"rhs": witness["lhs"]},
+            {"witness": h[:-1]},  # one coordinate short
+            {"witness": [*h, "0"]},  # one coordinate long, on which the form does not depend
+            {"witness": ["x", *h[1:]]},
+            {"witness": ["1/0", *h[1:]]},
+            {"witness": [None, *h[1:]]},
+            {"witness": [float("inf"), *h[1:]]},
+            {"witness": [float("nan"), *h[1:]]},
+            {"witness": ",".join(h)},  # not a list
+            {"witness": None},
+            {"kind": "coloring"},
+        ):
+            assert recheck(triangle.A, triangle.q, {**witness, **tampered}) is False, tampered
+        assert recheck(triangle.A, triangle.q + 1, witness) is False  # q above the form maximum
+
+    undecided = {"kind": "budget", "description": "no exact violation found", "bound_name": "spectral_upper_bound"}
+    for float_bound in ({"kind": "bound", "bound": {"name": "spectral_upper_bound", "value": "0.2"}},
+                        {"kind": "bound", "bound": {"name": "grid_lower_and_upper(resolution=0.2)", "value": "1"}},
+                        undecided):
+        assert recheck(cubic.A, cubic.q, float_bound) is None
+    odd = (None, True, 1.5, float("nan"), "x", "1/0", [], ["1/0"], [[1]], {}, {"name": "exact_clique_oracle"})
+    for base in (certificate, witness):
+        for field in base:
+            for value in odd:
+                assert recheck(triangle.A, triangle.q, {**base, field: value}) is not True
+                assert recheck(cubic.A, cubic.q, {**base, field: value}) is not True
+    for malformed in (None, [], "witness", {}, {"kind": ["witness"]}):
+        assert recheck(cubic.A, cubic.q, malformed) is False
 
     # Each tensor below has the footnote certificate's support shape but a
     # squared maximum above q = 1/27: an entry above 1/6, an edge coordinate
@@ -335,7 +379,7 @@ def test_certifies_rejects_tampered_certificates(footnote_graph):
         (shared, {"colors": [0, 1, 1]}),
         (repeated, {"vertices": [1, 2], "colors": [0, 1]}),
     ):
-        assert not certifies(A, cubic.q, {**certificate, **fields})
+        assert recheck(A, cubic.q, {**certificate, **fields}) is False
         inst = ConcordanceInstance(kind="cubic", A=A, q=cubic.q)
         verdict = check_sc(inst, CFG, mode="relax")
         assert verdict.status is Status.NOT_SELF_CONCORDANT
@@ -344,10 +388,10 @@ def test_certifies_rejects_tampered_certificates(footnote_graph):
     quartic = build_quartic_instance(footnote_graph, 3, 1)  # form h1^2 h2^2, q = 1/4
     certificate = check_sc2(quartic, CFG, mode="grid").certificate
     assert certificate == {"kind": "coloring", "colors": [0, 1, 0], "bound": "1/4"}
-    assert certifies(quartic.A, quartic.q, certificate)
-    assert not certifies(quartic.A, quartic.q, {**certificate, "colors": [1, 1, 0]})
-    assert not certifies(quartic.A, quartic.q, {**certificate, "colors": [0, 1]})
-    assert not certifies(quartic.A, quartic.q - Fraction(1, 10**9), certificate)
+    assert recheck(quartic.A, quartic.q, certificate) is True
+    assert recheck(quartic.A, quartic.q, {**certificate, "colors": [1, 1, 0]}) is False
+    assert recheck(quartic.A, quartic.q, {**certificate, "colors": [0, 1]}) is False
+    assert recheck(quartic.A, quartic.q - Fraction(1, 10**9), certificate) is False
 
 
 def test_coloring_of_a_relabeled_cubic_layout():
@@ -359,17 +403,17 @@ def test_coloring_of_a_relabeled_cubic_layout():
     verdict = check_sc(inst, CFG, mode="relax")
     certificate = {"kind": "coloring", "vertices": [1, 2, 4], "colors": [1, 0, 1], "bound": "1/27"}
     assert verdict.status is Status.SELF_CONCORDANT and verdict.certificate == certificate
-    assert certifies(A, inst.q, certificate)
+    assert recheck(A, inst.q, certificate) is True
     for colors in ([1, 1, 0], [0, 1, 1]):  # coordinates 1, 2 or 2, 4 share a color
-        assert not certifies(A, inst.q, {**certificate, "colors": colors})
-    assert not certifies(A, inst.q, {**certificate, "vertices": [1, 2, 3]})
+        assert recheck(A, inst.q, {**certificate, "colors": colors}) is False
+    assert recheck(A, inst.q, {**certificate, "vertices": [1, 2, 3]}) is False
 
 
 def test_gadget_shape_reads_one_sixth_exactly(footnote_graph):
     """|value| <= 1/6 is read in integers, boundary included: entries 1/6,
     -1/6 and 1/6 - 10^-30 keep the footnote gadget's coloring certificate,
     while 1/6 + 10^-30 and its negative have no gadget shape, so neither
-    `certifies` nor the coloring rung accepts them."""
+    `recheck` nor the coloring rung accepts them."""
     sixth, tiny = Fraction(1, 6), Fraction(1, 10**30)
     for base, check, key in (
         (build_cubic_instance(footnote_graph, 3, Fraction(1, 2)), check_sc, (1, 2, 4)),
@@ -380,7 +424,7 @@ def test_gadget_shape_reads_one_sixth_exactly(footnote_graph):
         for value, accepted in ((sixth, True), (-sixth, True), (sixth - tiny, True),
                                 (sixth + tiny, False), (-(sixth + tiny), False)):
             A = SymTensor(base.A.order, base.A.dim, {key: value})
-            assert certifies(A, base.q, certificate) is accepted
+            assert recheck(A, base.q, certificate) is accepted
             inst = ConcordanceInstance(kind=base.kind, A=A, q=base.q)
             verdict = check(inst, CFG, mode="relax")
             if accepted:
@@ -453,11 +497,10 @@ GADGET_MEMOS = (reduction.build_cubic_tensor, reduction.build_quartic_tensor)
 
 
 def clear_analyses(*tensors):
-    """Empty the gadget, threshold and coloring memos, and drop the analyses kept on `tensors`."""
+    """Empty the gadget and coloring memos, and drop the analyses kept on `tensors`."""
     for cached in GADGET_MEMOS:
         cached.cache_clear()
     graphs.proper_coloring.cache_clear()
-    reduction.threshold.cache_clear()
     for A in tensors:
         vars(A).pop("_analyses", None)
 

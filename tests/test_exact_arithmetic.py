@@ -206,7 +206,9 @@ def test_the_count_sees_a_fraction_built():
 
 
 # ---------------------------------------------------------------------------
-# Validation refuses what it refused before, with the same messages
+# Validation refuses what it refused before, with the same messages; a zero
+# denominator or an infinite float, once a bare ZeroDivisionError or
+# OverflowError, is a ValueError that names the parameter
 
 
 @pytest.mark.parametrize("param, error, message", [
@@ -222,8 +224,8 @@ def test_the_count_sees_a_fraction_built():
     ("nan", ValueError, "{name} must be rational, got 'nan'"),
     (float("nan"), ValueError, "{name} must be rational, got nan"),
     ([1], ValueError, "{name} must be rational, got [1]"),
-    ("1/0", ZeroDivisionError, "Fraction(1, 0)"),
-    (float("inf"), OverflowError, "cannot convert Infinity to integer ratio"),
+    ("1/0", ValueError, "{name} must be rational, got '1/0'"),
+    (float("inf"), ValueError, "{name} must be rational, got inf"),
 ])
 @pytest.mark.parametrize("kind, name", [("cubic", "sigma"), ("quartic", "tau")])
 def test_build_instance_refuses_as_before(kind, name, param, error, message):
@@ -239,7 +241,7 @@ def test_build_instance_refuses_as_before(kind, name, param, error, message):
     (0.0, ValueError, "threshold q must be positive, got 0"),
     ("x", ValueError, "q must be rational, got 'x'"),
     (None, ValueError, "q must be rational, got None"),
-    ("1/0", ZeroDivisionError, "Fraction(1, 0)"),
+    ("1/0", ValueError, "q must be rational, got '1/0'"),
 ])
 def test_instances_refuse_q_as_before(q, error, message):
     A = build_instance(C4, "cubic", 3, 1).A
