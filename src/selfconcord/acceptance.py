@@ -3,8 +3,10 @@
 Each criterion exercises one contract of the package end to end, against
 exact combinatorial ground truth (exhaustive clique oracles on all labeled
 graphs up to n vertices) or against closed-form constants, at a pinned
-tolerance.  `run_all` returns one result per criterion; the CLI renders
-them as a pass/fail table and pytest asserts them individually.
+tolerance.  A criterion's body returns (passed, details); the `_criterion`
+wrapper times it, fails it past its time limit and builds its
+`CriterionResult`.  `run_all` returns one result per criterion; the CLI
+renders them as a pass/fail table and pytest asserts them individually.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import time
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import wraps
 from itertools import combinations_with_replacement
 from typing import Iterator
 
@@ -129,30 +132,42 @@ def footnote_sides(cfg: OptConfig) -> tuple[int, float, float, IdentitySide]:
 # arguments it does not use.
 
 
-def criterion_motzkin_straus(max_n: int = 5, seed: int = DEFAULT_SEED, tol: float = 1e-6) -> CriterionResult:
+def _criterion(number: int, name: str, limit: float = math.inf):
+    """Make a body returning (passed, details) a criterion: the call is timed,
+    and a body that runs past `limit` seconds fails with its details kept."""
+
+    def wrap(body):
+        @wraps(body)
+        def criterion(*args, **kwargs) -> CriterionResult:
+            t0 = time.perf_counter()
+            passed, details = body(*args, **kwargs)
+            seconds = time.perf_counter() - t0
+            return CriterionResult(number, name, passed and seconds <= limit, details, seconds)
+
+        return criterion
+
+    return wrap
+
+
+@_criterion(1, "simplex clique/stability identities", limit=120.0)
+def criterion_motzkin_straus(max_n: int = 5, seed: int = DEFAULT_SEED, tol: float = 1e-6):
     """Simplex quadratic maxima hit 1 - 1/omega and 1 - 1/alpha within 1e-6."""
-    t0 = time.perf_counter()
     cfg = OptConfig(starts=3, max_iters=400, seed=seed)
     worst = 0.0
     count = 0
     for G in _reduction_graphs(max_n):
         count += 1
         worst = max(worst, simplex_side(G, cfg).gap, simplex_side(complement(G), cfg).gap)
-    seconds = time.perf_counter() - t0
-    passed = worst <= tol and seconds <= 120.0
-    return CriterionResult(
-        1, "simplex clique/stability identities",
-        passed, f"{count} graphs, worst gap {worst:.3e}, tol {tol:g}", seconds,
-    )
+    return worst <= tol, f"{count} graphs, worst gap {worst:.3e}, tol {tol:g}"
 
 
-def criterion_sphere_constants(max_n: int = 5, seed: int = DEFAULT_SEED, tol: float = 1e-6) -> CriterionResult:
+@_criterion(2, "sphere cubic-form identities")
+def criterion_sphere_constants(max_n: int = 5, seed: int = DEFAULT_SEED, tol: float = 1e-6):
     """27/2 times the squared sphere maximum hits 1 - 1/omega within 1e-6.
 
     Also checks that the search's clique start, the exact rational witness
     scaled to the unit sphere, evaluates to the exact constant within 1e-12.
     """
-    t0 = time.perf_counter()
     cfg = OptConfig(starts=3, max_iters=300, seed=seed)
     worst_opt = 0.0
     worst_witness = 0.0
@@ -163,48 +178,41 @@ def criterion_sphere_constants(max_n: int = 5, seed: int = DEFAULT_SEED, tol: fl
         w = unit_witness("cubic", G, max_clique(G))
         worst_witness = max(worst_witness, abs(eval_form(build_cubic_tensor(G), w) ** 2 - (2.0 / 27.0) * side.target))
         worst_opt = max(worst_opt, side.gap)
-    seconds = time.perf_counter() - t0
-    passed = worst_opt <= tol and worst_witness <= 1e-12
-    return CriterionResult(
-        2, "sphere cubic-form identities",
-        passed,
+    return (
+        worst_opt <= tol and worst_witness <= 1e-12,
         f"{count} graphs, worst optimization gap {worst_opt:.3e} (tol {tol:g}), "
         f"worst witness gap {worst_witness:.3e} (tol 1e-12)",
-        seconds,
     )
 
 
-def criterion_footnote(max_n: int = 5, seed: int = DEFAULT_SEED, tol: float = 1e-6) -> CriterionResult:
+@_criterion(3, "stability-constant counterexample")
+def criterion_footnote(max_n: int = 5, seed: int = DEFAULT_SEED, tol: float = 1e-6):
     """The mis-stated stability identity fails by >= 0.29 on the 3-vertex/1-edge graph.
 
     The circulating version reads sqrt(1 - 1/alpha) = 3*sqrt(3) * max; on
     this graph the sides are 1/sqrt(2) and 1.  The corrected version,
     27/2 * max^2 = 1 - 1/alpha, balances to 1e-9.
     """
-    t0 = time.perf_counter()
     _, erroneous_lhs, erroneous_rhs, corrected = footnote_sides(OptConfig(starts=3, max_iters=300, seed=seed))
     mismatch = abs(erroneous_rhs - erroneous_lhs)
     corrected_gap = corrected.gap
-    seconds = time.perf_counter() - t0
     passed = (
         abs(erroneous_lhs - 1.0 / math.sqrt(2.0)) <= 1e-12
         and abs(erroneous_rhs - 1.0) <= 1e-6
         and mismatch >= 0.29
         and corrected_gap <= 1e-9
     )
-    return CriterionResult(
-        3, "stability-constant counterexample",
+    return (
         passed,
         f"erroneous sides {erroneous_lhs:.5f} vs {erroneous_rhs:.5f} "
         f"(mismatch {mismatch:.4f} >= 0.29), corrected gap {corrected_gap:.3e} (tol 1e-9)",
-        seconds,
     )
 
 
-def _oracle_equivalence(number: int, name: str, kind: str, max_n: int, seed: int) -> CriterionResult:
+def _oracle_equivalence(kind: str, max_n: int, seed: int) -> tuple[bool, str]:
     """Oracle-mode `kind` verdicts are NOT exactly when a k-clique exists, over
-    n <= max_n and k = 3..6: exact comparisons, zero tolerance, within one minute."""
-    t0 = time.perf_counter()
+    n <= max_n and k = 3..6: exact comparisons, zero tolerance (the criteria
+    that call it add the one-minute limit)."""
     cfg = OptConfig(seed=seed)
     param, check = _KINDS[kind]
     checked = 0
@@ -219,24 +227,21 @@ def _oracle_equivalence(number: int, name: str, kind: str, max_n: int, seed: int
                 undecided += 1
             if (verdict.status is Status.NOT_SELF_CONCORDANT) != (omega >= k):
                 disagreements += 1
-    seconds = time.perf_counter() - t0
-    passed = disagreements == 0 and undecided == 0 and seconds <= 60.0
-    return CriterionResult(
-        number, name,
-        passed,
+    return (
+        disagreements == 0 and undecided == 0,
         f"{checked} instances, {disagreements} disagreements, {undecided} undecided, time limit 60s",
-        seconds,
     )
 
 
-def criterion_decision_equivalence(max_n: int = 5, seed: int = DEFAULT_SEED, tol: float = 1e-6) -> CriterionResult:
+@_criterion(4, "clique/verdict equivalence (cubic oracle)", limit=60.0)
+def criterion_decision_equivalence(max_n: int = 5, seed: int = DEFAULT_SEED, tol: float = 1e-6):
     """Oracle-mode cubic verdict is NOT exactly when a k-clique exists; zero tolerance."""
-    return _oracle_equivalence(4, "clique/verdict equivalence (cubic oracle)", "cubic", max_n, seed)
+    return _oracle_equivalence("cubic", max_n, seed)
 
 
-def criterion_boundary_exactness(max_n: int = 5, seed: int = DEFAULT_SEED, tol: float = 1e-6) -> CriterionResult:
+@_criterion(5, "boundary instances exactly at threshold")
+def criterion_boundary_exactness(max_n: int = 5, seed: int = DEFAULT_SEED, tol: float = 1e-6):
     """At omega = k-1 the exact maximum equals the threshold and the verdict is YES."""
-    t0 = time.perf_counter()
     cfg = OptConfig(seed=seed)
     sigma, check = _KINDS["cubic"]
     checked = 0
@@ -252,23 +257,21 @@ def criterion_boundary_exactness(max_n: int = 5, seed: int = DEFAULT_SEED, tol: 
         verdict = check(build_instance(G, "cubic", k, sigma), cfg, mode="oracle")
         if verdict.status is not Status.SELF_CONCORDANT:
             failures += 1
-    seconds = time.perf_counter() - t0
-    return CriterionResult(
-        5, "boundary instances exactly at threshold",
+    return (
         failures == 0 and checked > 0,
         f"{checked} boundary instances, {failures} failures (exact rational equality)",
-        seconds,
     )
 
 
-def criterion_second_order(max_n: int = 5, seed: int = DEFAULT_SEED, tol: float = 1e-6) -> CriterionResult:
+@_criterion(6, "clique/verdict equivalence (quartic oracle)", limit=60.0)
+def criterion_second_order(max_n: int = 5, seed: int = DEFAULT_SEED, tol: float = 1e-6):
     """Quartic oracle verdicts agree with the clique oracle, zero tolerance."""
-    return _oracle_equivalence(6, "clique/verdict equivalence (quartic oracle)", "quartic", max_n, seed)
+    return _oracle_equivalence("quartic", max_n, seed)
 
 
-def criterion_sigma_opt(max_n: int = 5, seed: int = DEFAULT_SEED, tol: float = 1e-6) -> CriterionResult:
+@_criterion(7, "optimal-parameter brackets")
+def criterion_sigma_opt(max_n: int = 5, seed: int = DEFAULT_SEED, tol: float = 1e-6):
     """Parameter bracket: triangle gadget around 1/81; zero and diagonal exact."""
-    t0 = time.perf_counter()
     cfg = OptConfig(starts=8, max_iters=400, seed=seed)
     K3 = Graph(3, frozenset({(1, 2), (1, 3), (2, 3)}))
     b = sigma_opt_bounds(build_cubic_tensor(K3), cfg)
@@ -277,37 +280,30 @@ def criterion_sigma_opt(max_n: int = 5, seed: int = DEFAULT_SEED, tol: float = 1
     ok_zero = z.lower == 0.0 and z.upper == 0.0
     d = sigma_opt_bounds(sym_from_entries(3, 1, [((1, 1, 1), 1)]), cfg)
     ok_diag = d.lower == 0.25 and d.upper == 0.25
-    seconds = time.perf_counter() - t0
-    return CriterionResult(
-        7, "optimal-parameter brackets",
+    return (
         ok_k3 and ok_zero and ok_diag,
         f"triangle bracket [{b.lower:.10f}, {b.upper:.10f}] around 1/81, "
         f"zero ({z.lower}, {z.upper}), diagonal ({d.lower}, {d.upper})",
-        seconds,
     )
 
 
-def criterion_beta_split(max_n: int = 5, seed: int = DEFAULT_SEED, tol: float = 1e-6) -> CriterionResult:
+@_criterion(8, "sphere-splitting constant")
+def criterion_beta_split(max_n: int = 5, seed: int = DEFAULT_SEED, tol: float = 1e-6):
     """Grid maximum of beta*sqrt(1-beta) reproduces 2/(3*sqrt(3)) at beta = 2/3."""
-    t0 = time.perf_counter()
     beta, value = beta_split_max()
     target = 2.0 / (3.0 * math.sqrt(3.0))
-    passed = abs(value - target) <= 1e-9 and abs(beta - 2.0 / 3.0) <= 2e-6
-    seconds = time.perf_counter() - t0
-    return CriterionResult(
-        8, "sphere-splitting constant",
-        passed,
+    return (
+        abs(value - target) <= 1e-9 and abs(beta - 2.0 / 3.0) <= 2e-6,
         f"grid max {value:.12f} at beta {beta:.6f} (targets {target:.12f}, 2/3)",
-        seconds,
     )
 
 
-def criterion_property_suite(max_n: int = 4, seed: int = DEFAULT_SEED, tol: float = 1e-6) -> CriterionResult:
+@_criterion(9, "property suite")
+def criterion_property_suite(max_n: int = 4, seed: int = DEFAULT_SEED, tol: float = 1e-6):
     """Cross-cutting properties: calculus identities, symmetric-maximizer
     agreement, exact re-verification of every NOT certificate and of every
     coloring and clique-number certificate, and no contradiction across
     certification modes on the graphs with n <= min(max_n, 4)."""
-    t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
     problems: list[str] = []
 
@@ -373,9 +369,7 @@ def criterion_property_suite(max_n: int = 4, seed: int = DEFAULT_SEED, tol: floa
     if contradictions:
         problems.append(f"{contradictions} cross-mode contradictions")
 
-    seconds = time.perf_counter() - t0
-    return CriterionResult(
-        9, "property suite",
+    return (
         not problems,
         (f"100 calculus checks, symmetric-maximizer worst {banach_worst:.2e} (tol 1e-4), "
          f"net excess {net_excess:.2e} (tol 1e-12), "
@@ -383,7 +377,6 @@ def criterion_property_suite(max_n: int = 4, seed: int = DEFAULT_SEED, tol: floa
          f"{certificates['bound']} exact_clique_oracle certificates re-verified exactly, "
          "0 contradictions"
          if not problems else "; ".join(problems[:5])),
-        seconds,
     )
 
 

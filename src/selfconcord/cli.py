@@ -28,6 +28,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
 
 from .acceptance import (
     FOOTNOTE_GRAPH,
@@ -248,23 +249,12 @@ def _cmd_sigma_opt(args):
 
 
 def _cmd_verify_all(args):
+    if not 2 <= args.max_n <= 6:  # the exhaustive sweeps enumerate graphs with 2..6 vertices
+        raise ValueError(f"--max-n must be in 2..6, got {args.max_n}")
     results = run_all(max_n=args.max_n, seed=args.seed, identity_tol=args.identity_tol)
     code = 0 if all(r.passed for r in results) else 1
     if args.format == "json":
-        obj = {
-            "criteria": [
-                {
-                    "number": r.number,
-                    "name": r.name,
-                    "passed": r.passed,
-                    "details": r.details,
-                    "seconds": _fmt(r.seconds),
-                }
-                for r in results
-            ],
-            "passed": code == 0,
-        }
-        return obj, code
+        return {"criteria": [{**asdict(r), "seconds": _fmt(r.seconds)} for r in results], "passed": code == 0}, code
     return format_table(results), code
 
 
@@ -320,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = _command(commands, "verify-all", "run the acceptance suite", _cmd_verify_all, with_input=False, search=False)
     _add_seed(sub)
-    sub.add_argument("--max-n", type=int, default=5, help="largest vertex count in exhaustive sweeps")
+    sub.add_argument("--max-n", type=int, default=5, help="largest vertex count in exhaustive sweeps, 2..6")
     sub.add_argument(
         "--identity-tol", type=float, default=1e-6,
         help="identity tolerance for the simplex/sphere sweeps (default %(default)s)",

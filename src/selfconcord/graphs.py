@@ -99,6 +99,13 @@ def declared_vertices(field) -> int:
     return n
 
 
+def _edge(fields: list[str], n: int, lineno: int) -> tuple[int, int]:
+    """The vertex pair of the edge record on line `lineno`, refused naming the line unless both lie in 1..n."""
+    if not all(f.isdecimal() and 1 <= int(f) <= n for f in fields):
+        raise ValueError(f"line {lineno}: edge vertices must be integers in 1..{n}, got {' '.join(fields)!r}")
+    return int(fields[0]), int(fields[1])
+
+
 def parse_dimacs(text: str) -> Graph:
     """DIMACS subset: 'p edge n m' header, 'e i j' lines, 'c' comments."""
     n = None
@@ -119,7 +126,7 @@ def parse_dimacs(text: str) -> Graph:
                 raise ValueError(f"line {lineno}: edge before 'p edge' header")
             if len(parts) != 3:
                 raise ValueError(f"line {lineno}: malformed edge {line!r}")
-            pairs.append((int(parts[1]), int(parts[2])))
+            pairs.append(_edge(parts[1:], n, lineno))
         else:
             raise ValueError(f"line {lineno}: unrecognized record {line!r}")
     if n is None:
@@ -129,19 +136,21 @@ def parse_dimacs(text: str) -> Graph:
 
 def parse_edge_list(text: str) -> Graph:
     """Plain edge list: first line 'n m', then m lines 'i j'."""
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip() and not ln.lstrip().startswith("#")]
+    lines = [(no, ln.strip()) for no, ln in enumerate(text.splitlines(), 1)
+             if ln.strip() and not ln.lstrip().startswith("#")]
     if not lines:
         raise ValueError("empty edge-list input")
-    head = lines[0].split()
+    (_, header), *records = lines
+    head = header.split()
     if len(head) != 2:
-        raise ValueError(f"malformed edge-list header {lines[0]!r}, expected 'n m'")
+        raise ValueError(f"malformed edge-list header {header!r}, expected 'n m'")
     n, m = declared_vertices(head[0]), int(head[1])
     pairs = []
-    for ln in lines[1:]:
+    for no, ln in records:
         parts = ln.split()
         if len(parts) != 2:
-            raise ValueError(f"malformed edge record {ln!r}")
-        pairs.append((int(parts[0]), int(parts[1])))
+            raise ValueError(f"line {no}: malformed edge record {ln!r}")
+        pairs.append(_edge(parts, n, no))
     if len(pairs) != m:
         raise ValueError(f"header declares {m} edges, found {len(pairs)}")
     return graph_from_edges(n, pairs)

@@ -107,10 +107,9 @@ class OptConfig:
     seed: int = DEFAULT_SEED
 
     def __post_init__(self):
-        if self.starts < 1:
-            raise ValueError("starts must be >= 1")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
+        for name, least in (("starts", 1), ("max_iters", 1), ("seed", 0)):
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be >= {least}")
 
     @cached_property
     def _hash(self) -> int:
@@ -396,8 +395,6 @@ def max_form_sphere(
     from the nonnegative orthant, where edge-derived forms attain their
     maxima.
     """
-    if A.dim < 1:
-        raise ValueError("tensor dim must be >= 1")
     cfg = cfg or OptConfig()
     if not A.entries:
         witness = np.zeros(A.dim)
@@ -410,8 +407,6 @@ def max_form_sphere(
         draw = rng.standard_normal(A.dim)
         if nonnegative_starts:
             draw = np.abs(draw)
-        while np.linalg.norm(draw) == 0.0:
-            draw = rng.standard_normal(A.dim)
         starts.append(draw)
 
     return _report(_ascend_sphere(A, np.array(starts), cfg))

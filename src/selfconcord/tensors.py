@@ -64,9 +64,6 @@ MAX_DIM = 1_000_000
 # this cap.  The cubic gadget of a 250-vertex half-edge graph has 15,562.
 MAX_ENTRIES = 250_000
 
-# Points per block of `eval_form_batch`: a block's products take rows x entries floats.
-_BATCH_ROWS = 262_144
-
 # Largest unfolding, in floats (80 MB), that `spectral_upper_bound` builds and
 # decomposes.  The cubic gadget of a 32-vertex graph with 248 edges unfolds
 # to 280 x 1,488; that of a 250-vertex graph with 15,562 edges would unfold
@@ -89,9 +86,7 @@ class _Packed(NamedTuple):
 def _as_fraction(value) -> Fraction:
     if type(value) is Fraction or isinstance(value, Fraction):  # the first test skips the ABC check
         return value
-    if isinstance(value, (int, str)):
-        return Fraction(value)
-    if isinstance(value, float):
+    if isinstance(value, (int, str, float)):
         return Fraction(value)
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
 
@@ -230,8 +225,6 @@ def eval_form(A: SymTensor, h) -> float:
     h = np.asarray(h, dtype=float)
     _check_dim(A, h.shape[0])
     idx, weights = A._packed.idx, A._packed.weights
-    if idx.shape[0] == 0:
-        return 0.0
     return float(weights @ np.prod(h[idx], axis=1))
 
 
@@ -240,16 +233,10 @@ def eval_form_batch(A: SymTensor, points: np.ndarray) -> np.ndarray:
     points = np.asarray(points, dtype=float)
     _check_dim(A, points.shape[1])
     idx, weights = A._packed.idx, A._packed.weights
-    out = np.zeros(points.shape[0])
-    if idx.shape[0] == 0:
-        return out
-    for lo in range(0, points.shape[0], _BATCH_ROWS):
-        block = points[lo:lo + _BATCH_ROWS]
-        prod = block[:, idx[:, 0]]
-        for t in range(1, A.order):
-            prod *= block[:, idx[:, t]]
-        out[lo:lo + block.shape[0]] = prod @ weights
-    return out
+    prod = points[:, idx[:, 0]]
+    for t in range(1, A.order):
+        prod *= points[:, idx[:, t]]
+    return prod @ weights
 
 
 def exact_numerators(h: Sequence) -> tuple[list[int], int]:
@@ -439,20 +426,30 @@ def _check_entry_count(count: int, source: str):
 
 
 def tensor_from_text(text: str) -> SymTensor:
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip() and not ln.lstrip().startswith("#")]
+    """The tensor of a text file; a record of another shape, an index that is not `order`
+    integers in 1..dim and a value that is not a rational are refused naming the line."""
+    lines = [(no, ln.strip()) for no, ln in enumerate(text.splitlines(), 1)
+             if ln.strip() and not ln.lstrip().startswith("#")]
     if not lines:
         raise ValueError("empty tensor text")
-    head = lines[0].split()
+    (_, header), *records = lines
+    head = header.split()
     if len(head) != 2:
-        raise ValueError(f"malformed tensor header {lines[0]!r}, expected 'order dim'")
+        raise ValueError(f"malformed tensor header {header!r}, expected 'order dim'")
     order, dim = int(head[0]), declared_dim(head[1])
-    _check_entry_count(len(lines) - 1, "tensor text")
+    _check_entry_count(len(records), "tensor text")
     raw = []
-    for ln in lines[1:]:
-        parts = ln.split()
-        if len(parts) != order + 1:
-            raise ValueError(f"malformed tensor record {ln!r}")
-        raw.append((tuple(int(p) for p in parts[:order]), Fraction(parts[order])))
+    for no, ln in records:
+        *index, value = ln.split()
+        if len(index) != order:
+            raise ValueError(f"line {no}: malformed tensor record {ln!r}")
+        key = tuple(int(i) if i.isdecimal() else 0 for i in index)  # 0 is out of range: refused below
+        if not all(1 <= i <= dim for i in key):
+            raise ValueError(f"line {no}: index must hold {order} integers in 1..{dim}, got {' '.join(index)!r}")
+        try:
+            raw.append((key, Fraction(value)))
+        except (ValueError, ZeroDivisionError):
+            raise ValueError(f"line {no}: value must be a rational p/q with q nonzero, got {value!r}") from None
     return sym_from_entries(order, dim, raw)
 
 

@@ -9,6 +9,8 @@ docstrings in `selfconcord.acceptance`.
 from itertools import count
 from types import SimpleNamespace
 
+import pytest
+
 from selfconcord import acceptance
 from selfconcord.acceptance import (
     criterion_beta_split,
@@ -64,6 +66,22 @@ def test_oracle_criterion_details_do_not_depend_on_time(monkeypatch):
     assert [r.seconds for r in runs] == [0.5, 7.0]
     assert all(r.passed for r in runs)
     assert runs[0].details == runs[1].details
+
+
+@pytest.mark.parametrize("criterion, limit", [
+    (criterion_motzkin_straus, 120.0),
+    (criterion_decision_equivalence, 60.0),
+    (criterion_second_order, 60.0),
+])
+def test_criterion_past_its_time_limit_fails_with_details_intact(monkeypatch, criterion, limit):
+    """A body that runs past its limit is reported failed, and only `passed` changes."""
+    on_time = criterion(max_n=3)
+    ticks = count(0.0, limit + 1.0)
+    monkeypatch.setattr(acceptance, "time", SimpleNamespace(perf_counter=lambda: next(ticks)))
+    late = criterion(max_n=3)
+    assert on_time.passed and not late.passed
+    assert late.seconds == limit + 1.0
+    assert (late.number, late.name, late.details) == (on_time.number, on_time.name, on_time.details)
 
 
 def test_criterion_5_boundary_exactness():

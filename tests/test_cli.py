@@ -192,6 +192,35 @@ def test_json_bool_or_float_exits_3_naming_the_field(k3_file, capsys, tmp_path, 
     assert err.startswith(f"selfconcord: error: ValueError: {field} {expected}") and err.count("\n") == 1, err
 
 
+# (command, input text, the line and field the refusal names)
+TEXT_PROBES = [
+    ("sigma-opt", "3 6\n1 2 99 1/6\n", "line 2: index must hold 3 integers in 1..6, got '1 2 99'"),
+    ("sigma-opt", "3 6\n1 2 x 1/6\n", "line 2: index must hold 3 integers in 1..6, got '1 2 x'"),
+    ("sigma-opt", "3 6\n1 2 3 1/0\n", "line 2: value must be a rational p/q with q nonzero, got '1/0'"),
+    ("sigma-opt", "3 6\n# a comment\n1 2 3 1/6\n1 2 3 abc\n",
+     "line 4: value must be a rational p/q with q nonzero, got 'abc'"),
+    ("sigma-opt", "3 6\n1 2 1/6\n", "line 2: malformed tensor record '1 2 1/6'"),
+    ("omega", "p edge 3 1\ne 1 x\n", "line 2: edge vertices must be integers in 1..3, got '1 x'"),
+    ("omega", "p edge 3 1\ne 1 4\n", "line 2: edge vertices must be integers in 1..3, got '1 4'"),
+    ("omega", "3 1\n\n1 x\n", "line 3: edge vertices must be integers in 1..3, got '1 x'"),
+]
+
+
+@pytest.mark.parametrize("command, text, message", TEXT_PROBES)
+def test_text_record_exits_3_naming_the_line(tmp_path, capsys, command, text, message):
+    """A tensor or graph text record that does not convert is refused naming its line and field."""
+    path = tmp_path / "input.txt"
+    path.write_text(text)
+    assert cli.main([command, str(path)]) == 3
+    assert capsys.readouterr().err == f"selfconcord: error: ValueError: {message}\n"
+
+
+def test_negative_seed_exits_3_naming_it(k3_file, capsys):
+    for args in (["check-sc", k3_file, "--k", "3", "--sigma", "1/2"], ["ms-check", k3_file], ["verify-all"]):
+        assert cli.main([*args, "--seed", "-1"]) == 3
+        assert capsys.readouterr().err == "selfconcord: error: ValueError: seed must be >= 0\n"
+
+
 def test_instance_json_negative_parameter_exit_3(k3_file, tmp_path):
     instance = json.loads(run_cli(["reduce", k3_file, "--k", "3", "--sigma", "1/2"]).stdout)
     del instance["gamma_cubed"]
@@ -449,6 +478,25 @@ def test_verify_all_reduced_suite():
     proc = run_cli(["verify-all", "--max-n", "2", "--format", "text"])
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "9/9 criteria passed" in proc.stdout
+
+
+def test_verify_all_max_n_outside_2_to_6_exits_3_before_any_criterion(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "run_all", lambda **kwargs: pytest.fail("a criterion ran"))
+    for max_n in ("1", "7"):
+        assert cli.main(["verify-all", "--max-n", max_n]) == 3
+        assert capsys.readouterr().err == f"selfconcord: error: ValueError: --max-n must be in 2..6, got {max_n}\n"
+
+
+def test_verify_all_json_records(capsys):
+    """Each record holds `CriterionResult`'s fields in order, `seconds` as a 17-significant-digit string."""
+    assert cli.main(["verify-all", "--max-n", "2", "--format", "json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert list(report) == ["criteria", "passed"] and report["passed"] is True
+    assert [r["number"] for r in report["criteria"]] == list(range(1, 10))
+    for record in report["criteria"]:
+        assert list(record) == ["number", "name", "passed", "details", "seconds"]
+        assert record["passed"] is True
+        assert record["seconds"] == format(float(record["seconds"]), ".17g")
 
 
 def test_verify_all_tightened_tolerance_fails():

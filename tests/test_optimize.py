@@ -442,6 +442,13 @@ def test_optconfig_validation():
         OptConfig(starts=0)
 
 
+def test_optconfig_refuses_a_negative_seed_naming_it():
+    """A negative seed is refused here, not later by numpy's SeedSequence naming nothing."""
+    assert OptConfig(seed=0).seed == 0
+    with pytest.raises(ValueError, match="^seed must be >= 0$"):
+        OptConfig(seed=-1)
+
+
 def test_report_json_serialization(k3):
     from selfconcord import report_to_json_obj
 

@@ -216,6 +216,8 @@ def test_eval_form_batch_matches_pointwise():
     batch = eval_form_batch(A, pts)
     for row, expected in zip(pts, batch):
         assert abs(eval_form(A, row) - expected) <= 1e-12
+    empty = eval_form_batch(A, np.empty((0, 3)))
+    assert empty.shape == (0,)
 
 
 def test_permutation_invariance_of_raw_entries():
