@@ -43,7 +43,7 @@ from .concordance import MODES, Status, check_sc, check_sc2, sigma_opt_bounds, v
 from .graphs import Graph, complement, max_clique, max_stable_set, parse_graph_text
 from .optimize import DEFAULT_SEED, OptConfig, report_to_json_obj
 from .reduction import GADGETS, ConcordanceInstance, build_instance, threshold
-from .tensors import json_integer, json_rational, tensor_from_json_obj, tensor_from_text, tensor_to_json_obj
+from .tensors import json_field, read_integer, read_rational, tensor_from_json_obj, tensor_from_text, tensor_to_json_obj
 
 _IDENTITY_TOL = 1e-6
 
@@ -177,24 +177,25 @@ def _cmd_footnote_demo(args):
 def _instance_from_obj(obj: dict) -> ConcordanceInstance:
     """The instance of a JSON object.  A stated `k` must be an integer that
     gives q; a `graph` is not read, since the checker reads it from the tensor."""
-    kind = obj["kind"]
+    kind = json_field(obj, "kind")
     if type(kind) is not str or kind not in GADGETS:
         raise ValueError(f"field 'kind' must be one of {tuple(GADGETS)}, got {kind!r}")
     gadget = GADGETS[kind]
-    if type(obj["tensor"]) is not dict:
-        raise ValueError(f"field 'tensor' must be an object, got {type(obj['tensor']).__name__}")
-    A = tensor_from_json_obj(obj["tensor"], "tensor.")
-    q = json_rational(obj["q"], "field 'q'")
+    tensor = json_field(obj, "tensor")
+    if type(tensor) is not dict:
+        raise ValueError(f"field 'tensor' must be an object, got {type(tensor).__name__}")
+    A = tensor_from_json_obj(tensor, "tensor.")
+    q = read_rational(json_field(obj, "q"), "field 'q'")
     if "k" in obj:
-        k = json_integer(obj["k"], "field 'k'")
+        k = read_integer(obj["k"], "field 'k'")
         if threshold(kind, k) != q:
             raise ValueError(f"field 'k' ({k}) disagrees with q = {q}")
     param = obj.get(gadget.param)
     if param is not None:
-        param = json_rational(param, f"field '{gadget.param}'")
+        param = read_rational(param, f"field '{gadget.param}'")
     inst = ConcordanceInstance(kind=kind, A=A, q=q, sigma_or_tau=param)
     power = obj.get(gadget.gamma)
-    if power is not None and param is not None and json_rational(power, f"field '{gadget.gamma}'") != inst.gamma_power:
+    if power is not None and param is not None and read_rational(power, f"field '{gadget.gamma}'") != inst.gamma_power:
         raise ValueError(f"field {gadget.gamma!r} ({power}) disagrees with q = {q} and {gadget.param} = {param}")
     return inst
 

@@ -84,7 +84,7 @@ from .reduction import (
     true_max,
     unit_witness,
 )
-from .tensors import SymTensor, eval_form_exact, exact_numerators, spectral_upper_bound
+from .tensors import SymTensor, _as_fraction, eval_form_exact, exact_numerators, spectral_upper_bound
 
 __all__ = [
     "Status",
@@ -168,11 +168,6 @@ def rationalize_vector(h) -> tuple[Fraction, ...]:
     return tuple(Fraction(round(x * _SCALE), _DENOMINATOR) for x in np.asarray(h, dtype=float).tolist())
 
 
-def _fraction(x) -> Fraction:
-    """x as a Fraction; a Fraction passes through unchanged."""
-    return x if type(x) is Fraction else Fraction(x)
-
-
 def violates(A: SymTensor, h, q: Fraction) -> tuple[bool, Fraction, Fraction]:
     """Exact test of A(h,..,h)^p > q*(h.h)^(p*order/2); returns (violated, lhs, rhs).
 
@@ -186,10 +181,9 @@ def violates(A: SymTensor, h, q: Fraction) -> tuple[bool, Fraction, Fraction]:
     if A.order not in _KIND_OF_ORDER:
         raise ValueError(f"violation tests need an order-3 or order-4 tensor, got order {A.order}")
     p = GADGETS[_KIND_OF_ORDER[A.order]].p
-    hq = [_fraction(x) for x in h]
-    x, D = exact_numerators(hq)
-    lhs = eval_form_exact(A, hq) ** p
-    rhs = _fraction(q) * Fraction(sum(v * v for v in x), D * D) ** (p * A.order // 2)
+    x, D = exact_numerators(h)
+    lhs = eval_form_exact(A, h) ** p
+    rhs = _as_fraction(q) * Fraction(sum(v * v for v in x), D * D) ** (p * A.order // 2)
     return lhs > rhs, lhs, rhs
 
 
@@ -304,7 +298,7 @@ def recheck(A: SymTensor, q, certificate) -> bool | None:
         bound, value = GADGETS[_KIND_OF_ORDER[A.order]].bound(len(set(colors))), certificate.get("bound")
     else:
         return False
-    return value == str(bound) and bound <= _fraction(q)
+    return value == str(bound) and bound <= _as_fraction(q)
 
 
 def _at_most(a: Fraction, b: Fraction) -> bool:

@@ -13,6 +13,9 @@ against.
 omega <= r, and the checkers turn it into an exact certificate.  It runs
 DSATUR on int bitmasks of neighbour colors and, up to 32 vertices, an exact
 phase that stops as soon as it reaches omega.
+
+The file readers split lines with `tensors.split_text` and read every count
+and vertex with `tensors.read_integer`, the one integer reader.
 """
 
 from __future__ import annotations
@@ -21,6 +24,8 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations
 from typing import Iterable, Iterator
+
+from .tensors import read_integer, split_text
 
 __all__ = [
     "Graph",
@@ -40,6 +45,7 @@ __all__ = [
 
 # Largest vertex count a graph file may declare.  The count is checked
 # before anything is built per vertex, so an oversized count fails at once.
+# An edge count may reach MAX_VERTICES ** 2: DIMACS files may count each edge twice.
 MAX_VERTICES = 10_000
 
 # Largest vertex count that `proper_coloring` colors with the fewest colors;
@@ -91,66 +97,33 @@ def graph_from_edges(n: int, pairs: Iterable[tuple[int, int]]) -> Graph:
     return Graph(n, frozenset((min(i, j), max(i, j)) for i, j in pairs))
 
 
-def declared_vertices(field) -> int:
-    """The vertex count `field` that a graph file's header declares, refused above `MAX_VERTICES`."""
-    n = int(field)
-    if n > MAX_VERTICES:
-        raise ValueError(f"header declares {n} vertices, above the limit of {MAX_VERTICES}")
-    return n
-
-
-def _edge(fields: list[str], n: int, lineno: int) -> tuple[int, int]:
-    """The vertex pair of the edge record on line `lineno`, refused naming the line unless both lie in 1..n."""
-    if not all(f.isdecimal() and 1 <= int(f) <= n for f in fields):
-        raise ValueError(f"line {lineno}: edge vertices must be integers in 1..{n}, got {' '.join(fields)!r}")
-    return int(fields[0]), int(fields[1])
+def _read_edges(text: str, kind: str, comment: str, head_tag: str, edge_tag: str):
+    """(n, m, vertex pairs) of a file headed `head_tag n m` with records `edge_tag i j`;
+    a header or record of another shape and a count or vertex out of range are refused."""
+    header = f"{head_tag} n m".split()
+    head, records = split_text(text, kind, " ".join(header), comment)
+    if head[:-2] != header[:-2]:
+        raise ValueError(f"malformed {kind} header {' '.join(head)!r}, expected {' '.join(header)!r}")
+    n = read_integer(head[-2], "header vertex count", 0, MAX_VERTICES, text=True)
+    m = read_integer(head[-1], "header edge count", 0, MAX_VERTICES ** 2, text=True)
+    tag, pairs = edge_tag.split(), []
+    for no, fields in records:
+        if fields[:-2] != tag or len(fields) != len(tag) + 2:
+            raise ValueError(f"line {no}: malformed edge record {' '.join(fields)!r}")
+        pairs.append(tuple(read_integer(v, f"line {no}: edge vertex", 1, n, text=True) for v in fields[-2:]))
+    return n, m, pairs
 
 
 def parse_dimacs(text: str) -> Graph:
-    """DIMACS subset: 'p edge n m' header, 'e i j' lines, 'c' comments."""
-    n = None
-    pairs = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line or line.startswith("c"):
-            continue
-        parts = line.split()
-        if parts[0] == "p":
-            if n is not None:
-                raise ValueError(f"line {lineno}: duplicate 'p' header")
-            if len(parts) != 4 or parts[1] != "edge":
-                raise ValueError(f"line {lineno}: malformed header {line!r}, expected 'p edge n m'")
-            n = declared_vertices(parts[2])
-        elif parts[0] == "e":
-            if n is None:
-                raise ValueError(f"line {lineno}: edge before 'p edge' header")
-            if len(parts) != 3:
-                raise ValueError(f"line {lineno}: malformed edge {line!r}")
-            pairs.append(_edge(parts[1:], n, lineno))
-        else:
-            raise ValueError(f"line {lineno}: unrecognized record {line!r}")
-    if n is None:
-        raise ValueError("missing 'p edge n m' header")
+    """DIMACS subset: 'p edge n m' header, 'e i j' lines, 'c' comments.  m is
+    read but not compared with the records: files count each edge once or twice."""
+    n, _, pairs = _read_edges(text, "DIMACS", "c", "p edge", "e")
     return graph_from_edges(n, pairs)
 
 
 def parse_edge_list(text: str) -> Graph:
-    """Plain edge list: first line 'n m', then m lines 'i j'."""
-    lines = [(no, ln.strip()) for no, ln in enumerate(text.splitlines(), 1)
-             if ln.strip() and not ln.lstrip().startswith("#")]
-    if not lines:
-        raise ValueError("empty edge-list input")
-    (_, header), *records = lines
-    head = header.split()
-    if len(head) != 2:
-        raise ValueError(f"malformed edge-list header {header!r}, expected 'n m'")
-    n, m = declared_vertices(head[0]), int(head[1])
-    pairs = []
-    for no, ln in records:
-        parts = ln.split()
-        if len(parts) != 2:
-            raise ValueError(f"line {no}: malformed edge record {ln!r}")
-        pairs.append(_edge(parts, n, no))
+    """Plain edge list: first line 'n m', then m lines 'i j'; '#' comments."""
+    n, m, pairs = _read_edges(text, "edge-list", "#", "", "")
     if len(pairs) != m:
         raise ValueError(f"header declares {m} edges, found {len(pairs)}")
     return graph_from_edges(n, pairs)
@@ -158,14 +131,10 @@ def parse_edge_list(text: str) -> Graph:
 
 def parse_graph_text(text: str) -> Graph:
     """Auto-detect DIMACS (has a 'p' header) versus plain edge list."""
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("c") or line.startswith("#"):
-            continue
-        if line.split()[0] == "p":
-            return parse_dimacs(text)
-        return parse_edge_list(text)
-    raise ValueError("empty graph input")
+    first = next((line.split() for line in text.splitlines() if line.strip() and line.lstrip()[0] not in "c#"), None)
+    if first is None:
+        raise ValueError("empty graph input")
+    return parse_dimacs(text) if first[0] == "p" else parse_edge_list(text)
 
 
 def complement(G: Graph) -> Graph:

@@ -17,6 +17,9 @@ checks that must not incur rounding.  The exact evaluation runs on Python
 ints: the coefficients over one common denominator (kept per tensor) and h
 over another (`exact_numerators`), so a value costs integer products and
 one `Fraction` at the end.
+
+Every integer and rational of a tensor, graph or instance file is read by
+`read_integer` or `read_rational`, which name the field they refuse.
 """
 
 from __future__ import annotations
@@ -395,29 +398,56 @@ def tensor_to_text(A: SymTensor) -> str:
     return "\n".join(lines) + "\n"
 
 
-def declared_dim(field, source: str = "header") -> int:
-    """The dim `field` that `source` declares, refused above `MAX_DIM`."""
-    dim = int(field)
-    if dim > MAX_DIM:
-        raise ValueError(f"{source} declares dim {dim}, above the limit of {MAX_DIM}")
-    return dim
+def read_integer(value, name: str, low=-math.inf, high=math.inf, text: bool = False) -> int:
+    """The integer of field `name` in low..high: a JSON int or, with `text`, a decimal token.
 
-
-def json_integer(value, name: str) -> int:
-    """The JSON integer `value` of field `name`; a bool or a float is refused, naming the field."""
-    if type(value) is not int:  # a bool would otherwise pass as 0 or 1, and int() would truncate a float
+    A bool, a float, a JSON string, a token that is no decimal and an integer
+    out of range are refused naming the field.  A token with more digits than
+    the finite `high`, leading zeros aside, is refused before `int()` reads it.
+    """
+    if text and type(value) is str and value.isdecimal():
+        digits = value.lstrip("0")
+        if len(digits) > len(str(high)):
+            raise ValueError(f"{name} must be an integer in {low}..{high}, got a {len(digits)}-digit integer")
+        number = int(digits or "0")
+    elif type(value) is int:  # a bool would otherwise pass as 0 or 1, and int() would truncate a float
+        number = value
+    else:
         raise ValueError(f"{name} must be an integer, got {value!r}")
-    return value
+    if not low <= number <= high:
+        raise ValueError(f"{name} must be an integer in {low}..{high}, got {value!r}")
+    return number
 
 
-def json_rational(value, name: str) -> Fraction:
-    """The rational of field `name`, a JSON integer or a "p/q" string; a bool, a float or a zero denominator is refused, naming the field."""
+def read_rational(value, name: str) -> Fraction:
+    """The rational of field `name`: an integer, or a "p/q" string of JSON or text;
+    a bool, a float, an invalid literal or a zero denominator is refused, naming the field."""
     if type(value) not in (int, str):
         raise ValueError(f"{name} must be an integer or a p/q string, got {value!r}")
     try:
         return Fraction(value)
-    except ZeroDivisionError:
-        raise ValueError(f"{name} must have a nonzero denominator, got {value!r}") from None
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"{name} must be a rational p/q with q nonzero, got {value!r}") from None
+
+
+def json_field(obj: dict, key: str, prefix: str = ""):
+    """obj[key]; a missing key is refused naming the field `prefix + key`."""
+    if key not in obj:
+        raise ValueError(f"field '{prefix}{key}' is missing")
+    return obj[key]
+
+
+def split_text(text: str, kind: str, header: str, comment: str = "#") -> tuple[list[str], list[tuple[int, list[str]]]]:
+    """(header fields, [(line number, fields)]) of a `kind` file, blank and `comment` lines
+    skipped; an empty file and a header of another field count than `header` are refused."""
+    lines = [(no, line.split()) for no, line in enumerate(text.splitlines(), 1)
+             if line.strip() and not line.lstrip().startswith(comment)]
+    if not lines:
+        raise ValueError(f"empty {kind} input")
+    (_, head), *records = lines
+    if len(head) != len(header.split()):
+        raise ValueError(f"malformed {kind} header {' '.join(head)!r}, expected {header!r}")
+    return head, records
 
 
 def _check_entry_count(count: int, source: str):
@@ -428,28 +458,17 @@ def _check_entry_count(count: int, source: str):
 def tensor_from_text(text: str) -> SymTensor:
     """The tensor of a text file; a record of another shape, an index that is not `order`
     integers in 1..dim and a value that is not a rational are refused naming the line."""
-    lines = [(no, ln.strip()) for no, ln in enumerate(text.splitlines(), 1)
-             if ln.strip() and not ln.lstrip().startswith("#")]
-    if not lines:
-        raise ValueError("empty tensor text")
-    (_, header), *records = lines
-    head = header.split()
-    if len(head) != 2:
-        raise ValueError(f"malformed tensor header {header!r}, expected 'order dim'")
-    order, dim = int(head[0]), declared_dim(head[1])
+    head, records = split_text(text, "tensor", "order dim")
+    order = read_integer(head[0], "header order", 2, 4, text=True)
+    dim = read_integer(head[1], "header dim", 1, MAX_DIM, text=True)
     _check_entry_count(len(records), "tensor text")
     raw = []
-    for no, ln in records:
-        *index, value = ln.split()
+    for no, fields in records:
+        *index, value = fields
         if len(index) != order:
-            raise ValueError(f"line {no}: malformed tensor record {ln!r}")
-        key = tuple(int(i) if i.isdecimal() else 0 for i in index)  # 0 is out of range: refused below
-        if not all(1 <= i <= dim for i in key):
-            raise ValueError(f"line {no}: index must hold {order} integers in 1..{dim}, got {' '.join(index)!r}")
-        try:
-            raw.append((key, Fraction(value)))
-        except (ValueError, ZeroDivisionError):
-            raise ValueError(f"line {no}: value must be a rational p/q with q nonzero, got {value!r}") from None
+            raise ValueError(f"line {no}: malformed tensor record {' '.join(fields)!r}")
+        key = tuple(read_integer(i, f"line {no}: index", 1, dim, text=True) for i in index)
+        raw.append((key, read_rational(value, f"line {no}: value")))
     return sym_from_entries(order, dim, raw)
 
 
@@ -463,12 +482,12 @@ def tensor_to_json_obj(A: SymTensor) -> dict:
 
 def tensor_from_json_obj(obj: dict, field: str = "") -> SymTensor:
     """The tensor of a JSON object; `field` ("tensor." in instance JSON) prefixes the
-    field names in the refusal of a bool or a float where an integer or a rational
-    belongs, of an entry list or entry of another shape, of an index of the wrong
-    length or out of 1..dim, and of an oversized dim or entry list."""
-    order = json_integer(obj["order"], f"field '{field}order'")
-    dim = declared_dim(json_integer(obj["dim"], f"field '{field}dim'"), f"field '{field}dim'")
-    entries = obj["entries"]
+    field names in the refusal of a missing field, of a bool or a float where an
+    integer or a rational belongs, of an entry list or entry of another shape, of an
+    index of the wrong length or out of 1..dim, and of an oversized dim or entry list."""
+    order = read_integer(json_field(obj, "order", field), f"field '{field}order'", 2, 4)
+    dim = read_integer(json_field(obj, "dim", field), f"field '{field}dim'", 1, MAX_DIM)
+    entries = json_field(obj, "entries", field)
     if type(entries) is not list:
         raise ValueError(f"field '{field}entries' must be a list, got {type(entries).__name__}")
     _check_entry_count(len(entries), f"field '{field}entries'")
@@ -477,8 +496,8 @@ def tensor_from_json_obj(obj: dict, field: str = "") -> SymTensor:
         name = f"field '{field}entries[{n}]'"
         if not (type(entry) is list and len(entry) == 2 and type(entry[0]) is list):
             raise ValueError(f"{name} must be a pair [index list, value]")
-        key = tuple(json_integer(i, f"{name} index") for i in entry[0])
-        if len(key) != order or not all(1 <= i <= dim for i in key):
-            raise ValueError(f"{name} index must hold {order} integers in 1..{dim}, got {list(key)}")
-        raw.append((key, json_rational(entry[1], f"{name} value")))
+        if len(entry[0]) != order:
+            raise ValueError(f"{name} index must hold {order} integers, got {entry[0]}")
+        key = tuple(read_integer(i, f"{name} index", 1, dim) for i in entry[0])
+        raw.append((key, read_rational(entry[1], f"{name} value")))
     return sym_from_entries(order, dim, raw)

@@ -168,6 +168,10 @@ JSON_PROBES = [
     # Indices that used to be refused naming no field.
     ("check-sc", ("tensor", "entries", 0, 0), [1, 2], "field 'tensor.entries[0]' index"),
     ("sigma-opt", ("entries", 0, 0), [1, 2, 99], "field 'entries[0]' index"),
+    # Invalid literals that used to be refused naming no field.
+    ("check-sc", ("q",), "x", "field 'q'"),
+    ("check-sc", ("sigma",), "x", "field 'sigma'"),
+    ("check-sc", ("tensor", "entries", 2, 1), "abc", "field 'tensor.entries[2]' value"),
 ]
 
 
@@ -175,7 +179,7 @@ JSON_PROBES = [
 def test_json_bool_or_float_exits_3_naming_the_field(k3_file, capsys, tmp_path, command, path, value, field):
     """A bool or a float where JSON holds an integer or a rational is refused
     naming the field, not read as 1, truncated, or left to fail unnamed; so
-    is a malformed shape or a zero denominator."""
+    is a malformed shape, an invalid literal or a zero denominator."""
     assert cli.main(["reduce", k3_file, "--k", "3", "--sigma", "1/2"]) == 0
     instance = json.loads(capsys.readouterr().out)
     obj = instance if command == "check-sc" else instance["tensor"]
@@ -192,17 +196,45 @@ def test_json_bool_or_float_exits_3_naming_the_field(k3_file, capsys, tmp_path, 
     assert err.startswith(f"selfconcord: error: ValueError: {field} {expected}") and err.count("\n") == 1, err
 
 
+def test_missing_json_field_exits_3_naming_it(k3_file, capsys, tmp_path):
+    """A required field that is absent is refused by its name, with the instance prefix for the tensor's."""
+    assert cli.main(["reduce", k3_file, "--k", "3", "--sigma", "1/2"]) == 0
+    instance = json.loads(capsys.readouterr().out)
+    cases = [("check-sc", {}, "kind")]
+    cases += [("check-sc", {k: v for k, v in instance.items() if k != key}, key) for key in ("kind", "q", "tensor")]
+    for key in ("order", "dim", "entries"):
+        tensor = {k: v for k, v in instance["tensor"].items() if k != key}
+        cases += [("check-sc", {**instance, "tensor": tensor}, f"tensor.{key}"), ("sigma-opt", tensor, key)]
+    path = tmp_path / "input.json"
+    for command, obj, field in cases:
+        path.write_text(json.dumps(obj))
+        assert cli.main([command, str(path)]) == 3
+        assert capsys.readouterr().err == f"selfconcord: error: ValueError: field '{field}' is missing\n"
+
+
 # (command, input text, the line and field the refusal names)
 TEXT_PROBES = [
-    ("sigma-opt", "3 6\n1 2 99 1/6\n", "line 2: index must hold 3 integers in 1..6, got '1 2 99'"),
-    ("sigma-opt", "3 6\n1 2 x 1/6\n", "line 2: index must hold 3 integers in 1..6, got '1 2 x'"),
+    ("sigma-opt", "3 6\n1 2 99 1/6\n", "line 2: index must be an integer in 1..6, got a 2-digit integer"),
+    ("sigma-opt", "3 6\n1 2 x 1/6\n", "line 2: index must be an integer, got 'x'"),
     ("sigma-opt", "3 6\n1 2 3 1/0\n", "line 2: value must be a rational p/q with q nonzero, got '1/0'"),
     ("sigma-opt", "3 6\n# a comment\n1 2 3 1/6\n1 2 3 abc\n",
      "line 4: value must be a rational p/q with q nonzero, got 'abc'"),
     ("sigma-opt", "3 6\n1 2 1/6\n", "line 2: malformed tensor record '1 2 1/6'"),
-    ("omega", "p edge 3 1\ne 1 x\n", "line 2: edge vertices must be integers in 1..3, got '1 x'"),
-    ("omega", "p edge 3 1\ne 1 4\n", "line 2: edge vertices must be integers in 1..3, got '1 4'"),
-    ("omega", "3 1\n\n1 x\n", "line 3: edge vertices must be integers in 1..3, got '1 x'"),
+    ("omega", "p edge 3 1\ne 1 x\n", "line 2: edge vertex must be an integer, got 'x'"),
+    ("omega", "p edge 3 1\ne 1 4\n", "line 2: edge vertex must be an integer in 1..3, got '4'"),
+    ("omega", "3 1\n\n1 x\n", "line 3: edge vertex must be an integer, got 'x'"),
+    # Header fields and over-long digit strings that used to be refused by int() naming no field.
+    ("sigma-opt", "3 x\n1 2 3 1/6\n", "header dim must be an integer, got 'x'"),
+    ("sigma-opt", "x 6\n1 2 3 1/6\n", "header order must be an integer, got 'x'"),
+    ("omega", "3 y\n1 2\n", "header edge count must be an integer, got 'y'"),
+    ("omega", "p edge x 1\ne 1 2\n", "header vertex count must be an integer, got 'x'"),
+    ("omega", "p edge 3 x\ne 1 2\n", "header edge count must be an integer, got 'x'"),
+    pytest.param("sigma-opt", f"3 6\n1 2 {'9' * 5000} 1/6\n",
+                 "line 2: index must be an integer in 1..6, got a 5000-digit integer", id="sigma-opt-long-index"),
+    pytest.param("omega", f"p edge 3 1\ne 1 {'9' * 5000}\n",
+                 "line 2: edge vertex must be an integer in 1..3, got a 5000-digit integer", id="omega-long-vertex"),
+    pytest.param("sigma-opt", f"3 {'9' * 5000}\n1 2 3 1/6\n",
+                 f"header dim must be an integer in 1..{MAX_DIM}, got a 5000-digit integer", id="sigma-opt-long-dim"),
 ]
 
 
@@ -378,7 +410,7 @@ def test_oversized_vertex_count_exit_3():
     for header in ("p edge 100000000 0\n", "100000000 0\n"):
         proc = run_cli(["omega", "-"], stdin=header)
         assert proc.returncode == 3
-        assert "above the limit of 10000" in proc.stderr
+        assert "header vertex count must be an integer in 0..10000, got a 9-digit integer" in proc.stderr
         assert "Traceback" not in proc.stderr
 
 
@@ -441,16 +473,18 @@ def test_tensor_dim_above_the_cap_exit_3(tmp_path, monkeypatch, capsys):
     tensor = {"order": 3, "dim": MAX_DIM + 1, "entries": [[[1, 2, 3], "1/6"]]}
     instance = {"kind": "cubic", "q": "1/27", "tensor": tensor}
     cases = (
-        (["sigma-opt"], f"3 {MAX_DIM + 1}\n1 2 3 1/6\n", "header"),
-        (["sigma-opt"], json.dumps(tensor), "field 'dim'"),
-        (["check-sc", "--mode", "relax"], json.dumps(instance), "field 'tensor.dim'"),
+        (["sigma-opt"], f"3 {MAX_DIM + 1}\n1 2 3 1/6\n",
+         f"header dim must be an integer in 1..{MAX_DIM}, got '{MAX_DIM + 1}'"),
+        (["sigma-opt"], json.dumps(tensor), f"field 'dim' must be an integer in 1..{MAX_DIM}, got {MAX_DIM + 1}"),
+        (["check-sc", "--mode", "relax"], json.dumps(instance),
+         f"field 'tensor.dim' must be an integer in 1..{MAX_DIM}, got {MAX_DIM + 1}"),
     )
-    for command, text, field in cases:
+    for command, text, expected in cases:
         path = tmp_path / "input"
         path.write_text(text)
         assert cli.main([*command, str(path)]) == 3
         message = capsys.readouterr().err
-        assert f"{field} declares dim {MAX_DIM + 1}, above the limit of {MAX_DIM}" in message, message
+        assert message == f"selfconcord: error: ValueError: {expected}\n", message
     assert built == []
 
 

@@ -255,12 +255,12 @@ def test_instances_refuse_q_as_before(q, error, message):
     ("q", "-1/27", "ValueError: threshold q must be positive, got -1/27"),
     ("q", 0, "ValueError: threshold q must be positive, got 0"),
     ("q", -1, "ValueError: threshold q must be positive, got -1"),
-    ("q", "x", "ValueError: Invalid literal for Fraction: 'x'"),
-    ("q", "1/0", "ValueError: field 'q' must have a nonzero denominator, got '1/0'"),
+    ("q", "x", "ValueError: field 'q' must be a rational p/q with q nonzero, got 'x'"),
+    ("q", "1/0", "ValueError: field 'q' must be a rational p/q with q nonzero, got '1/0'"),
     ("sigma", "0", "ValueError: sigma must be positive, got 0"),
     ("sigma", "-1/2", "ValueError: sigma must be positive, got -1/2"),
     ("sigma", -1.5, "ValueError: field 'sigma' must be an integer or a p/q string, got -1.5"),
-    ("sigma", "x", "ValueError: Invalid literal for Fraction: 'x'"),
+    ("sigma", "x", "ValueError: field 'sigma' must be a rational p/q with q nonzero, got 'x'"),
 ])
 def test_instance_json_refuses_as_before(tmp_path, capsys, field, value, message):
     instance = {"kind": "cubic", "q": "1/27", "tensor": tensor_to_json_obj(build_instance(C4, "cubic", 3, 1).A)}

@@ -112,8 +112,9 @@ def test_parsers_refuse_vertex_counts_above_the_limit():
     assert parse_dimacs(f"p edge {MAX_VERTICES} 0").n == MAX_VERTICES
     assert parse_edge_list(f"{MAX_VERTICES} 0").n == MAX_VERTICES
     for text in (f"p edge {MAX_VERTICES + 1} 0", f"{MAX_VERTICES + 1} 0"):
-        with pytest.raises(ValueError, match=f"limit of {MAX_VERTICES}"):
+        with pytest.raises(ValueError) as info:
             parse_graph_text(text)
+        assert str(info.value) == f"header vertex count must be an integer in 0..{MAX_VERTICES}, got '10001'"
 
 
 def test_parse_graph_text_autodetect(k3, single_edge):

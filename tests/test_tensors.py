@@ -454,3 +454,10 @@ def test_text_parse_errors():
         tensor_from_text("3\n")
     with pytest.raises(ValueError):
         tensor_from_text("2 2\n1 2\n")
+
+
+def test_text_reads_leading_zeros_past_the_digit_limit():
+    """A token is measured with its leading zeros stripped, so 5,000 zeros before 1 read as 1."""
+    zeros = "0" * 5000
+    A = tensor_from_text(f"{zeros}3 {zeros}6\n1 2 {zeros}3 1/6\n")
+    assert A == sym_from_entries(3, 6, [((1, 2, 3), Fraction(1, 6))])
