@@ -2,9 +2,9 @@
 
 The package turns graphs into symmetric-tensor decision instances whose
 defining inequality at the origin holds exactly when the graph has no large
-clique, maximizes quadratic and homogeneous forms over simplices and
-spheres with deterministic multistart budgets, and decides the inequalities
-three-valuedly with exact-rational certificates.
+clique, maximizes homogeneous forms over spheres with deterministic
+multistart budgets, and decides the inequalities three-valuedly with
+exact-rational certificates.
 """
 
 from .concordance import (
@@ -44,7 +44,6 @@ from .optimize import (
     beta_split_max,
     grid_lower_and_upper,
     max_form_sphere,
-    max_quadratic_simplex,
     report_to_json_obj,
 )
 from .reduction import (

@@ -38,9 +38,8 @@ from .optimize import (
     beta_split_max,
     grid_lower_and_upper,
     max_form_sphere,
-    max_quadratic_simplex,
 )
-from .reduction import build_cubic_tensor, build_instance, threshold, true_max, unit_witness
+from .reduction import GADGETS, build_cubic_tensor, build_instance, threshold, true_max, unit_witness
 from .tensors import eval_form, grad_form, sym_from_entries
 
 __all__ = [
@@ -50,8 +49,7 @@ __all__ = [
     "format_table",
     "CRITERIA",
     "FOOTNOTE_GRAPH",
-    "simplex_side",
-    "sphere_side",
+    "gadget_side",
     "footnote_sides",
 ]
 
@@ -105,25 +103,22 @@ class IdentitySide:
         return abs(self.scaled - self.target)
 
 
-def simplex_side(G: Graph, cfg: OptConfig) -> IdentitySide:
-    """2 * max of sum x_i x_j over the edges of G on the simplex, against 1 - 1/omega(G)."""
-    rep = max_quadratic_simplex(G, cfg)
-    return IdentitySide(rep.best_value, 2.0 * rep.best_value, 1.0 - 1.0 / clique_number(G), rep)
-
-
-def sphere_side(G: Graph, cfg: OptConfig) -> IdentitySide:
-    """27/2 * max^2 against 1 - 1/omega(G), max being the gadget search's sphere
-    maximum of G's cubic gadget (0 when G has no edge)."""
-    rep = _search(build_cubic_tensor(G), cfg) if G.m else None
+def gadget_side(kind: str, G: Graph, cfg: OptConfig) -> IdentitySide:
+    """max^p / c against 1 - 1/omega(G), max being the gadget search's sphere
+    maximum of G's `kind` gadget (0 when G has no edge).  The quartic form is
+    the simplex quadratic sum x_i x_j over the edges at x = h^2, so its side is
+    twice the simplex maximum; the cubic side is 27/2 * max^2."""
+    gadget = GADGETS[kind]
+    rep = _search(gadget.tensor(G), cfg) if G.m else None
     best = rep.best_value if rep is not None else 0.0
-    return IdentitySide(best, 13.5 * best**2, 1.0 - 1.0 / clique_number(G), rep)
+    return IdentitySide(best, float(1 / gadget.c) * best**gadget.p, 1.0 - 1.0 / clique_number(G), rep)
 
 
 def footnote_sides(cfg: OptConfig) -> tuple[int, float, float, IdentitySide]:
     """alpha of `FOOTNOTE_GRAPH`, the erroneous sides sqrt(1 - 1/alpha) and
-    3*sqrt(3) * max, and the corrected side: the sphere side of the complement."""
+    3*sqrt(3) * max, and the corrected side: the cubic side of the complement."""
     alpha = stability_number(FOOTNOTE_GRAPH)
-    corrected = sphere_side(complement(FOOTNOTE_GRAPH), cfg)
+    corrected = gadget_side("cubic", complement(FOOTNOTE_GRAPH), cfg)
     return alpha, math.sqrt(1.0 - 1.0 / alpha), 3.0 * math.sqrt(3.0) * corrected.max_value, corrected
 
 
@@ -151,13 +146,20 @@ def _criterion(number: int, name: str, limit: float = math.inf):
 
 @_criterion(1, "simplex clique/stability identities", limit=120.0)
 def criterion_motzkin_straus(max_n: int = 5, seed: int = DEFAULT_SEED, tol: float = 1e-6):
-    """Simplex quadratic maxima hit 1 - 1/omega and 1 - 1/alpha within 1e-6."""
+    """Simplex quadratic maxima hit 1 - 1/omega and 1 - 1/alpha within 1e-6.
+
+    Each graph is searched once, through its quartic side.  That covers
+    1 - 1/alpha too: alpha(G) is omega of the complement, and the sweep holds
+    every graph on 2..max_n vertices with an edge, so a complement with an
+    edge is swept as a graph of its own, and an edgeless one has side
+    0 = 1 - 1/1 exactly.
+    """
     cfg = OptConfig(starts=3, max_iters=400, seed=seed)
     worst = 0.0
     count = 0
     for G in _reduction_graphs(max_n):
         count += 1
-        worst = max(worst, simplex_side(G, cfg).gap, simplex_side(complement(G), cfg).gap)
+        worst = max(worst, gadget_side("quartic", G, cfg).gap)
     return worst <= tol, f"{count} graphs, worst gap {worst:.3e}, tol {tol:g}"
 
 
@@ -174,7 +176,7 @@ def criterion_sphere_constants(max_n: int = 5, seed: int = DEFAULT_SEED, tol: fl
     count = 0
     for G in _reduction_graphs(max_n):
         count += 1
-        side = sphere_side(G, cfg)
+        side = gadget_side("cubic", G, cfg)
         w = unit_witness("cubic", G, max_clique(G))
         worst_witness = max(worst_witness, abs(eval_form(build_cubic_tensor(G), w) ** 2 - (2.0 / 27.0) * side.target))
         worst_opt = max(worst_opt, side.gap)

@@ -35,15 +35,15 @@ from .acceptance import (
     IdentitySide,
     footnote_sides,
     format_table,
+    gadget_side,
     run_all,
-    simplex_side,
-    sphere_side,
 )
 from .concordance import MODES, Status, check_sc, check_sc2, sigma_opt_bounds, verdict_to_json_obj
 from .graphs import Graph, complement, max_clique, max_stable_set, parse_graph_text
 from .optimize import DEFAULT_SEED, OptConfig, report_to_json_obj
 from .reduction import GADGETS, ConcordanceInstance, build_instance, threshold
-from .tensors import json_field, read_integer, read_rational, tensor_from_json_obj, tensor_from_text, tensor_to_json_obj
+from .tensors import json_field, load_json, read_integer, read_rational
+from .tensors import tensor_from_json_obj, tensor_from_text, tensor_to_json_obj
 
 _IDENTITY_TOL = 1e-6
 
@@ -113,44 +113,32 @@ def _cmd_alpha(args):
     return {"stability_number": len(witness), "witness": witness}, 0
 
 
-def _simplex_obj(side: IdentitySide) -> dict:
-    return {
-        "twice_max": _fmt(side.scaled),
-        "target": _fmt(side.target),
-        "gap": _fmt(side.gap),
-        "report": report_to_json_obj(side.report),
-    }
-
-
-def _sphere_obj(side: IdentitySide) -> dict:
-    obj = {
-        "max_value": _fmt(side.max_value),
-        "scaled_square": _fmt(side.scaled),
-        "target": _fmt(side.target),
-        "gap": _fmt(side.gap),
-    }
-    if side.report is not None:
-        obj["report"] = report_to_json_obj(side.report)
-    return obj
-
-
-def _identity_check(args, side, render) -> tuple[dict, int]:
-    """`side` of the input graph (clique) and of its complement (stability), rendered."""
+def _identity_check(args, kind: str, head) -> tuple[dict, int]:
+    """The `kind` gadget side of the input graph (clique) and of its complement
+    (stability), each rendered as `head`(side), target, gap and any report."""
     G = _load_graph(args.input)
     if G.m < 1:
         raise ValueError("identity checks need a graph with at least one edge")
     cfg = _cfg(args)
-    clique, stability = side(G, cfg), side(complement(G), cfg)
+    clique, stability = gadget_side(kind, G, cfg), gadget_side(kind, complement(G), cfg)
+
+    def render(side: IdentitySide) -> dict:
+        obj = {**head(side), "target": _fmt(side.target), "gap": _fmt(side.gap)}
+        if side.report is not None:
+            obj["report"] = report_to_json_obj(side.report)
+        return obj
+
     report = {"clique": render(clique), "stability": render(stability), "tolerance": _fmt(_IDENTITY_TOL)}
     return report, 0 if max(clique.gap, stability.gap) <= _IDENTITY_TOL else 1
 
 
 def _cmd_ms_check(args):
-    return _identity_check(args, simplex_side, _simplex_obj)
+    return _identity_check(args, "quartic", lambda side: {"twice_max": _fmt(side.scaled)})
 
 
 def _cmd_nesterov_check(args):
-    return _identity_check(args, sphere_side, _sphere_obj)
+    return _identity_check(
+        args, "cubic", lambda side: {"max_value": _fmt(side.max_value), "scaled_square": _fmt(side.scaled)})
 
 
 def _cmd_footnote_demo(args):
@@ -230,7 +218,7 @@ _EXIT_BY_STATUS = {
 def _load_instance(args) -> ConcordanceInstance:
     text = _read_input(args.input)
     if text.lstrip().startswith("{"):
-        return _instance_from_obj(json.loads(text))  # a file of the other kind fails in `args.check`
+        return _instance_from_obj(load_json(text))  # a file of the other kind fails in `args.check`
     return _instance_from_graph(parse_graph_text(text), args)
 
 
@@ -242,7 +230,7 @@ def _cmd_check(args):
 def _cmd_sigma_opt(args):
     text = _read_input(args.input)
     if text.lstrip().startswith("{"):
-        A = tensor_from_json_obj(json.loads(text))
+        A = tensor_from_json_obj(load_json(text))
     else:
         A = tensor_from_text(text)
     bounds = sigma_opt_bounds(A, _cfg(args))

@@ -1,22 +1,20 @@
-"""Budgeted maximization of forms over simplices and spheres.
+"""Budgeted maximization of forms over spheres.
 
-Two local ascent methods that respect the feasible geometry directly:
+One local ascent method that respects the feasible geometry directly:
+regularized Riemannian Newton ascent (Absil, Mahony & Sepulchre,
+Optimization Algorithms on Matrix Manifolds, 2008, ch. 6) with a
+normalize-after-step retraction.  A candidate is accepted only if it raises
+the form, and a rejection raises the regularization, so the ascent is
+monotone by construction.  All starts advance in lockstep as rows of one
+array, each with its own regularization, plateau count and budget, so a
+round costs one batched gradient, Hessian and solve (or truncated CG run,
+Steihaug 1983, for large sparse tensors) and one batched form evaluation
+however many starts are still running.  Quadratics over the simplex need no
+method of their own: the square substitution x = h^2 carries them to quartic
+forms on the sphere (`reduction.build_quartic_tensor`).
 
-* simplex: a replicator (exponentiated-gradient) update for quadratics with
-  nonnegative coefficients, which keeps iterates on the simplex and never
-  decreases the objective;
-* sphere: regularized Riemannian Newton ascent (Absil, Mahony & Sepulchre,
-  Optimization Algorithms on Matrix Manifolds, 2008, ch. 6) with a
-  normalize-after-step retraction.  A candidate is accepted only if it
-  raises the form, and a rejection raises the regularization, so the
-  ascent is monotone by construction.  All starts advance in lockstep as
-  rows of one array, each with its own regularization, plateau count and
-  budget, so a round costs one batched gradient, Hessian and solve (or
-  truncated CG run, Steihaug 1983, for large sparse tensors) and one
-  batched form evaluation however many starts are still running.
-
-Both are multistart with deterministic per-start random substreams, so a
-fixed seed reproduces results bit for bit.  Reported values are always
+The search is multistart with deterministic per-start random substreams,
+so a fixed seed reproduces results bit for bit.  Reported values are always
 lower bounds on the true maximum (every iterate is feasible); certified
 upper bounds come from `grid_lower_and_upper` here and
 `tensors.spectral_upper_bound`.  The grid bound evaluates the form on a net
@@ -37,7 +35,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .graphs import Graph, max_clique
+from .graphs import max_clique  # noqa: F401 -- uncalled; perfbench/tracing.py wraps it here by name
 from .tensors import (
     SymTensor,
     eval_form,
@@ -53,7 +51,6 @@ __all__ = [
     "OptConfig",
     "OptReport",
     "report_to_json_obj",
-    "max_quadratic_simplex",
     "max_form_sphere",
     "grid_lower_and_upper",
     "beta_split_max",
@@ -144,89 +141,6 @@ def report_to_json_obj(report: OptReport) -> dict:
         "converged": report.converged,
         "evaluations": report.evaluations,
     }
-
-
-def _streams(seed: int, count: int) -> list[np.random.Generator]:
-    return [np.random.Generator(np.random.PCG64(s)) for s in np.random.SeedSequence(seed).spawn(count)]
-
-
-def _report(results: list[tuple[float, np.ndarray, int, bool]]) -> OptReport:
-    values = [r[0] for r in results]
-    best = int(np.argmax(values))  # argmax returns the first maximum: lowest start index wins ties
-    evaluations = sum(r[2] for r in results)
-    value, witness, _, converged = results[best]
-    witness = np.array(witness)
-    witness.setflags(write=False)
-    return OptReport(value, witness, tuple(values), converged, evaluations)
-
-
-# ---------------------------------------------------------------------------
-# Quadratic over the simplex
-
-
-def _replicator(W: np.ndarray, x: np.ndarray, cfg: OptConfig) -> tuple[float, np.ndarray, int, bool]:
-    value = 0.5 * float(x @ (W @ x))
-    best_x = x
-    evals = 1
-    plateau = 0
-    converged = False
-    for _ in range(cfg.max_iters):
-        g = W @ x
-        denom = float(x @ g)
-        if denom <= 0.0:
-            # No quadratic mass on the support; the update is undefined and
-            # cannot improve (value is 0 here).
-            converged = True
-            break
-        x = x * g / denom
-        x = x / x.sum()
-        new = 0.5 * float(x @ (W @ x))
-        evals += 1
-        gain = new - value
-        if new > value:
-            value, best_x = new, x
-        if gain <= _VALUE_TOL * max(1.0, abs(new)):
-            plateau += 1
-            if plateau >= _PLATEAU:
-                converged = True
-                break
-        else:
-            plateau = 0
-    return value, best_x, evals, converged
-
-
-def max_quadratic_simplex(G: Graph, cfg: OptConfig | None = None) -> OptReport:
-    """Maximize the sum of x_i * x_j over the edges of G on the unit simplex.
-
-    (The stability variant is this on the complement.)  Start 0 is the
-    uniform vector on a maximum clique of G (the analytic optimum of the
-    clique quadratic), the remaining starts are random interior points.
-    """
-    if G.n < 1:
-        raise ValueError("graph must have at least one vertex")
-    cfg = cfg or OptConfig()
-    pairs = G.edge_order
-    n = G.n
-    if not pairs:
-        witness = np.zeros(n)
-        witness[0] = 1.0
-        witness.setflags(write=False)
-        return OptReport(0.0, witness, (0.0,), True, 0)
-
-    W = np.zeros((n, n))
-    for i, j in pairs:
-        W[i - 1, j - 1] = W[j - 1, i - 1] = 1.0
-
-    clique = sorted(max_clique(G))
-    analytic = np.zeros(n)
-    analytic[[v - 1 for v in clique]] = 1.0 / len(clique)
-
-    starts = [analytic]
-    for rng in _streams(cfg.seed, max(cfg.starts - 1, 0)):
-        starts.append(rng.dirichlet(np.ones(n)))
-
-    results = [_replicator(W, x0, cfg) for x0 in starts]
-    return _report(results)
 
 
 # ---------------------------------------------------------------------------
@@ -403,13 +317,17 @@ def max_form_sphere(
         return OptReport(0.0, witness, (0.0,), True, 1)
 
     starts: list[np.ndarray] = [np.asarray(s, dtype=float) for s in extra_starts]
-    for rng in _streams(cfg.seed, cfg.starts):
-        draw = rng.standard_normal(A.dim)
-        if nonnegative_starts:
-            draw = np.abs(draw)
-        starts.append(draw)
+    for stream in np.random.SeedSequence(cfg.seed).spawn(cfg.starts):
+        draw = np.random.Generator(np.random.PCG64(stream)).standard_normal(A.dim)
+        starts.append(np.abs(draw) if nonnegative_starts else draw)
 
-    return _report(_ascend_sphere(A, np.array(starts), cfg))
+    results = _ascend_sphere(A, np.array(starts), cfg)
+    values = [r[0] for r in results]
+    best = int(np.argmax(values))  # argmax returns the first maximum: lowest start index wins ties
+    value, witness, _, converged = results[best]
+    witness = np.array(witness)
+    witness.setflags(write=False)
+    return OptReport(value, witness, tuple(values), converged, sum(r[2] for r in results))
 
 
 # ---------------------------------------------------------------------------

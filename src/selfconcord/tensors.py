@@ -19,11 +19,13 @@ over another (`exact_numerators`), so a value costs integer products and
 one `Fraction` at the end.
 
 Every integer and rational of a tensor, graph or instance file is read by
-`read_integer` or `read_rational`, which name the field they refuse.
+`read_integer` or `read_rational`, which name the field they refuse; JSON
+text goes through `load_json`, which leaves an over-long integer to them.
 """
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -50,6 +52,7 @@ __all__ = [
     "tensor_from_text",
     "tensor_to_json_obj",
     "tensor_from_json_obj",
+    "load_json",
 ]
 
 # Largest dim a tensor file or JSON object may declare, checked before any
@@ -66,6 +69,10 @@ MAX_DIM = 1_000_000
 # entries (~2.1 KB at order 3; tracemalloc, parsing excluded), so ~1 GB at
 # this cap.  The cubic gadget of a 250-vertex half-edge graph has 15,562.
 MAX_ENTRIES = 250_000
+
+# Most digits an integer, or a side of a rational, may hold: Python's int()
+# and Fraction() refuse longer decimal strings by default, naming no field.
+MAX_DIGITS = 4300
 
 # Largest unfolding, in floats (80 MB), that `spectral_upper_bound` builds and
 # decomposes.  The cubic gadget of a 32-vertex graph with 248 edges unfolds
@@ -398,13 +405,30 @@ def tensor_to_text(A: SymTensor) -> str:
     return "\n".join(lines) + "\n"
 
 
+class _LongInteger(str):
+    """A JSON integer of more than MAX_DIGITS digits, kept as its token for the
+    reader of its field to refuse; it is echoed by its count, not its digits."""
+
+    def __repr__(self):
+        return f"a {len(self.lstrip('-'))}-digit integer"
+
+
+def load_json(text: str):
+    """json.loads, except that an integer of more than MAX_DIGITS digits stays a
+    token, which `read_integer` and `read_rational` refuse by count naming its field."""
+    return json.loads(text, parse_int=lambda t: _LongInteger(t) if len(t.lstrip("-")) > MAX_DIGITS else int(t))
+
+
 def read_integer(value, name: str, low=-math.inf, high=math.inf, text: bool = False) -> int:
     """The integer of field `name` in low..high: a JSON int or, with `text`, a decimal token.
 
     A bool, a float, a JSON string, a token that is no decimal and an integer
     out of range are refused naming the field.  A token with more digits than
-    the finite `high`, leading zeros aside, is refused before `int()` reads it.
+    the finite `high`, leading zeros aside, and a JSON integer of more than
+    MAX_DIGITS digits are refused by their count before `int()` reads them.
     """
+    if type(value) is _LongInteger:
+        raise ValueError(f"{name} must be an integer of at most {MAX_DIGITS} digits, got {value!r}")
     if text and type(value) is str and value.isdecimal():
         digits = value.lstrip("0")
         if len(digits) > len(str(high)):
@@ -421,7 +445,13 @@ def read_integer(value, name: str, low=-math.inf, high=math.inf, text: bool = Fa
 
 def read_rational(value, name: str) -> Fraction:
     """The rational of field `name`: an integer, or a "p/q" string of JSON or text;
-    a bool, a float, an invalid literal or a zero denominator is refused, naming the field."""
+    a bool, a float, an invalid literal or a zero denominator is refused, naming the
+    field, and a side of more than MAX_DIGITS digits by its count before `Fraction()` reads it."""
+    if isinstance(value, str):  # a string, a text token or a `_LongInteger`
+        longest = max(len(side.strip().lstrip("+-")) for side in value.split("/"))
+        if longest > MAX_DIGITS:
+            raise ValueError(f"{name} must be a rational p/q of at most {MAX_DIGITS} digits a side, "
+                             f"got a {longest}-digit side")
     if type(value) not in (int, str):
         raise ValueError(f"{name} must be an integer or a p/q string, got {value!r}")
     try:

@@ -11,7 +11,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from selfconcord import acceptance
+from selfconcord import acceptance, complement
 from selfconcord.acceptance import (
     criterion_beta_split,
     criterion_boundary_exactness,
@@ -35,6 +35,16 @@ def test_criterion_1_simplex_identities():
     """All 1094 labeled graphs (2 <= n <= 5, m >= 1): simplex maxima match
     1 - 1/omega and 1 - 1/alpha to 1e-6, within the 2-minute budget."""
     _assert_criterion(criterion_motzkin_straus(max_n=5))
+
+
+def test_criterion_1_sweep_is_closed_under_complement():
+    """Criterion 1 checks 1 - 1/alpha(G) as the clique side of G's complement,
+    so every complement with an edge must be a graph of the sweep itself."""
+    graphs = set(acceptance._reduction_graphs(5))
+    complements = {complement(G) for G in graphs}
+    assert len(graphs) == 1094
+    assert {H for H in complements if H.m} <= graphs
+    assert sum(1 for H in complements if not H.m) == 4  # the complete graphs on 2..5 vertices
 
 
 def test_criterion_2_sphere_identities():

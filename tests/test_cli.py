@@ -64,6 +64,10 @@ def test_ms_check_passes(k3_file):
     report = json.loads(proc.stdout)
     assert float(report["clique"]["gap"]) <= 1e-6
     assert float(report["clique"]["twice_max"]) == pytest.approx(2.0 / 3.0, abs=1e-9)
+    # The witness is the sphere point h of the quartic search; its square is the simplex point.
+    assert sum(float(h) ** 2 for h in report["clique"]["report"]["witness"]) == pytest.approx(1.0, abs=1e-12)
+    # The complement of K3 has no edge: its side is 0 = 1 - 1/1, with no search to report.
+    assert report["stability"] == {"twice_max": "0", "target": "0", "gap": "0"}
 
 
 def test_ms_check_rejects_edgeless():
@@ -236,6 +240,33 @@ TEXT_PROBES = [
     pytest.param("sigma-opt", f"3 {'9' * 5000}\n1 2 3 1/6\n",
                  f"header dim must be an integer in 1..{MAX_DIM}, got a 5000-digit integer", id="sigma-opt-long-dim"),
 ]
+
+
+# (command, input text with DIGITS for 5,000 digits, the refusal): past int()'s limit of 4,300 digits.
+LONG_PROBES = [
+    ("sigma-opt", '{"order": 3, "dim": 6, "entries": [[[1, 2, DIGITS], "1/6"]]}',
+     "field 'entries[0]' index must be an integer of at most 4300 digits, got a 5000-digit integer"),
+    ("sigma-opt", '{"order": 3, "dim": 6, "entries": [[[1, 2, 3], DIGITS]]}',
+     "field 'entries[0]' value must be a rational p/q of at most 4300 digits a side, got a 5000-digit side"),
+    ("check-sc", '{"kind": "cubic", "q": "DIGITS/27", "tensor": {"order": 3, "dim": 6, "entries": []}}',
+     "field 'q' must be a rational p/q of at most 4300 digits a side, got a 5000-digit side"),
+    ("check-sc", '{"kind": "cubic", "q": "1/27", "k": DIGITS, "tensor": {"order": 3, "dim": 6, "entries": []}}',
+     "field 'k' must be an integer of at most 4300 digits, got a 5000-digit integer"),
+    ("sigma-opt", "3 6\n1 2 3 DIGITS\n",
+     "line 2: value must be a rational p/q of at most 4300 digits a side, got a 5000-digit side"),
+]
+
+
+@pytest.mark.parametrize("command, text, message", LONG_PROBES)
+def test_long_number_exits_3_naming_the_field_by_its_count(tmp_path, capsys, command, text, message):
+    """A JSON integer or a rational side past int()'s digit limit is refused by its count,
+    naming the field, in one short line that echoes none of its digits."""
+    path = tmp_path / "input"
+    path.write_text(text.replace("DIGITS", "1" * 5000))
+    assert cli.main([command, str(path)]) == 3
+    err = capsys.readouterr().err
+    assert err == f"selfconcord: error: ValueError: {message}\n"
+    assert len(err.encode()) < 300
 
 
 @pytest.mark.parametrize("command, text, message", TEXT_PROBES)

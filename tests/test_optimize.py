@@ -1,4 +1,4 @@
-"""Simplex/sphere maximizers, certified grid bound, sphere-splitting constant."""
+"""Sphere maximizer, the simplex identity through it, certified grid bound, sphere-splitting constant."""
 
 import math
 from itertools import combinations
@@ -23,7 +23,6 @@ from selfconcord import (
     grid_lower_and_upper,
     max_clique,
     max_form_sphere,
-    max_quadratic_simplex,
     spectral_upper_bound,
     stability_number,
     sym_from_entries,
@@ -32,6 +31,7 @@ from selfconcord import (
     unit_witness,
 )
 from selfconcord import optimize
+from selfconcord.acceptance import gadget_side
 
 from conftest import random_sym_tensor, random_unit_vector
 
@@ -43,35 +43,36 @@ def simplex_quadratic(G, x):
 
 
 # ---------------------------------------------------------------------------
-# Quadratic over the simplex
+# Quadratic over the simplex: the quartic side, x = h^2
 
 
 def test_simplex_k3(k3):
-    rep = max_quadratic_simplex(k3, cfg=CFG)
-    assert abs(rep.best_value - 1.0 / 3.0) <= 1e-9
-    assert np.allclose(rep.witness, [1 / 3] * 3, atol=1e-6)
-    assert abs(2.0 * rep.best_value - (1.0 - 1.0 / 3.0)) <= 1e-9
+    side = gadget_side("quartic", k3, CFG)
+    assert abs(side.max_value - 1.0 / 3.0) <= 1e-9
+    assert np.allclose(side.report.witness**2, [1 / 3] * 3, atol=1e-6)
+    assert abs(side.scaled - (1.0 - 1.0 / 3.0)) <= 1e-9
 
 
 def test_simplex_single_edge(single_edge):
     # one-dimensional calculus: max of t(1-t) is 1/4 at t = 1/2
-    rep = max_quadratic_simplex(single_edge, cfg=CFG)
-    assert abs(rep.best_value - 0.25) <= 1e-12
-    assert np.allclose(rep.witness, [0.5, 0.5], atol=1e-9)
+    side = gadget_side("quartic", single_edge, CFG)
+    assert abs(side.max_value - 0.25) <= 1e-12
+    assert np.allclose(side.report.witness**2, [0.5, 0.5], atol=1e-9)
+    assert abs(side.scaled - 0.5) <= 1e-12
 
 
 def test_simplex_footnote_stability_variant(footnote_graph):
-    rep = max_quadratic_simplex(complement(footnote_graph), cfg=CFG)
-    assert abs(rep.best_value - 0.25) <= 1e-9
-    assert abs(2.0 * rep.best_value - (1.0 - 1.0 / stability_number(footnote_graph))) <= 1e-9
+    side = gadget_side("quartic", complement(footnote_graph), CFG)
+    assert abs(side.max_value - 0.25) <= 1e-9
+    assert abs(side.scaled - (1.0 - 1.0 / stability_number(footnote_graph))) <= 1e-9
+    assert side.gap <= 1e-9
 
 
 def test_simplex_empty_summand(k3):
-    # complete graph: the stability variant has no non-edges to sum
-    rep = max_quadratic_simplex(complement(k3), cfg=CFG)
-    assert rep.best_value == 0.0
-    assert rep.converged
-    assert rep.witness.sum() == 1.0
+    # complete graph: the stability variant has no non-edges to sum, and no search runs
+    side = gadget_side("quartic", complement(k3), CFG)
+    assert (side.max_value, side.scaled, side.target, side.gap) == (0.0, 0.0, 0.0, 0.0)
+    assert side.report is None
 
 
 def test_simplex_witness_feasible_and_consistent():
@@ -82,24 +83,26 @@ def test_simplex_witness_feasible_and_consistent():
         if not pairs:
             continue
         G = graph_from_edges(n, pairs)
-        rep = max_quadratic_simplex(G, cfg=CFG)
-        assert np.all(rep.witness >= -1e-12)
-        assert abs(rep.witness.sum() - 1.0) <= 1e-12
-        assert abs(rep.best_value - simplex_quadratic(G, rep.witness)) <= 1e-12
+        rep = gadget_side("quartic", G, CFG).report
+        x = rep.witness**2
+        assert abs(x.sum() - 1.0) <= 1e-12
+        assert abs(rep.best_value - simplex_quadratic(G, x)) <= 1e-12
 
 
 def test_simplex_clique_identity_exhaustive_n4():
     for n in range(2, 5):
         for G in enumerate_graphs(n):
-            target = 1.0 - 1.0 / clique_number(G)
-            rep = max_quadratic_simplex(G, cfg=CFG)
-            assert 2.0 * rep.best_value >= target - 1e-9
-            assert 2.0 * rep.best_value <= target + 1e-6
+            side = gadget_side("quartic", G, CFG)
+            assert side.scaled >= side.target - 1e-9
+            assert side.scaled <= side.target + 1e-6
+            assert side.target == 1.0 - 1.0 / clique_number(G)
 
 
 def test_simplex_deterministic(k3):
-    a = max_quadratic_simplex(k3, cfg=CFG)
-    b = max_quadratic_simplex(k3, cfg=CFG)
+    a = gadget_side("quartic", k3, CFG).report
+    build_quartic_tensor.cache_clear()  # a new tensor, so the search runs again instead of reading its cache
+    b = gadget_side("quartic", k3, CFG).report
+    assert a is not b
     assert a.best_value == b.best_value
     assert np.array_equal(a.witness, b.witness)
     assert a.per_start_values == b.per_start_values
@@ -452,7 +455,7 @@ def test_optconfig_refuses_a_negative_seed_naming_it():
 def test_report_json_serialization(k3):
     from selfconcord import report_to_json_obj
 
-    rep = max_quadratic_simplex(k3, cfg=CFG)
+    rep = max_form_sphere(build_quartic_tensor(k3), CFG)
     obj = report_to_json_obj(rep)
     assert obj["best_value"] == format(rep.best_value, ".17g")
     assert [float(x) for x in obj["witness"]] == list(rep.witness)

@@ -35,6 +35,7 @@ from selfconcord import (
     tensor_to_text,
     unit_witness,
 )
+from selfconcord.tensors import MAX_DIGITS, load_json, read_integer, read_rational
 
 from conftest import off_orbit, random_sym_tensor, random_unit_vector
 
@@ -454,6 +455,21 @@ def test_text_parse_errors():
         tensor_from_text("3\n")
     with pytest.raises(ValueError):
         tensor_from_text("2 2\n1 2\n")
+
+
+def test_readers_refuse_past_the_digit_limit_by_count():
+    """int() and Fraction() read MAX_DIGITS digits; one more is refused by its count, naming the field."""
+    at, past = "9" * MAX_DIGITS, "9" * (MAX_DIGITS + 1)
+    assert read_rational(f"-{at}/7", "v") == Fraction(-int(at), 7)
+    assert load_json(f"[-{at}]") == [-int(at)]
+    token = load_json(f"[-{past}]")[0]
+    side = f"^v must be a rational p/q of at most {MAX_DIGITS} digits a side, got a {MAX_DIGITS + 1}-digit side$"
+    for value in (past, f"1/{past}", f" -{past}/3", token):
+        with pytest.raises(ValueError, match=side):
+            read_rational(value, "v")
+    with pytest.raises(ValueError, match=f"^i must be an integer of at most {MAX_DIGITS} digits, "
+                                         f"got a {MAX_DIGITS + 1}-digit integer$"):
+        read_integer(token, "i", 1, 6)
 
 
 def test_text_reads_leading_zeros_past_the_digit_limit():
