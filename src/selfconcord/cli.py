@@ -42,7 +42,7 @@ from .concordance import MODES, Status, check_sc, check_sc2, sigma_opt_bounds, v
 from .graphs import Graph, complement, max_clique, max_stable_set, parse_graph_text
 from .optimize import DEFAULT_SEED, OptConfig, report_to_json_obj
 from .reduction import GADGETS, ConcordanceInstance, build_instance, threshold
-from .tensors import json_field, load_json, read_integer, read_rational
+from .tensors import MAX_STARTS, json_field, load_json, read_integer, read_rational
 from .tensors import tensor_from_json_obj, tensor_from_text, tensor_to_json_obj
 
 _IDENTITY_TOL = 1e-6
@@ -72,6 +72,7 @@ def _load_graph(path: str) -> Graph:
 
 
 def _cfg(args) -> OptConfig:
+    read_integer(args.starts, "--starts", 1, MAX_STARTS)
     return OptConfig(starts=args.starts, max_iters=args.max_iters, seed=args.seed)
 
 

@@ -5,13 +5,15 @@ regularized Riemannian Newton ascent (Absil, Mahony & Sepulchre,
 Optimization Algorithms on Matrix Manifolds, 2008, ch. 6) with a
 normalize-after-step retraction.  A candidate is accepted only if it raises
 the form, and a rejection raises the regularization, so the ascent is
-monotone by construction.  All starts advance in lockstep as rows of one
-array, each with its own regularization, plateau count and budget, so a
-round costs one batched gradient, Hessian and solve (or truncated CG run,
-Steihaug 1983, for large sparse tensors) and one batched form evaluation
-however many starts are still running.  Quadratics over the simplex need no
-method of their own: the square substitution x = h^2 carries them to quartic
-forms on the sphere (`reduction.build_quartic_tensor`).
+monotone by construction.  All starts advance in lockstep: their points,
+gradients and Hessians are rows of arrays, so a round costs one batched
+gradient, Hessian and solve (or truncated CG run, Steihaug 1983, for large
+sparse tensors) and one batched form evaluation however many starts are
+still running.  Each start's value, regularization and plateau count are
+Python scalars, updated by one loop over the running starts per round.
+Quadratics over the simplex need no method of their own: the square
+substitution x = h^2 carries them to quartic forms on the sphere
+(`reduction.build_quartic_tensor`).
 
 The search is multistart with deterministic per-start random substreams,
 so a fixed seed reproduces results bit for bit.  Reported values are always
@@ -37,6 +39,7 @@ import numpy as np
 
 from .graphs import max_clique  # noqa: F401 -- uncalled; perfbench/tracing.py wraps it here by name
 from .tensors import (
+    MAX_STARTS,
     SymTensor,
     eval_form,
     eval_form_batch,
@@ -107,6 +110,8 @@ class OptConfig:
         for name, least in (("starts", 1), ("max_iters", 1), ("seed", 0)):
             if getattr(self, name) < least:
                 raise ValueError(f"{name} must be >= {least}")
+        if self.starts > MAX_STARTS:
+            raise ValueError(f"starts must be <= {MAX_STARTS}")
 
     @cached_property
     def _hash(self) -> int:
@@ -232,11 +237,19 @@ def _ascend_sphere(A: SymTensor, starts: np.ndarray, cfg: OptConfig) -> list[tup
     A start stops, converged, after `_PLATEAU` consecutive steps whose
     candidate value is within `_VALUE_TOL` of the current one, accepted or
     not, or on a rejected step shorter than `_STEP_TOL`, and stops
-    unconverged after `max_iters` steps.  Every step costs one evaluation.
-    Each round makes one `grad_form` call and one Hessian kernel call on
-    the starts that just accepted a step (or just started) and one
-    `eval_form_batch` call on one candidate per running start; stopped
-    starts are dropped from the arrays.
+    unconverged after `max_iters` steps.  Every step costs one evaluation,
+    so a start that stops after round t has made t + 1.
+
+    Each round makes one `grad_form` call, and on the dense path one
+    `hess_form` call, on the rows that just accepted a step (or just
+    started); then one batched step (a solve, or a CG run on one
+    `hess_product` map of every running row) and one `eval_form_batch`
+    call on one candidate per running start.  Arrays hold only the rows:
+    points, gradients and Hessians.  A start's value, lam, mu and plateau
+    count are Python floats and ints, indexed by start, which one loop over
+    the running starts reads and updates; the loop also sorts the rows into
+    accepted, stopped and running.  Only a round in which a start stops
+    takes the running rows out of the arrays.
     """
     norms = _row_norms(starts)
     if np.any(norms == 0.0):
@@ -246,52 +259,74 @@ def _ascend_sphere(A: SymTensor, starts: np.ndarray, cfg: OptConfig) -> list[tup
     dense = dim <= _DENSE_LIMIT
     scale = A.order * (A.order - 1) * frobenius(A)
     floor = _MU_FLOOR * scale
-    values = eval_form_batch(A, H)
+    step_tol = _STEP_TOL**2
+    # Per start, by start index.
+    values = eval_form_batch(A, H).tolist()
+    mu = [scale] * count
+    lam = [0.0] * count
+    plateau = [0] * count
     results: list = [None] * count
-    ids = np.arange(count)
-    evals = np.ones(count, dtype=np.int64)
-    mu = np.full(count, scale)
-    plateau = np.zeros(count, dtype=np.int64)
-    lam = np.empty(count)
-    grad = np.empty_like(H)
-    E = np.empty((count, dim, dim) if dense else (count, 0, 0))
-    fresh = np.ones(count, dtype=bool)
+    ids = list(range(count))  # the start of each array row
+    fresh = ids  # rows whose gradient and Hessian are due
+    grad = E = None
 
     for step in range(1, cfg.max_iters + 1):
-        if np.count_nonzero(fresh):
-            h = H[fresh]
+        if fresh:
+            whole = len(fresh) == len(ids)
+            h = H if whole else H[fresh]
             g = grad_form(A, h)
-            lam[fresh] = np.add.reduce(g * h, axis=1)
-            grad[fresh] = g - lam[fresh, None] * h
-            if dense:
-                E[fresh] = hess_form(A, h)
+            dots = np.add.reduce(g * h, axis=1)
+            g -= dots[:, None] * h
+            hess = hess_form(A, h) if dense else None
+            if whole:
+                grad, E = g, hess
+            else:
+                grad[fresh] = g
+                if dense:
+                    E[fresh] = hess
+            for row, dot in zip(fresh, dots.tolist()):
+                lam[ids[row]] = dot
+        shift = np.array([lam[i] + mu[i] for i in ids])
         if dense:
-            v = _bordered_steps(E, H, lam + mu, grad)
+            v = _bordered_steps(E, H, shift, grad)
         else:
-            v = _truncated_cg(hess_product(A, H), H, lam + mu, grad, mu)
+            v = _truncated_cg(hess_product(A, H), H, shift, grad, np.array([mu[i] for i in ids]))
         cand = H + v
         cand /= _row_norms(cand)[:, None]
-        cand_values = eval_form_batch(A, cand)
-        evals += 1
-        up = cand_values > values
-        gain = cand_values - values
-        np.copyto(H, cand, where=up[:, None])
-        np.copyto(values, cand_values, where=up)
-        mu = np.where(up, np.maximum(0.5 * mu, floor), 10.0 * mu)
-        near_flat = np.abs(gain) <= _VALUE_TOL * np.maximum(1.0, np.abs(values))
-        plateau = np.where(near_flat, plateau + 1, 0)
-        converged = (plateau >= _PLATEAU) | (~up & (np.add.reduce(v * v, axis=1) < _STEP_TOL**2))
-        halt = converged | (step == cfg.max_iters)
-        fresh = up & ~halt
-        if np.count_nonzero(halt):
-            for i in np.flatnonzero(halt):
-                results[ids[i]] = (float(values[i]), H[i], int(evals[i]), bool(converged[i]))
-            keep = ~halt
-            ids, H, values, evals, mu, plateau, lam, grad, E, fresh = (
-                x[keep] for x in (ids, H, values, evals, mu, plateau, lam, grad, E, fresh)
-            )
-            if ids.size == 0:
+        cand_values = eval_form_batch(A, cand).tolist()
+        lengths = np.add.reduce(v * v, axis=1).tolist()
+        last = step == cfg.max_iters
+        up, stop, fresh, keep = [], [], [], []
+        for row, i in enumerate(ids):
+            new, old = cand_values[row], values[i]
+            accepted = new > old  # False on a NaN candidate
+            if accepted:
+                values[i] = new
+                mu[i] = max(0.5 * mu[i], floor)
+                up.append(row)
+            else:
+                mu[i] *= 10.0
+            plateau[i] = plateau[i] + 1 if abs(new - old) <= _VALUE_TOL * max(1.0, abs(values[i])) else 0
+            converged = plateau[i] >= _PLATEAU or (not accepted and lengths[row] < step_tol)
+            if converged or last:
+                stop.append((row, converged))
+            else:
+                if accepted:
+                    fresh.append(len(keep))
+                keep.append(row)
+        if len(up) == len(ids):
+            H = cand
+        elif up:
+            H[up] = cand[up]
+        if stop:
+            for row, converged in stop:
+                results[ids[row]] = (values[ids[row]], H[row], step + 1, converged)
+            if not keep:
                 break
+            H, grad = H[keep], grad[keep]
+            if dense:
+                E = E[keep]
+            ids = [ids[row] for row in keep]
     return results
 
 

@@ -58,16 +58,28 @@ __all__ = [
 # Largest dim a tensor file or JSON object may declare, checked before any
 # entry is parsed.  Above `optimize._DENSE_LIMIT` a default search (8 random
 # starts and a clique start) keeps about fifteen (starts x dim) float arrays
-# live in its truncated-CG steps: a measured peak of ~1.1 KB per coordinate
-# at dim 10^5 (tracemalloc), so ~1.1 GB at this cap.  The cubic gadget of a
-# 250-vertex half-edge graph has dim 15,812.
+# live in its truncated-CG steps: a relax decision with 8 starts peaked at
+# ~1.07 KB per coordinate at dim 10^5, at order 3 and at order 4 (5,000
+# random entries; tracemalloc), so ~1.1 GB at this cap.  The cubic gadget of
+# a 250-vertex half-edge graph has dim 15,812.
 MAX_DIM = 1_000_000
+
+# Most starts a search may run (`OptConfig.starts`, the CLI's --starts),
+# checked before any start is drawn.  A search keeps per start one seed
+# sequence, its (dim,) rows and, on the dense path, a (dim + 1)^2 bordered
+# system and its copies: a cubic gadget at dim `optimize._DENSE_LIMIT` = 60
+# peaked at ~92 KB per start (tracemalloc, 64 to 512 starts), so ~0.9 GB at
+# this cap.  The CLI's default is 8 random starts and a clique start.
+MAX_STARTS = 10_000
 
 # Largest number of entry records a tensor file or JSON object may hold,
 # checked before any record is converted.  A relax decision with the default
-# 8 starts peaked at ~3.9 KB per entry on a random order-4 tensor with 50,000
-# entries (~2.1 KB at order 3; tracemalloc, parsing excluded), so ~1 GB at
-# this cap.  The cubic gadget of a 250-vertex half-edge graph has 15,562.
+# 8 starts peaked at ~5.9 KB per entry on a random order-4 tensor with 50,000
+# entries at dim 80 (~5.2 KB at dim 40; ~2.0 KB at order 3, dim 80;
+# tracemalloc, parsing excluded), so ~1.5 GB at this cap.  The kernels'
+# scatter indices stay with the tensor (`SymTensor._scatter`), which adds
+# about 1 KB per entry to that peak at order 4 and 0.2 KB at order 3.  The
+# cubic gadget of a 250-vertex half-edge graph has 15,562.
 MAX_ENTRIES = 250_000
 
 # Most digits an integer, or a side of a rational, may hold: Python's int()
@@ -192,6 +204,11 @@ class SymTensor:
         """What `concordance` computes once per tensor object, read in place; it dies with the tensor."""
         return {}
 
+    @cached_property
+    def _scatter(self) -> dict:
+        """Row-offset scatter indices of the batched kernels, one array per kernel; they die with the tensor."""
+        return {}
+
     def __reduce__(self):
         # The read-only view does not pickle; rebuild from a plain dict (no cached view or analysis).
         return (SymTensor, (self.order, self.dim, dict(self.entries)))
@@ -280,6 +297,20 @@ def eval_form_exact(A: SymTensor, h: Sequence) -> Fraction:
     return Fraction(total, E * D ** A.order)
 
 
+def _row_offsets(A: SymTensor, kernel: str, count: int, stride: int, first) -> np.ndarray:
+    """(first() + stride * arange(count)[:, None]).ravel(): a kernel's scatter indices for
+    `count` rows, where `first()` gives those of row 0.
+
+    One array per kernel is kept on the tensor, built for the largest row
+    count seen so far; fewer rows read its prefix.
+    """
+    width, offsets = A._scatter.get(kernel, (0, None))
+    if offsets is None or offsets.size < count * width:
+        base = first()
+        width, offsets = A._scatter[kernel] = base.size, (base + stride * np.arange(count)[:, None]).ravel()
+    return offsets[: count * width]
+
+
 def grad_form(A: SymTensor, h) -> np.ndarray:
     """Gradient of h -> A(h, ..., h), i.e. order * A(h, ..., h, .).
 
@@ -293,9 +324,10 @@ def grad_form(A: SymTensor, h) -> np.ndarray:
     packed = A._packed
     rows = h.reshape(-1, A.dim)
     count = rows.shape[0]
-    terms = np.prod(rows[:, packed.loo], axis=2).reshape(count, A.order, packed.weights.size) * packed.weights
-    targets = packed.loo_target + A.dim * np.arange(count)[:, None]
-    g = np.bincount(targets.ravel(), weights=terms.ravel(), minlength=count * A.dim)
+    terms = np.multiply.reduce(rows[:, packed.loo], axis=2).reshape(count, A.order, packed.weights.size)
+    terms *= packed.weights
+    targets = _row_offsets(A, "grad", count, A.dim, lambda: packed.loo_target)
+    g = np.bincount(targets, weights=terms.ravel(), minlength=count * A.dim)
     return g.astype(float, copy=False).reshape(h.shape)  # bincount gives ints when there are no entries
 
 
@@ -303,8 +335,9 @@ def _hess_terms(A: SymTensor, rows: np.ndarray) -> np.ndarray:
     """Weighted leave-two-out products, one row per point (S x pairs*K)."""
     packed = A._packed
     pairs = A.order * (A.order - 1) // 2
-    terms = np.prod(rows[:, packed.lto], axis=2).reshape(rows.shape[0], pairs, packed.weights.size)
-    return (terms * packed.weights).reshape(rows.shape[0], -1)
+    terms = np.multiply.reduce(rows[:, packed.lto], axis=2).reshape(rows.shape[0], pairs, packed.weights.size)
+    terms *= packed.weights
+    return terms.reshape(rows.shape[0], -1)
 
 
 def hess_form(A: SymTensor, h) -> np.ndarray:
@@ -322,8 +355,8 @@ def hess_form(A: SymTensor, h) -> np.ndarray:
     packed = A._packed
     rows = h.reshape(-1, A.dim)
     count = rows.shape[0]
-    cells = packed.lto_head * A.dim + packed.lto_tail + A.dim * A.dim * np.arange(count)[:, None]
-    T = np.bincount(cells.ravel(), weights=_hess_terms(A, rows).ravel(), minlength=count * A.dim * A.dim)
+    cells = _row_offsets(A, "hess", count, A.dim * A.dim, lambda: packed.lto_head * A.dim + packed.lto_tail)
+    T = np.bincount(cells, weights=_hess_terms(A, rows).ravel(), minlength=count * A.dim * A.dim)
     T = T.astype(float, copy=False).reshape(count, A.dim, A.dim)
     return (T + T.transpose(0, 2, 1)).reshape(h.shape + (A.dim,))
 
@@ -341,8 +374,7 @@ def hess_product(A: SymTensor, h):
     packed = A._packed
     count = h.shape[0]
     terms = np.tile(_hess_terms(A, h), 2)
-    offsets = A.dim * np.arange(count)[:, None]
-    rows = (np.concatenate([packed.lto_head, packed.lto_tail]) + offsets).ravel()
+    rows = _row_offsets(A, "product", count, A.dim, lambda: np.concatenate([packed.lto_head, packed.lto_tail]))
     cols = np.concatenate([packed.lto_tail, packed.lto_head])
 
     def product(V: np.ndarray) -> np.ndarray:
@@ -446,12 +478,20 @@ def read_integer(value, name: str, low=-math.inf, high=math.inf, text: bool = Fa
 def read_rational(value, name: str) -> Fraction:
     """The rational of field `name`: an integer, or a "p/q" string of JSON or text;
     a bool, a float, an invalid literal or a zero denominator is refused, naming the
-    field, and a side of more than MAX_DIGITS digits by its count before `Fraction()` reads it."""
+    field.  A side of more than MAX_DIGITS digits, and a decimal exponent above
+    MAX_DIGITS in magnitude (`Fraction()` would build 10**exponent), are refused
+    by their count before `Fraction()` reads them."""
     if isinstance(value, str):  # a string, a text token or a `_LongInteger`
         longest = max(len(side.strip().lstrip("+-")) for side in value.split("/"))
         if longest > MAX_DIGITS:
             raise ValueError(f"{name} must be a rational p/q of at most {MAX_DIGITS} digits a side, "
                              f"got a {longest}-digit side")
+        _, mark, exponent = value.upper().rpartition("E")
+        digits = exponent.strip().lstrip("+-").replace("_", "").lstrip("0")
+        if mark and digits.isdecimal() and (len(digits) > len(str(MAX_DIGITS)) or int(digits) > MAX_DIGITS):
+            shown = f"a {len(digits)}-digit exponent" if len(digits) > len(str(MAX_DIGITS)) else f"exponent {digits}"
+            raise ValueError(f"{name} must be a rational with an exponent of at most {MAX_DIGITS} in magnitude, "
+                             f"got {shown}")
     if type(value) not in (int, str):
         raise ValueError(f"{name} must be an integer or a p/q string, got {value!r}")
     try:

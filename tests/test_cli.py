@@ -4,6 +4,7 @@ import json
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
@@ -12,7 +13,7 @@ import pytest
 
 from selfconcord import cli, concordance, recheck, tensor_from_json_obj, tensors
 from selfconcord.cli import _instance_from_obj
-from selfconcord.tensors import MAX_DIM
+from selfconcord.tensors import MAX_DIM, MAX_STARTS
 
 K3_DIMACS = "p edge 3 3\ne 1 2\ne 2 3\ne 1 3\n"
 FOOTNOTE_DIMACS = "p edge 3 1\ne 1 2\n"
@@ -278,6 +279,18 @@ def test_text_record_exits_3_naming_the_line(tmp_path, capsys, command, text, me
     assert capsys.readouterr().err == f"selfconcord: error: ValueError: {message}\n"
 
 
+def test_huge_exponent_exits_3_naming_the_line_in_under_a_second(tmp_path, capsys):
+    """An exponent is refused by its size before Fraction() builds 10**exponent,
+    which took seconds and ended in an OverflowError naming no field."""
+    path = tmp_path / "exponent.tensor"
+    path.write_text("3 6\n1 2 3 1e3000000\n")
+    started = time.monotonic()
+    assert cli.main(["sigma-opt", str(path)]) == 3
+    assert time.monotonic() - started < 1.0
+    assert capsys.readouterr().err == ("selfconcord: error: ValueError: line 2: value must be a rational with an "
+                                       "exponent of at most 4300 in magnitude, got a 7-digit exponent\n")
+
+
 def test_negative_seed_exits_3_naming_it(k3_file, capsys):
     for args in (["check-sc", k3_file, "--k", "3", "--sigma", "1/2"], ["ms-check", k3_file], ["verify-all"]):
         assert cli.main([*args, "--seed", "-1"]) == 3
@@ -422,6 +435,10 @@ def test_bad_arguments_exit_3():
     proc = run_cli(["check-sc", "-", "--k", "3", "--sigma", "1/0"], stdin=K3_DIMACS)
     assert proc.returncode == 3  # zero denominator
     assert proc.stderr == "selfconcord: error: ValueError: sigma must be rational, got '1/0'\n", proc.stderr
+    proc = run_cli(["check-sc", "-", "--k", "3", "--sigma", "1/2", "--starts", str(MAX_STARTS + 1)], stdin=K3_DIMACS)
+    assert proc.returncode == 3  # a search allocates per start, so the count is capped
+    assert proc.stderr == (f"selfconcord: error: ValueError: --starts must be an integer in 1..{MAX_STARTS}, "
+                           f"got {MAX_STARTS + 1}\n"), proc.stderr
 
 
 def test_flags_a_command_does_not_read_exit_3(k3_file):

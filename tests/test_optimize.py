@@ -11,6 +11,7 @@ from selfconcord import (
     OptConfig,
     grad_form,
     hess_form,
+    hess_product,
     beta_split_max,
     build_cubic_tensor,
     build_quartic_tensor,
@@ -32,6 +33,7 @@ from selfconcord import (
 )
 from selfconcord import optimize
 from selfconcord.acceptance import gadget_side
+from selfconcord.tensors import MAX_STARTS
 
 from conftest import random_sym_tensor, random_unit_vector
 
@@ -231,6 +233,106 @@ def test_sphere_lockstep_matches_reference_newton():
             for got, (want, _) in zip(rep.per_start_values, expected):
                 assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
             assert rep.converged == expected[int(np.argmax(rep.per_start_values))][1]
+
+
+def masked_lockstep_ascent(A, starts, cfg):
+    """The lockstep ascent as it ran on masked arrays, kept verbatim as a
+    reference: per-start scalars live in arrays, stopped starts are dropped
+    from all ten of them.  `optimize._ascend_sphere` must reproduce it bit for bit."""
+    norms = optimize._row_norms(starts)
+    if np.any(norms == 0.0):
+        raise ValueError("start point must be nonzero")
+    H = starts / norms[:, None]
+    count, dim = H.shape
+    dense = dim <= optimize._DENSE_LIMIT
+    scale = A.order * (A.order - 1) * frobenius(A)
+    floor = optimize._MU_FLOOR * scale
+    values = eval_form_batch(A, H)
+    results: list = [None] * count
+    ids = np.arange(count)
+    evals = np.ones(count, dtype=np.int64)
+    mu = np.full(count, scale)
+    plateau = np.zeros(count, dtype=np.int64)
+    lam = np.empty(count)
+    grad = np.empty_like(H)
+    E = np.empty((count, dim, dim) if dense else (count, 0, 0))
+    fresh = np.ones(count, dtype=bool)
+
+    for step in range(1, cfg.max_iters + 1):
+        if np.count_nonzero(fresh):
+            h = H[fresh]
+            g = grad_form(A, h)
+            lam[fresh] = np.add.reduce(g * h, axis=1)
+            grad[fresh] = g - lam[fresh, None] * h
+            if dense:
+                E[fresh] = hess_form(A, h)
+        if dense:
+            v = optimize._bordered_steps(E, H, lam + mu, grad)
+        else:
+            v = optimize._truncated_cg(hess_product(A, H), H, lam + mu, grad, mu)
+        cand = H + v
+        cand /= optimize._row_norms(cand)[:, None]
+        cand_values = eval_form_batch(A, cand)
+        evals += 1
+        up = cand_values > values
+        gain = cand_values - values
+        np.copyto(H, cand, where=up[:, None])
+        np.copyto(values, cand_values, where=up)
+        mu = np.where(up, np.maximum(0.5 * mu, floor), 10.0 * mu)
+        near_flat = np.abs(gain) <= optimize._VALUE_TOL * np.maximum(1.0, np.abs(values))
+        plateau = np.where(near_flat, plateau + 1, 0)
+        converged = (plateau >= optimize._PLATEAU) | (~up & (np.add.reduce(v * v, axis=1) < optimize._STEP_TOL**2))
+        halt = converged | (step == cfg.max_iters)
+        fresh = up & ~halt
+        if np.count_nonzero(halt):
+            for i in np.flatnonzero(halt):
+                results[ids[i]] = (float(values[i]), H[i], int(evals[i]), bool(converged[i]))
+            keep = ~halt
+            ids, H, values, evals, mu, plateau, lam, grad, E, fresh = (
+                x[keep] for x in (ids, H, values, evals, mu, plateau, lam, grad, E, fresh)
+            )
+            if ids.size == 0:
+                break
+    return results
+
+
+def drawn_starts(A, cfg, extra=(), nonnegative=False):
+    """The start rows `max_form_sphere` hands to `_ascend_sphere`."""
+    starts = [np.asarray(s, dtype=float) for s in extra]
+    for stream in np.random.SeedSequence(cfg.seed).spawn(cfg.starts):
+        draw = np.random.Generator(np.random.PCG64(stream)).standard_normal(A.dim)
+        starts.append(np.abs(draw) if nonnegative else draw)
+    return np.array(starts)
+
+
+def assert_starts_equal_reference(A, starts, cfg):
+    got = optimize._ascend_sphere(A, starts.copy(), cfg)
+    want = masked_lockstep_ascent(A, starts.copy(), cfg)
+    assert [(value, point.tobytes(), evals, converged) for value, point, evals, converged in got] == [
+        (value, point.tobytes(), evals, converged) for value, point, evals, converged in want]
+
+
+@pytest.mark.parametrize("starts, max_iters", [(s, m) for s in (1, 9, 64) for m in (2, 400)])
+def test_sphere_ascent_equals_masked_reference_bit_for_bit(starts, max_iters):
+    """Every start's value, point bytes, evaluation count and converged flag equal those of the
+    masked-array ascent: on gadgets of both kinds up to n = 8 (the dim-22 cubic included), on
+    random tensors with dense steps (dim <= 60) and with truncated CG (dim 61..90)."""
+    cfg = OptConfig(starts=starts, max_iters=max_iters, seed=starts + max_iters)
+    rng = np.random.default_rng(starts * max_iters)
+    graphs = [graph_from_edges(8, list(combinations(range(1, 9), 2))[:14])]
+    for n in (3, 5, 8):
+        graphs.append(graph_from_edges(n, [e for e in combinations(range(1, n + 1), 2) if rng.random() < 0.5]
+                                       or [(1, 2)]))
+    for G in graphs:
+        for kind in GADGETS:
+            A = GADGETS[kind].tensor(G)
+            rows = drawn_starts(A, cfg, (unit_witness(kind, G, max_clique(G)),), nonnegative=True)
+            assert_starts_equal_reference(A, rows, cfg)
+    assert GADGETS["cubic"].tensor(graphs[0]).dim == 22
+    for order, dim in ((3, int(rng.integers(2, 61))), (4, int(rng.integers(2, 25))), (3, int(rng.integers(61, 91)))):
+        A = random_sym_tensor(rng, order, dim, density=min(1.0, 40.0 / dim ** (order - 1)))
+        assert A.entries
+        assert_starts_equal_reference(A, drawn_starts(A, cfg), cfg)
 
 
 def test_sphere_lockstep_starts_independent():
@@ -443,6 +545,9 @@ def test_beta_split_max():
 def test_optconfig_validation():
     with pytest.raises(ValueError):
         OptConfig(starts=0)
+    assert OptConfig(starts=MAX_STARTS).starts == MAX_STARTS
+    with pytest.raises(ValueError, match=f"^starts must be <= {MAX_STARTS}$"):
+        OptConfig(starts=MAX_STARTS + 1)
 
 
 def test_optconfig_refuses_a_negative_seed_naming_it():

@@ -472,6 +472,20 @@ def test_readers_refuse_past_the_digit_limit_by_count():
         read_integer(token, "i", 1, 6)
 
 
+def test_reader_refuses_an_exponent_past_the_digit_limit_by_its_size():
+    """Fraction() builds 10**exponent, so an exponent above MAX_DIGITS in magnitude is refused
+    before it is read; decimal and exponent literals at or below the limit read as Fraction() does."""
+    for value in ("1e3", "0.5", "-2.5E+3", "1_0e1_0", f"1e{MAX_DIGITS}", f"1e-{MAX_DIGITS}", "3/4"):
+        assert read_rational(value, "v") == Fraction(value)
+    assert read_rational("1e3", "v") == 1000 and read_rational("0.5", "v") == Fraction(1, 2)
+    message = f"^v must be a rational with an exponent of at most {MAX_DIGITS} in magnitude, got "
+    for value, shown in ((f"1e{MAX_DIGITS + 1}", f"exponent {MAX_DIGITS + 1}"),
+                         (f"2E-{MAX_DIGITS + 1}", f"exponent {MAX_DIGITS + 1}"),
+                         ("1e3000000", "a 7-digit exponent"), ("1e3_000_000", "a 7-digit exponent")):
+        with pytest.raises(ValueError, match=message + shown + "$"):
+            read_rational(value, "v")
+
+
 def test_text_reads_leading_zeros_past_the_digit_limit():
     """A token is measured with its leading zeros stripped, so 5,000 zeros before 1 read as 1."""
     zeros = "0" * 5000

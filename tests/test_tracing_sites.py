@@ -41,7 +41,9 @@ def test_every_trace_site_resolves_and_records():
     assert report["statuses"] == ["NOT_SELF_CONCORDANT", "NOT_SELF_CONCORDANT"]
     for name in ("concordance.violates", "graphs.max_clique", "reduction.rational_witness"):
         assert report["calls"].get(name, 0) >= 1, (name, report["calls"])
-    # The relax decision's exact re-check goes through both spans; a check
-    # computed inline would leave them idle without failing anything else.
-    for name in ("tensors.eval_form_exact", "concordance.rationalize_vector"):
+    # The relax decision's exact re-check goes through the first two spans
+    # and its search through grad_form, wrapped at optimize's global.  A check
+    # computed inline, or a kernel reached by another name, would leave a
+    # span idle without failing anything else.
+    for name in ("tensors.eval_form_exact", "concordance.rationalize_vector", "tensors.grad_form"):
         assert report["relax_calls"].get(name, 0) >= 1, (name, report["relax_calls"])
