@@ -30,7 +30,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import permutations
+from itertools import combinations, permutations
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
@@ -56,9 +56,9 @@ __all__ = [
 ]
 
 # Largest dim a tensor file or JSON object may declare, checked before any
-# entry is parsed.  Above `optimize._DENSE_LIMIT` a default search (8 random
-# starts and a clique start) keeps about fifteen (starts x dim) float arrays
-# live in its truncated-CG steps: a relax decision with 8 starts peaked at
+# entry is parsed.  On a sparse tensor above `optimize._DENSE_LIMIT` a default
+# search (8 random starts and a clique start) keeps about fifteen (starts x
+# dim) float arrays live in its truncated-CG steps: a relax decision with 8 starts peaked at
 # ~1.07 KB per coordinate at dim 10^5, at order 3 and at order 4 (5,000
 # random entries; tracemalloc), so ~1.1 GB at this cap.  The cubic gadget of
 # a 250-vertex half-edge graph has dim 15,812.
@@ -74,12 +74,12 @@ MAX_STARTS = 10_000
 
 # Largest number of entry records a tensor file or JSON object may hold,
 # checked before any record is converted.  A relax decision with the default
-# 8 starts peaked at ~5.9 KB per entry on a random order-4 tensor with 50,000
-# entries at dim 80 (~5.2 KB at dim 40; ~2.0 KB at order 3, dim 80;
-# tracemalloc, parsing excluded), so ~1.5 GB at this cap.  The kernels'
-# scatter indices stay with the tensor (`SymTensor._scatter`), which adds
-# about 1 KB per entry to that peak at order 4 and 0.2 KB at order 3.  The
-# cubic gadget of a 250-vertex half-edge graph has 15,562.
+# 8 starts peaked at ~2.1 KB per entry on a random order-4 tensor with 50,000
+# entries at dim 80 (~2.3 KB at dim 40; ~0.9 KB at order 3, dim 80;
+# tracemalloc, parsing excluded), so ~0.55 GB at this cap; ~3.9 KB (~1 GB)
+# with 10,000 entries at dim 346, the largest dim whose Newton steps are then
+# dense.  The unfolding of `spectral_upper_bound` adds at most 80 MB
+# (`_SVD_LIMIT`).  The cubic gadget of a 250-vertex half-edge graph has 15,562.
 MAX_ENTRIES = 250_000
 
 # Most digits an integer, or a side of a rational, may hold: Python's int()
@@ -94,15 +94,13 @@ _SVD_LIMIT = 10_000_000
 
 
 class _Packed(NamedTuple):
-    """Float index arrays of a tensor; see `SymTensor._packed`."""
+    """Float view of a tensor's entries; see `SymTensor._packed`."""
 
     idx: np.ndarray
+    values: np.ndarray
     weights: np.ndarray
     loo: np.ndarray
-    loo_target: np.ndarray
     lto: np.ndarray
-    lto_head: np.ndarray
-    lto_tail: np.ndarray
 
 
 def _as_fraction(value) -> Fraction:
@@ -156,29 +154,21 @@ class SymTensor:
 
     @cached_property
     def _packed(self) -> _Packed:
-        """Float views of the canonical entries, built once per tensor.
+        """The one float view of the canonical entries that every float kernel reads, built once per tensor.
 
-        `idx` (K x order, 0-based) and `weights` (orbit size times value)
-        drive form evaluation.  For the gradient, `loo` holds, for every slot
-        t and entry k (row t*K + k), the entry's indices with slot t left
-        out, and `loo_target` the index at slot t that the product feeds.
-        For the Hessian, `lto` holds, for every pair of slots s < t and
-        entry k, the entry's indices with both slots left out, and
-        `lto_head` / `lto_tail` the indices at slots s and t: the row and
-        column of the Hessian entry that the product feeds (and, mirrored,
-        the column and row).
+        `idx` (K x order, 0-based) holds the sorted keys, `values` their
+        coefficients and `weights` orbit size times value.  `loo` holds, for
+        every slot t and entry k (row t*K + k), the entry's indices with slot
+        t left out, and `lto` the same for every pair of slots s < t.
         """
         keys = sorted(self.entries)
         idx = np.array(keys, dtype=np.intp).reshape(len(keys), self.order) - 1
-        weights = np.array([_orbit_size(key) * float(self.entries[key]) for key in keys], dtype=float)
+        values = np.array([float(self.entries[key]) for key in keys], dtype=float)
+        weights = np.array([_orbit_size(key) for key in keys], dtype=float) * values
         slots = range(self.order)
         loo = np.concatenate([np.delete(idx, t, axis=1) for t in slots])
-        loo_target = np.concatenate([idx[:, t] for t in slots])
-        pairs = [(s, t) for s in slots for t in slots if s < t]
-        lto = np.concatenate([np.delete(idx, (s, t), axis=1) for s, t in pairs])
-        lto_head = np.concatenate([idx[:, s] for s, _ in pairs])
-        lto_tail = np.concatenate([idx[:, t] for _, t in pairs])
-        return _Packed(idx, weights, loo, loo_target, lto, lto_head, lto_tail)
+        lto = np.concatenate([np.delete(idx, pair, axis=1) for pair in combinations(slots, 2)])
+        return _Packed(idx, values, weights, loo, lto)
 
     @cached_property
     def _exact(self) -> tuple[int, tuple[int, ...]]:
@@ -247,23 +237,28 @@ def _check_dim(A: SymTensor, length: int):
         raise ValueError(f"vector of dim {length} does not match tensor dim {A.dim}")
 
 
+def _products(rows: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """(S x R) products: per row of `rows`, its coordinates at each row of the index `table`
+    (R x w) multiplied column by column, left to right, which gives `np.prod`'s bits
+    faster than a reduce over a 2- or 3-long axis; a table with no columns gives ones."""
+    if table.shape[1] == 0:
+        return np.ones((rows.shape[0], table.shape[0]))
+    out = rows[:, table[:, 0]]
+    for column in range(1, table.shape[1]):
+        out *= rows[:, table[:, column]]
+    return out
+
+
 def eval_form(A: SymTensor, h) -> float:
-    """Floating-point value of the homogeneous form A(h, ..., h)."""
-    h = np.asarray(h, dtype=float)
-    _check_dim(A, h.shape[0])
-    idx, weights = A._packed.idx, A._packed.weights
-    return float(weights @ np.prod(h[idx], axis=1))
+    """Floating-point value of the homogeneous form A(h, ..., h): one row of `eval_form_batch`."""
+    return float(eval_form_batch(A, np.reshape(h, (1, -1)))[0])
 
 
 def eval_form_batch(A: SymTensor, points: np.ndarray) -> np.ndarray:
     """Form values at many points at once; `points` has shape (N, dim)."""
     points = np.asarray(points, dtype=float)
     _check_dim(A, points.shape[1])
-    idx, weights = A._packed.idx, A._packed.weights
-    prod = points[:, idx[:, 0]]
-    for t in range(1, A.order):
-        prod *= points[:, idx[:, t]]
-    return prod @ weights
+    return _products(points, A._packed.idx) @ A._packed.weights
 
 
 def exact_numerators(h: Sequence) -> tuple[list[int], int]:
@@ -311,6 +306,13 @@ def _row_offsets(A: SymTensor, kernel: str, count: int, stride: int, first) -> n
     return offsets[: count * width]
 
 
+def _pair_slots(A: SymTensor) -> tuple[np.ndarray, np.ndarray]:
+    """Per row of `lto`, the entry's indices at the slots s < t it leaves out: the row and
+    column of the Hessian entry its product feeds (and, mirrored, the column and row)."""
+    s, t = np.triu_indices(A.order, 1)  # the pairs of `lto`, in its order
+    return A._packed.idx[:, s].T.ravel(), A._packed.idx[:, t].T.ravel()
+
+
 def grad_form(A: SymTensor, h) -> np.ndarray:
     """Gradient of h -> A(h, ..., h), i.e. order * A(h, ..., h, .).
 
@@ -324,9 +326,9 @@ def grad_form(A: SymTensor, h) -> np.ndarray:
     packed = A._packed
     rows = h.reshape(-1, A.dim)
     count = rows.shape[0]
-    terms = np.multiply.reduce(rows[:, packed.loo], axis=2).reshape(count, A.order, packed.weights.size)
+    terms = _products(rows, packed.loo).reshape(count, A.order, packed.weights.size)
     terms *= packed.weights
-    targets = _row_offsets(A, "grad", count, A.dim, lambda: packed.loo_target)
+    targets = _row_offsets(A, "grad", count, A.dim, lambda: packed.idx.T.ravel())
     g = np.bincount(targets, weights=terms.ravel(), minlength=count * A.dim)
     return g.astype(float, copy=False).reshape(h.shape)  # bincount gives ints when there are no entries
 
@@ -335,7 +337,7 @@ def _hess_terms(A: SymTensor, rows: np.ndarray) -> np.ndarray:
     """Weighted leave-two-out products, one row per point (S x pairs*K)."""
     packed = A._packed
     pairs = A.order * (A.order - 1) // 2
-    terms = np.multiply.reduce(rows[:, packed.lto], axis=2).reshape(rows.shape[0], pairs, packed.weights.size)
+    terms = _products(rows, packed.lto).reshape(rows.shape[0], pairs, packed.weights.size)
     terms *= packed.weights
     return terms.reshape(rows.shape[0], -1)
 
@@ -352,10 +354,9 @@ def hess_form(A: SymTensor, h) -> np.ndarray:
     """
     h = np.asarray(h, dtype=float)
     _check_dim(A, h.shape[-1])
-    packed = A._packed
     rows = h.reshape(-1, A.dim)
     count = rows.shape[0]
-    cells = _row_offsets(A, "hess", count, A.dim * A.dim, lambda: packed.lto_head * A.dim + packed.lto_tail)
+    cells = _row_offsets(A, "hess", count, A.dim * A.dim, lambda: np.ravel_multi_index(_pair_slots(A), (A.dim, A.dim)))
     T = np.bincount(cells, weights=_hess_terms(A, rows).ravel(), minlength=count * A.dim * A.dim)
     T = T.astype(float, copy=False).reshape(count, A.dim, A.dim)
     return (T + T.transpose(0, 2, 1)).reshape(h.shape + (A.dim,))
@@ -371,11 +372,10 @@ def hess_product(A: SymTensor, h):
     """
     h = np.asarray(h, dtype=float)
     _check_dim(A, h.shape[-1])
-    packed = A._packed
     count = h.shape[0]
     terms = np.tile(_hess_terms(A, h), 2)
-    rows = _row_offsets(A, "product", count, A.dim, lambda: np.concatenate([packed.lto_head, packed.lto_tail]))
-    cols = np.concatenate([packed.lto_tail, packed.lto_head])
+    rows = _row_offsets(A, "product", count, A.dim, lambda: np.concatenate(_pair_slots(A)))
+    cols = np.roll(rows[: terms.shape[1]], terms.shape[1] // 2)  # row 0's heads and tails, swapped
 
     def product(V: np.ndarray) -> np.ndarray:
         out = np.bincount(rows, weights=(terms * V[:, cols]).ravel(), minlength=count * A.dim)
@@ -400,26 +400,25 @@ def spectral_upper_bound(A: SymTensor) -> float:
     permuted, so one SVD serves all modes.  Only the nonzero columns of M
     are built: one per distinct tail (i2, ..., id) of a permuted entry,
     which leaves the singular values unchanged and never materializes
-    dim ** order floats.  When M would exceed `_SVD_LIMIT` floats, the
-    bound is the Frobenius norm alone, which is still sound.
+    dim ** order floats: each tail of each entry under each permutation of
+    the slots is one integer (base dim, so in lexicographic order), and
+    `np.unique` numbers them.  When M would exceed `_SVD_LIMIT` floats,
+    the bound is the Frobenius norm alone, which is still sound.
     """
     bound = frobenius(A)
     if not A.entries:
         return bound
-    heads, tails, values = [], [], []
-    for key, value in A.entries.items():
-        fval = float(value)
-        for perm in set(permutations(key)):
-            heads.append(perm[0] - 1)
-            tails.append(perm[1:])
-            values.append(fval)
-    _, column = np.unique(np.array(tails), axis=0, return_inverse=True)
-    column = column.ravel()
-    width = int(column.max()) + 1
-    if A.dim * width > _SVD_LIMIT:
+    idx = A._packed.idx
+    slots = np.array(list(permutations(range(A.order))))  # order! x order
+    tails = np.zeros((idx.shape[0], slots.shape[0]), dtype=np.int64)  # entry x permutation; < MAX_DIM^3 = 10^18
+    for slot in slots.T[1:]:
+        tails *= A.dim
+        tails += idx[:, slot]
+    codes, column = np.unique(tails, return_inverse=True)
+    if A.dim * codes.size > _SVD_LIMIT:
         return bound
-    M = np.zeros((A.dim, width))
-    M[heads, column] = values
+    M = np.zeros((A.dim, codes.size))
+    M[idx[:, slots[:, 0]].ravel(), column.ravel()] = np.repeat(A._packed.values, slots.shape[0])
     sigma = float(np.linalg.svd(M, compute_uv=False)[0])
     return min(bound, sigma)
 

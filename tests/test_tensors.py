@@ -7,7 +7,7 @@ orbit-weighted evaluation path.
 
 import math
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 
 import numpy as np
 import pytest
@@ -35,6 +35,7 @@ from selfconcord import (
     tensor_to_text,
     unit_witness,
 )
+from selfconcord import tensors
 from selfconcord.tensors import MAX_DIGITS, load_json, read_integer, read_rational
 
 from conftest import off_orbit, random_sym_tensor, random_unit_vector
@@ -103,6 +104,65 @@ def dense_spectral_reference(A: SymTensor) -> float:
         M = np.moveaxis(full, mode, 0).reshape(A.dim, -1)
         bound = min(bound, float(np.linalg.svd(M, compute_uv=False)[0]))
     return bound
+
+
+def reference_packed(A: SymTensor):
+    """The index tables the float kernels read before the packed view derived the cells
+    from `idx`: (idx, weights, leave-one-out table and targets, leave-two-out table, heads, tails)."""
+    keys = sorted(A.entries)
+    idx = np.array(keys, dtype=np.intp).reshape(len(keys), A.order) - 1
+    weights = np.array([tensors._orbit_size(key) * float(A.entries[key]) for key in keys], dtype=float)
+    slots = range(A.order)
+    pairs = [(s, t) for s in slots for t in slots if s < t]
+    loo = np.concatenate([np.delete(idx, t, axis=1) for t in slots])
+    loo_target = np.concatenate([idx[:, t] for t in slots])
+    lto = np.concatenate([np.delete(idx, (s, t), axis=1) for s, t in pairs])
+    head = np.concatenate([idx[:, s] for s, _ in pairs])
+    tail = np.concatenate([idx[:, t] for _, t in pairs])
+    return idx, weights, loo, loo_target, lto, head, tail
+
+
+def reference_kernels(A: SymTensor, H: np.ndarray, V: np.ndarray) -> list[np.ndarray]:
+    """eval_form at row 0, then eval_form_batch, grad_form, hess_form and the Hessian
+    products with V at the rows of H, as `np.prod` / `np.multiply.reduce` computed them."""
+    idx, weights, loo, loo_target, lto, head, tail = reference_packed(A)
+    S, n = H.shape
+    offsets = np.arange(S)[:, None]
+    form = np.array(float(weights @ np.prod(H[0][idx], axis=1)))
+    batch = np.prod(H[:, idx], axis=2) @ weights
+    terms = np.multiply.reduce(H[:, loo], axis=2).reshape(S, A.order, weights.size) * weights
+    grad = np.bincount((loo_target + n * offsets).ravel(), weights=terms.ravel(), minlength=S * n)
+    pairs = A.order * (A.order - 1) // 2
+    pair_terms = np.multiply.reduce(H[:, lto], axis=2).reshape(S, pairs, weights.size) * weights
+    pair_terms = pair_terms.reshape(S, -1)
+    T = np.bincount((head * n + tail + n * n * offsets).ravel(), weights=pair_terms.ravel(), minlength=S * n * n)
+    T = T.astype(float).reshape(S, n, n)
+    cols = np.concatenate([tail, head])
+    rows = (np.concatenate([head, tail]) + n * offsets).ravel()
+    product = np.bincount(rows, weights=(np.tile(pair_terms, 2) * V[:, cols]).ravel(), minlength=S * n)
+    return [form, batch, grad.astype(float).reshape(S, n), T + T.transpose(0, 2, 1),
+            product.astype(float).reshape(S, n)]
+
+
+def reference_spectral_upper_bound(A: SymTensor) -> float:
+    """`spectral_upper_bound` as a Python loop over every entry's distinct permutations built it."""
+    bound = frobenius(A)
+    if not A.entries:
+        return bound
+    heads, tails, values = [], [], []
+    for key, value in A.entries.items():
+        for perm in set(permutations(key)):
+            heads.append(perm[0] - 1)
+            tails.append(perm[1:])
+            values.append(float(value))
+    _, column = np.unique(np.array(tails), axis=0, return_inverse=True)
+    column = column.ravel()
+    width = int(column.max()) + 1
+    if A.dim * width > tensors._SVD_LIMIT:
+        return bound
+    M = np.zeros((A.dim, width))
+    M[heads, column] = values
+    return min(bound, float(np.linalg.svd(M, compute_uv=False)[0]))
 
 
 def identity_tensor(n: int) -> SymTensor:
@@ -331,6 +391,41 @@ def test_hess_batch_matches_rows_and_reference():
                 assert np.linalg.norm(E - ref) <= 1e-12 * max(1.0, np.linalg.norm(ref))
                 assert np.linalg.norm(E @ h - (order - 1) * g) <= 1e-12 * max(1.0, np.linalg.norm(g))
                 assert np.linalg.norm(Ev - E @ v) <= 1e-12 * max(1.0, np.linalg.norm(E @ v))
+
+
+def kernel_cases():
+    """Random tensors of orders 2-4 at dims 1-30 (order 2 has an empty leave-two-out
+    product), the zero tensor, and one order-4 tensor of more than 1,000 entries."""
+    rng = np.random.default_rng(2025)
+    cases = [sym_from_entries(2, 3, []), sym_from_entries(4, 2, [])]
+    for order in (2, 3, 4):
+        for dim in (1, 2, 5, 13, 30):
+            cases.append(random_sym_tensor(rng, order, dim, density=min(0.8, 60.0 / dim ** (order - 1))))
+    cases.append(random_sym_tensor(rng, 4, 12, density=0.9))
+    assert len(cases[-1].entries) >= 1000
+    return rng, cases
+
+
+def test_float_kernels_equal_the_reduce_products_bit_for_bit():
+    """One column-by-column product routine serves every float kernel, and the cells that
+    the products feed come from the packed index: the bits equal those of `np.prod`,
+    `np.multiply.reduce` and the index tables they read."""
+    rng, cases = kernel_cases()
+    for A in cases:
+        for count in (1, 4):
+            H = rng.standard_normal((count, A.dim))
+            H[:, rng.integers(A.dim)] = 0.0
+            V = rng.standard_normal((count, A.dim))
+            got = [np.array(eval_form(A, H[0])), eval_form_batch(A, H), grad_form(A, H), hess_form(A, H),
+                   hess_product(A, H)(V)]
+            for name, value, want in zip(("form", "batch", "grad", "hess", "product"), got, reference_kernels(A, H, V)):
+                assert value.dtype == want.dtype and value.tobytes() == want.tobytes(), (name, A.order, A.dim, count)
+
+
+def test_spectral_unfolding_equals_the_permutation_loop_bit_for_bit():
+    _, cases = kernel_cases()
+    for A in cases:
+        assert spectral_upper_bound(A) == reference_spectral_upper_bound(A), (A.order, A.dim)
 
 
 def test_hess_zero_tensor():
