@@ -47,11 +47,6 @@ from .tensors import tensor_from_json_obj, tensor_from_text, tensor_to_json_obj
 
 _IDENTITY_TOL = 1e-6
 
-# Most digits of each side of an instance's threshold q in lowest terms: float(q)
-# is then finite and nonzero, and a witness certificate's q * (h.h)^j, whose
-# factor adds up to ~140 digits, stays far below the 4,300 that `str()` prints.
-_Q_DIGITS = 308
-
 
 class _Parser(argparse.ArgumentParser):
     """Argument errors exit with code 3 (2 is reserved for UNDECIDED)."""
@@ -180,8 +175,6 @@ def _instance_from_obj(obj: dict) -> ConcordanceInstance:
         raise ValueError(f"field 'tensor' must be an object, got {type(tensor).__name__}")
     A = tensor_from_json_obj(tensor, "tensor.")
     q = read_rational(json_field(obj, "q"), "field 'q'")
-    if max(abs(q.numerator), q.denominator) >= 10**_Q_DIGITS:
-        raise ValueError(f"field 'q' must be a rational p/q of at most {_Q_DIGITS} digits a side in lowest terms")
     if "k" in obj:
         k = read_integer(obj["k"], "field 'k'")
         if threshold(kind, k) != q:

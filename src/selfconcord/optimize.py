@@ -78,19 +78,13 @@ _VALUE_TOL = 1e-13
 # space there.
 _MU_FLOOR = 1e-10
 
-# Largest dim whose Newton steps always come from dense batched solves.
-# Measured per search of the default budget (9 starts, one BLAS thread): on
-# cubic gadgets they break even with truncated CG between dim 52 and 67, and
-# CG is 1.5x faster at dim 94 and 2.7x at dim 115; on quartic gadgets the two
-# stay within 10% of each other up to dim 160.
+# Largest dim whose Newton steps come from dense batched solves; above it,
+# truncated CG with Hessian-vector products is cheaper.  Measured per search
+# of the default budget (9 starts, one BLAS thread): on cubic gadgets the two
+# break even between dim 52 and 67, and CG is 1.5x faster at dim 94 and 2.7x
+# at dim 115; on quartic gadgets they stay within 10% of each other up to
+# dim 160.
 _DENSE_LIMIT = 60
-
-# Above `_DENSE_LIMIT`, dense solves still serve a tensor whose dim^2 is at
-# most this many times its leave-two-out terms (slot pairs x entries), and
-# truncated CG the rest.  On random order-3 and order-4 tensors at dim 64-130
-# (same budget), dense steps were 1.2-10x faster at dim^2 <= terms and 2-5x
-# slower at dim^2 >= 16 terms.  Every cubic gadget above dim 60 has dim^2 > 24 terms.
-_DENSE_TERMS = 2
 
 # Truncated CG stops once its residual is this fraction of the gradient.
 _CG_TOL = 1e-2
@@ -161,11 +155,6 @@ def report_to_json_obj(report: OptReport) -> dict:
 def _row_norms(x: np.ndarray) -> np.ndarray:
     """np.linalg.norm(x, axis=1), bit for bit, without its per-call dispatch."""
     return np.sqrt(np.add.reduce(x * x, axis=1))
-
-
-def _dense_steps(A: SymTensor) -> bool:
-    """Whether the Newton steps on A come from dense solves rather than truncated CG."""
-    return A.dim <= _DENSE_LIMIT or A.dim * A.dim <= _DENSE_TERMS * A.order * (A.order - 1) // 2 * len(A.entries)
 
 
 def _bordered_steps(E: np.ndarray, H: np.ndarray, shift: np.ndarray, grad: np.ndarray) -> np.ndarray:
@@ -240,9 +229,9 @@ def _ascend_sphere(A: SymTensor, starts: np.ndarray, cfg: OptConfig) -> list[tup
     normalize(h + v) is accepted only if the form value increases.  An
     accepted step halves mu (down to a floor), a rejected one multiplies it
     by ten, so a rejected start moves on to ever shorter gradient-like
-    steps and every iterate stays feasible.  Where `_dense_steps` holds, the
+    steps and every iterate stays feasible.  Up to `_DENSE_LIMIT` the
     steps come from one batched solve of the bordered systems
-    [[(lam + mu) I - E, h], [h^T, 0]]; elsewhere, from truncated CG with
+    [[(lam + mu) I - E, h], [h^T, 0]]; above it, from truncated CG with
     Hessian-vector products.
 
     A start stops, converged, after `_PLATEAU` consecutive steps whose
@@ -267,7 +256,7 @@ def _ascend_sphere(A: SymTensor, starts: np.ndarray, cfg: OptConfig) -> list[tup
         raise ValueError("start point must be nonzero")
     H = starts / norms[:, None]
     count, dim = H.shape
-    dense = _dense_steps(A)
+    dense = dim <= _DENSE_LIMIT
     scale = A.order * (A.order - 1) * frobenius(A)
     floor = _MU_FLOOR * scale
     step_tol = _STEP_TOL**2

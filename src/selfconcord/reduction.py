@@ -68,6 +68,13 @@ __all__ = [
 ]
 
 
+# Largest numerator or denominator of a threshold q in lowest terms: float(q),
+# which the checker compares against, is then finite and nonzero, and a witness
+# certificate's q * (h.h)^j, whose factor adds up to ~140 digits, stays far
+# below the 4,300 digits that `str()` prints.
+_Q_LIMIT = 10**308
+
+
 def _rational(value, name: str) -> Fraction:
     if type(value) is Fraction:  # memoized thresholds and parameters pass through unchanged
         return value
@@ -107,6 +114,8 @@ class ConcordanceInstance:
             raise ValueError(f"{self.kind} instance needs an order-{expected} tensor, got order {self.A.order}")
         # Signs are read off the numerators (a Fraction's denominator is positive).
         object.__setattr__(self, "q", _rational(self.q, "q"))
+        if max(abs(self.q.numerator), self.q.denominator) > _Q_LIMIT:
+            raise ValueError("threshold q must have a numerator and a denominator of at most 10^308 in lowest terms")
         if self.q.numerator <= 0:
             raise ValueError(f"threshold q must be positive, got {self.q}")
         if self.sigma_or_tau is not None:

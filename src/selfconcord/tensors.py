@@ -56,9 +56,9 @@ __all__ = [
 ]
 
 # Largest dim a tensor file or JSON object may declare, checked before any
-# entry is parsed.  On a sparse tensor above `optimize._DENSE_LIMIT` a default
-# search (8 random starts and a clique start) keeps about fifteen (starts x
-# dim) float arrays live in its truncated-CG steps: a relax decision with 8 starts peaked at
+# entry is parsed.  Above `optimize._DENSE_LIMIT` a default search (8 random
+# starts and a clique start) keeps about fifteen (starts x dim) float arrays
+# live in its truncated-CG steps: a relax decision with 8 starts peaked at
 # ~1.07 KB per coordinate at dim 10^5, at order 3 and at order 4 (5,000
 # random entries; tracemalloc), so ~1.1 GB at this cap.  The cubic gadget of
 # a 250-vertex half-edge graph has dim 15,812.
@@ -74,12 +74,10 @@ MAX_STARTS = 10_000
 
 # Largest number of entry records a tensor file or JSON object may hold,
 # checked before any record is converted.  A relax decision with the default
-# 8 starts peaked at ~2.1 KB per entry on a random order-4 tensor with 50,000
-# entries at dim 80 (~2.3 KB at dim 40; ~0.9 KB at order 3, dim 80;
-# tracemalloc, parsing excluded), so ~0.55 GB at this cap; ~3.9 KB (~1 GB)
-# with 10,000 entries at dim 346, the largest dim whose Newton steps are then
-# dense.  The unfolding of `spectral_upper_bound` adds at most 80 MB
-# (`_SVD_LIMIT`).  The cubic gadget of a 250-vertex half-edge graph has 15,562.
+# 8 starts peaked at ~3.7 KB per entry on a random order-4 tensor with 50,000
+# entries at dim 80 (~2.3 KB at dim 40; ~1.9 KB at order 3, dim 80;
+# tracemalloc, parsing excluded), so ~0.9 GB at this cap.  The cubic gadget
+# of a 250-vertex half-edge graph has 15,562.
 MAX_ENTRIES = 250_000
 
 # Most digits an integer, or a side of a rational, may hold: Python's int()
@@ -375,7 +373,7 @@ def hess_product(A: SymTensor, h):
     count = h.shape[0]
     terms = np.tile(_hess_terms(A, h), 2)
     rows = _row_offsets(A, "product", count, A.dim, lambda: np.concatenate(_pair_slots(A)))
-    cols = np.roll(rows[: terms.shape[1]], terms.shape[1] // 2)  # row 0's heads and tails, swapped
+    cols = np.concatenate(_pair_slots(A)[::-1])  # tails, then heads
 
     def product(V: np.ndarray) -> np.ndarray:
         out = np.bincount(rows, weights=(terms * V[:, cols]).ravel(), minlength=count * A.dim)

@@ -234,6 +234,11 @@ def test_build_instance_refuses_as_before(kind, name, param, error, message):
     assert str(info.value) == message.format(name=name)
 
 
+# A q whose float would overflow or vanish, or whose digits str() cannot print, is refused
+# before the checker converts it.
+_Q_TOO_LONG = "threshold q must have a numerator and a denominator of at most 10^308 in lowest terms"
+
+
 @pytest.mark.parametrize("q, error, message", [
     (0, ValueError, "threshold q must be positive, got 0"),
     ("-1/27", ValueError, "threshold q must be positive, got -1/27"),
@@ -242,6 +247,9 @@ def test_build_instance_refuses_as_before(kind, name, param, error, message):
     ("x", ValueError, "q must be rational, got 'x'"),
     (None, ValueError, "q must be rational, got None"),
     ("1/0", ValueError, "q must be rational, got '1/0'"),
+    (10**309, ValueError, _Q_TOO_LONG),
+    (Fraction(1, 10**309), ValueError, _Q_TOO_LONG),
+    ("-1e4300", ValueError, _Q_TOO_LONG),
 ])
 def test_instances_refuse_q_as_before(q, error, message):
     A = build_instance(C4, "cubic", 3, 1).A

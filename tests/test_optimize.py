@@ -332,7 +332,6 @@ def test_sphere_ascent_equals_masked_reference_bit_for_bit(starts, max_iters):
     for order, dim in ((3, int(rng.integers(2, 61))), (4, int(rng.integers(2, 25))), (3, int(rng.integers(61, 91)))):
         A = random_sym_tensor(rng, order, dim, density=min(1.0, 40.0 / dim ** (order - 1)))
         assert A.entries
-        assert optimize._dense_steps(A) == (dim <= optimize._DENSE_LIMIT)  # the reference's own rule
         assert_starts_equal_reference(A, drawn_starts(A, cfg), cfg)
 
 
@@ -428,22 +427,6 @@ def test_sphere_cg_and_dense_steps_agree(monkeypatch):
         assert rep.best_value <= target + 1e-12
         assert abs(rep.best_value - target) <= 1e-9
         assert abs(rep.best_value - eval_form(A, rep.witness)) <= 1e-12
-
-
-def test_step_solver_is_chosen_from_dim_and_term_count():
-    """Dense solves up to dim 60 and above it for a tensor with many leave-two-out terms
-    per dim^2; truncated CG for the sparse cubic gadgets.  Every gadget of the ladder
-    graphs, n = 12..32 with floor(n(n-1)/4) edges, keeps the path that dim alone gave it."""
-    for n in range(12, 33):
-        G = graph_from_edges(n, list(combinations(range(1, n + 1), 2))[: n * (n - 1) // 4])
-        for kind in GADGETS:
-            A = GADGETS[kind].tensor(G)
-            assert optimize._dense_steps(A) == (A.dim <= optimize._DENSE_LIMIT), (kind, n)
-    assert GADGETS["cubic"].tensor(graph_from_edges(16, list(combinations(range(1, 17), 2))[:60])).dim == 76
-    rng = np.random.default_rng(64)
-    for order, dim in ((3, 64), (3, 90), (4, 64)):
-        A = random_sym_tensor(rng, order, dim, density=min(0.7, 8.0 / dim ** (order - 2)))
-        assert optimize._dense_steps(A), (order, dim, len(A.entries))
 
 
 def test_banach_single_vs_multilinear_agree():
