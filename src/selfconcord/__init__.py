@@ -41,7 +41,6 @@ from .optimize import (
     DEFAULT_SEED,
     OptConfig,
     OptReport,
-    beta_split_max,
     grid_lower_and_upper,
     max_form_sphere,
     report_to_json_obj,

@@ -35,7 +35,6 @@ from .optimize import (
     DEFAULT_SEED,
     OptConfig,
     OptReport,
-    beta_split_max,
     grid_lower_and_upper,
     max_form_sphere,
 )
@@ -291,13 +290,14 @@ def criterion_sigma_opt(max_n: int = 5, seed: int = DEFAULT_SEED, tol: float = 1
 
 @_criterion(8, "sphere-splitting constant")
 def criterion_beta_split(max_n: int = 5, seed: int = DEFAULT_SEED, tol: float = 1e-6):
-    """Grid maximum of beta*sqrt(1-beta) reproduces 2/(3*sqrt(3)) at beta = 2/3."""
-    beta, value = beta_split_max()
-    target = 2.0 / (3.0 * math.sqrt(3.0))
-    return (
-        abs(value - target) <= 1e-9 and abs(beta - 2.0 / 3.0) <= 2e-6,
-        f"grid max {value:.12f} at beta {beta:.6f} (targets {target:.12f}, 2/3)",
-    )
+    """4/27 - beta^2 (1 - beta) = (beta - 2/3)^2 (beta + 1/3), coefficient by
+    coefficient in rationals: the right side is >= 0 on [0, 1] and 0 only at
+    beta = 2/3, so beta * sqrt(1 - beta) has maximum sqrt(4/27) = 2/(3*sqrt(3)) there."""
+    third = Fraction(1, 3)
+    lhs = [1, -1, 0, Fraction(4, 27)]  # highest power first
+    rhs = np.polymul(np.polymul([1, -2 * third], [1, -2 * third]), [1, third]).tolist()
+    return lhs == rhs, (f"coefficients of 4/27 - beta^2 (1 - beta) [{', '.join(map(str, lhs))}] and of "
+                        f"(beta - 2/3)^2 (beta + 1/3) [{', '.join(map(str, rhs))}]: maximum 2/(3*sqrt(3)) at beta = 2/3")
 
 
 @_criterion(9, "property suite")

@@ -18,11 +18,10 @@ JSON alone:
   included.  A coloring with r <= k - 1 colors is the certificate.  When H
   needs more colors, the comparison of c(1 - 1/omega(H)), omega(H) from
   `max_clique`, with q is the certificate, named "exact_clique_oracle" as
-  in oracle mode.  Otherwise it needs a float upper bound on the form
-  maximum that clears the threshold outside a relative band of 1e-9 (exact
-  equality is a legal boundary and floats cannot resolve it).  Oracle mode
-  compares the clique-derived optimum with q exactly (the inequality is
-  non-strict, so equality is a YES).
+  in oracle mode (the inequality is non-strict, so equality is a YES).
+  Otherwise it needs a float upper bound on the form maximum that clears
+  the threshold outside a relative band of 1e-9 (exact equality is a legal
+  boundary and floats cannot resolve it).
 * UNDECIDED carries the exhausted budget and the best bound seen.
 
 Modes: "relax" and "grid" run the search, then the coloring rung, then the
@@ -30,9 +29,11 @@ clique-number rung, then a float bound: "relax"
 `tensors.spectral_upper_bound`, "grid" the certified bound of
 `optimize.grid_lower_and_upper` on a resolution ladder.  Above dim 5 the
 ladder runs no rung, so a grid decision on a tensor without gadget shape
-ends UNDECIDED and names the dim limit.  "oracle" reads the graph from the
-tensor: it requires a tensor that is the gadget of its support graph, and
-is complete on it.
+ends UNDECIDED and names the dim limit.  "oracle" requires a tensor that is
+the gadget of its support graph, and is complete on it: the clique-number
+rung, else the witness of a maximum clique.  Each exact rung returns its
+certificate or None, `recheck` rebuilds a certificate with the rung that
+made it, and a verdict's status follows from its certificate's kind.
 The parameter convention follows the defining inequality as written here:
 larger sigma (larger q) is a weaker requirement.
 
@@ -187,7 +188,7 @@ def violates(A: SymTensor, h, q: Fraction) -> tuple[bool, Fraction, Fraction]:
     return lhs > rhs, lhs, rhs
 
 
-# The per-kind names of `violates`; `_check` reads them on each call.
+# The per-kind names of `violates`; `_witness` reads them on each call.
 violates_cubic = violates_quartic = violates
 
 
@@ -253,52 +254,48 @@ def recheck(A: SymTensor, q, certificate) -> bool | None:
 
     True when it re-verifies, False when it is refuted or malformed (it never
     raises), None for a "budget" or a float "bound", which claim no exact
-    proof.  A "witness" must list A.dim rationals h that `violates` A at q,
-    its "lhs" and "rhs" as recomputed.  The other kinds need A of gadget
-    shape (see `_support`) with support graph H.  A "coloring" lists the
-    vertex coordinates in increasing order as "vertices" (order 3 only) and
-    gives each an integer in "colors", no entry's pair (i, j) inside one
-    color, with "bound" c(1 - 1/r), r the number of colors; an
-    "exact_clique_oracle" bound reads c(1 - 1/omega(H)) (`true_max`).
-    Either bound must be <= q.  Both are Motzkin-Straus: the edge quadratic
-    of H has simplex maximum (1/2)(1 - 1/omega(H)) <= (1/2)(1 - 1/r), as no
-    edge joins two vertices of one color.  Entries of at most 1/6 bound
-    |A(h)| by the gadget form at |h|, and the chain of `reduction` (for
-    order 3: Cauchy-Schwarz in w, then the 2/3 : 1/3 split) carries that to
+    proof.  Every other certificate must equal the one its rung rebuilds
+    from A, q and the certificate's claim.  A "witness" lists A.dim rational
+    strings h that `violates` A at q (`_witness`), its "lhs" and "rhs" as
+    recomputed.  The other kinds need A of gadget shape (see `_support`)
+    with support graph H.  A "coloring" (`_colored`) lists the vertex
+    coordinates in increasing order as "vertices" (order 3 only) and gives
+    each an integer in "colors", no entry's pair (i, j) inside one color,
+    with "bound" c(1 - 1/r), r the number of colors; an "exact_clique_oracle"
+    bound (`_clique_bound`) reads c(1 - 1/omega(H)).  Either bound must be
+    <= q.  Both are Motzkin-Straus: the edge quadratic of H has simplex
+    maximum (1/2)(1 - 1/omega(H)) <= (1/2)(1 - 1/r), as no edge joins two
+    vertices of one color.  Entries of at most 1/6 bound |A(h)| by the
+    gadget form at |h|, and the chain of `reduction` (for order 3:
+    Cauchy-Schwarz in w, then the 2/3 : 1/3 split) carries that to
     max A^p <= c(1 - 1/omega(H)) <= c(1 - 1/r).
     """
     if not isinstance(certificate, dict):
         return False
+    q = _as_fraction(q)
     kind, named = certificate.get("kind"), certificate.get("bound")
     if kind == "budget" or kind == "bound" and isinstance(named, dict) and named.get("name") != "exact_clique_oracle":
         return None
     if kind == "witness":
-        h = certificate.get("witness")
-        if type(h) is not list or len(h) != A.dim:
-            return False
         try:
-            violated, lhs, rhs = violates(A, h, q)
-        except (TypeError, ValueError, ArithmeticError):  # a coordinate that is no rational
+            return _witness(A, certificate.get("witness"), q) == certificate
+        except (TypeError, ValueError, ArithmeticError):  # no list of A.dim rationals
             return False
-        return violated and certificate.get("lhs") == str(lhs) and certificate.get("rhs") == str(rhs)
     support = _support(A)
     if support is None:
         return False
     vertices, H, _ = support
-    if kind == "bound" and isinstance(named, dict):  # named "exact_clique_oracle"
-        bound, value = true_max(_KIND_OF_ORDER[A.order], H), named.get("value")
-    elif kind == "coloring":
-        if A.order == 3 and certificate.get("vertices") != list(vertices):
-            return False
-        colors = certificate.get("colors")
-        if not (isinstance(colors, list) and len(colors) == len(vertices) and all(type(c) is int for c in colors)):
-            return False
-        if any(colors[i - 1] == colors[j - 1] for i, j in H.edges):  # H's vertex v is vertices[v - 1]
-            return False
-        bound, value = GADGETS[_KIND_OF_ORDER[A.order]].bound(len(set(colors))), certificate.get("bound")
-    else:
+    if kind == "bound":  # named "exact_clique_oracle", or malformed
+        return _clique_bound(A, H, q) == certificate
+    if kind != "coloring":
         return False
-    return value == str(bound) and bound <= _as_fraction(q)
+    colors = certificate.get("colors")
+    if not (isinstance(colors, list) and len(colors) == len(vertices) and all(type(c) is int for c in colors)):
+        return False
+    if any(colors[i - 1] == colors[j - 1] for i, j in H.edges):  # H's vertex v is vertices[v - 1]
+        return False
+    bound = GADGETS[_KIND_OF_ORDER[A.order]].bound(len(set(colors)))
+    return _colored(A, vertices, colors, bound, q) == certificate
 
 
 def _at_most(a: Fraction, b: Fraction) -> bool:
@@ -312,37 +309,47 @@ def _pow(x: float, p: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Verdict assembly
+# Rungs: each returns its certificate, or None when it does not decide
+
+# The status that each certificate kind proves.
+_STATUS = {
+    "witness": Status.NOT_SELF_CONCORDANT,
+    "coloring": Status.SELF_CONCORDANT,
+    "bound": Status.SELF_CONCORDANT,
+    "budget": Status.UNDECIDED,
+}
 
 
-def _witness_verdict(mode: str, h: tuple[Fraction, ...], lhs: Fraction, rhs: Fraction, evaluations: int) -> Verdict:
-    certificate = {
-        "kind": "witness",
-        "witness": [str(x) for x in h],
-        "lhs": str(lhs),
-        "rhs": str(rhs),
-    }
-    return Verdict(Status.NOT_SELF_CONCORDANT, mode, certificate, evaluations)
+def _verdict(mode: str, certificate: dict, evaluations: int) -> Verdict:
+    return Verdict(_STATUS[certificate["kind"]], mode, certificate, evaluations)
 
 
-def _coloring_verdict(mode: str, order: int, vertices, colors, bound: Fraction, evaluations: int) -> Verdict:
-    certificate: dict = {"kind": "coloring"}
-    if order == 3:
-        certificate["vertices"] = list(vertices)
-    certificate["colors"] = list(colors)
-    certificate["bound"] = str(bound)
-    return Verdict(Status.SELF_CONCORDANT, mode, certificate, evaluations)
+def _witness(A: SymTensor, h, q: Fraction) -> dict | None:
+    """The witness certificate of h when h violates A at q exactly."""
+    # Looked up by name on each call, so that a wrapper installed on the module global sees it.
+    verify = violates_cubic if A.order == 3 else violates_quartic
+    violated, lhs, rhs = verify(A, h, q)
+    if not violated:
+        return None
+    return {"kind": "witness", "witness": [str(x) for x in h], "lhs": str(lhs), "rhs": str(rhs)}
 
 
-def _bound_verdict(mode: str, name: str, value: str, evaluations: int) -> Verdict:
-    certificate = {"kind": "bound", "bound": {"name": name, "value": value}}
-    return Verdict(Status.SELF_CONCORDANT, mode, certificate, evaluations)
+def _colored(A: SymTensor, vertices, colors, bound: Fraction, q: Fraction) -> dict | None:
+    """The coloring certificate of a proper coloring whose bound c(1 - 1/r) is at most q."""
+    if not _at_most(bound, q):
+        return None
+    certificate = {"kind": "coloring", "vertices": list(vertices), "colors": list(colors), "bound": str(bound)}
+    if A.order == 4:
+        del certificate["vertices"]  # the quartic gadget has no edge coordinates
+    return certificate
 
 
-def _undecided_verdict(mode: str, description: str, extra: dict, evaluations: int) -> Verdict:
-    certificate = {"kind": "budget", "description": description}
-    certificate.update(extra)
-    return Verdict(Status.UNDECIDED, mode, certificate, evaluations)
+def _clique_bound(A: SymTensor, H: Graph, q: Fraction) -> dict | None:
+    """The "exact_clique_oracle" certificate when c(1 - 1/omega(H)) is at most q."""
+    bound = true_max(_KIND_OF_ORDER[A.order], H)
+    if not _at_most(bound, q):
+        return None
+    return {"kind": "bound", "bound": {"name": "exact_clique_oracle", "value": str(bound)}}
 
 
 def _search(A: SymTensor, cfg: OptConfig) -> OptReport:
@@ -407,76 +414,63 @@ def _check(inst: ConcordanceInstance, cfg: OptConfig | None, mode: str, kind: st
         raise ValueError(f"expected a {kind} instance, got {inst.kind}")
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-    cfg = cfg or OptConfig()
-    p = GADGETS[kind].p
-    # Looked up by name on each call, so that a wrapper installed on the module global sees it.
-    verify = violates_cubic if kind == "cubic" else violates_quartic
-    q = inst.q
-    qf = q.numerator / q.denominator  # float(q), as Fraction computes it
+    A, q = inst.A, inst.q
 
     if mode == "oracle":
-        support = _support(inst.A)
+        support = _support(A)
         if support is None or not support[2]:
             raise ValueError(f"oracle mode needs a tensor that is the {kind} gadget of its support graph")
         H = support[1]
-        bound = true_max(kind, H)
-        if _at_most(bound, q):
-            return _bound_verdict(mode, "exact_clique_oracle", str(bound), 1)
         # The exact witness from a maximum clique verifies whenever omega >= k.
         build = rational_cubic_witness if kind == "cubic" else rational_quartic_witness
-        h = build(H, max_clique(H))
-        violated, lhs, rhs = verify(inst.A, h, q)
-        if not violated:
+        certificate = _clique_bound(A, H, q) or _witness(A, build(H, max_clique(H)), q)
+        if certificate is None:
             raise AssertionError("oracle witness failed exact verification despite omega >= k")
-        return _witness_verdict(mode, h, lhs, rhs, 1)
+        return _verdict(mode, certificate, 1)
 
-    report = _search(inst.A, cfg)
+    cfg = cfg or OptConfig()
+    p = GADGETS[kind].p
+    qf = q.numerator / q.denominator  # float(q), as Fraction computes it
+    report = _search(A, cfg)
     evaluations = report.evaluations
     best = report.best_value
+    certificate = None
     if _pow(best, p) > qf * (1.0 + _EQ_BAND):
-        h = rationalize_vector(report.witness)
-        violated, lhs, rhs = verify(inst.A, h, q)
-        if violated:
-            return _witness_verdict(mode, h, lhs, rhs, evaluations)
-
-    coloring = _coloring(inst.A)
+        certificate = _witness(A, rationalize_vector(report.witness), q)
+    coloring = _coloring(A) if certificate is None else None
     if coloring is not None:
         vertices, colors, bound, H = coloring
-        if _at_most(bound, q):
-            return _coloring_verdict(mode, inst.A.order, vertices, colors, bound, evaluations)
-        # H needs more colors than k - 1; its clique number may still clear q
-        # (chi(H) > omega(H), the boundary that no float bound can resolve).
-        bound = true_max(kind, H)
-        if _at_most(bound, q):
-            return _bound_verdict(mode, "exact_clique_oracle", str(bound), evaluations)
+        # When H needs more colors than k - 1, its clique number may still clear
+        # q (chi(H) > omega(H), the boundary that no float bound can resolve).
+        certificate = _colored(A, vertices, colors, bound, q) or _clique_bound(A, H, q)
+    if certificate is not None:
+        return _verdict(mode, certificate, evaluations)
 
     def clears(bound: float) -> bool:
         return _pow(bound, p) <= qf * (1.0 - _EQ_BAND)
 
     if mode == "relax":
-        bound = spectral_upper_bound(inst.A)
+        bound = spectral_upper_bound(A)
         bound_name = "spectral_upper_bound"
         evaluations += 1
     else:
-        bound, used, label = _grid_bound(inst.A, clears)
+        bound, used, label = _grid_bound(A, clears)
         bound_name = f"grid_lower_and_upper({label})"
         evaluations += used
     if clears(bound):
-        return _bound_verdict(mode, bound_name, format(bound, ".17g"), evaluations)
-
-    return _undecided_verdict(
-        mode,
-        "no exact violation found and no sound bound cleared the threshold",
-        {
-            "best_numeric": format(best, ".17g"),
-            "bound_name": bound_name,
-            "bound_value": format(bound, ".17g"),
-            "threshold": str(q),
-            "starts": cfg.starts,
-            "max_iters": cfg.max_iters,
-        },
-        evaluations,
-    )
+        certificate = {"kind": "bound", "bound": {"name": bound_name, "value": format(bound, ".17g")}}
+        return _verdict(mode, certificate, evaluations)
+    certificate = {
+        "kind": "budget",
+        "description": "no exact violation found and no sound bound cleared the threshold",
+        "best_numeric": format(best, ".17g"),
+        "bound_name": bound_name,
+        "bound_value": format(bound, ".17g"),
+        "threshold": str(q),
+        "starts": cfg.starts,
+        "max_iters": cfg.max_iters,
+    }
+    return _verdict(mode, certificate, evaluations)
 
 
 def check_sc(inst: ConcordanceInstance, cfg: OptConfig | None = None, mode: str = "relax") -> Verdict:

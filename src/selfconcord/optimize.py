@@ -23,10 +23,6 @@ upper bounds come from `grid_lower_and_upper` here and
 of gridded hyperspherical angles without building the net's points: each
 monomial factors into one term per angle, so the form over the whole net is
 one matrix product of per-angle tables.
-
-`beta_split_max` grids beta * sqrt(1 - beta) over (0, 1), whose maximum
-2/(3*sqrt(3)) at beta = 2/3 is the sphere-splitting constant of the cubic
-clique gadget.
 """
 
 from __future__ import annotations
@@ -39,6 +35,7 @@ import numpy as np
 
 from .graphs import max_clique  # noqa: F401 -- uncalled; perfbench/tracing.py wraps it here by name
 from .tensors import (
+    MAX_START_ENTRIES,
     MAX_STARTS,
     SymTensor,
     eval_form,
@@ -56,7 +53,6 @@ __all__ = [
     "report_to_json_obj",
     "max_form_sphere",
     "grid_lower_and_upper",
-    "beta_split_max",
 ]
 
 DEFAULT_SEED = 1729
@@ -93,9 +89,6 @@ _CG_TOL = 1e-2
 # built, so this is a time guard: the matrix product behind one rung costs
 # points x entries.
 _NET_BUDGET = 2_500_000
-
-# Spacing of the beta grid of `beta_split_max`.
-_BETA_STEP = 1e-6
 
 
 @dataclass(frozen=True)
@@ -342,9 +335,14 @@ def max_form_sphere(
     e.g. a clique-derived maximizer, pass it here so the reported value is
     guaranteed to reach it).  `nonnegative_starts` draws the random starts
     from the nonnegative orthant, where edge-derived forms attain their
-    maxima.
+    maxima.  More starts than `MAX_START_ENTRIES` allows on A's entries
+    are refused before any is drawn.
     """
     cfg = cfg or OptConfig()
+    count = cfg.starts + len(extra_starts)
+    if count * len(A.entries) > MAX_START_ENTRIES:
+        raise ValueError(f"starts x entries must be at most {MAX_START_ENTRIES}, "
+                         f"got {count} starts on {len(A.entries)} entries")
     if not A.entries:
         witness = np.zeros(A.dim)
         witness[0] = 1.0
@@ -436,10 +434,3 @@ def grid_lower_and_upper(A: SymTensor, resolution: float) -> tuple[float, float]
     lipschitz = A.order * frobenius(A)
     return net_max, net_max + lipschitz * resolution
 
-
-def beta_split_max() -> tuple[float, float]:
-    """Grid maximum of beta * sqrt(1 - beta) over (0, 1) at spacing `_BETA_STEP`: (argmax, value)."""
-    betas = np.arange(_BETA_STEP, 1.0, _BETA_STEP)
-    values = betas * np.sqrt(1.0 - betas)
-    best = int(np.argmax(values))
-    return float(betas[best]), float(values[best])

@@ -72,6 +72,12 @@ MAX_DIM = 1_000_000
 # this cap.  The CLI's default is 8 random starts and a clique start.
 MAX_STARTS = 10_000
 
+# Largest starts x entries product of a search, checked before any start is
+# drawn: a search keeps ~200-250 bytes per start per entry (tracemalloc, 8 to
+# 64 starts on 5,000 order-4 entries at dim 80 and 2,000 order-3 entries at
+# dim 400), so ~1 GB at this cap, which 9 starts on `MAX_ENTRIES` fit.
+MAX_START_ENTRIES = 4_000_000
+
 # Largest number of entry records a tensor file or JSON object may hold,
 # checked before any record is converted.  A relax decision with the default
 # 8 starts peaked at ~3.7 KB per entry on a random order-4 tensor with 50,000
@@ -79,6 +85,11 @@ MAX_STARTS = 10_000
 # tracemalloc, parsing excluded), so ~0.9 GB at this cap.  The cubic gadget
 # of a 250-vertex half-edge graph has 15,562.
 MAX_ENTRIES = 250_000
+
+# Largest |value| of a tensor entry, checked as the tensor is built: the float
+# kernels square values (`frobenius`, the squared bounds compared with q), which
+# overflows past ~10^154; at 10^100 the squares stay below ~10^207 at the caps.
+MAX_VALUE = 10**100
 
 # Most digits an integer, or a side of a rational, may hold: Python's int()
 # and Fraction() refuse longer decimal strings by default, naming no field.
@@ -145,6 +156,8 @@ class SymTensor:
             if tuple(sorted(key)) != key:
                 raise ValueError(f"index {key} is not canonical (nondecreasing)")
             value = _as_fraction(value)
+            if abs(value) > MAX_VALUE:
+                raise ValueError(f"entry {key} has |value| above 10^100")
             if value != 0:
                 clean[key] = value
         # Read-only: `reduction` hands one memoized gadget tensor to every caller.

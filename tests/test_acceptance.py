@@ -113,7 +113,7 @@ def test_criterion_7_sigma_opt_brackets():
 
 
 def test_criterion_8_beta_split_constant():
-    """1e-6 grid over beta*sqrt(1-beta) attains 2/(3*sqrt(3)) at 2/3."""
+    """4/27 - beta^2 (1 - beta) = (beta - 2/3)^2 (beta + 1/3) in exact rational coefficients."""
     _assert_criterion(criterion_beta_split())
 
 

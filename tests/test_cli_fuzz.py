@@ -172,3 +172,48 @@ def test_entry_lists_over_the_cap_exit_3(capsys, tmp_path, monkeypatch):
         assert cli.main([*command, *SEARCH, str(path)]) == 3
         message = capsys.readouterr().err
         assert message == f"selfconcord: error: ValueError: {source} holds 3 entries, above the limit of 2\n", message
+
+
+
+def refused(capsys, tmp_path, args, text) -> str:
+    """The one-line diagnostic of a run that exits 3."""
+    path = tmp_path / "input"
+    path.write_text(text)
+    assert cli.main([*args, str(path)]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1, err
+    return err
+
+
+def test_huge_tensor_values_exit_3_naming_the_entry(capsys, tmp_path):
+    """A value past 10^100 would overflow the float kernels' squares, so tensor
+    text and an instance's tensor with one exit 3 naming its index; a value at
+    the bound decides."""
+    footnote = reduced(capsys, tmp_path, GRAPH_TEXTS[3], "cubic", 3)
+    for value in ("1e400", "-1e400", "1e200", "1e100", "-1e100"):
+        instance = json.loads(json.dumps(footnote))
+        instance["tensor"]["entries"].append([[1, 1, 1], value])
+        cases = ((["sigma-opt"], f"3 6\n1 2 3 {value}\n", "(1, 2, 3)"),
+                 (["check-sc", "--mode", "relax"], json.dumps(instance), "(1, 1, 1)"),
+                 (["check-sc", "--mode", "grid"], json.dumps(instance), "(1, 1, 1)"))
+        for command, text, index in cases:
+            if value.endswith("e100"):
+                code, out = run(capsys, tmp_path, [*command, *SEARCH], text)
+                assert code in (0, 1), (command, value)
+                if command[0] == "check-sc":
+                    assert_rechecked(code, out, tensor_from_json_obj(instance["tensor"]), Fraction(instance["q"]))
+            else:
+                message = refused(capsys, tmp_path, [*command, *SEARCH], text)
+                assert message == f"selfconcord: error: ValueError: entry {index} has |value| above 10^100\n", message
+
+
+def test_starts_past_the_starts_times_entries_cap_exit_3(capsys, tmp_path):
+    """--starts 10000 on a 455-entry tensor exits 3 naming the starts and the
+    entries, before any start is drawn."""
+    keys = [(i, j, w) for i in range(1, 16) for j in range(i + 1, 16) for w in range(j + 1, 16)]
+    text = "3 15\n" + "".join(f"{i} {j} {w} 1/7\n" for i, j, w in keys)
+    instance = {"kind": "cubic", "q": "1", "tensor": {"order": 3, "dim": 15, "entries": [[k, "1/7"] for k in keys]}}
+    for command, text in ((["sigma-opt"], text), (["check-sc", "--mode", "relax"], json.dumps(instance))):
+        message = refused(capsys, tmp_path, [*command, "--starts", "10000"], text)
+        assert message == ("selfconcord: error: ValueError: starts x entries must be at most 4000000, "
+                           "got 10000 starts on 455 entries\n"), message

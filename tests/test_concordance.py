@@ -355,9 +355,9 @@ def test_recheck_rejects_tampered_certificates(footnote_graph, k3):
         assert recheck(triangle.A, triangle.q + 1, witness) is False  # q above the form maximum
 
     undecided = {"kind": "budget", "description": "no exact violation found", "bound_name": "spectral_upper_bound"}
-    for float_bound in ({"kind": "bound", "bound": {"name": "spectral_upper_bound", "value": "0.2"}},
-                        {"kind": "bound", "bound": {"name": "grid_lower_and_upper(resolution=0.2)", "value": "1"}},
-                        undecided):
+    float_bounds = ({"kind": "bound", "bound": {"name": "spectral_upper_bound", "value": "0.2"}},
+                    {"kind": "bound", "bound": {"name": "grid_lower_and_upper(resolution=0.2)", "value": "1"}})
+    for float_bound in (*float_bounds, undecided):
         assert recheck(cubic.A, cubic.q, float_bound) is None
     odd = (None, True, 1.5, float("nan"), "x", "1/0", [], ["1/0"], [[1]], {}, {"name": "exact_clique_oracle"})
     for base in (certificate, witness):
@@ -365,8 +365,21 @@ def test_recheck_rejects_tampered_certificates(footnote_graph, k3):
             for value in odd:
                 assert recheck(triangle.A, triangle.q, {**base, field: value}) is not True
                 assert recheck(cubic.A, cubic.q, {**base, field: value}) is not True
-    for malformed in (None, [], "witness", {}, {"kind": ["witness"]}):
+    for malformed in (None, [], "witness", {}, {"kind": ["witness"]}, {"kind": "bound"}, {"kind": "coloring"}):
         assert recheck(cubic.A, cubic.q, malformed) is False
+
+    # Each kind without one of its fields, or one field of its bound, is no proof, and raises nothing.
+    oracle = check_sc(cubic, CFG, mode="oracle").certificate
+    assert oracle == {"kind": "bound", "bound": {"name": "exact_clique_oracle", "value": "1/27"}}
+    assert recheck(cubic.A, cubic.q, oracle) is True
+    for base in (certificate, witness, oracle, *float_bounds, undecided):
+        shortened = [{key: value for key, value in base.items() if key != field} for field in base]
+        if isinstance(base.get("bound"), dict):
+            shortened += [{**base, "bound": {key: value for key, value in base["bound"].items() if key != field}}
+                          for field in base["bound"]]
+        for tampered in shortened:
+            for A, q in ((triangle.A, triangle.q), (cubic.A, cubic.q)):
+                assert recheck(A, q, tampered) is not True, tampered
 
     # Each tensor below has the footnote certificate's support shape but a
     # squared maximum above q = 1/27: an entry above 1/6, an edge coordinate
@@ -539,6 +552,7 @@ def _small_sweep():
 
 
 def test_sweep_verdicts_do_not_depend_on_reuse():
+    graph_count = sum(1 for n in range(2, 5) for _ in enumerate_graphs(n))
     cold = []
     for inst, mode, check in _small_sweep():
         clear_analyses(inst.A)
@@ -548,11 +562,16 @@ def test_sweep_verdicts_do_not_depend_on_reuse():
     # The warm sweep is graph-major, so it built each gadget once per graph
     # and found it in the memo for the other three k.  The one support read
     # of each gadget tensor looks its gadget up once more and finds it too.
-    graph_count = sum(1 for n in range(2, 5) for _ in enumerate_graphs(n))
     for cached in GADGET_MEMOS:
         info = cached.cache_info()
         assert info.currsize == info.maxsize == reduction._KEPT_GADGETS
         assert (info.misses, info.hits) == (graph_count, 3 * graph_count + graph_count)
+    # A verdict's status follows from its certificate's kind, in all three modes.
+    oracle = [verdict_to_json_obj(check(inst, CFG, mode="oracle")) for inst, mode, check in _small_sweep()
+              if mode == "relax" and (1,) * inst.A.order not in inst.A.entries]  # the gadgets, not their twins
+    assert len(oracle) == 2 * 4 * graph_count
+    for verdict in cold + oracle:
+        assert verdict["status"] == concordance._STATUS[verdict["certificate"]["kind"]].value
 
 
 def _decide_and_drop(graph_list):

@@ -12,7 +12,6 @@ from selfconcord import (
     grad_form,
     hess_form,
     hess_product,
-    beta_split_max,
     build_cubic_tensor,
     build_quartic_tensor,
     clique_number,
@@ -536,18 +535,25 @@ def test_split_scales_edge_form_by_split_constant(footnote_graph):
         assert abs(eval_form(A, h) - (2.0 / (3.0 * math.sqrt(3.0))) * coupled) <= 1e-12
 
 
-def test_beta_split_max():
-    beta, value = beta_split_max()
-    assert abs(value - 2.0 / (3.0 * math.sqrt(3.0))) <= 1e-9
-    assert abs(beta - 2.0 / 3.0) <= 2e-6
-
-
 def test_optconfig_validation():
     with pytest.raises(ValueError):
         OptConfig(starts=0)
     assert OptConfig(starts=MAX_STARTS).starts == MAX_STARTS
     with pytest.raises(ValueError, match=f"^starts must be <= {MAX_STARTS}$"):
         OptConfig(starts=MAX_STARTS + 1)
+
+
+def test_search_refuses_starts_times_entries_past_the_cap(monkeypatch):
+    """Starts times entries is refused before any start is drawn, naming both:
+    10,000 starts on a 455-entry tensor would keep ~1 GB, so nothing runs."""
+    A = sym_from_entries(3, 15, [(key, 1) for key in combinations(range(1, 16), 3)])
+    assert len(A.entries) == 455 and 10_000 * 455 > optimize.MAX_START_ENTRIES
+    with pytest.raises(ValueError, match="^starts x entries must be at most 4000000, got 10000 starts on 455 entries$"):
+        max_form_sphere(A, OptConfig(starts=10_000))
+    monkeypatch.setattr(optimize, "MAX_START_ENTRIES", 3 * 455)  # the clique start counts as a start
+    assert len(max_form_sphere(A, OptConfig(starts=2, max_iters=5), extra_starts=(np.ones(15),)).per_start_values) == 3
+    with pytest.raises(ValueError, match="got 4 starts on 455 entries"):
+        max_form_sphere(A, OptConfig(starts=3, max_iters=5), extra_starts=(np.ones(15),))
 
 
 def test_optconfig_refuses_a_negative_seed_naming_it():

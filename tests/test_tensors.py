@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from selfconcord import (
+    ConcordanceInstance,
     Status,
     SymTensor,
     build_cubic_instance,
@@ -212,6 +213,20 @@ def test_sym_from_entries_errors_name_the_index():
         sym_from_entries(3, 2, [((1, 2), 1)])
     with pytest.raises(ValueError, match=r"index \(0, 3\) out of range"):
         sym_from_entries(2, 2, [((3, 0), 1), ((0, 3), -1)])
+
+
+def test_symtensor_refuses_values_past_the_bound_naming_the_index():
+    """A value past `MAX_VALUE` would overflow the float kernels' squares, so the
+    tensor refuses it by its index; a value exactly at the bound builds and decides."""
+    bound = tensors.MAX_VALUE
+    for value in (bound + 1, -bound - 1, Fraction(10**200), Fraction(10**400), Fraction(2 * bound + 1, 2)):
+        with pytest.raises(ValueError, match=r"^entry \(1, 2, 3\) has \|value\| above 10\^100$"):
+            SymTensor(3, 3, {(1, 2, 3): value})
+    for value in (bound, -bound):
+        A = SymTensor(3, 1, {(1, 1, 1): value})
+        assert frobenius(A) == spectral_upper_bound(A) == 1e100
+        for q, status in ((Fraction(10**201), Status.SELF_CONCORDANT), (Fraction(10**199), Status.NOT_SELF_CONCORDANT)):
+            assert check_sc(ConcordanceInstance("cubic", A, q), mode="relax").status is status
 
 
 def test_symtensor_rejects_noncanonical_key():
