@@ -49,6 +49,7 @@ from .reduction import (
     GADGETS,
     ConcordanceInstance,
     Gadget,
+    Support,
     build_cubic_instance,
     build_cubic_tensor,
     build_instance,
@@ -56,6 +57,7 @@ from .reduction import (
     build_quartic_tensor,
     rational_cubic_witness,
     rational_quartic_witness,
+    read_support,
     threshold,
     true_max,
     unit_witness,

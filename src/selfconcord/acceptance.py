@@ -38,8 +38,16 @@ from .optimize import (
     grid_lower_and_upper,
     max_form_sphere,
 )
-from .reduction import GADGETS, build_cubic_tensor, build_instance, threshold, true_max, unit_witness
-from .tensors import eval_form, grad_form, sym_from_entries
+from .reduction import (
+    GADGETS,
+    build_cubic_tensor,
+    build_instance,
+    build_quartic_tensor,
+    rational_quartic_witness,
+    threshold,
+    unit_witness,
+)
+from .tensors import eval_form, eval_form_exact, grad_form, sym_from_entries
 
 __all__ = [
     "CriterionResult",
@@ -242,7 +250,14 @@ def criterion_decision_equivalence(max_n: int = 5, seed: int = DEFAULT_SEED, tol
 
 @_criterion(5, "boundary instances exactly at threshold")
 def criterion_boundary_exactness(max_n: int = 5, seed: int = DEFAULT_SEED, tol: float = 1e-6):
-    """At omega = k-1 the exact maximum equals the threshold and the verdict is YES."""
+    """At omega = k-1 the exact maximum equals the threshold and the verdict is YES.
+
+    The maximum is evaluated, not looked up: the quartic gadget at the
+    indicator h of a maximum clique gives the simplex maximum
+    A(h,h,h,h) / (h.h)^2 = (1/2)(1 - 1/omega), in rationals, and 4/27 (the
+    constant of criterion 8) times it is the cubic maximum, which must equal
+    the cubic threshold exactly.
+    """
     cfg = OptConfig(seed=seed)
     sigma, check = _KINDS["cubic"]
     checked = 0
@@ -252,7 +267,9 @@ def criterion_boundary_exactness(max_n: int = 5, seed: int = DEFAULT_SEED, tol: 
         if not 3 <= k <= 6:
             continue
         checked += 1
-        if true_max("cubic", G) != threshold("cubic", k):
+        h = rational_quartic_witness(G, max_clique(G))
+        simplex_max = eval_form_exact(build_quartic_tensor(G), h) / sum(x * x for x in h) ** 2
+        if Fraction(4, 27) * simplex_max != threshold("cubic", k):
             failures += 1
             continue
         verdict = check(build_instance(G, "cubic", k, sigma), cfg, mode="oracle")

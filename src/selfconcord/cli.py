@@ -41,7 +41,7 @@ from .acceptance import (
 from .concordance import MODES, Status, check_sc, check_sc2, sigma_opt_bounds, verdict_to_json_obj
 from .graphs import Graph, complement, max_clique, max_stable_set, parse_graph_text
 from .optimize import DEFAULT_SEED, OptConfig, report_to_json_obj
-from .reduction import GADGETS, ConcordanceInstance, build_instance, threshold
+from .reduction import GADGETS, ConcordanceInstance, build_instance, require_gadget_entries, threshold
 from .tensors import MAX_STARTS, json_field, load_json, read_integer, read_rational
 from .tensors import tensor_from_json_obj, tensor_from_text, tensor_to_json_obj
 
@@ -116,10 +116,13 @@ def _cmd_alpha(args):
 
 def _identity_check(args, kind: str, head) -> tuple[dict, int]:
     """The `kind` gadget side of the input graph (clique) and of its complement
-    (stability), each rendered as `head`(side), target, gap and any report."""
+    (stability), each rendered as `head`(side), target, gap and any report.
+    The complement's edges are counted before it is built, so an oversized
+    complement gadget is refused before any work."""
     G = _load_graph(args.input)
     if G.m < 1:
         raise ValueError("identity checks need a graph with at least one edge")
+    require_gadget_entries(G.n * (G.n - 1) // 2 - G.m, "complement")
     cfg = _cfg(args)
     clique, stability = gadget_side(kind, G, cfg), gadget_side(kind, complement(G), cfg)
 

@@ -49,14 +49,12 @@ caches builds no `Fraction`.
 Of a numeric decision, only the comparisons against q depend on k.  A
 decision reads the tensor alone, and what it computes from the tensor alone
 is kept on the tensor object (`SymTensor._analyses`), read in place and
-dropped with the tensor: the support read (`_support`: its vertex
-coordinates, its support graph H and whether it is the gadget of H), which
-gives the search its clique start and nonnegative starts, oracle mode its
-graph and the coloring rung its graph; the coloring; and the multistart
-search of each `OptConfig`.  `reduction` memoizes the last graph's gadget
-tensor of each kind and `Gadget.bound` the thresholds, so the decisions of a
-k-sweep and a relax-then-grid pair share one tensor object, which is read,
-searched and colored once; an equal tensor built anew is analysed anew.
+dropped with the tensor: the `reduction.Support` record (`_support`),
+which every rung reads; the coloring; and the multistart search of each
+`OptConfig`.  `reduction` memoizes the last graph's gadget tensor of each
+kind and `Gadget.bound` the thresholds, so the decisions of a k-sweep and a
+relax-then-grid pair share one tensor object, which is read, searched and
+colored once; an equal tensor built anew is analysed anew.
 `graphs` memoizes `proper_coloring` and `max_clique` by graph, so the cubic
 and quartic gadgets of one graph share one coloring and one clique.  The
 float bounds run on each decision that reaches them, which the exact rungs
@@ -75,13 +73,15 @@ from fractions import Fraction
 
 import numpy as np
 
-from .graphs import Graph, max_clique, proper_coloring
+from .graphs import max_clique, proper_coloring
 from .optimize import OptConfig, OptReport, grid_lower_and_upper, max_form_sphere
 from .reduction import (
     GADGETS,
     ConcordanceInstance,
+    Support,
     rational_cubic_witness,
     rational_quartic_witness,
+    read_support,
     true_max,
     unit_witness,
 )
@@ -118,9 +118,6 @@ _SCALE = float(_DENOMINATOR)
 # default point budget the first rung fits every dim up to 5 (2,264,031
 # points at dim 5).
 _GRID_LADDER = (0.2, 0.1, 0.05, 0.02, 0.01, 0.005, 0.002, 0.001)
-
-# A tensor's gadget kind, told apart by its order.
-_KIND_OF_ORDER = {gadget.order: kind for kind, gadget in GADGETS.items()}
 
 
 class Status(enum.Enum):
@@ -179,9 +176,10 @@ def violates(A: SymTensor, h, q: Fraction) -> tuple[bool, Fraction, Fraction]:
     `eval_form_exact` and h.h is (sum of x_i^2) / D^2; lhs and rhs are
     returned as Fractions.
     """
-    if A.order not in _KIND_OF_ORDER:
+    gadget = next((g for g in GADGETS.values() if g.order == A.order), None)
+    if gadget is None:
         raise ValueError(f"violation tests need an order-3 or order-4 tensor, got order {A.order}")
-    p = GADGETS[_KIND_OF_ORDER[A.order]].p
+    p = gadget.p
     x, D = exact_numerators(h)
     lhs = eval_form_exact(A, h) ** p
     rhs = _as_fraction(q) * Fraction(sum(v * v for v in x), D * D) ** (p * A.order // 2)
@@ -192,61 +190,12 @@ def violates(A: SymTensor, h, q: Fraction) -> tuple[bool, Fraction, Fraction]:
 violates_cubic = violates_quartic = violates
 
 
-def _support(A: SymTensor) -> tuple[tuple[int, ...], Graph, bool] | None:
-    """(vertex coordinates, support graph H, whether A is the gadget of H) of a
-    tensor of gadget shape, else None; read once per tensor object."""
+def _support(A: SymTensor) -> Support | None:
+    """`reduction.read_support` of A, read once per tensor object."""
     analyses = A._analyses
     if "support" not in analyses:
-        analyses["support"] = _read_support(A)
+        analyses["support"] = read_support(A)
     return analyses["support"]
-
-
-def _read_support(A: SymTensor) -> tuple[tuple[int, ...], Graph, bool] | None:
-    """The support read that `_support` keeps, computed from A's entries.
-
-    Gadget shape: at least one entry (the float bounds are exactly 0 on the
-    zero tensor), every |value| <= 1/6, and every entry on a gadget orbit,
-    (i, i, j, j) with i < j for order 4 or (i, j, w) with i < j < w for
-    order 3, where each edge coordinate w is in one entry only and is no
-    entry's i or j, and no pair (i, j) repeats.  The vertex coordinates are
-    all coordinates but the edge coordinates.  (A gadget puts 1/6 on each
-    orbit, which has 6 positions, so its monomial enters the form once.)
-    One pass over the entries, in integers: |value| <= 1/6 is
-    6 |numerator| <= denominator.  H joins i and j for each entry, its
-    vertex coordinates renumbered 1..n in order.  A is the gadget of H,
-    `GADGETS[kind].tensor(H)`, when every value is 1/6 and the edge
-    coordinates follow the vertex coordinates in H's edge order; then H
-    carries all of A, which is what oracle mode and the search's clique
-    start need.
-    """
-    if A.order not in _KIND_OF_ORDER or not A.entries:
-        return None
-    pairs = []
-    ends = set()  # every entry's i and j
-    edge_coordinates = set()
-    for key, value in A.entries.items():
-        if 6 * abs(value.numerator) > value.denominator:
-            return None
-        if A.order == 4:
-            i, i2, j, j2 = key
-            if not i == i2 < j == j2:  # distinct keys, so no pair repeats
-                return None
-        else:
-            i, j, w = key
-            if not i < j < w or w in edge_coordinates or w in ends:
-                return None
-            if i in edge_coordinates or j in edge_coordinates:
-                return None
-            edge_coordinates.add(w)
-            ends.add(i)
-            ends.add(j)
-        pairs.append((i, j))
-    if A.order == 3 and len(set(pairs)) < len(pairs):
-        return None
-    vertices = tuple(v for v in range(1, A.dim + 1) if v not in edge_coordinates)
-    position = {v: i for i, v in enumerate(vertices, start=1)}
-    H = Graph(len(vertices), frozenset((position[i], position[j]) for i, j in pairs))
-    return vertices, H, GADGETS[_KIND_OF_ORDER[A.order]].tensor(H) == A
 
 
 def recheck(A: SymTensor, q, certificate) -> bool | None:
@@ -257,17 +206,18 @@ def recheck(A: SymTensor, q, certificate) -> bool | None:
     proof.  Every other certificate must equal the one its rung rebuilds
     from A, q and the certificate's claim.  A "witness" lists A.dim rational
     strings h that `violates` A at q (`_witness`), its "lhs" and "rhs" as
-    recomputed.  The other kinds need A of gadget shape (see `_support`)
-    with support graph H.  A "coloring" (`_colored`) lists the vertex
-    coordinates in increasing order as "vertices" (order 3 only) and gives
-    each an integer in "colors", no entry's pair (i, j) inside one color,
-    with "bound" c(1 - 1/r), r the number of colors; an "exact_clique_oracle"
-    bound (`_clique_bound`) reads c(1 - 1/omega(H)).  Either bound must be
-    <= q.  Both are Motzkin-Straus: the edge quadratic of H has simplex
-    maximum (1/2)(1 - 1/omega(H)) <= (1/2)(1 - 1/r), as no edge joins two
-    vertices of one color.  Entries of at most 1/6 bound |A(h)| by the
-    gadget form at |h|, and the chain of `reduction` (for order 3:
-    Cauchy-Schwarz in w, then the 2/3 : 1/3 split) carries that to
+    recomputed.  The other kinds need A of gadget shape
+    (`reduction.read_support`) with support graph H.  A "coloring"
+    (`_colored`) lists the vertex coordinates in increasing order as
+    "vertices" (cubic only) and gives each an integer in "colors", no
+    entry's pair (i, j) inside one color, with "bound" c(1 - 1/r), r the
+    number of colors; an "exact_clique_oracle" bound (`_clique_bound`)
+    reads c(1 - 1/omega(H)).  Either bound must be <= q.  Both are
+    Motzkin-Straus: the edge quadratic of H has simplex maximum
+    (1/2)(1 - 1/omega(H)) <= (1/2)(1 - 1/r), as no edge joins two vertices
+    of one color.  Entries of at most 1/6 bound |A(h)| by the gadget form
+    at |h|, and the chain of `reduction` (for order 3: Cauchy-Schwarz in w,
+    then the 2/3 : 1/3 split) carries that to
     max A^p <= c(1 - 1/omega(H)) <= c(1 - 1/r).
     """
     if not isinstance(certificate, dict):
@@ -284,18 +234,16 @@ def recheck(A: SymTensor, q, certificate) -> bool | None:
     support = _support(A)
     if support is None:
         return False
-    vertices, H, _ = support
     if kind == "bound":  # named "exact_clique_oracle", or malformed
-        return _clique_bound(A, H, q) == certificate
+        return _clique_bound(support, q) == certificate
     if kind != "coloring":
         return False
     colors = certificate.get("colors")
-    if not (isinstance(colors, list) and len(colors) == len(vertices) and all(type(c) is int for c in colors)):
+    if not (isinstance(colors, list) and len(colors) == len(support.vertices) and all(type(c) is int for c in colors)):
         return False
-    if any(colors[i - 1] == colors[j - 1] for i, j in H.edges):  # H's vertex v is vertices[v - 1]
+    if any(colors[i - 1] == colors[j - 1] for i, j in support.graph.edges):
         return False
-    bound = GADGETS[_KIND_OF_ORDER[A.order]].bound(len(set(colors)))
-    return _colored(A, vertices, colors, bound, q) == certificate
+    return _colored(support, colors, GADGETS[support.kind].bound(len(set(colors))), q) == certificate
 
 
 def _at_most(a: Fraction, b: Fraction) -> bool:
@@ -334,19 +282,18 @@ def _witness(A: SymTensor, h, q: Fraction) -> dict | None:
     return {"kind": "witness", "witness": [str(x) for x in h], "lhs": str(lhs), "rhs": str(rhs)}
 
 
-def _colored(A: SymTensor, vertices, colors, bound: Fraction, q: Fraction) -> dict | None:
-    """The coloring certificate of a proper coloring whose bound c(1 - 1/r) is at most q."""
+def _colored(support: Support, colors, bound: Fraction, q: Fraction) -> dict | None:
+    """The coloring certificate of a proper coloring of H whose bound c(1 - 1/r) is at
+    most q; only the cubic layout has edge coordinates, so only it lists the vertices."""
     if not _at_most(bound, q):
         return None
-    certificate = {"kind": "coloring", "vertices": list(vertices), "colors": list(colors), "bound": str(bound)}
-    if A.order == 4:
-        del certificate["vertices"]  # the quartic gadget has no edge coordinates
-    return certificate
+    listed = {"vertices": list(support.vertices)} if support.kind == "cubic" else {}
+    return {"kind": "coloring", **listed, "colors": list(colors), "bound": str(bound)}
 
 
-def _clique_bound(A: SymTensor, H: Graph, q: Fraction) -> dict | None:
+def _clique_bound(support: Support, q: Fraction) -> dict | None:
     """The "exact_clique_oracle" certificate when c(1 - 1/omega(H)) is at most q."""
-    bound = true_max(_KIND_OF_ORDER[A.order], H)
+    bound = true_max(support.kind, support.graph)
     if not _at_most(bound, q):
         return None
     return {"kind": "bound", "bound": {"name": "exact_clique_oracle", "value": str(bound)}}
@@ -359,16 +306,14 @@ def _search(A: SymTensor, cfg: OptConfig) -> OptReport:
     report = A._analyses.get(cfg)
     if report is None:
         support = _support(A)
-        H = support[1] if support is not None and support[2] else None
-        extra = ()
-        if H is not None:
-            extra = (unit_witness(_KIND_OF_ORDER[A.order], H, max_clique(H)),)
-        report = A._analyses[cfg] = max_form_sphere(A, cfg, extra_starts=extra, nonnegative_starts=H is not None)
+        exact = support is not None and support.exact
+        extra = (unit_witness(support.kind, support.graph, max_clique(support.graph)),) if exact else ()
+        report = A._analyses[cfg] = max_form_sphere(A, cfg, extra_starts=extra, nonnegative_starts=exact)
     return report
 
 
-def _coloring(A: SymTensor) -> tuple[tuple[int, ...], tuple[int, ...], Fraction, Graph] | None:
-    """(vertex coordinates, their colors, c(1 - 1/r), support graph) of a tensor
+def _coloring(A: SymTensor) -> tuple[Support, tuple[int, ...], Fraction] | None:
+    """(support read, colors of its vertex coordinates, c(1 - 1/r)) of a tensor
     of gadget shape, else None; colored once per tensor object."""
     analyses = A._analyses
     if "coloring" not in analyses:
@@ -376,9 +321,8 @@ def _coloring(A: SymTensor) -> tuple[tuple[int, ...], tuple[int, ...], Fraction,
         if support is None:
             analyses["coloring"] = None
         else:
-            vertices, H, _ = support
-            colors = proper_coloring(H)
-            analyses["coloring"] = vertices, colors, GADGETS[_KIND_OF_ORDER[A.order]].bound(len(set(colors))), H
+            colors = proper_coloring(support.graph)
+            analyses["coloring"] = support, colors, GADGETS[support.kind].bound(len(set(colors)))
     return analyses["coloring"]
 
 
@@ -418,12 +362,11 @@ def _check(inst: ConcordanceInstance, cfg: OptConfig | None, mode: str, kind: st
 
     if mode == "oracle":
         support = _support(A)
-        if support is None or not support[2]:
+        if support is None or not support.exact:
             raise ValueError(f"oracle mode needs a tensor that is the {kind} gadget of its support graph")
-        H = support[1]
         # The exact witness from a maximum clique verifies whenever omega >= k.
         build = rational_cubic_witness if kind == "cubic" else rational_quartic_witness
-        certificate = _clique_bound(A, H, q) or _witness(A, build(H, max_clique(H)), q)
+        certificate = _clique_bound(support, q) or _witness(A, build(support.graph, max_clique(support.graph)), q)
         if certificate is None:
             raise AssertionError("oracle witness failed exact verification despite omega >= k")
         return _verdict(mode, certificate, 1)
@@ -439,10 +382,10 @@ def _check(inst: ConcordanceInstance, cfg: OptConfig | None, mode: str, kind: st
         certificate = _witness(A, rationalize_vector(report.witness), q)
     coloring = _coloring(A) if certificate is None else None
     if coloring is not None:
-        vertices, colors, bound, H = coloring
+        support, colors, bound = coloring
         # When H needs more colors than k - 1, its clique number may still clear
         # q (chi(H) > omega(H), the boundary that no float bound can resolve).
-        certificate = _colored(A, vertices, colors, bound, q) or _clique_bound(A, H, q)
+        certificate = _colored(support, colors, bound, q) or _clique_bound(support, q)
     if certificate is not None:
         return _verdict(mode, certificate, evaluations)
 

@@ -153,21 +153,18 @@ def max_clique(G: Graph) -> frozenset:
     color classes, built one at a time from the uncolored candidates in
     increasing order, so the color of a candidate bounds the clique it forms
     with candidates of lower colors.  Candidates are expanded from the last
-    (color, vertex) down, so ties resolve the same way on every run.
+    (color, vertex) down, so ties resolve the same way on every run.  The
+    search keeps its path on an explicit stack, so a clique of any size stays
+    clear of Python's recursion limit.
     """
     nbrs = [0] * (G.n + 1)
     for i, j in G.edges:
         nbrs[i] |= 1 << j
         nbrs[j] |= 1 << i
-    best: list[int] = []
 
-    def expand(clique: list[int], candidates: int):
-        nonlocal best
-        if not candidates:
-            if len(clique) > len(best):
-                best = list(clique)
-            return
-        ordered: list[tuple[int, int]] = []  # (vertex, color), by color, then vertex
+    def classes(candidates: int) -> list[tuple[int, int]]:
+        """(vertex, color) of every candidate, by color, then vertex."""
+        ordered = []
         uncolored, color = candidates, 0
         while uncolored:
             color += 1
@@ -178,15 +175,31 @@ def max_clique(G: Graph) -> frozenset:
                 ordered.append((v, color))
                 uncolored ^= low
                 free &= ~(low | nbrs[v])
-        for v, color in reversed(ordered):
-            if len(clique) + color <= len(best):
-                return
-            clique.append(v)
-            expand(clique, candidates & nbrs[v])
-            clique.pop()
-            candidates ^= 1 << v
+        return ordered
 
-    expand([], (1 << (G.n + 1)) - 2)  # bits 1..n
+    # One frame per node on the path: its (vertex, color) pairs not yet
+    # expanded, and its candidates less the vertices already expanded.  The
+    # clique holds one vertex per frame below the root.
+    everyone = (1 << (G.n + 1)) - 2  # bits 1..n
+    best: list[int] = []
+    clique: list[int] = []
+    stack = [[classes(everyone), everyone]]
+    while stack:
+        frame = stack[-1]
+        ordered, candidates = frame
+        if not ordered or len(clique) + ordered[-1][1] <= len(best):
+            stack.pop()
+            if stack:
+                clique.pop()
+            continue
+        v, _ = ordered.pop()
+        frame[1] = candidates ^ (1 << v)
+        below = candidates & nbrs[v]
+        if below:
+            clique.append(v)
+            stack.append([classes(below), below])
+        elif len(clique) >= len(best):
+            best = clique + [v]
     return frozenset(best)
 
 

@@ -44,12 +44,12 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
 from .graphs import Graph, max_clique
-from .tensors import SymTensor, sym_from_entries
+from .tensors import MAX_ENTRIES, SymTensor, sym_from_entries
 
 __all__ = [
     "Gadget",
@@ -57,6 +57,9 @@ __all__ = [
     "ConcordanceInstance",
     "build_cubic_tensor",
     "build_quartic_tensor",
+    "require_gadget_entries",
+    "Support",
+    "read_support",
     "threshold",
     "true_max",
     "build_instance",
@@ -85,8 +88,17 @@ def _rational(value, name: str) -> Fraction:
 
 
 def _require_reducible(G: Graph):
+    """Refuse a graph the gadgets cannot encode, before any entry is built: one
+    with no edge, or one whose m edges, one entry each, pass `MAX_ENTRIES`."""
     if G.n < 2 or G.m < 1:
         raise ValueError(f"reduction needs n >= 2 and m >= 1, got n={G.n}, m={G.m}")
+    require_gadget_entries(G.m, "graph")
+
+
+def require_gadget_entries(m: int, graph: str):
+    """Refuse the gadget of a `graph` with m edges when its m entries pass `MAX_ENTRIES`."""
+    if m > MAX_ENTRIES:
+        raise ValueError(f"the gadget of a {graph} with {m} edges holds {m} entries, above the limit of {MAX_ENTRIES}")
 
 
 @dataclass(frozen=True)
@@ -248,6 +260,67 @@ GADGETS = {
     "cubic": Gadget(3, Fraction(2, 27), 2, 4, "sigma", "gamma_cubed", build_cubic_tensor, rational_cubic_witness),
     "quartic": Gadget(4, Fraction(1, 2), 1, 6, "tau", "gamma_squared", build_quartic_tensor, rational_quartic_witness),
 }
+
+# A tensor's gadget kind, told apart by its order.
+_KIND_OF_ORDER = {gadget.order: kind for kind, gadget in GADGETS.items()}
+
+
+class Support(NamedTuple):
+    """What `read_support` reads off a tensor of gadget shape."""
+
+    kind: str  # the gadget kind of the tensor's order
+    vertices: tuple[int, ...]  # the vertex coordinates, in increasing order
+    graph: Graph  # the support graph H, vertices[v - 1] as its vertex v
+    exact: bool  # whether the tensor is `GADGETS[kind].tensor(graph)`
+
+
+def read_support(A: SymTensor) -> Support | None:
+    """The support graph of A and its layout when A has gadget shape, else None.
+
+    Gadget shape: at least one entry (the float bounds are exactly 0 on the
+    zero tensor) and at most `MAX_ENTRIES`, as a gadget built from a graph
+    has, so that rebuilding the gadget of H never fails; every
+    |value| <= 1/6; and every entry on a gadget orbit, (i, i, j, j) with
+    i < j for order 4 or (i, j, w) with i < j < w for order 3, where each
+    edge coordinate w is in one entry only and is no entry's i or j, and no
+    pair (i, j) repeats.  The vertex coordinates are
+    all coordinates but the edge coordinates.  (A gadget puts 1/6 on each
+    orbit, which has 6 positions, so its monomial enters the form once.)
+    One pass over the entries, in integers: |value| <= 1/6 is
+    6 |numerator| <= denominator.  H joins i and j for each entry, its
+    vertex coordinates renumbered 1..n in order.  A is exactly the gadget
+    of H when every value is 1/6 and the edge coordinates follow the vertex
+    coordinates in H's edge order; then H carries all of A.
+    """
+    kind = _KIND_OF_ORDER.get(A.order)
+    if kind is None or not 0 < len(A.entries) <= MAX_ENTRIES:
+        return None
+    pairs = []
+    ends = set()  # every entry's i and j
+    edge_coordinates = set()
+    for key, value in A.entries.items():
+        if 6 * abs(value.numerator) > value.denominator:
+            return None
+        if A.order == 4:
+            i, i2, j, j2 = key
+            if not i == i2 < j == j2:  # distinct keys, so no pair repeats
+                return None
+        else:
+            i, j, w = key
+            if not i < j < w or w in edge_coordinates or w in ends:
+                return None
+            if i in edge_coordinates or j in edge_coordinates:
+                return None
+            edge_coordinates.add(w)
+            ends.add(i)
+            ends.add(j)
+        pairs.append((i, j))
+    if A.order == 3 and len(set(pairs)) < len(pairs):
+        return None
+    vertices = tuple(v for v in range(1, A.dim + 1) if v not in edge_coordinates)
+    position = {v: i for i, v in enumerate(vertices, start=1)}
+    H = Graph(len(vertices), frozenset((position[i], position[j]) for i, j in pairs))
+    return Support(kind, vertices, H, GADGETS[kind].tensor(H) == A)
 
 
 def unit_witness(kind: str, G: Graph, C: Iterable[int]) -> np.ndarray:

@@ -6,12 +6,13 @@ a table.  Tolerances are pinned inside each criterion; see the criterion
 docstrings in `selfconcord.acceptance`.
 """
 
+from fractions import Fraction
 from itertools import count
 from types import SimpleNamespace
 
 import pytest
 
-from selfconcord import acceptance, complement
+from selfconcord import acceptance, complement, max_clique, sym_from_entries
 from selfconcord.acceptance import (
     criterion_beta_split,
     criterion_boundary_exactness,
@@ -98,6 +99,24 @@ def test_criterion_5_boundary_exactness():
     """omega = k-1 instances: maximum equals threshold as exact rationals
     and the verdict is SELF_CONCORDANT."""
     _assert_criterion(criterion_boundary_exactness(max_n=5))
+
+
+def test_criterion_5_fails_on_a_tampered_gadget(monkeypatch):
+    """Criterion 5 evaluates the quartic gadget at a maximum clique, so a
+    gadget with 1/5 on one edge orbit in place of 1/6 moves the maximum off
+    the threshold on every boundary graph whose clique holds that edge."""
+
+    def tampered(G):
+        values = [Fraction(1, 5)] + [Fraction(1, 6)] * (G.m - 1)
+        return sym_from_entries(4, G.n, [((i, i, j, j), v) for (i, j), v in zip(G.edge_order, values)])
+
+    moved = sum(set(G.edge_order[0]) <= max_clique(G) for G in acceptance._reduction_graphs(4))
+    on_tree = criterion_boundary_exactness(max_n=4)
+    monkeypatch.setattr(acceptance, "build_quartic_tensor", tampered)
+    result = criterion_boundary_exactness(max_n=4)
+    assert on_tree.passed and not result.passed and moved > 0
+    assert on_tree.details == "71 boundary instances, 0 failures (exact rational equality)"
+    assert result.details == f"71 boundary instances, {moved} failures (exact rational equality)"
 
 
 def test_criterion_6_second_order_equivalence():

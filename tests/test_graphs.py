@@ -186,6 +186,13 @@ def test_max_clique_returns_the_reference_clique():
         assert max_clique(G) == reference_max_clique(G), (G.n, G.m)
 
 
+def test_max_clique_of_a_complete_graph_past_the_recursion_limit():
+    """The search path is one frame per clique vertex; on K1100 it is deeper
+    than Python's default recursion limit of 1,000."""
+    G = Graph(1100, frozenset(combinations(range(1, 1101), 2)))
+    assert max_clique(G) == frozenset(range(1, 1101))
+
+
 def test_stability_examples(k3, footnote_graph, c5):
     assert stability_number(k3) == 1
     assert stability_number(footnote_graph) == 2

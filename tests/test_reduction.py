@@ -2,7 +2,7 @@
 
 import math
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -10,6 +10,8 @@ import pytest
 from selfconcord import (
     GADGETS,
     ConcordanceInstance,
+    Graph,
+    Support,
     build_cubic_instance,
     build_cubic_tensor,
     build_instance,
@@ -22,11 +24,13 @@ from selfconcord import (
     graph_from_edges,
     rational_cubic_witness,
     rational_quartic_witness,
+    read_support,
     sym_from_entries,
     threshold,
     true_max,
     unit_witness,
 )
+from selfconcord import reduction
 
 
 def brute_force_eval(A, h) -> float:
@@ -85,6 +89,18 @@ def test_cubic_tensor_form_is_edge_sum():
 def test_cubic_tensor_requires_edges():
     with pytest.raises(ValueError):
         build_cubic_tensor(graph_from_edges(3, []))
+
+
+def test_gadgets_refuse_more_edges_than_entries_allowed():
+    """One entry per edge: K708 has 250,278 edges, past `MAX_ENTRIES`, so both
+    gadgets, and the instances and the exact maximum built on them, are
+    refused naming the edge count before any entry is built."""
+    G = Graph(708, frozenset(combinations(range(1, 709), 2)))
+    message = "the gadget of a graph with 250278 edges holds 250278 entries, above the limit of 250000"
+    for build in (build_cubic_tensor, build_quartic_tensor, lambda G: build_instance(G, "cubic", 3, 1),
+                  lambda G: true_max("quartic", G)):
+        with pytest.raises(ValueError, match=message):
+            build(G)
 
 
 def test_quartic_tensor_k3(k3):
@@ -344,3 +360,36 @@ def test_boundary_equality():
             if k >= 3:
                 assert true_max("cubic", G) == threshold("cubic", k)
                 assert true_max("quartic", G) == threshold("quartic", k)
+
+
+# ---------------------------------------------------------------------------
+# The support read
+
+
+def test_read_support_inverts_both_builders():
+    """Every graph with n <= 4 reads back from its gadget of either kind, with
+    its vertices as vertex coordinates 1..n, and the gadget is exact."""
+    count = 0
+    for n in range(2, 5):
+        for G in enumerate_graphs(n):
+            for kind, gadget in GADGETS.items():
+                assert read_support(gadget.tensor(G)) == Support(kind, tuple(range(1, n + 1)), G, True), (kind, G)
+                count += 1
+    assert count == 142
+
+
+def test_read_support_of_other_layouts(monkeypatch):
+    """A relabeled cubic layout (vertex coordinates 1, 2, 4 and edge coordinates
+    3, 5) has gadget shape but is no gadget of its path; no entry, order 2, a
+    value of 1/5 and more entries than a gadget may hold give no gadget shape
+    at all."""
+    path = graph_from_edges(3, [(1, 2), (2, 3)])
+    relabeled = sym_from_entries(3, 5, [((1, 2, 3), Fraction(1, 6)), ((2, 4, 5), Fraction(1, 6))])
+    assert read_support(relabeled) == Support("cubic", (1, 2, 4), path, False)
+    assert read_support(sym_from_entries(3, 4, [])) is None
+    assert read_support(sym_from_entries(2, 2, [((1, 2), Fraction(1, 6))])) is None
+    assert read_support(sym_from_entries(4, 2, [((1, 1, 2, 2), Fraction(1, 5))])) is None
+    triangle = sym_from_entries(4, 3, [((i, i, j, j), Fraction(1, 6)) for i, j in ((1, 2), (1, 3), (2, 3))])
+    assert read_support(triangle) == Support("quartic", (1, 2, 3), graph_from_edges(3, [(1, 2), (1, 3), (2, 3)]), True)
+    monkeypatch.setattr(reduction, "MAX_ENTRIES", 2)
+    assert read_support(triangle) is None
