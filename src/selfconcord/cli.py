@@ -41,8 +41,8 @@ from .acceptance import (
 from .concordance import MODES, Status, check_sc, check_sc2, sigma_opt_bounds, verdict_to_json_obj
 from .graphs import Graph, complement, max_clique, max_stable_set, parse_graph_text
 from .optimize import DEFAULT_SEED, OptConfig, report_to_json_obj
-from .reduction import GADGETS, ConcordanceInstance, build_instance, require_gadget_entries, threshold
-from .tensors import MAX_STARTS, json_field, load_json, read_integer, read_rational
+from .reduction import GADGETS, ConcordanceInstance, build_instance, threshold
+from .tensors import MAX_STARTS, check_entry_count, json_field, load_json, read_integer, read_rational
 from .tensors import tensor_from_json_obj, tensor_from_text, tensor_to_json_obj
 
 _IDENTITY_TOL = 1e-6
@@ -109,7 +109,11 @@ def _cmd_omega(args):
 
 
 def _cmd_alpha(args):
+    """A maximum stable set: a maximum clique of the complement, refused before the
+    complement is built when it would list more than `MAX_ENTRIES` edges."""
     G = _load_graph(args.input)
+    m = G.n * (G.n - 1) // 2 - G.m
+    check_entry_count(m, f"the complement of a graph with {G.n} vertices and {G.m} edges", "edges")
     witness = sorted(max_stable_set(G))
     return {"stability_number": len(witness), "witness": witness}, 0
 
@@ -122,7 +126,8 @@ def _identity_check(args, kind: str, head) -> tuple[dict, int]:
     G = _load_graph(args.input)
     if G.m < 1:
         raise ValueError("identity checks need a graph with at least one edge")
-    require_gadget_entries(G.n * (G.n - 1) // 2 - G.m, "complement")
+    m = G.n * (G.n - 1) // 2 - G.m
+    check_entry_count(m, f"the gadget of a complement with {m} edges")
     cfg = _cfg(args)
     clique, stability = gadget_side(kind, G, cfg), gadget_side(kind, complement(G), cfg)
 

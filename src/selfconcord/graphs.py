@@ -15,7 +15,9 @@ DSATUR on int bitmasks of neighbour colors and, up to 32 vertices, an exact
 phase that stops as soon as it reaches omega.
 
 The file readers split lines with `tensors.split_text` and read every count
-and vertex with `tensors.read_integer`, the one integer reader.
+and vertex with `tensors.read_integer`, the one integer reader; each edge
+record goes into the edge set as it is split, so no list of the records is
+built.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from functools import cached_property, lru_cache
 from itertools import combinations
 from typing import Iterable, Iterator
 
-from .tensors import read_integer, split_text
+from .tensors import read_integer, split_text, text_lines
 
 __all__ = [
     "Graph",
@@ -97,41 +99,45 @@ def graph_from_edges(n: int, pairs: Iterable[tuple[int, int]]) -> Graph:
     return Graph(n, frozenset((min(i, j), max(i, j)) for i, j in pairs))
 
 
-def _read_edges(text: str, kind: str, comment: str, head_tag: str, edge_tag: str):
-    """(n, m, vertex pairs) of a file headed `head_tag n m` with records `edge_tag i j`;
-    a header or record of another shape and a count or vertex out of range are refused."""
+def _read_graph(text: str, kind: str, comment: str, head_tag: str, edge_tag: str, counted: bool) -> Graph:
+    """The graph of a file headed `head_tag n m` with records `edge_tag i j`, each record
+    read into the edge set as it is split; a header or record of another shape, a count or
+    vertex out of range and, when `counted`, m other than the number of records are refused
+    (a record naming its line) before `Graph` refuses a self-loop."""
     header = f"{head_tag} n m".split()
     head, records = split_text(text, kind, " ".join(header), comment)
     if head[:-2] != header[:-2]:
         raise ValueError(f"malformed {kind} header {' '.join(head)!r}, expected {' '.join(header)!r}")
     n = read_integer(head[-2], "header vertex count", 0, MAX_VERTICES, text=True)
     m = read_integer(head[-1], "header edge count", 0, MAX_VERTICES ** 2, text=True)
-    tag, pairs = edge_tag.split(), []
-    for no, fields in records:
-        if fields[:-2] != tag or len(fields) != len(tag) + 2:
-            raise ValueError(f"line {no}: malformed edge record {' '.join(fields)!r}")
-        pairs.append(tuple(read_integer(v, f"line {no}: edge vertex", 1, n, text=True) for v in fields[-2:]))
-    return n, m, pairs
+    tag = edge_tag.split()
+
+    def pairs() -> Iterator[tuple[int, ...]]:
+        count = 0
+        for count, (no, fields) in enumerate(records, 1):
+            if fields[:-2] != tag or len(fields) != len(tag) + 2:
+                raise ValueError(f"line {no}: malformed edge record {' '.join(fields)!r}")
+            yield tuple(read_integer(v, f"line {no}: edge vertex", 1, n, text=True) for v in fields[-2:])
+        if counted and count != m:
+            raise ValueError(f"header declares {m} edges, found {count}")
+
+    return graph_from_edges(n, pairs())
 
 
 def parse_dimacs(text: str) -> Graph:
     """DIMACS subset: 'p edge n m' header, 'e i j' lines, 'c' comments.  m is
     read but not compared with the records: files count each edge once or twice."""
-    n, _, pairs = _read_edges(text, "DIMACS", "c", "p edge", "e")
-    return graph_from_edges(n, pairs)
+    return _read_graph(text, "DIMACS", "c", "p edge", "e", counted=False)
 
 
 def parse_edge_list(text: str) -> Graph:
     """Plain edge list: first line 'n m', then m lines 'i j'; '#' comments."""
-    n, m, pairs = _read_edges(text, "edge-list", "#", "", "")
-    if len(pairs) != m:
-        raise ValueError(f"header declares {m} edges, found {len(pairs)}")
-    return graph_from_edges(n, pairs)
+    return _read_graph(text, "edge-list", "#", "", "", counted=True)
 
 
 def parse_graph_text(text: str) -> Graph:
     """Auto-detect DIMACS (has a 'p' header) versus plain edge list."""
-    first = next((line.split() for line in text.splitlines() if line.strip() and line.lstrip()[0] not in "c#"), None)
+    first = next((line.split() for line in text_lines(text) if line.strip() and line.lstrip()[0] not in "c#"), None)
     if first is None:
         raise ValueError("empty graph input")
     return parse_dimacs(text) if first[0] == "p" else parse_edge_list(text)

@@ -49,7 +49,7 @@ from typing import Callable, Iterable, NamedTuple
 import numpy as np
 
 from .graphs import Graph, max_clique
-from .tensors import MAX_ENTRIES, SymTensor, sym_from_entries
+from .tensors import MAX_ENTRIES, SymTensor, check_entry_count
 
 __all__ = [
     "Gadget",
@@ -57,7 +57,6 @@ __all__ = [
     "ConcordanceInstance",
     "build_cubic_tensor",
     "build_quartic_tensor",
-    "require_gadget_entries",
     "Support",
     "read_support",
     "threshold",
@@ -92,13 +91,7 @@ def _require_reducible(G: Graph):
     with no edge, or one whose m edges, one entry each, pass `MAX_ENTRIES`."""
     if G.n < 2 or G.m < 1:
         raise ValueError(f"reduction needs n >= 2 and m >= 1, got n={G.n}, m={G.m}")
-    require_gadget_entries(G.m, "graph")
-
-
-def require_gadget_entries(m: int, graph: str):
-    """Refuse the gadget of a `graph` with m edges when its m entries pass `MAX_ENTRIES`."""
-    if m > MAX_ENTRIES:
-        raise ValueError(f"the gadget of a {graph} with {m} edges holds {m} entries, above the limit of {MAX_ENTRIES}")
+    check_entry_count(G.m, f"the gadget of a graph with {G.m} edges")
 
 
 @dataclass(frozen=True)
@@ -155,29 +148,26 @@ class ConcordanceInstance:
 # the gadgets of graphs already done alive.
 _KEPT_GADGETS = 1
 
+_SIXTH = Fraction(1, 6)  # every gadget entry's value: its orbit has 6 positions, so its monomial enters the form once
+
 
 @lru_cache(maxsize=_KEPT_GADGETS)
 def build_cubic_tensor(G: Graph) -> SymTensor:
     """Edge-coupled cubic tensor on R^(n+m), memoized by graph.
 
     Coordinates: h = (u_1, ..., u_n, w_e1, ..., w_em) with edges in
-    G.edge_order.  One canonical entry per edge, value 1/6 (the orbit has 6
-    positions, so the form contribution is exactly u_i * u_j * w_ij).
+    G.edge_order.  One canonical entry (i, j, n+k) per edge e_k = {i, j},
+    value 1/6, so the form contribution is exactly u_i * u_j * w_ij.
     """
     _require_reducible(G)
-    n = G.n
-    raw = []
-    for k, (i, j) in enumerate(G.edge_order, start=1):
-        raw.append(((i, j, n + k), Fraction(1, 6)))
-    return sym_from_entries(3, n + G.m, raw)
+    return SymTensor(3, G.n + G.m, {(i, j, G.n + k): _SIXTH for k, (i, j) in enumerate(G.edge_order, start=1)})
 
 
 @lru_cache(maxsize=_KEPT_GADGETS)
 def build_quartic_tensor(G: Graph) -> SymTensor:
     """Square-pair quartic tensor on R^n, memoized by graph: form is sum over edges of h_i^2 h_j^2."""
     _require_reducible(G)
-    raw = [((i, i, j, j), Fraction(1, 6)) for i, j in G.edge_order]
-    return sym_from_entries(4, G.n, raw)
+    return SymTensor(4, G.n, {(i, i, j, j): _SIXTH for i, j in G.edge_order})
 
 
 def _check_clique(G: Graph, C: Iterable[int]) -> list[int]:
@@ -279,18 +269,16 @@ def read_support(A: SymTensor) -> Support | None:
 
     Gadget shape: at least one entry (the float bounds are exactly 0 on the
     zero tensor) and at most `MAX_ENTRIES`, as a gadget built from a graph
-    has, so that rebuilding the gadget of H never fails; every
-    |value| <= 1/6; and every entry on a gadget orbit, (i, i, j, j) with
-    i < j for order 4 or (i, j, w) with i < j < w for order 3, where each
-    edge coordinate w is in one entry only and is no entry's i or j, and no
-    pair (i, j) repeats.  The vertex coordinates are
-    all coordinates but the edge coordinates.  (A gadget puts 1/6 on each
-    orbit, which has 6 positions, so its monomial enters the form once.)
-    One pass over the entries, in integers: |value| <= 1/6 is
-    6 |numerator| <= denominator.  H joins i and j for each entry, its
-    vertex coordinates renumbered 1..n in order.  A is exactly the gadget
-    of H when every value is 1/6 and the edge coordinates follow the vertex
-    coordinates in H's edge order; then H carries all of A.
+    has, so that the clique witness of H and its exact maximum never refuse
+    H; every |value| <= 1/6; and every entry on a gadget orbit, (i, i, j, j)
+    with i < j for order 4 or (i, j, w) with i < j < w for order 3, where
+    each edge coordinate w is in one entry only and is no entry's i or j,
+    and no pair (i, j) repeats.  The vertex coordinates are all coordinates
+    but the edge coordinates.  One pass over the entries, in integers:
+    |value| <= 1/6 is 6 |numerator| <= denominator.  H joins i and j for
+    each entry, its vertex coordinates renumbered 1..n in order.  A is the
+    gadget of H, read in the same pass, when every value is 1/6 and, for
+    order 3, the m edge coordinates are n+1..n+m in H's edge order.
     """
     kind = _KIND_OF_ORDER.get(A.order)
     if kind is None or not 0 < len(A.entries) <= MAX_ENTRIES:
@@ -298,29 +286,34 @@ def read_support(A: SymTensor) -> Support | None:
     pairs = []
     ends = set()  # every entry's i and j
     edge_coordinates = set()
+    n = A.dim - len(A.entries)  # the vertex count of an exact cubic gadget
+    listed = [None] * len(A.entries) if A.order == 3 else []  # its pairs at w = n+1, n+2, ...
+    exact = True
     for key, value in A.entries.items():
         if 6 * abs(value.numerator) > value.denominator:
             return None
+        exact = exact and value.numerator == 1 and value.denominator == 6
         if A.order == 4:
             i, i2, j, j2 = key
             if not i == i2 < j == j2:  # distinct keys, so no pair repeats
                 return None
         else:
             i, j, w = key
-            if not i < j < w or w in edge_coordinates or w in ends:
-                return None
-            if i in edge_coordinates or j in edge_coordinates:
+            if not i < j < w or w in ends or not edge_coordinates.isdisjoint((i, j, w)):
                 return None
             edge_coordinates.add(w)
-            ends.add(i)
-            ends.add(j)
+            ends.update((i, j))
+            exact = exact and w > n
+            if exact:
+                listed[w - n - 1] = (i, j)
         pairs.append((i, j))
     if A.order == 3 and len(set(pairs)) < len(pairs):
         return None
+    exact = exact and all(a < b for a, b in zip(listed, listed[1:]))
     vertices = tuple(v for v in range(1, A.dim + 1) if v not in edge_coordinates)
     position = {v: i for i, v in enumerate(vertices, start=1)}
     H = Graph(len(vertices), frozenset((position[i], position[j]) for i, j in pairs))
-    return Support(kind, vertices, H, GADGETS[kind].tensor(H) == A)
+    return Support(kind, vertices, H, exact)
 
 
 def unit_witness(kind: str, G: Graph, C: Iterable[int]) -> np.ndarray:

@@ -30,9 +30,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations, permutations
+from itertools import combinations, islice, permutations
 from types import MappingProxyType
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -107,6 +107,7 @@ class _Packed(NamedTuple):
 
     idx: np.ndarray
     values: np.ndarray
+    orbits: np.ndarray
     weights: np.ndarray
     loo: np.ndarray
     lto: np.ndarray
@@ -168,18 +169,19 @@ class SymTensor:
         """The one float view of the canonical entries that every float kernel reads, built once per tensor.
 
         `idx` (K x order, 0-based) holds the sorted keys, `values` their
-        coefficients and `weights` orbit size times value.  `loo` holds, for
-        every slot t and entry k (row t*K + k), the entry's indices with slot
-        t left out, and `lto` the same for every pair of slots s < t.
+        coefficients, `orbits` their orbit sizes and `weights` orbit size
+        times value.  `loo` holds, for every slot t and entry k (row t*K + k),
+        the entry's indices with slot t left out, and `lto` the same for
+        every pair of slots s < t.
         """
         keys = sorted(self.entries)
         idx = np.array(keys, dtype=np.intp).reshape(len(keys), self.order) - 1
         values = np.array([float(self.entries[key]) for key in keys], dtype=float)
-        weights = np.array([_orbit_size(key) for key in keys], dtype=float) * values
+        orbits = np.array([_orbit_size(key) for key in keys], dtype=np.int64)
         slots = range(self.order)
         loo = np.concatenate([np.delete(idx, t, axis=1) for t in slots])
         lto = np.concatenate([np.delete(idx, pair, axis=1) for pair in combinations(slots, 2)])
-        return _Packed(idx, values, weights, loo, lto)
+        return _Packed(idx, values, orbits, orbits * values, loo, lto)
 
     @cached_property
     def _exact(self) -> tuple[int, tuple[int, ...]]:
@@ -400,6 +402,42 @@ def frobenius(A: SymTensor) -> float:
     return A._frobenius
 
 
+def _tail_codes(idx: np.ndarray, slots: np.ndarray, dim: int) -> np.ndarray:
+    """Entry x permutation: the tail (i2, ..., id) of each row of `idx` under each
+    permutation of the slots, as one integer in base dim (so in lexicographic order)."""
+    tails = np.zeros((idx.shape[0], slots.shape[0]), dtype=np.int64)  # < MAX_DIM^3 = 10^18
+    for slot in slots.T[1:]:
+        tails *= dim
+        tails += idx[:, slot]
+    return tails
+
+
+def _unfolding_fits(A: SymTensor, slots: np.ndarray) -> bool:
+    """Whether dim times the unfolding's nonzero columns stays within `_SVD_LIMIT`.
+
+    Counts settle it where they can: M holds one nonzero per position of the
+    hypermatrix (the sum of the orbit sizes), at most dim per column, and has
+    at most dim^(order-1) columns.  Otherwise the distinct tails are counted
+    a chunk of entries at a time, until they pass the limit or run out.
+    """
+    columns = _SVD_LIMIT // A.dim  # the most columns M may have
+    positions = int(A._packed.orbits.sum())
+    if positions > A.dim * columns:
+        return False
+    if min(positions, A.dim ** (A.order - 1)) <= columns:
+        return True
+    idx = A._packed.idx
+    step = max(1, columns // slots.shape[0])
+    seen = np.empty(0, dtype=np.int64)  # the distinct tails so far, sorted (a sort outruns `np.unique` here)
+    for start in range(0, idx.shape[0], step):
+        seen = np.concatenate((seen, _tail_codes(idx[start:start + step], slots, A.dim).ravel()))
+        seen.sort()
+        seen = seen[np.diff(seen, prepend=-1) != 0]
+        if seen.size > columns:
+            return False
+    return True
+
+
 def spectral_upper_bound(A: SymTensor) -> float:
     """Sound upper bound on max over unit h of |A(h, ..., h)|.
 
@@ -412,22 +450,19 @@ def spectral_upper_bound(A: SymTensor) -> float:
     are built: one per distinct tail (i2, ..., id) of a permuted entry,
     which leaves the singular values unchanged and never materializes
     dim ** order floats: each tail of each entry under each permutation of
-    the slots is one integer (base dim, so in lexicographic order), and
-    `np.unique` numbers them.  When M would exceed `_SVD_LIMIT` floats,
-    the bound is the Frobenius norm alone, which is still sound.
+    the slots is one integer (`_tail_codes`), and `np.unique` numbers them.
+    When M would exceed `_SVD_LIMIT` floats (`_unfolding_fits`, decided
+    before the full tail table is built), the bound is the Frobenius norm
+    alone, which is still sound.
     """
     bound = frobenius(A)
     if not A.entries:
         return bound
-    idx = A._packed.idx
     slots = np.array(list(permutations(range(A.order))))  # order! x order
-    tails = np.zeros((idx.shape[0], slots.shape[0]), dtype=np.int64)  # entry x permutation; < MAX_DIM^3 = 10^18
-    for slot in slots.T[1:]:
-        tails *= A.dim
-        tails += idx[:, slot]
-    codes, column = np.unique(tails, return_inverse=True)
-    if A.dim * codes.size > _SVD_LIMIT:
+    if not _unfolding_fits(A, slots):
         return bound
+    idx = A._packed.idx
+    codes, column = np.unique(_tail_codes(idx, slots, A.dim), return_inverse=True)
     M = np.zeros((A.dim, codes.size))
     M[idx[:, slots[:, 0]].ravel(), column.ravel()] = np.repeat(A._packed.values, slots.shape[0])
     sigma = float(np.linalg.svd(M, compute_uv=False)[0])
@@ -517,31 +552,49 @@ def json_field(obj: dict, key: str, prefix: str = ""):
     return obj[key]
 
 
-def split_text(text: str, kind: str, header: str, comment: str = "#") -> tuple[list[str], list[tuple[int, list[str]]]]:
-    """(header fields, [(line number, fields)]) of a `kind` file, blank and `comment` lines
-    skipped; an empty file and a header of another field count than `header` are refused."""
-    lines = [(no, line.split()) for no, line in enumerate(text.splitlines(), 1)
-             if line.strip() and not line.lstrip().startswith(comment)]
-    if not lines:
+# Characters per block that `text_lines` splits at a time.
+_LINE_BLOCK = 1 << 16
+
+
+def text_lines(text: str) -> Iterator[str]:
+    """The lines of `text` as `str.splitlines` gives them, split a block at a time, so that
+    no list of every line is built.  A block ends just after a newline, where every line
+    break of splitlines' ends too ("\\r\\n" included)."""
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start + _LINE_BLOCK) + 1 or len(text)
+        yield from text[start:end].splitlines()
+        start = end
+
+
+def split_text(text: str, kind: str, header: str, comment: str = "#") -> tuple[list[str], Iterator[tuple[int, list]]]:
+    """(header fields, iterator of (line number, fields)) of a `kind` file, blank and `comment`
+    lines skipped, each line split only when the iterator reaches it; an empty file and a
+    header of another field count than `header` are refused at once."""
+    records = ((no, fields) for no, fields in enumerate(map(str.split, text_lines(text)), 1)
+               if fields and not fields[0].startswith(comment))
+    _, head = next(records, (0, None))
+    if head is None:
         raise ValueError(f"empty {kind} input")
-    (_, head), *records = lines
     if len(head) != len(header.split()):
         raise ValueError(f"malformed {kind} header {' '.join(head)!r}, expected {header!r}")
     return head, records
 
 
-def _check_entry_count(count: int, source: str):
+def check_entry_count(count: int, source: str, unit: str = "entries"):
+    """Refuse a tensor file or entry list, a gadget or a complement of more than `MAX_ENTRIES` `unit`s."""
     if count > MAX_ENTRIES:
-        raise ValueError(f"{source} holds {count} entries, above the limit of {MAX_ENTRIES}")
+        raise ValueError(f"{source} holds {count} {unit}, above the limit of {MAX_ENTRIES}")
 
 
 def tensor_from_text(text: str) -> SymTensor:
     """The tensor of a text file; a record of another shape, an index that is not `order`
     integers in 1..dim and a value that is not a rational are refused naming the line."""
-    head, records = split_text(text, "tensor", "order dim")
+    head, lines = split_text(text, "tensor", "order dim")
     order = read_integer(head[0], "header order", 2, 4, text=True)
     dim = read_integer(head[1], "header dim", 1, MAX_DIM, text=True)
-    _check_entry_count(len(records), "tensor text")
+    records = list(islice(lines, MAX_ENTRIES + 1))  # the records past the limit are counted, not kept
+    check_entry_count(len(records) + sum(1 for _ in lines), "tensor text")
     raw = []
     for no, fields in records:
         *index, value = fields
@@ -570,7 +623,7 @@ def tensor_from_json_obj(obj: dict, field: str = "") -> SymTensor:
     entries = json_field(obj, "entries", field)
     if type(entries) is not list:
         raise ValueError(f"field '{field}entries' must be a list, got {type(entries).__name__}")
-    _check_entry_count(len(entries), f"field '{field}entries'")
+    check_entry_count(len(entries), f"field '{field}entries'")
     raw = []
     for n, entry in enumerate(entries):
         name = f"field '{field}entries[{n}]'"

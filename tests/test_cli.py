@@ -506,6 +506,19 @@ def test_identity_checks_count_the_complement_before_building_it(tmp_path, capsy
                                            "49994999 edges holds 49994999 entries, above the limit of 250000\n")
 
 
+def test_alpha_counts_the_complement_before_building_it(tmp_path, capsys):
+    """`alpha` searches the complement for a clique, so it refuses one edge on
+    10,000 vertices, whose complement would list 49,994,999 edges, naming both
+    counts and the limit in under a second, before the complement is listed."""
+    path = tmp_path / "sparse.col"
+    path.write_text("p edge 10000 1\ne 1 2\n")
+    started = time.monotonic()
+    assert cli.main(["alpha", str(path)]) == 3
+    assert time.monotonic() - started < 1.0
+    assert capsys.readouterr().err == ("selfconcord: error: ValueError: the complement of a graph with 10000 vertices "
+                                       "and 1 edges holds 49994999 edges, above the limit of 250000\n")
+
+
 def test_instance_json_graph_is_not_read(k3_file, tmp_path, capsys):
     """An instance is decided from its tensor alone: a `graph` that declares
     20,000 vertices, past the graph-file limit, changes no verdict."""

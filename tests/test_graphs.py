@@ -5,6 +5,7 @@ branch-and-bound path in the library; the set-based search in conftest is
 the reference for which maximum clique `max_clique` returns.
 """
 
+import tracemalloc
 from itertools import combinations, product
 
 import numpy as np
@@ -120,6 +121,32 @@ def test_parsers_refuse_vertex_counts_above_the_limit():
 def test_parse_graph_text_autodetect(k3, single_edge):
     assert parse_graph_text("p edge 3 3\ne 1 2\ne 2 3\ne 1 3") == k3
     assert parse_graph_text("2 1\n2 1") == single_edge
+
+
+def test_graph_files_stream_into_the_edge_set():
+    """Each record goes into the edge set as it is split: K300 (44,850 edges,
+    each written j i) parses as DIMACS and as an edge list to K300 with a
+    tracemalloc peak under 250 bytes per edge, where a list of every record's
+    fields took ~430.  A bad record still names its line, and an edge list's
+    count is checked after its last record, before its edges."""
+    n = 300
+    pairs = list(combinations(range(1, n + 1), 2))
+    body = "".join(f"{j} {i}\n" for i, j in pairs)
+    cases = ((parse_dimacs, f"p edge {n} {len(pairs)}\ne " + body.replace("\n", "\ne ")[:-2]),
+             (parse_edge_list, f"{n} {len(pairs)}\n{body}"))
+    for parse, text in cases:
+        tracemalloc.start()
+        try:
+            G = parse(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert G == Graph(n, frozenset(pairs))
+        assert peak < 250 * len(pairs), (parse.__name__, peak / len(pairs))
+    with pytest.raises(ValueError, match="^line 3: malformed edge record '1 2 3'$"):
+        parse_edge_list("3 2\n1 2\n1 2 3\n")
+    with pytest.raises(ValueError, match="^header declares 1 edges, found 2$"):
+        parse_edge_list("3 1\n1 1\n2 3\n")
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from selfconcord import (
     ConcordanceInstance,
     Graph,
     Support,
+    SymTensor,
     build_cubic_instance,
     build_cubic_tensor,
     build_instance,
@@ -393,3 +394,51 @@ def test_read_support_of_other_layouts(monkeypatch):
     assert read_support(triangle) == Support("quartic", (1, 2, 3), graph_from_edges(3, [(1, 2), (1, 3), (2, 3)]), True)
     monkeypatch.setattr(reduction, "MAX_ENTRIES", 2)
     assert read_support(triangle) is None
+
+
+def _support_variants(A):
+    """A, then copies of A with its vertex coordinates reversed, with its coordinates
+    under a random permutation, with its edge coordinates (order 3) reversed, with one
+    value 1/7 or -1/6, and with one more entry on the last missing pair (a new edge coordinate
+    for order 3) or on its first pair."""
+    n = A.dim - len(A.entries) if A.order == 3 else A.dim
+    shuffled = [0, *(int(v) + 1 for v in np.random.default_rng(len(A.entries)).permutation(A.dim))]
+    relabelings = (
+        lambda v: n + 1 - v if v <= n else v,
+        lambda v: shuffled[v],
+        lambda v: v if v <= n else A.dim + n + 1 - v,
+    )
+    variants = [A]
+    for relabel in relabelings:
+        variants.append(SymTensor(A.order, A.dim, {tuple(sorted(map(relabel, key))): value
+                                                   for key, value in A.entries.items()}))
+    for value in (Fraction(1, 7), Fraction(-1, 6)):
+        variants.append(SymTensor(A.order, A.dim, {**A.entries, next(iter(A.entries)): value}))
+    pairs = sorted((key[0], key[-2]) if A.order == 3 else (key[0], key[-1]) for key in A.entries)
+    missing = [pair for pair in combinations(range(1, n + 1), 2) if pair not in pairs]
+    for i, j in missing[-1:] + pairs[:1]:
+        extra = (i, j, A.dim + 1) if A.order == 3 else (i, i, j, j)
+        variants.append(SymTensor(A.order, A.dim + (A.order == 3), {**A.entries, extra: Fraction(1, 6)}))
+    return variants
+
+
+def test_read_support_decides_exactness_without_building_the_gadget():
+    """`exact` is the old definition, the tensor equals the gadget of its support
+    graph (rebuilt here as the reference), on every gadget of the graphs with
+    n <= 5, both kinds, and on its relabeled, 1/7- or -1/6-valued and
+    extra-entry variants; a support read leaves the builders' memos untouched."""
+    memos = (build_cubic_tensor, build_quartic_tensor)
+    seen = {True: 0, False: 0, None: 0}
+    for n in range(2, 6):
+        for G in enumerate_graphs(n):
+            for kind, gadget in GADGETS.items():
+                for A in _support_variants(gadget.tensor(G)):
+                    before = [memo.cache_info() for memo in memos]
+                    support = read_support(A)
+                    assert [memo.cache_info() for memo in memos] == before
+                    if support is None:
+                        seen[None] += 1
+                        continue
+                    assert support.exact == (gadget.tensor(support.graph) == A), (kind, G, A)
+                    seen[support.exact] += 1
+    assert min(seen.values()) > 1000, seen

@@ -6,6 +6,7 @@ orbit-weighted evaluation path.
 """
 
 import math
+import tracemalloc
 from fractions import Fraction
 from itertools import permutations, product
 
@@ -441,6 +442,66 @@ def test_spectral_unfolding_equals_the_permutation_loop_bit_for_bit():
     _, cases = kernel_cases()
     for A in cases:
         assert spectral_upper_bound(A) == reference_spectral_upper_bound(A), (A.order, A.dim)
+
+
+def test_spectral_width_rule_settles_the_unfolding_from_counts(monkeypatch):
+    """Under limits on either side of each tensor's unfolding the bound equals the
+    permutation loop's, bit for bit.  When counts settle the width the full tail
+    table is built once (it fits) or never (it cannot); otherwise the tails are
+    counted a chunk at a time, and one too wide is refused without the full table."""
+    calls = []
+    tail_codes = tensors._tail_codes
+    monkeypatch.setattr(tensors, "_tail_codes", lambda idx, *args: calls.append(len(idx)) or tail_codes(idx, *args))
+    _, cases = kernel_cases()
+    branches = set()
+    for A in (A for A in cases if A.entries):
+        positions = int(A._packed.orbits.sum())
+        width = int(np.unique(tail_codes(A._packed.idx, np.array(list(permutations(range(A.order)))), A.dim)).size)
+        for limit in {positions - 1, A.dim * width - 1, A.dim * width, A.dim ** A.order, 10_000_000}:
+            monkeypatch.setattr(tensors, "_SVD_LIMIT", limit)
+            calls.clear()
+            assert spectral_upper_bound(A) == reference_spectral_upper_bound(A), (A.order, A.dim, limit)
+            columns = limit // A.dim
+            if positions > A.dim * columns:
+                branches.add("too many positions")
+                assert calls == [], (A.order, A.dim, limit)
+            elif min(positions, A.dim ** (A.order - 1)) <= columns:
+                branches.add("few enough tails")
+                assert calls == [len(A.entries)], (A.order, A.dim, limit)
+            elif width > columns:
+                branches.add("counted too wide")
+                assert sum(calls) <= len(A.entries) and max(calls) < len(A.entries), (A.order, A.dim, limit)
+            else:
+                branches.add("counted to fit")
+                assert sum(calls) == 2 * len(A.entries), (A.order, A.dim, limit)
+    assert len(branches) == 4
+
+
+def test_text_lines_split_as_splitlines_at_any_block(monkeypatch):
+    """Whatever the block size, the file readers see the lines `str.splitlines`
+    gives, every line break it knows included ("\\r\\n" across a block end too)."""
+    text = "p edge 3 2\r\ne 1 2\r\n\n\re 2 3\x0bc x\x0c\x1c\u2028last"
+    for block in (1, 2, 3, 7, 1 << 16):
+        monkeypatch.setattr(tensors, "_LINE_BLOCK", block)
+        for cut in (text, text + "\n", text + "\r\n", "", "\n", "\n\n"):
+            assert list(tensors.text_lines(cut)) == cut.splitlines(), (block, cut)
+
+
+def test_tensor_text_counts_the_records_past_the_limit_without_keeping_them(monkeypatch):
+    """A tensor text refused for its entry count names every record, while only
+    `MAX_ENTRIES` + 1 of them are kept: 50,000 records past a limit of 10 peak
+    under 100 bytes each in tracemalloc, where keeping each one's fields took ~300."""
+    monkeypatch.setattr(tensors, "MAX_ENTRIES", 10)
+    count = 50_000
+    text = "3 5\n" + "1 2 3 1/6\n" * count
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=f"^tensor text holds {count} entries, above the limit of 10$"):
+            tensor_from_text(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100 * count, peak / count
 
 
 def test_hess_zero_tensor():
