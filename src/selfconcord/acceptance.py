@@ -24,7 +24,6 @@ import numpy as np
 
 from .concordance import (
     Status,
-    _search,
     check_sc,
     check_sc2,
     recheck,
@@ -111,12 +110,16 @@ class IdentitySide:
 
 
 def gadget_side(kind: str, G: Graph, cfg: OptConfig) -> IdentitySide:
-    """max^p / c against 1 - 1/omega(G), max being the gadget search's sphere
-    maximum of G's `kind` gadget (0 when G has no edge).  The quartic form is
+    """max^p / c against 1 - 1/omega(G), max being the sphere maximum of G's
+    `kind` gadget (0 when G has no edge), searched on the form as stated, from
+    a maximum clique of G and nonnegative random starts.  The quartic form is
     the simplex quadratic sum x_i x_j over the edges at x = h^2, so its side is
     twice the simplex maximum; the cubic side is 27/2 * max^2."""
     gadget = GADGETS[kind]
-    rep = _search(gadget.tensor(G), cfg) if G.m else None
+    rep = None
+    if G.m:
+        start = unit_witness(kind, G, max_clique(G))
+        rep = max_form_sphere(gadget.tensor(G), cfg, extra_starts=(start,), nonnegative_starts=True)
     best = rep.best_value if rep is not None else 0.0
     return IdentitySide(best, float(1 / gadget.c) * best**gadget.p, 1.0 - 1.0 / clique_number(G), rep)
 

@@ -25,9 +25,12 @@ JSON alone:
 * UNDECIDED carries the exhausted budget and the best bound seen.
 
 Modes: "relax" and "grid" run the search, then the coloring rung, then the
-clique-number rung, then a float bound: "relax"
-`tensors.spectral_upper_bound`, "grid" the certified bound of
-`optimize.grid_lower_and_upper` on a resolution ladder.  Above dim 5 the
+clique-number rung, then a float bound.  A cubic tensor of gadget shape is
+searched through its quartic tensor on the support graph H (dim n, not
+n + m; `reduction.cubic_lift`), and the witness is lifted back to A, where
+it is rationalized and verified exactly as any other.  The float bound of
+"relax" is `tensors.spectral_upper_bound`, that of "grid" the certified
+bound of `optimize.grid_lower_and_upper` on a resolution ladder.  Above dim 5 the
 ladder runs no rung, so a grid decision on a tensor without gadget shape
 ends UNDECIDED and names the dim limit.  "oracle" requires a tensor that is
 the gadget of its support graph, and is complete on it: the clique-number
@@ -50,8 +53,9 @@ Of a numeric decision, only the comparisons against q depend on k.  A
 decision reads the tensor alone, and what it computes from the tensor alone
 is kept on the tensor object (`SymTensor._analyses`), read in place and
 dropped with the tensor: the `reduction.Support` record (`_support`),
-which every rung reads; the coloring; and the multistart search of each
-`OptConfig`.  `reduction` memoizes the last graph's gadget tensor of each
+which every rung reads; the coloring; the quartic tensor and lift arrays
+of a cubic tensor of gadget shape (`reduction.cubic_lift`); and the multistart
+search of each `OptConfig`.  `reduction` memoizes the last graph's gadget tensor of each
 kind and `Gadget.bound` the thresholds, so the decisions of a k-sweep and a
 relax-then-grid pair share one tensor object, which is read, searched and
 colored once; an equal tensor built anew is analysed anew.
@@ -79,6 +83,7 @@ from .reduction import (
     GADGETS,
     ConcordanceInstance,
     Support,
+    cubic_lift,
     rational_cubic_witness,
     rational_quartic_witness,
     read_support,
@@ -301,14 +306,33 @@ def _clique_bound(support: Support, q: Fraction) -> dict | None:
 
 def _search(A: SymTensor, cfg: OptConfig) -> OptReport:
     """Multistart sphere search on A, run once per tensor object and `OptConfig`.
+
     When A is the gadget of its support graph H, a maximum clique of H adds a
-    start and the random starts keep to the nonnegative orthant."""
-    report = A._analyses.get(cfg)
+    start and the random starts keep to the nonnegative orthant.  A cubic A of
+    gadget shape is searched through its quartic tensor Q on H instead
+    (`reduction.cubic_lift`, built once per tensor object), from the lift's
+    starts and nonnegative ones (Q is even in every coordinate); the witness,
+    the best value A(h) and each start's value are lifted back to A, and
+    `evaluations` is Q's count.
+    """
+    analyses = A._analyses
+    report = analyses.get(cfg)
     if report is None:
         support = _support(A)
-        exact = support is not None and support.exact
-        extra = (unit_witness(support.kind, support.graph, max_clique(support.graph)),) if exact else ()
-        report = A._analyses[cfg] = max_form_sphere(A, cfg, extra_starts=extra, nonnegative_starts=exact)
+        if support is not None and support.kind == "cubic":
+            if "lift" not in analyses:
+                analyses["lift"] = cubic_lift(A, support)
+            lift = analyses["lift"]
+            found = max_form_sphere(lift.quartic, cfg, extra_starts=lift.starts, nonnegative_starts=True)
+            witness, value = lift.point(found.witness)
+            witness.setflags(write=False)
+            report = OptReport(value, witness, tuple(map(lift.value, found.per_start_values)),
+                               found.converged, found.evaluations)
+        else:
+            exact = support is not None and support.exact
+            extra = (unit_witness(support.kind, support.graph, max_clique(support.graph)),) if exact else ()
+            report = max_form_sphere(A, cfg, extra_starts=extra, nonnegative_starts=exact)
+        analyses[cfg] = report
     return report
 
 

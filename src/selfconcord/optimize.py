@@ -13,7 +13,9 @@ still running.  Each start's value, regularization and plateau count are
 Python scalars, updated by one loop over the running starts per round.
 Quadratics over the simplex need no method of their own: the square
 substitution x = h^2 carries them to quartic forms on the sphere
-(`reduction.build_quartic_tensor`).
+(`reduction.build_quartic_tensor`); nor does a cubic tensor of gadget
+shape, whose maximum `concordance` reads off a quartic tensor on its vertex
+coordinates (`reduction.cubic_lift`).
 
 The search is multistart with deterministic per-start random substreams,
 so a fixed seed reproduces results bit for bit.  Reported values are always
@@ -79,7 +81,12 @@ _MU_FLOOR = 1e-10
 # of the default budget (9 starts, one BLAS thread): on cubic gadgets the two
 # break even between dim 52 and 67, and CG is 1.5x faster at dim 94 and 2.7x
 # at dim 115; on quartic gadgets they stay within 10% of each other up to
-# dim 160.
+# dim 160.  A decision on a cubic tensor of gadget shape searches its quartic
+# tensor on the n vertex coordinates (`concordance._search`), so CG is left to
+# the identity checks on cubic gadgets with n + m > 60 (`acceptance.gadget_side`
+# searches the form as stated), to quartic searches above dim 60 (n > 60 for a
+# gadget), and to tensors without gadget shape above dim 60, on whose random
+# Hessians CG can take longer than dense steps would.
 _DENSE_LIMIT = 60
 
 # Truncated CG stops once its residual is this fraction of the gradient.

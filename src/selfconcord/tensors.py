@@ -412,30 +412,34 @@ def _tail_codes(idx: np.ndarray, slots: np.ndarray, dim: int) -> np.ndarray:
     return tails
 
 
-def _unfolding_fits(A: SymTensor, slots: np.ndarray) -> bool:
-    """Whether dim times the unfolding's nonzero columns stays within `_SVD_LIMIT`.
+def _unfolding_codes(A: SymTensor, slots: np.ndarray) -> np.ndarray | None:
+    """The tail codes of every entry (`_tail_codes`) when dim times the unfolding's
+    nonzero columns stays within `_SVD_LIMIT`, else None.
 
     Counts settle it where they can: M holds one nonzero per position of the
     hypermatrix (the sum of the orbit sizes), at most dim per column, and has
     at most dim^(order-1) columns.  Otherwise the distinct tails are counted
-    a chunk of entries at a time, until they pass the limit or run out.
+    a chunk of entries at a time, until they pass the limit or run out; the
+    chunks' codes are kept, so each tail is coded once.
     """
     columns = _SVD_LIMIT // A.dim  # the most columns M may have
     positions = int(A._packed.orbits.sum())
     if positions > A.dim * columns:
-        return False
-    if min(positions, A.dim ** (A.order - 1)) <= columns:
-        return True
+        return None
     idx = A._packed.idx
+    if min(positions, A.dim ** (A.order - 1)) <= columns:
+        return _tail_codes(idx, slots, A.dim)
     step = max(1, columns // slots.shape[0])
+    chunks = []
     seen = np.empty(0, dtype=np.int64)  # the distinct tails so far, sorted (a sort outruns `np.unique` here)
     for start in range(0, idx.shape[0], step):
-        seen = np.concatenate((seen, _tail_codes(idx[start:start + step], slots, A.dim).ravel()))
+        chunks.append(_tail_codes(idx[start:start + step], slots, A.dim))
+        seen = np.concatenate((seen, chunks[-1].ravel()))
         seen.sort()
         seen = seen[np.diff(seen, prepend=-1) != 0]
         if seen.size > columns:
-            return False
-    return True
+            return None
+    return np.concatenate(chunks)
 
 
 def spectral_upper_bound(A: SymTensor) -> float:
@@ -451,7 +455,7 @@ def spectral_upper_bound(A: SymTensor) -> float:
     which leaves the singular values unchanged and never materializes
     dim ** order floats: each tail of each entry under each permutation of
     the slots is one integer (`_tail_codes`), and `np.unique` numbers them.
-    When M would exceed `_SVD_LIMIT` floats (`_unfolding_fits`, decided
+    When M would exceed `_SVD_LIMIT` floats (`_unfolding_codes`, decided
     before the full tail table is built), the bound is the Frobenius norm
     alone, which is still sound.
     """
@@ -459,10 +463,11 @@ def spectral_upper_bound(A: SymTensor) -> float:
     if not A.entries:
         return bound
     slots = np.array(list(permutations(range(A.order))))  # order! x order
-    if not _unfolding_fits(A, slots):
+    table = _unfolding_codes(A, slots)
+    if table is None:
         return bound
     idx = A._packed.idx
-    codes, column = np.unique(_tail_codes(idx, slots, A.dim), return_inverse=True)
+    codes, column = np.unique(table, return_inverse=True)
     M = np.zeros((A.dim, codes.size))
     M[idx[:, slots[:, 0]].ravel(), column.ravel()] = np.repeat(A._packed.values, slots.shape[0])
     sigma = float(np.linalg.svd(M, compute_uv=False)[0])

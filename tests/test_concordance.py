@@ -12,7 +12,7 @@ import weakref
 from collections import Counter
 from dataclasses import FrozenInstanceError, replace
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 
 import numpy as np
 import pytest
@@ -32,6 +32,7 @@ from selfconcord import (
     check_sc2,
     clique_number,
     enumerate_graphs,
+    eval_form,
     graph_from_edges,
     has_clique,
     rationalize_vector,
@@ -732,3 +733,145 @@ def test_cached_witness_is_read_only(counted, k3):
         report.witness[0] = 0.0
     with pytest.raises(FrozenInstanceError):
         report.best_value = 0.0
+
+
+# ---------------------------------------------------------------------------
+# Cubic tensors of gadget shape are searched through their quartic tensor
+
+
+def _direct_search(A, cfg):
+    """The search on the cubic form as stated: a clique start and nonnegative
+    starts when A is the gadget of its support graph, else plain random starts."""
+    support = reduction.read_support(A)
+    exact = support is not None and support.exact
+    extra = (reduction.unit_witness("cubic", support.graph, graphs.max_clique(support.graph)),) if exact else ()
+    return optimize.max_form_sphere(A, cfg, extra_starts=extra, nonnegative_starts=exact)
+
+
+def _layout(G, rng):
+    """Coordinates for the cubic layout of G that keep gadget shape: vertices and edges
+    drawn in a random order, each edge coordinate after both of its ends."""
+    key = {("v", v): rng.random() for v in range(1, G.n + 1)}
+    for e, (i, j) in enumerate(G.edge_order):
+        low = max(key["v", i], key["v", j])
+        key["e", e] = low + rng.random() * (1.0 - low)
+    rank = {c: r for r, c in enumerate(sorted(key, key=key.get), start=1)}
+    return [rank["v", v] for v in range(1, G.n + 1)], [rank["e", e] for e in range(G.m)]
+
+
+def _lift_graphs():
+    """Every labeled graph with n <= 4 and an edge, then one graph per isomorphism
+    class with n = 5 and an edge (the relabeled copies of `_lift_corpus` vary the labels)."""
+    graph_list = [G for n in range(2, 5) for G in enumerate_graphs(n) if G.m]
+    classes = {}
+    for G in (G for G in enumerate_graphs(5) if G.m):
+        form = min(tuple(sorted(tuple(sorted((p[i - 1], p[j - 1]))) for i, j in G.edges))
+                   for p in permutations(range(1, 6)))
+        classes.setdefault(form, G)
+    return graph_list + list(classes.values())
+
+
+def _lift_corpus():
+    """(graph, tensor): per graph of `_lift_graphs`, its cubic gadget (a fresh object),
+    then its copies with every value 1/7, with mixed values +-k/36, with its
+    coordinates relabeled (`_layout`), and with one more coordinate, isolated."""
+    rng = np.random.default_rng(29)
+    for G in _lift_graphs():
+        A = build_cubic_tensor(G)
+        dim = A.dim
+        keys = [(i, j, G.n + e) for e, (i, j) in enumerate(G.edge_order, start=1)]
+        vertices, edges = _layout(G, rng)
+        signed = [Fraction((-1) ** e * (1 + e % 6), 36) for e in range(G.m)]
+        yield G, SymTensor(3, dim, dict(A.entries))
+        yield G, SymTensor(3, dim, {key: Fraction(1, 7) for key in keys})
+        yield G, SymTensor(3, dim, dict(zip(keys, signed)))
+        yield G, SymTensor(3, dim, {tuple(sorted((vertices[i - 1], vertices[j - 1], edges[e]))): Fraction(1, 6)
+                                    for e, (i, j, _) in enumerate(keys)})
+        yield G, SymTensor(3, dim + 1, dict(A.entries))
+
+
+def test_cubic_search_runs_on_the_quartic_tensor_and_lifts_its_witness(monkeypatch):
+    """On the cubic gadgets of the graphs with n <= 5 (`_lift_graphs`) and their
+    1/7-valued, mixed-sign, relabeled and padded copies, the lifted search reaches
+    the direct search's value (to 1e-12), its witness is a read-only unit vector at
+    which A equals its best value, and relax and grid statuses at k = omega .. omega + 2
+    equal the direct path's."""
+    cfg = OptConfig(starts=4, max_iters=200, seed=5)
+    count = decided = 0
+    worst = -np.inf
+    for G, A in _lift_corpus():
+        support = reduction.read_support(A)
+        assert support is not None and support.kind == "cubic" and support.graph.m == G.m, A
+        report = concordance._search(A, cfg)
+        direct = _direct_search(A, cfg)
+        worst = max(worst, direct.best_value - report.best_value)
+        assert report.best_value >= direct.best_value - 1e-12, (A, report.best_value, direct.best_value)
+        assert not report.witness.flags.writeable
+        assert abs(float(np.linalg.norm(report.witness)) - 1.0) <= 1e-12
+        assert eval_form(A, report.witness) == report.best_value
+        count += 1
+        omega = clique_number(G)
+        instances = [ConcordanceInstance("cubic", A, reduction.threshold("cubic", k))
+                     for k in range(max(omega, 3), omega + 3)]
+        modes = ("relax", "grid") if A.dim <= 5 else ("relax",)
+        lifted = [check_sc(inst, cfg, mode=mode).status for inst in instances for mode in modes]
+        twin = SymTensor(3, A.dim, dict(A.entries))
+        with monkeypatch.context() as patch:
+            patch.setattr(concordance, "_search", _direct_search)
+            plain = [check_sc(replace(inst, A=twin), cfg, mode=mode).status for inst in instances for mode in modes]
+        assert lifted == plain, (A, lifted, plain)
+        decided += len(lifted)
+    assert count == 5 * (71 + 33)
+    assert worst <= 1e-12 and decided > 1000, (worst, decided)
+
+
+def test_the_quartic_tensor_is_built_once_per_cubic_tensor_object(counted, monkeypatch, c5):
+    """A k-sweep in relax and grid mode on one cubic gadget object builds its
+    quartic tensor once and searches it once; that tensor equals the quartic
+    gadget of the graph but is not the memoized object, and the report's
+    `evaluations` is its search's count."""
+    built = []
+    monkeypatch.setattr(concordance, "cubic_lift", lambda *args: built.append(reduction.cubic_lift(*args)) or built[-1])
+    for k in (3, 4, 5, 6):
+        for mode in ("relax", "grid"):
+            check_sc(build_cubic_instance(c5, k, Fraction(1, 2)), CFG, mode=mode)
+    A = build_cubic_tensor(c5)
+    assert len(built) == 1 and A._analyses["lift"] is built[0]
+    assert counted["max_form_sphere"] == 1
+    Q = built[0].quartic
+    assert Q == build_quartic_tensor(c5) and Q is not build_quartic_tensor(c5)
+    start = reduction.unit_witness("quartic", c5, graphs.max_clique(c5))
+    found = optimize.max_form_sphere(Q, CFG, extra_starts=(start,), nonnegative_starts=True)
+    assert concordance._search(A, CFG).evaluations == found.evaluations
+    # An equal tensor object builds its own.
+    concordance._search(SymTensor(3, A.dim, dict(A.entries)), CFG)
+    assert len(built) == 2
+
+
+def test_values_below_the_float_range_lift_to_a_unit_witness():
+    """Cubic values that round to 0.0 make Q zero in floats, so v = 0 at every point;
+    the lift still gives a unit witness, with its edge mass on the first entry's
+    edge coordinate, and the decision ends as at the direct search."""
+    A = SymTensor(3, 5, {(1, 2, 4): Fraction(-1, 10**400), (2, 3, 5): Fraction(1, 10**400)})
+    report = concordance._search(A, CFG)
+    assert report.best_value == 0.0 and report.witness[3] == np.sqrt(1 / 3)
+    assert abs(float(np.linalg.norm(report.witness)) - 1.0) <= 1e-12
+    inst = ConcordanceInstance("cubic", A, Fraction(1, 27))
+    assert check_sc(inst, CFG, mode="relax").status is Status.SELF_CONCORDANT
+
+
+def test_cubic_gadget_searches_take_dense_steps_up_to_n_32(monkeypatch):
+    """The quartic tensor of a cubic gadget has dim n, so up to n = 32 (cubic dim 280
+    on half-edge graphs) its search never reaches truncated CG; the cubic form
+    itself, searched as stated, does."""
+    cg = []
+    real = optimize._truncated_cg
+    monkeypatch.setattr(optimize, "_truncated_cg", lambda *args: cg.append(args[1].shape) or real(*args))
+    cfg = OptConfig(starts=2, max_iters=100, seed=3)
+    for n in (12, 16, 24, 32):
+        G = gnm(n, n * (n - 1) // 4, n)
+        report = concordance._search(SymTensor(3, G.n + G.m, dict(build_cubic_tensor(G).entries)), cfg)
+        assert report.witness.shape == (G.n + G.m,)
+    assert cg == []
+    _direct_search(build_cubic_tensor(G), cfg)
+    assert cg and cg[0][1] == G.n + G.m

@@ -76,6 +76,14 @@ def test_simplex_empty_summand(k3):
     assert side.report is None
 
 
+def test_identity_checks_search_the_cubic_form_as_stated(k3):
+    """The cubic identity side searches the cubic gadget itself, on its n + m = 6
+    coordinates, not the quartic tensor that relax and grid decisions search."""
+    side = gadget_side("cubic", k3, CFG)
+    assert side.report.witness.shape == (6,)
+    assert abs(side.scaled - 2.0 / 3.0) <= 1e-9
+
+
 def test_simplex_witness_feasible_and_consistent():
     rng = np.random.default_rng(53)
     for _ in range(15):
@@ -101,7 +109,7 @@ def test_simplex_clique_identity_exhaustive_n4():
 
 def test_simplex_deterministic(k3):
     a = gadget_side("quartic", k3, CFG).report
-    build_quartic_tensor.cache_clear()  # a new tensor, so the search runs again instead of reading its cache
+    build_quartic_tensor.cache_clear()  # a new tensor object gives the same report
     b = gadget_side("quartic", k3, CFG).report
     assert a is not b
     assert a.best_value == b.best_value

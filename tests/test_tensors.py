@@ -448,7 +448,8 @@ def test_spectral_width_rule_settles_the_unfolding_from_counts(monkeypatch):
     """Under limits on either side of each tensor's unfolding the bound equals the
     permutation loop's, bit for bit.  When counts settle the width the full tail
     table is built once (it fits) or never (it cannot); otherwise the tails are
-    counted a chunk at a time, and one too wide is refused without the full table."""
+    counted a chunk at a time, each coded once whether it fits, and one too wide
+    is refused without the full table."""
     calls = []
     tail_codes = tensors._tail_codes
     monkeypatch.setattr(tensors, "_tail_codes", lambda idx, *args: calls.append(len(idx)) or tail_codes(idx, *args))
@@ -473,7 +474,7 @@ def test_spectral_width_rule_settles_the_unfolding_from_counts(monkeypatch):
                 assert sum(calls) <= len(A.entries) and max(calls) < len(A.entries), (A.order, A.dim, limit)
             else:
                 branches.add("counted to fit")
-                assert sum(calls) == 2 * len(A.entries), (A.order, A.dim, limit)
+                assert sum(calls) == len(A.entries), (A.order, A.dim, limit)
     assert len(branches) == 4
 
 
