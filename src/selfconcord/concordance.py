@@ -25,10 +25,11 @@ JSON alone:
 * UNDECIDED carries the exhausted budget and the best bound seen.
 
 Modes: "relax" and "grid" run the search, then the coloring rung, then the
-clique-number rung, then a float bound.  A cubic tensor of gadget shape is
-searched through its quartic tensor on the support graph H (dim n, not
-n + m; `reduction.cubic_lift`), and the witness is lifted back to A, where
-it is rationalized and verified exactly as any other.  The float bound of
+clique-number rung, then a float bound.  A cubic tensor of gadget shape of
+dim 16 or more (`_LIFT_MIN_DIM`) is searched through its quartic tensor on
+the support graph H (dim n, not n + m; `reduction.cubic_lift`), and the
+witness is lifted back to A, where it is rationalized and verified exactly
+as any other.  The float bound of
 "relax" is `tensors.spectral_upper_bound`, that of "grid" the certified
 bound of `optimize.grid_lower_and_upper` on a resolution ladder.  Above dim 5 the
 ladder runs no rung, so a grid decision on a tensor without gadget shape
@@ -54,7 +55,7 @@ decision reads the tensor alone, and what it computes from the tensor alone
 is kept on the tensor object (`SymTensor._analyses`), read in place and
 dropped with the tensor: the `reduction.Support` record (`_support`),
 which every rung reads; the coloring; the quartic tensor and lift arrays
-of a cubic tensor of gadget shape (`reduction.cubic_lift`); and the multistart
+of a cubic tensor of gadget shape that is searched through them; and the multistart
 search of each `OptConfig`.  `reduction` memoizes the last graph's gadget tensor of each
 kind and `Gadget.bound` the thresholds, so the decisions of a k-sweep and a
 relax-then-grid pair share one tensor object, which is read, searched and
@@ -117,6 +118,16 @@ _EQ_BAND = 1e-9
 # The shared denominator of rationalized search witnesses, and its float.
 _DENOMINATOR = 2**64
 _SCALE = float(_DENOMINATOR)
+
+# A cubic tensor of gadget shape is searched through its quartic tensor (`_search`)
+# from this dim on.  Below it the fewer coordinates do not pay for the lift: the
+# order-4 search's slowest start runs more rounds, and each round's products cost
+# more.  Averaged per dim over every labeled graph with n <= 4 and random graphs
+# with n = 4..10, at the default `OptConfig` (minimum of 10-15 runs, one BLAS
+# thread, 2-core Xeon VM), the lifted search cost 4-47% more than the direct one
+# at each dim from 3 to 15 and 1-17% less at each dim from 16 to 24; on graphs
+# with n = 8..10 (dims 24-55) it cost 16-51% less.
+_LIFT_MIN_DIM = 16
 
 # Coarse-to-fine certified-grid ladder; it ends at the first rung that
 # `grid_lower_and_upper` refuses, since finer rungs only cost more.  At the
@@ -309,8 +320,9 @@ def _search(A: SymTensor, cfg: OptConfig) -> OptReport:
 
     When A is the gadget of its support graph H, a maximum clique of H adds a
     start and the random starts keep to the nonnegative orthant.  A cubic A of
-    gadget shape is searched through its quartic tensor Q on H instead
-    (`reduction.cubic_lift`, built once per tensor object), from the lift's
+    gadget shape and dim at least `_LIFT_MIN_DIM` is searched through its
+    quartic tensor Q on H instead (`reduction.cubic_lift`, built once per
+    tensor object), from the lift's
     starts and nonnegative ones (Q is even in every coordinate); the witness,
     the best value A(h) and each start's value are lifted back to A, and
     `evaluations` is Q's count.
@@ -319,7 +331,7 @@ def _search(A: SymTensor, cfg: OptConfig) -> OptReport:
     report = analyses.get(cfg)
     if report is None:
         support = _support(A)
-        if support is not None and support.kind == "cubic":
+        if support is not None and support.kind == "cubic" and A.dim >= _LIFT_MIN_DIM:
             if "lift" not in analyses:
                 analyses["lift"] = cubic_lift(A, support)
             lift = analyses["lift"]

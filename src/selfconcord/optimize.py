@@ -14,8 +14,8 @@ Python scalars, updated by one loop over the running starts per round.
 Quadratics over the simplex need no method of their own: the square
 substitution x = h^2 carries them to quartic forms on the sphere
 (`reduction.build_quartic_tensor`); nor does a cubic tensor of gadget
-shape, whose maximum `concordance` reads off a quartic tensor on its vertex
-coordinates (`reduction.cubic_lift`).
+shape and dim 16 or more, whose maximum `concordance` reads off a quartic
+tensor on its vertex coordinates (`reduction.cubic_lift`).
 
 The search is multistart with deterministic per-start random substreams,
 so a fixed seed reproduces results bit for bit.  Reported values are always

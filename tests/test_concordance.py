@@ -795,7 +795,8 @@ def test_cubic_search_runs_on_the_quartic_tensor_and_lifts_its_witness(monkeypat
     1/7-valued, mixed-sign, relabeled and padded copies, the lifted search reaches
     the direct search's value (to 1e-12), its witness is a read-only unit vector at
     which A equals its best value, and relax and grid statuses at k = omega .. omega + 2
-    equal the direct path's."""
+    equal the direct path's.  The lift is forced at every dim."""
+    monkeypatch.setattr(concordance, "_LIFT_MIN_DIM", 1)
     cfg = OptConfig(starts=4, max_iters=200, seed=5)
     count = decided = 0
     worst = -np.inf
@@ -829,7 +830,8 @@ def test_the_quartic_tensor_is_built_once_per_cubic_tensor_object(counted, monke
     """A k-sweep in relax and grid mode on one cubic gadget object builds its
     quartic tensor once and searches it once; that tensor equals the quartic
     gadget of the graph but is not the memoized object, and the report's
-    `evaluations` is its search's count."""
+    `evaluations` is its search's count (the lift forced on C5's dim 10)."""
+    monkeypatch.setattr(concordance, "_LIFT_MIN_DIM", 1)
     built = []
     monkeypatch.setattr(concordance, "cubic_lift", lambda *args: built.append(reduction.cubic_lift(*args)) or built[-1])
     for k in (3, 4, 5, 6):
@@ -848,10 +850,11 @@ def test_the_quartic_tensor_is_built_once_per_cubic_tensor_object(counted, monke
     assert len(built) == 2
 
 
-def test_values_below_the_float_range_lift_to_a_unit_witness():
+def test_values_below_the_float_range_lift_to_a_unit_witness(monkeypatch):
     """Cubic values that round to 0.0 make Q zero in floats, so v = 0 at every point;
-    the lift still gives a unit witness, with its edge mass on the first entry's
-    edge coordinate, and the decision ends as at the direct search."""
+    the lift (forced on dim 5) still gives a unit witness, with its edge mass on the
+    first entry's edge coordinate, and the decision ends as at the direct search."""
+    monkeypatch.setattr(concordance, "_LIFT_MIN_DIM", 1)
     A = SymTensor(3, 5, {(1, 2, 4): Fraction(-1, 10**400), (2, 3, 5): Fraction(1, 10**400)})
     report = concordance._search(A, CFG)
     assert report.best_value == 0.0 and report.witness[3] == np.sqrt(1 / 3)
@@ -875,3 +878,22 @@ def test_cubic_gadget_searches_take_dense_steps_up_to_n_32(monkeypatch):
     assert cg == []
     _direct_search(build_cubic_tensor(G), cfg)
     assert cg and cg[0][1] == G.n + G.m
+
+
+def test_cubic_tensors_below_the_lift_dim_are_searched_as_stated():
+    """K5's cubic gadget (dim 15) is searched directly, with the report the direct
+    search gives and no lift built; the same entries on dim 16 (one isolated
+    coordinate more, which the support read counts as a vertex) are searched through
+    the quartic tensor on its 6 vertices."""
+    K5 = graph_from_edges(5, [(i, j) for i in range(1, 6) for j in range(i + 1, 6)])
+    entries = dict(build_cubic_tensor(K5).entries)
+    A = SymTensor(3, 15, entries)
+    assert A.dim == concordance._LIFT_MIN_DIM - 1
+    report, direct = concordance._search(A, CFG), _direct_search(SymTensor(3, 15, entries), CFG)
+    assert "lift" not in A._analyses
+    assert report.best_value == direct.best_value and report.evaluations == direct.evaluations
+    assert np.array_equal(report.witness, direct.witness)
+    padded = SymTensor(3, 16, entries)
+    report = concordance._search(padded, CFG)
+    assert padded._analyses["lift"].quartic.dim == 6 and report.witness.shape == (16,)
+    assert abs(report.best_value - direct.best_value) <= 1e-12
