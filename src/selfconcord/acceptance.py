@@ -43,6 +43,8 @@ from .reduction import (
     build_instance,
     build_quartic_tensor,
     rational_quartic_witness,
+    read_support,
+    search_starts,
     threshold,
     unit_witness,
 )
@@ -112,14 +114,15 @@ class IdentitySide:
 def gadget_side(kind: str, G: Graph, cfg: OptConfig) -> IdentitySide:
     """max^p / c against 1 - 1/omega(G), max being the sphere maximum of G's
     `kind` gadget (0 when G has no edge), searched on the form as stated, from
-    a maximum clique of G and nonnegative random starts.  The quartic form is
-    the simplex quadratic sum x_i x_j over the edges at x = h^2, so its side is
-    twice the simplex maximum; the cubic side is 27/2 * max^2."""
+    `reduction.search_starts`.  The quartic form is the simplex quadratic sum
+    x_i x_j over the edges at x = h^2, so its side is twice the simplex
+    maximum; the cubic side is 27/2 * max^2."""
     gadget = GADGETS[kind]
     rep = None
     if G.m:
-        start = unit_witness(kind, G, max_clique(G))
-        rep = max_form_sphere(gadget.tensor(G), cfg, extra_starts=(start,), nonnegative_starts=True)
+        A = gadget.tensor(G)
+        starts = search_starts(A, read_support(A))
+        rep = max_form_sphere(A, cfg, extra_starts=starts, nonnegative_starts=bool(starts))
     best = rep.best_value if rep is not None else 0.0
     return IdentitySide(best, float(1 / gadget.c) * best**gadget.p, 1.0 - 1.0 / clique_number(G), rep)
 

@@ -88,8 +88,8 @@ from .reduction import (
     rational_cubic_witness,
     rational_quartic_witness,
     read_support,
+    search_starts,
     true_max,
-    unit_witness,
 )
 from .tensors import SymTensor, _as_fraction, eval_form_exact, exact_numerators, spectral_upper_bound
 
@@ -187,17 +187,17 @@ def violates(A: SymTensor, h, q: Fraction) -> tuple[bool, Fraction, Fraction]:
 
     p is the exponent of the gadget of A's order: [A(h,h,h)]^2 > q*(h.h)^3
     for order 3, A(h,h,h,h) > q*(h.h)^2 for order 4.  The arithmetic runs
-    on integers: with h = x / D on one common denominator
-    (`tensors.exact_numerators`), the form value comes from
-    `eval_form_exact` and h.h is (sum of x_i^2) / D^2; lhs and rhs are
-    returned as Fractions.
+    on integers: h is put on one common denominator once, h = x / D
+    (`tensors.exact_numerators`), the form value is `eval_form_exact` at the
+    integer numerators x over D^order, and h.h is (sum of x_i^2) / D^2; lhs
+    and rhs are returned as Fractions.
     """
     gadget = next((g for g in GADGETS.values() if g.order == A.order), None)
     if gadget is None:
         raise ValueError(f"violation tests need an order-3 or order-4 tensor, got order {A.order}")
     p = gadget.p
     x, D = exact_numerators(h)
-    lhs = eval_form_exact(A, h) ** p
+    lhs = (eval_form_exact(A, x) / D**A.order) ** p
     rhs = _as_fraction(q) * Fraction(sum(v * v for v in x), D * D) ** (p * A.order // 2)
     return lhs > rhs, lhs, rhs
 
@@ -316,16 +316,13 @@ def _clique_bound(support: Support, q: Fraction) -> dict | None:
 
 
 def _search(A: SymTensor, cfg: OptConfig) -> OptReport:
-    """Multistart sphere search on A, run once per tensor object and `OptConfig`.
+    """Multistart sphere search on A from `reduction.search_starts`, once per tensor object and `OptConfig`.
 
-    When A is the gadget of its support graph H, a maximum clique of H adds a
-    start and the random starts keep to the nonnegative orthant.  A cubic A of
-    gadget shape and dim at least `_LIFT_MIN_DIM` is searched through its
-    quartic tensor Q on H instead (`reduction.cubic_lift`, built once per
-    tensor object), from the lift's
-    starts and nonnegative ones (Q is even in every coordinate); the witness,
-    the best value A(h) and each start's value are lifted back to A, and
-    `evaluations` is Q's count.
+    A cubic A of gadget shape and dim at least `_LIFT_MIN_DIM` is searched
+    through its quartic tensor Q on H instead (`reduction.cubic_lift`, built
+    once per tensor object), by `_search` on Q; the witness, the best value
+    A(h) and each start's value are lifted back to A, and `evaluations` is
+    Q's count.
     """
     analyses = A._analyses
     report = analyses.get(cfg)
@@ -335,15 +332,14 @@ def _search(A: SymTensor, cfg: OptConfig) -> OptReport:
             if "lift" not in analyses:
                 analyses["lift"] = cubic_lift(A, support)
             lift = analyses["lift"]
-            found = max_form_sphere(lift.quartic, cfg, extra_starts=lift.starts, nonnegative_starts=True)
+            found = _search(lift.quartic, cfg)
             witness, value = lift.point(found.witness)
             witness.setflags(write=False)
             report = OptReport(value, witness, tuple(map(lift.value, found.per_start_values)),
                                found.converged, found.evaluations)
         else:
-            exact = support is not None and support.exact
-            extra = (unit_witness(support.kind, support.graph, max_clique(support.graph)),) if exact else ()
-            report = max_form_sphere(A, cfg, extra_starts=extra, nonnegative_starts=exact)
+            starts = search_starts(A, support)
+            report = max_form_sphere(A, cfg, extra_starts=starts, nonnegative_starts=bool(starts))
         analyses[cfg] = report
     return report
 

@@ -27,7 +27,7 @@ from functools import cached_property, lru_cache
 from itertools import combinations
 from typing import Iterable, Iterator
 
-from .tensors import read_integer, split_text, text_lines
+from .tensors import check_entry_count, read_integer, split_text, text_lines
 
 __all__ = [
     "Graph",
@@ -144,10 +144,10 @@ def parse_graph_text(text: str) -> Graph:
 
 
 def complement(G: Graph) -> Graph:
-    edges = frozenset(
-        (i, j) for i, j in combinations(range(1, G.n + 1), 2) if (i, j) not in G.edges
-    )
-    return Graph(G.n, edges)
+    """The graph joining the pairs G does not, refused before any is listed above `tensors.MAX_ENTRIES` edges."""
+    count = G.n * (G.n - 1) // 2 - G.m
+    check_entry_count(count, f"the complement of a graph with {G.n} vertices and {G.m} edges", "edges")
+    return Graph(G.n, frozenset(pair for pair in combinations(range(1, G.n + 1), 2) if pair not in G.edges))
 
 
 @lru_cache(maxsize=_KEPT_GRAPHS)

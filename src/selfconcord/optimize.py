@@ -76,17 +76,17 @@ _VALUE_TOL = 1e-13
 # space there.
 _MU_FLOOR = 1e-10
 
-# Largest dim whose Newton steps come from dense batched solves; above it,
-# truncated CG with Hessian-vector products is cheaper.  Measured per search
-# of the default budget (9 starts, one BLAS thread): on cubic gadgets the two
-# break even between dim 52 and 67, and CG is 1.5x faster at dim 94 and 2.7x
-# at dim 115; on quartic gadgets they stay within 10% of each other up to
-# dim 160.  A decision on a cubic tensor of gadget shape searches its quartic
-# tensor on the n vertex coordinates (`concordance._search`), so CG is left to
-# the identity checks on cubic gadgets with n + m > 60 (`acceptance.gadget_side`
-# searches the form as stated), to quartic searches above dim 60 (n > 60 for a
-# gadget), and to tensors without gadget shape above dim 60, on whose random
-# Hessians CG can take longer than dense steps would.
+# Largest dim whose Newton steps come from dense batched solves; above it, truncated CG
+# with Hessian-vector products.  Measured per search of the default budget (9 starts, one
+# BLAS thread, G(n, 1/2) half-edge graphs): on cubic gadgets searched as stated the two
+# break even between dim 52 and 76, and CG took 0.026 against 0.049 s at dim 115 and 0.045
+# against 0.284 s at dim 280; on quartic gadgets CG took 4-8x longer, 0.225 against 0.042 s
+# at dim 64 and 36.0 against 4.4 s at dim 500.  So CG pays only in the identity checks on
+# cubic gadgets with n + m > 60 (`acceptance.gadget_side` searches the form as stated): a
+# relax or grid decision on either gadget with n > 60 searches a quartic tensor
+# (`concordance._search`) with the slower steps, as does any tensor without gadget shape
+# above dim 60, on whose random Hessians CG can take longer than dense steps would.  No
+# workload searches above dim 60 yet (ROADMAP item 6).
 _DENSE_LIMIT = 60
 
 # Truncated CG stops once its residual is this fraction of the gradient.

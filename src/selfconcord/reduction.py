@@ -61,6 +61,7 @@ __all__ = [
     "build_quartic_tensor",
     "Support",
     "read_support",
+    "search_starts",
     "CubicLift",
     "cubic_lift",
     "threshold",
@@ -320,6 +321,23 @@ def read_support(A: SymTensor) -> Support | None:
     return Support(kind, vertices, H, exact)
 
 
+def search_starts(A: SymTensor, support: Support | None) -> tuple[np.ndarray, ...]:
+    """The starts a sphere search of A (support read `support`) tries before its random ones,
+    which keep to the nonnegative orthant exactly when there is one.  A maximum clique of H
+    maximizes H's gadget of either kind, and starts every quartic tensor of gadget shape (its
+    form depends on h^2 alone); one that is not H's gadget also starts from the edge of largest
+    |value|, the first key in sorted order on a tie, which may beat the clique.  Others get none."""
+    if support is None or not (support.exact or support.kind == "quartic"):
+        return ()
+    clique = unit_witness(support.kind, support.graph, max_clique(support.graph))
+    if support.exact:
+        return (clique,)
+    i, _, j, _ = max(sorted(A.entries), key=lambda key: abs(A.entries[key]))
+    edge = np.zeros(A.dim)
+    edge[[i - 1, j - 1]] = 1.0
+    return clique, edge
+
+
 # The cubic gadget's split of the unit mass: 2/3 on the vertex coordinates, 1/3 on
 # the edge coordinates, where beta * sqrt(1 - beta) peaks, at 2/(3*sqrt(3)).
 _VERTEX_SCALE, _EDGE_SCALE, _SPLIT_MAX = math.sqrt(2 / 3), math.sqrt(1 / 3), 2 / (3 * math.sqrt(3))
@@ -330,7 +348,6 @@ class CubicLift(NamedTuple):
     arrays that carry a sphere point of Q back to A (`cubic_lift`)."""
 
     quartic: SymTensor  # Q on A's support graph H
-    starts: tuple[np.ndarray, ...]  # Q's search starts beyond the random ones (`cubic_lift`)
     dim: int  # A's dim
     vertices: np.ndarray  # A's vertex coordinates, 0-based, one per coordinate of Q
     keys: np.ndarray  # A's entries (i, j, w), 0-based, in sorted order
@@ -369,9 +386,7 @@ def cubic_lift(A: SymTensor, support: Support) -> CubicLift:
     max A = (2/(3*sqrt(3))) sqrt(max Q), attained at `CubicLift.point` of a
     maximizer of Q.  Q is the quartic gadget of H when A is its cubic gadget
     (a new tensor, not the memoized one); its coordinate p is A's
-    `support.vertices[p - 1]`.  Q's search starts from a maximum clique of H
-    and, when A is not exactly the gadget of H, also from the edge of its
-    largest |value|: with unequal values that edge alone may beat the clique.
+    `support.vertices[p - 1]`.
     """
     vertices = np.array(support.vertices, dtype=np.intp) - 1
     position = np.zeros(A.dim, dtype=np.intp)
@@ -383,11 +398,7 @@ def cubic_lift(A: SymTensor, support: Support) -> CubicLift:
     quartic = {(i, i, j, j): Fraction(6 * a.numerator**2, a.denominator**2)
                for (i, j), a in zip((pairs + 1).tolist(), values)}
     weights = 6.0 * np.array([float(a) for a in values])
-    starts = [unit_witness("quartic", support.graph, max_clique(support.graph))]
-    if not support.exact:
-        starts.append(np.zeros(vertices.size))
-        starts[-1][pairs[np.argmax(np.abs(weights))]] = 1.0
-    return CubicLift(SymTensor(4, vertices.size, quartic), tuple(starts), A.dim, vertices, index, pairs, weights)
+    return CubicLift(SymTensor(4, vertices.size, quartic), A.dim, vertices, index, pairs, weights)
 
 
 def unit_witness(kind: str, G: Graph, C: Iterable[int]) -> np.ndarray:

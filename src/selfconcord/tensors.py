@@ -277,10 +277,10 @@ def eval_form_batch(A: SymTensor, points: np.ndarray) -> np.ndarray:
 def exact_numerators(h: Sequence) -> tuple[list[int], int]:
     """(x, D): rational h on one common denominator, h_i = x_i / D with x_i and D integers.
 
-    D is the least common multiple of the denominators; a rationalized
-    search witness already shares one (2^64 or a divisor of it).
+    D is the least common multiple of the denominators; a rationalized search
+    witness already shares one (2^64 or a divisor of it).  Integers pass as they are.
     """
-    hq = [_as_fraction(v) for v in h]
+    hq = [v if type(v) is int else _as_fraction(v) for v in h]
     D = math.lcm(*(v.denominator for v in hq))
     return [v.numerator * (D // v.denominator) for v in hq], D
 

@@ -493,17 +493,17 @@ def test_oversized_vertex_count_exit_3():
 
 
 def test_identity_checks_count_the_complement_before_building_it(tmp_path, capsys):
-    """One edge on 10,000 vertices: the complement has 49,994,999 edges, one
-    gadget entry each, so both identity checks exit 3 naming the entry limit
-    in under a second, before the complement is listed."""
+    """One edge on 10,000 vertices: the complement has 49,994,999 edges, so both
+    identity checks exit 3 naming both counts and the limit in under a second,
+    before the complement is listed (`graphs.complement` counts them first)."""
     path = tmp_path / "sparse.col"
     path.write_text("p edge 10000 1\ne 1 2\n")
     for command in ("ms-check", "nesterov-check"):
         started = time.monotonic()
         assert cli.main([command, str(path)]) == 3
         assert time.monotonic() - started < 1.0
-        assert capsys.readouterr().err == ("selfconcord: error: ValueError: the gadget of a complement with "
-                                           "49994999 edges holds 49994999 entries, above the limit of 250000\n")
+        assert capsys.readouterr().err == ("selfconcord: error: ValueError: the complement of a graph with 10000 "
+                                           "vertices and 1 edges holds 49994999 edges, above the limit of 250000\n")
 
 
 def test_alpha_counts_the_complement_before_building_it(tmp_path, capsys):

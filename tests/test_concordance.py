@@ -744,8 +744,30 @@ def _direct_search(A, cfg):
     starts when A is the gadget of its support graph, else plain random starts."""
     support = reduction.read_support(A)
     exact = support is not None and support.exact
-    extra = (reduction.unit_witness("cubic", support.graph, graphs.max_clique(support.graph)),) if exact else ()
+    extra = (reduction.unit_witness(support.kind, support.graph, graphs.max_clique(support.graph)),) if exact else ()
     return optimize.max_form_sphere(A, cfg, extra_starts=extra, nonnegative_starts=exact)
+
+
+def _parent_search(A, cfg):
+    """`concordance._search` before `reduction.search_starts`, on an exact gadget: the
+    direct search (`_direct_search`) or, for a cubic gadget from dim `_LIFT_MIN_DIM` on,
+    the search of its quartic tensor from a maximum clique of H and nonnegative starts,
+    lifted back to A."""
+    support = reduction.read_support(A)
+    if support.kind == "quartic" or A.dim < concordance._LIFT_MIN_DIM:
+        return _direct_search(A, cfg)
+    lift = reduction.cubic_lift(A, support)
+    start = reduction.unit_witness("quartic", support.graph, graphs.max_clique(support.graph))
+    found = optimize.max_form_sphere(lift.quartic, cfg, extra_starts=(start,), nonnegative_starts=True)
+    witness, value = lift.point(found.witness)
+    return optimize.OptReport(value, witness, tuple(map(lift.value, found.per_start_values)), found.converged,
+                              found.evaluations)
+
+
+def _same_report(a, b) -> bool:
+    return (a.best_value == b.best_value and np.array_equal(a.witness, b.witness)
+            and a.per_start_values == b.per_start_values and a.converged == b.converged
+            and a.evaluations == b.evaluations)
 
 
 def _layout(G, rng):
@@ -897,3 +919,42 @@ def test_cubic_tensors_below_the_lift_dim_are_searched_as_stated():
     report = concordance._search(padded, CFG)
     assert padded._analyses["lift"].quartic.dim == 6 and report.witness.shape == (16,)
     assert abs(report.best_value - direct.best_value) <= 1e-12
+
+
+@pytest.mark.parametrize("lift_min_dim", [1, concordance._LIFT_MIN_DIM])
+def test_gadget_searches_keep_their_starts(monkeypatch, lift_min_dim):
+    """The exact gadgets of all graphs with n <= 5, both kinds, get `_search` reports
+    bit-identical to the rule before `reduction.search_starts` (`_parent_search`),
+    with the lift forced at every dim and at `_LIFT_MIN_DIM`."""
+    monkeypatch.setattr(concordance, "_LIFT_MIN_DIM", lift_min_dim)
+    cfg = OptConfig(starts=2, max_iters=40, seed=7)
+    count = 0
+    for n in range(2, 6):
+        for G in enumerate_graphs(n):
+            for gadget in reduction.GADGETS.values():
+                built = gadget.tensor(G)
+                A = SymTensor(built.order, built.dim, dict(built.entries))  # searched afresh under each limit
+                assert _same_report(concordance._search(A, cfg), _parent_search(A, cfg)), (G, A.order)
+                count += 1
+    assert count == 2 * 1094
+
+
+def test_a_quartic_tensor_is_searched_as_the_equal_lifted_one(monkeypatch):
+    """A quartic tensor decided directly gets the report, bit for bit, that the equal
+    Q built by `cubic_lift` gets: on the lift corpus (the lift forced at every dim), Q
+    is a gadget-shaped non-gadget for the 1/7-valued and mixed-sign copies, with a
+    clique start and a heaviest-edge start, and the gadget of H otherwise."""
+    monkeypatch.setattr(concordance, "_LIFT_MIN_DIM", 1)
+    cfg = OptConfig(starts=2, max_iters=100, seed=3)
+    edge_starts = 0
+    for _, A in _lift_corpus():
+        lifted = concordance._search(A, cfg)
+        Q = A._analyses["lift"].quartic
+        twin = SymTensor(4, Q.dim, dict(Q.entries))
+        direct = concordance._search(twin, cfg)
+        assert _same_report(direct, Q._analyses[cfg]), A
+        assert lifted.evaluations == direct.evaluations and lifted.witness.shape == (A.dim,)
+        starts = reduction.search_starts(twin, reduction.read_support(twin))
+        assert len(starts) == 1 + (not reduction.read_support(twin).exact)
+        edge_starts += len(starts) - 1
+    assert edge_starts == 2 * (71 + 33)

@@ -5,6 +5,7 @@ branch-and-bound path in the library; the set-based search in conftest is
 the reference for which maximum clique `max_clique` returns.
 """
 
+import time
 import tracemalloc
 from itertools import combinations, product
 
@@ -165,6 +166,22 @@ def test_complement_involution():
     for n in range(2, 5):
         for G in enumerate_graphs(n):
             assert complement(complement(G)) == G
+
+
+def test_complement_refuses_more_edges_than_a_gadget_may_have():
+    """One edge on 10,000 vertices: the complement would list 49,994,999 edges, so
+    `stability_number` raises in under a second, naming both counts and the limit,
+    before any pair is listed; 250,000 edges (708 vertices, 278 edges) still build."""
+    started = time.monotonic()
+    with pytest.raises(ValueError) as refused:
+        stability_number(graph_from_edges(10_000, [(1, 2)]))
+    assert time.monotonic() - started < 1.0
+    assert str(refused.value) == ("the complement of a graph with 10000 vertices and 1 edges holds 49994999 edges, "
+                                  "above the limit of 250000")
+    G = graph_from_edges(708, [(1, j) for j in range(2, 280)])
+    assert complement(G).m == 250_000
+    with pytest.raises(ValueError, match="holds 250001 edges"):
+        complement(graph_from_edges(708, [(1, j) for j in range(2, 279)]))
 
 
 # ---------------------------------------------------------------------------

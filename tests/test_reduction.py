@@ -442,3 +442,36 @@ def test_read_support_decides_exactness_without_building_the_gadget():
                     assert support.exact == (gadget.tensor(support.graph) == A), (kind, G, A)
                     seen[support.exact] += 1
     assert min(seen.values()) > 1000, seen
+
+
+def test_search_starts_of_each_case(c5):
+    """An exact gadget of either kind starts from its unit clique witness alone; a
+    quartic tensor of gadget shape with unequal values also from the edge of its
+    largest |value| (the first key in sorted order on a tie); a cubic tensor of
+    gadget shape that is not a gadget, and a tensor without gadget shape, get none."""
+    starts = reduction.search_starts
+    clique = reduction.max_clique(c5)
+    for kind, gadget in GADGETS.items():
+        A = gadget.tensor(c5)
+        found = starts(A, read_support(A))
+        assert len(found) == 1 and np.array_equal(found[0], unit_witness(kind, c5, clique)), kind
+    # C5 on 1..5 with unequal quartic values: the largest |value| is on (2, 3) and (4, 5),
+    # tied, so the sorted order picks (2, 3); a negative value counts by its size.
+    values = {(1, 2): Fraction(1, 9), (2, 3): Fraction(-1, 7), (3, 4): Fraction(1, 8), (4, 5): Fraction(1, 7),
+              (1, 5): Fraction(1, 12)}
+    Q = SymTensor(4, 5, {(i, i, j, j): value for (i, j), value in values.items()})
+    found = starts(Q, read_support(Q))
+    assert len(found) == 2 and np.array_equal(found[0], unit_witness("quartic", c5, clique))
+    assert found[1].tolist() == [0.0, 1.0, 1.0, 0.0, 0.0]
+    # A tie in the first place still goes to the first key: (1, 2) before (4, 5).
+    tied = SymTensor(4, 5, {**Q.entries, (1, 1, 2, 2): Fraction(-1, 7)})
+    assert starts(tied, read_support(tied))[1].tolist() == [1.0, 1.0, 0.0, 0.0, 0.0]
+    # Padded with an isolated coordinate, the quartic gadget is that of its support graph
+    # on 6 vertices, so its clique start comes alone.
+    padded = SymTensor(4, 6, dict(build_quartic_tensor(c5).entries))
+    found = starts(padded, read_support(padded))
+    assert len(found) == 1 and found[0].tolist() == [*unit_witness("quartic", c5, clique), 0.0]
+    cubic = SymTensor(3, 10, {key: Fraction(1, 7) for key in build_cubic_tensor(c5).entries})
+    assert read_support(cubic) is not None and starts(cubic, read_support(cubic)) == ()
+    other = sym_from_entries(3, 3, [((1, 1, 2), Fraction(1, 6))])
+    assert read_support(other) is None and starts(other, None) == ()
