@@ -244,6 +244,8 @@ def _cmd_sigma_opt(args):
 def _cmd_verify_all(args):
     if not 2 <= args.max_n <= 6:  # the exhaustive sweeps enumerate graphs with 2..6 vertices
         raise ValueError(f"--max-n must be in 2..6, got {args.max_n}")
+    if not 0.0 <= args.identity_tol <= 1e-6:  # it only tightens; inf would pass criteria 1-2 unchecked, nan fail them
+        raise ValueError(f"--identity-tol must be in 0..1e-6, got {args.identity_tol:g}")
     results = run_all(max_n=args.max_n, seed=args.seed, identity_tol=args.identity_tol)
     code = 0 if all(r.passed for r in results) else 1
     if args.format == "json":
@@ -306,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--max-n", type=int, default=5, help="largest vertex count in exhaustive sweeps, 2..6")
     sub.add_argument(
         "--identity-tol", type=float, default=1e-6,
-        help="identity tolerance for the simplex/sphere sweeps (default %(default)s)",
+        help="identity tolerance for the simplex/sphere sweeps, 0..1e-6 (default %(default)s)",
     )
 
     return parser

@@ -28,8 +28,8 @@ Modes: "relax" and "grid" run the search, then the coloring rung, then the
 clique-number rung, then a float bound.  A cubic tensor of gadget shape of
 dim 16 or more (`_LIFT_MIN_DIM`) is searched through its quartic tensor on
 the support graph H (dim n, not n + m; `reduction.cubic_lift`), and the
-witness is lifted back to A, where it is rationalized and verified exactly
-as any other.  The float bound of
+witness is lifted back to A (`reduction.lift_point`), where it is
+rationalized and verified exactly as any other.  The float bound of
 "relax" is `tensors.spectral_upper_bound`, that of "grid" the certified
 bound of `optimize.grid_lower_and_upper` on a resolution ladder.  Above dim 5 the
 ladder runs no rung, so a grid decision on a tensor without gadget shape
@@ -54,9 +54,8 @@ Of a numeric decision, only the comparisons against q depend on k.  A
 decision reads the tensor alone, and what it computes from the tensor alone
 is kept on the tensor object (`SymTensor._analyses`), read in place and
 dropped with the tensor: the `reduction.Support` record (`_support`),
-which every rung reads; the coloring; the quartic tensor and lift arrays
-of a cubic tensor of gadget shape that is searched through them; and the multistart
-search of each `OptConfig`.  `reduction` memoizes the last graph's gadget tensor of each
+which every rung reads; the coloring; and the multistart search of each
+`OptConfig`.  `reduction` memoizes the last graph's gadget tensor of each
 kind and `Gadget.bound` the thresholds, so the decisions of a k-sweep and a
 relax-then-grid pair share one tensor object, which is read, searched and
 colored once; an equal tensor built anew is analysed anew.
@@ -85,13 +84,15 @@ from .reduction import (
     ConcordanceInstance,
     Support,
     cubic_lift,
+    lift_point,
+    lift_value,
     rational_cubic_witness,
     rational_quartic_witness,
     read_support,
     search_starts,
     true_max,
 )
-from .tensors import SymTensor, _as_fraction, eval_form_exact, exact_numerators, spectral_upper_bound
+from .tensors import SymTensor, _as_fraction, eval_form, eval_form_exact, exact_numerators, spectral_upper_bound
 
 __all__ = [
     "Status",
@@ -318,24 +319,24 @@ def _clique_bound(support: Support, q: Fraction) -> dict | None:
 def _search(A: SymTensor, cfg: OptConfig) -> OptReport:
     """Multistart sphere search on A from `reduction.search_starts`, once per tensor object and `OptConfig`.
 
-    A cubic A of gadget shape and dim at least `_LIFT_MIN_DIM` is searched
-    through its quartic tensor Q on H instead (`reduction.cubic_lift`, built
-    once per tensor object), by `_search` on Q; the witness, the best value
-    A(h) and each start's value are lifted back to A, and `evaluations` is
-    Q's count.
+    A cubic A of gadget shape and dim at least `_LIFT_MIN_DIM` is searched through its quartic
+    tensor Q on H instead, by `_search` on Q with the support read that `reduction.cubic_lift`
+    hands over with it.  The witness is lifted back by `lift_point` and `best_value` is A
+    evaluated there, while each start's value is `lift_value` of Q's, so their maximum can
+    differ from `best_value` in the last bit (K3's gadget, lifted: 0.2222222222222223 against
+    0.22222222222222227).  `evaluations` is Q's count.
     """
     analyses = A._analyses
     report = analyses.get(cfg)
     if report is None:
         support = _support(A)
         if support is not None and support.kind == "cubic" and A.dim >= _LIFT_MIN_DIM:
-            if "lift" not in analyses:
-                analyses["lift"] = cubic_lift(A, support)
-            lift = analyses["lift"]
-            found = _search(lift.quartic, cfg)
-            witness, value = lift.point(found.witness)
+            Q, Q_support = cubic_lift(A, support)
+            Q._analyses["support"] = Q_support
+            found = _search(Q, cfg)
+            witness = lift_point(A, support, found.witness)
             witness.setflags(write=False)
-            report = OptReport(value, witness, tuple(map(lift.value, found.per_start_values)),
+            report = OptReport(eval_form(A, witness), witness, tuple(map(lift_value, found.per_start_values)),
                                found.converged, found.evaluations)
         else:
             starts = search_starts(A, support)

@@ -13,9 +13,9 @@ still running.  Each start's value, regularization and plateau count are
 Python scalars, updated by one loop over the running starts per round.
 Quadratics over the simplex need no method of their own: the square
 substitution x = h^2 carries them to quartic forms on the sphere
-(`reduction.build_quartic_tensor`); nor does a cubic tensor of gadget
-shape and dim 16 or more, whose maximum `concordance` reads off a quartic
-tensor on its vertex coordinates (`reduction.cubic_lift`).
+(`reduction.build_quartic_tensor`); nor does a cubic tensor of gadget shape
+and dim 16 or more, whose maximum `concordance` reads off a quartic tensor on
+its vertex coordinates (`reduction.cubic_lift`, `lift_point`, `lift_value`).
 
 The search is multistart with deterministic per-start random substreams,
 so a fixed seed reproduces results bit for bit.  Reported values are always
@@ -127,7 +127,9 @@ class OptReport:
 
     `best_value` is the objective at `witness`, re-evaluated on the stored
     point; `converged` refers to the start that produced the best value.
-    Ties across starts break toward the lowest start index.
+    Ties across starts break toward the lowest start index.  In a report
+    lifted from a quartic search (`concordance._search`), `per_start_values`
+    are lifted by formula, so their maximum can differ from `best_value` in the last bit.
     """
 
     best_value: float

@@ -17,9 +17,10 @@ c * (1 - 1/omega(G)).  It comes with two parameter sets, one record each in
   at 2/(3*sqrt(3)) = 0.3849), whence the constant
   (2/(3*sqrt(3)))^2 * 1/2 = 2/27.  At a clique C of size c, u = 1 on C and
   w = 1/sqrt(c-1) on the edges inside C meet every step with equality:
-  they put mass c on u and c/2 on w, the 2/3 split.  `cubic_lift` runs
-  the chain on any cubic tensor of gadget shape: the quartic tensor whose
-  sphere maximum gives the cubic one, and the lift of its points.
+  they put mass c on u and c/2 on w, the 2/3 split.  Three functions run
+  the chain on any cubic tensor of gadget shape: `cubic_lift` gives the
+  quartic tensor whose sphere maximum gives the cubic one, `lift_point`
+  carries its points back and `lift_value` its values.
 
 * quartic (order 4, c = 1/2, p = 1): a tensor on R^n where each edge
   contributes the orbit of (i, i, j, j) with value 1/6, so the form is
@@ -51,7 +52,7 @@ from typing import Callable, Iterable, NamedTuple
 import numpy as np
 
 from .graphs import Graph, max_clique
-from .tensors import MAX_ENTRIES, SymTensor, _products, check_entry_count
+from .tensors import MAX_ENTRIES, SymTensor, check_entry_count, grad_form
 
 __all__ = [
     "Gadget",
@@ -62,8 +63,9 @@ __all__ = [
     "Support",
     "read_support",
     "search_starts",
-    "CubicLift",
     "cubic_lift",
+    "lift_point",
+    "lift_value",
     "threshold",
     "true_max",
     "build_instance",
@@ -343,62 +345,45 @@ def search_starts(A: SymTensor, support: Support | None) -> tuple[np.ndarray, ..
 _VERTEX_SCALE, _EDGE_SCALE, _SPLIT_MAX = math.sqrt(2 / 3), math.sqrt(1 / 3), 2 / (3 * math.sqrt(3))
 
 
-class CubicLift(NamedTuple):
-    """The quartic tensor Q of a cubic tensor A of gadget shape, and the index
-    arrays that carry a sphere point of Q back to A (`cubic_lift`)."""
+def cubic_lift(A: SymTensor, support: Support) -> tuple[SymTensor, Support]:
+    """(Q, Q's support read): the quartic tensor whose sphere maximum gives that of a cubic A
+    of gadget shape (support read `support`).
 
-    quartic: SymTensor  # Q on A's support graph H
-    dim: int  # A's dim
-    vertices: np.ndarray  # A's vertex coordinates, 0-based, one per coordinate of Q
-    keys: np.ndarray  # A's entries (i, j, w), 0-based, in sorted order
-    pairs: np.ndarray  # the same entries' (i, j) as coordinates of Q, 0-based
-    weights: np.ndarray  # the same entries' 6 a: orbit size times value
-
-    @staticmethod
-    def value(quartic_value: float) -> float:
-        """The sphere value of A at the lift of a point u of Q: (2/(3*sqrt(3))) sqrt(Q(u))."""
-        return _SPLIT_MAX * math.sqrt(quartic_value)
-
-    def point(self, u: np.ndarray) -> tuple[np.ndarray, float]:
-        """(h, A(h)) for a unit vector u of Q, where the unit vector h is
-        (sqrt(2/3) u, sqrt(1/3) v / |v|) with v = 6 a u_i u_j per entry.  A(h) is
-        evaluated as `eval_form` evaluates it, from the entries in sorted order;
-        when v = 0 (then A(h) = 0), the edge mass goes to the first entry's edge
-        coordinate."""
-        v = self.weights * u[self.pairs[:, 0]] * u[self.pairs[:, 1]]
-        norm = math.sqrt(v @ v)
-        h = np.zeros(self.dim)
-        h[self.vertices] = _VERTEX_SCALE * u
-        if norm > 0.0:
-            h[self.keys[:, 2]] = (_EDGE_SCALE / norm) * v
-        else:
-            h[self.keys[0, 2]] = _EDGE_SCALE
-        return h, float((_products(h[None, :], self.keys) @ self.weights)[0])
-
-
-def cubic_lift(A: SymTensor, support: Support) -> CubicLift:
-    """The quartic tensor Q whose sphere maximum gives that of a cubic A of gadget
-    shape (support read `support`), and the arrays that lift Q's points to A.
-
-    A's entry a at (i, j, w) makes A(u, w) = <v(u), w> with v_w = 6a u_i u_j, and
-    |v(u)|^2 is the form of Q, entry 6a^2 at (i, i, j, j) on H's vertices.
-    Cauchy-Schwarz in w and the 2/3 : 1/3 split (module docstring) give
-    max A = (2/(3*sqrt(3))) sqrt(max Q), attained at `CubicLift.point` of a
-    maximizer of Q.  Q is the quartic gadget of H when A is its cubic gadget
-    (a new tensor, not the memoized one); its coordinate p is A's
-    `support.vertices[p - 1]`.
+    A's entry a at (i, j, w) makes A(u, w) = <v(u), w> with v_w = 6a u_i u_j, the gradient
+    of A at (u, 0), and |v(u)|^2 is the form of Q, entry 6a^2 at (i, i, j, j) on H's
+    vertices.  Cauchy-Schwarz in w and the 2/3 : 1/3 split (module docstring) give
+    max A = `lift_value`(max Q), attained at `lift_point` of a maximizer of Q.  Q's
+    coordinate p is A's `support.vertices[p - 1]`, its support graph is H, and it is the
+    quartic gadget of H (a new tensor, not the memoized one) exactly when every |a| = 1/6.
     """
-    vertices = np.array(support.vertices, dtype=np.intp) - 1
-    position = np.zeros(A.dim, dtype=np.intp)
-    position[vertices] = np.arange(vertices.size)
-    keys = sorted(A.entries)
-    values = [A.entries[key] for key in keys]
-    index = np.array(keys, dtype=np.intp) - 1
-    pairs = position[index[:, :2]]
-    quartic = {(i, i, j, j): Fraction(6 * a.numerator**2, a.denominator**2)
-               for (i, j), a in zip((pairs + 1).tolist(), values)}
-    weights = 6.0 * np.array([float(a) for a in values])
-    return CubicLift(SymTensor(4, vertices.size, quartic), A.dim, vertices, index, pairs, weights)
+    position = {v: p for p, v in enumerate(support.vertices, start=1)}
+    entries = {(position[i],) * 2 + (position[j],) * 2: Fraction(6 * a.numerator**2, a.denominator**2)
+               for (i, j, _), a in A.entries.items()}
+    exact = all(abs(a.numerator) == 1 and a.denominator == 6 for a in A.entries.values())
+    Q = SymTensor(4, len(position), entries)
+    return Q, Support("quartic", tuple(range(1, Q.dim + 1)), support.graph, exact)
+
+
+def lift_point(A: SymTensor, support: Support, u: np.ndarray) -> np.ndarray:
+    """The unit vector h = (sqrt(2/3) u, sqrt(1/3) v / |v|) of a cubic A of gadget shape (support read
+    `support`) for a unit vector u of `cubic_lift`'s Q, at which A is `lift_value`(Q(u)) up to rounding.
+    v is `grad_form` of A at (u, 0), zero on the vertex coordinates, read at the edge coordinates of A's
+    entries in sorted order; when v = 0 (then A(h) = 0), the edge mass goes to the first entry's."""
+    h = np.zeros(A.dim)
+    h[np.array(support.vertices) - 1] = u
+    edges = A._packed.idx[:, 2]
+    v = grad_form(A, h)[edges]
+    norm = math.sqrt(v @ v)
+    if norm == 0.0:  # the edge mass goes to the first entry's
+        v[0] = norm = 1.0
+    h *= _VERTEX_SCALE
+    h[edges] = (_EDGE_SCALE / norm) * v
+    return h
+
+
+def lift_value(quartic_value: float) -> float:
+    """The sphere value of a cubic A at `lift_point` of a point u of its Q: (2/(3*sqrt(3))) sqrt(Q(u))."""
+    return _SPLIT_MAX * math.sqrt(quartic_value)
 
 
 def unit_witness(kind: str, G: Graph, C: Iterable[int]) -> np.ndarray:

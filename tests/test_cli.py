@@ -626,6 +626,13 @@ def test_verify_all_max_n_outside_2_to_6_exits_3_before_any_criterion(monkeypatc
         assert capsys.readouterr().err == f"selfconcord: error: ValueError: --max-n must be in 2..6, got {max_n}\n"
 
 
+def test_verify_all_identity_tol_that_does_not_tighten_exits_3_before_any_criterion(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "run_all", lambda **kwargs: pytest.fail("a criterion ran"))
+    for tol in ("inf", "nan", "-1"):
+        assert cli.main(["verify-all", "--identity-tol", tol]) == 3
+        assert capsys.readouterr().err == f"selfconcord: error: ValueError: --identity-tol must be in 0..1e-6, got {tol}\n"
+
+
 def test_verify_all_json_records(capsys):
     """Each record holds `CriterionResult`'s fields in order, `seconds` as a 17-significant-digit string."""
     assert cli.main(["verify-all", "--max-n", "2", "--format", "json"]) == 0

@@ -7,6 +7,7 @@ test-local full-hypermatrix rational evaluation, not the library's path.
 import copy
 import gc
 import json
+import math
 import pickle
 import weakref
 from collections import Counter
@@ -748,20 +749,47 @@ def _direct_search(A, cfg):
     return optimize.max_form_sphere(A, cfg, extra_starts=extra, nonnegative_starts=exact)
 
 
+def _parent_lift(A, support, u):
+    """The lift before `reduction.lift_point`, as its test-local reference: (h, A(h))
+    with v = 6a u_i u_j per entry in sorted key order, and A(h) summed in that order."""
+    index = np.array(sorted(A.entries), dtype=np.intp) - 1
+    weights = 6.0 * np.array([float(A.entries[key]) for key in sorted(A.entries)])
+    vertices = np.array(support.vertices) - 1
+    position = np.zeros(A.dim, dtype=np.intp)
+    position[vertices] = np.arange(vertices.size)
+    v = weights * u[position[index[:, 0]]] * u[position[index[:, 1]]]
+    norm = math.sqrt(v @ v)
+    h = np.zeros(A.dim)
+    h[vertices] = math.sqrt(2 / 3) * u
+    if norm > 0.0:
+        h[index[:, 2]] = (math.sqrt(1 / 3) / norm) * v
+    else:
+        h[index[0, 2]] = math.sqrt(1 / 3)
+    return h, float(((h[None, index[:, 0]] * h[None, index[:, 1]] * h[None, index[:, 2]]) @ weights)[0])
+
+
 def _parent_search(A, cfg):
-    """`concordance._search` before `reduction.search_starts`, on an exact gadget: the
-    direct search (`_direct_search`) or, for a cubic gadget from dim `_LIFT_MIN_DIM` on,
-    the search of its quartic tensor from a maximum clique of H and nonnegative starts,
-    lifted back to A."""
+    """`concordance._search` before `reduction.search_starts` and `lift_point`, on an exact
+    gadget: the direct search (`_direct_search`) or, for a cubic gadget from dim
+    `_LIFT_MIN_DIM` on, the search of its quartic tensor from a maximum clique of H and
+    nonnegative starts, lifted back to A by `_parent_lift`."""
     support = reduction.read_support(A)
     if support.kind == "quartic" or A.dim < concordance._LIFT_MIN_DIM:
         return _direct_search(A, cfg)
-    lift = reduction.cubic_lift(A, support)
+    Q, _ = reduction.cubic_lift(A, support)
     start = reduction.unit_witness("quartic", support.graph, graphs.max_clique(support.graph))
-    found = optimize.max_form_sphere(lift.quartic, cfg, extra_starts=(start,), nonnegative_starts=True)
-    witness, value = lift.point(found.witness)
-    return optimize.OptReport(value, witness, tuple(map(lift.value, found.per_start_values)), found.converged,
-                              found.evaluations)
+    found = optimize.max_form_sphere(Q, cfg, extra_starts=(start,), nonnegative_starts=True)
+    witness, value = _parent_lift(A, support, found.witness)
+    return optimize.OptReport(value, witness, tuple(2 / (3 * math.sqrt(3)) * math.sqrt(x) for x in found.per_start_values),
+                              found.converged, found.evaluations)
+
+
+@pytest.fixture
+def built(monkeypatch):
+    """The (Q, support read) pairs that `concordance._search` gets from `cubic_lift`, in order."""
+    pairs = []
+    monkeypatch.setattr(concordance, "cubic_lift", lambda *args: pairs.append(reduction.cubic_lift(*args)) or pairs[-1])
+    return pairs
 
 
 def _same_report(a, b) -> bool:
@@ -848,21 +876,21 @@ def test_cubic_search_runs_on_the_quartic_tensor_and_lifts_its_witness(monkeypat
     assert worst <= 1e-12 and decided > 1000, (worst, decided)
 
 
-def test_the_quartic_tensor_is_built_once_per_cubic_tensor_object(counted, monkeypatch, c5):
+def test_the_quartic_tensor_is_built_once_per_cubic_tensor_object(counted, monkeypatch, built, c5):
     """A k-sweep in relax and grid mode on one cubic gadget object builds its
     quartic tensor once and searches it once; that tensor equals the quartic
-    gadget of the graph but is not the memoized object, and the report's
-    `evaluations` is its search's count (the lift forced on C5's dim 10)."""
+    gadget of the graph but is not the memoized object, it keeps the support
+    read handed over with it, and the report's `evaluations` is its search's
+    count (the lift forced on C5's dim 10)."""
     monkeypatch.setattr(concordance, "_LIFT_MIN_DIM", 1)
-    built = []
-    monkeypatch.setattr(concordance, "cubic_lift", lambda *args: built.append(reduction.cubic_lift(*args)) or built[-1])
     for k in (3, 4, 5, 6):
         for mode in ("relax", "grid"):
             check_sc(build_cubic_instance(c5, k, Fraction(1, 2)), CFG, mode=mode)
     A = build_cubic_tensor(c5)
-    assert len(built) == 1 and A._analyses["lift"] is built[0]
+    assert len(built) == 1
     assert counted["max_form_sphere"] == 1
-    Q = built[0].quartic
+    Q, support = built[0]
+    assert Q._analyses["support"] is support
     assert Q == build_quartic_tensor(c5) and Q is not build_quartic_tensor(c5)
     start = reduction.unit_witness("quartic", c5, graphs.max_clique(c5))
     found = optimize.max_form_sphere(Q, CFG, extra_starts=(start,), nonnegative_starts=True)
@@ -902,7 +930,7 @@ def test_cubic_gadget_searches_take_dense_steps_up_to_n_32(monkeypatch):
     assert cg and cg[0][1] == G.n + G.m
 
 
-def test_cubic_tensors_below_the_lift_dim_are_searched_as_stated():
+def test_cubic_tensors_below_the_lift_dim_are_searched_as_stated(built):
     """K5's cubic gadget (dim 15) is searched directly, with the report the direct
     search gives and no lift built; the same entries on dim 16 (one isolated
     coordinate more, which the support read counts as a vertex) are searched through
@@ -912,12 +940,12 @@ def test_cubic_tensors_below_the_lift_dim_are_searched_as_stated():
     A = SymTensor(3, 15, entries)
     assert A.dim == concordance._LIFT_MIN_DIM - 1
     report, direct = concordance._search(A, CFG), _direct_search(SymTensor(3, 15, entries), CFG)
-    assert "lift" not in A._analyses
+    assert built == []
     assert report.best_value == direct.best_value and report.evaluations == direct.evaluations
     assert np.array_equal(report.witness, direct.witness)
     padded = SymTensor(3, 16, entries)
     report = concordance._search(padded, CFG)
-    assert padded._analyses["lift"].quartic.dim == 6 and report.witness.shape == (16,)
+    assert len(built) == 1 and built[0][0].dim == 6 and report.witness.shape == (16,)
     assert abs(report.best_value - direct.best_value) <= 1e-12
 
 
@@ -939,7 +967,7 @@ def test_gadget_searches_keep_their_starts(monkeypatch, lift_min_dim):
     assert count == 2 * 1094
 
 
-def test_a_quartic_tensor_is_searched_as_the_equal_lifted_one(monkeypatch):
+def test_a_quartic_tensor_is_searched_as_the_equal_lifted_one(monkeypatch, built):
     """A quartic tensor decided directly gets the report, bit for bit, that the equal
     Q built by `cubic_lift` gets: on the lift corpus (the lift forced at every dim), Q
     is a gadget-shaped non-gadget for the 1/7-valued and mixed-sign copies, with a
@@ -949,7 +977,7 @@ def test_a_quartic_tensor_is_searched_as_the_equal_lifted_one(monkeypatch):
     edge_starts = 0
     for _, A in _lift_corpus():
         lifted = concordance._search(A, cfg)
-        Q = A._analyses["lift"].quartic
+        Q = built[-1][0]
         twin = SymTensor(4, Q.dim, dict(Q.entries))
         direct = concordance._search(twin, cfg)
         assert _same_report(direct, Q._analyses[cfg]), A
@@ -958,3 +986,28 @@ def test_a_quartic_tensor_is_searched_as_the_equal_lifted_one(monkeypatch):
         assert len(starts) == 1 + (not reduction.read_support(twin).exact)
         edge_starts += len(starts) - 1
     assert edge_starts == 2 * (71 + 33)
+
+
+def test_the_lift_hands_over_the_support_read_of_its_quartic_tensor():
+    """On the lift corpus, the `Support` record that `cubic_lift` returns with Q is
+    `read_support(Q)`: vertices 1..n, A's support graph, and exact when every
+    |value| of A is 1/6."""
+    exact = 0
+    for _, A in _lift_corpus():
+        Q, support = reduction.cubic_lift(A, reduction.read_support(A))
+        assert support == reduction.read_support(Q), A
+        exact += support.exact
+    assert exact == 3 * (71 + 33)
+
+
+def test_a_lifted_search_reads_the_support_of_the_cubic_tensor_only(monkeypatch):
+    """A lifted `_search` reads the support of each fresh cubic tensor once and that of
+    its quartic tensor never (the lift forced at every dim)."""
+    monkeypatch.setattr(concordance, "_LIFT_MIN_DIM", 1)
+    read = []
+    monkeypatch.setattr(concordance, "read_support", lambda A: read.append(A) or reduction.read_support(A))
+    corpus = [A for _, A in _lift_corpus()]
+    for A in corpus:
+        concordance._search(A, CFG)
+        concordance._search(A, OptConfig(starts=2, max_iters=50, seed=1))
+    assert len(read) == len(corpus) and all(a is b for a, b in zip(read, corpus))

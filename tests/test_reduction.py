@@ -475,3 +475,23 @@ def test_search_starts_of_each_case(c5):
     assert read_support(cubic) is not None and starts(cubic, read_support(cubic)) == ()
     other = sym_from_entries(3, 3, [((1, 1, 2), Fraction(1, 6))])
     assert read_support(other) is None and starts(other, None) == ()
+
+
+def test_lift_point_takes_the_quartic_clique_witness_to_the_cubic_one():
+    """On the cubic gadgets of all graphs with n <= 5 and an edge, `lift_point` of the
+    quartic gadget's unit clique witness of a maximum clique is the cubic gadget's, to
+    1e-15, and `lift_value` of the quartic value there is the cubic value."""
+    count, worst = 0, 0.0
+    for n in range(2, 6):
+        for G in enumerate_graphs(n):
+            if not G.m:
+                continue
+            A = build_cubic_tensor(G)
+            clique = reduction.max_clique(G)
+            u = unit_witness("quartic", G, clique)
+            h = reduction.lift_point(A, read_support(A), u)
+            worst = max(worst, float(np.max(np.abs(h - unit_witness("cubic", G, clique)))))
+            value = reduction.lift_value(eval_form(build_quartic_tensor(G), u))
+            assert abs(value - eval_form(A, h)) <= 1e-15, G
+            count += 1
+    assert count == 1094 and worst <= 1e-15, worst
