@@ -58,7 +58,9 @@ which every rung reads; the coloring; and the multistart search of each
 `OptConfig`.  `reduction` memoizes the last graph's gadget tensor of each
 kind and `Gadget.bound` the thresholds, so the decisions of a k-sweep and a
 relax-then-grid pair share one tensor object, which is read, searched and
-colored once; an equal tensor built anew is analysed anew.
+colored once; an equal tensor built anew is analysed anew.  A lifted cubic
+gadget is searched on the memoized quartic gadget of its graph, so the
+graph's cubic and quartic decisions share one search, in either order.
 `graphs` memoizes `proper_coloring` and `max_clique` by graph, so the cubic
 and quartic gadgets of one graph share one coloring and one clique.  The
 float bounds run on each decision that reaches them, which the exact rungs
@@ -321,10 +323,11 @@ def _search(A: SymTensor, cfg: OptConfig) -> OptReport:
 
     A cubic A of gadget shape and dim at least `_LIFT_MIN_DIM` is searched through its quartic
     tensor Q on H instead, by `_search` on Q with the support read that `reduction.cubic_lift`
-    hands over with it.  The witness is lifted back by `lift_point` and `best_value` is A
-    evaluated there, while each start's value is `lift_value` of Q's, so their maximum can
-    differ from `best_value` in the last bit (K3's gadget, lifted: 0.2222222222222223 against
-    0.22222222222222227).  `evaluations` is Q's count.
+    hands over with it, unless Q holds one already: for a gadget A, Q is H's memoized quartic
+    gadget, whose search H's quartic decisions share.  The witness is lifted back by `lift_point`
+    and `best_value` is A evaluated there, while each start's value is `lift_value` of Q's, so
+    their maximum can differ from `best_value` in the last bit (K3's gadget, lifted:
+    0.2222222222222223 against 0.22222222222222227).  `evaluations` is Q's count.
     """
     analyses = A._analyses
     report = analyses.get(cfg)
@@ -332,7 +335,7 @@ def _search(A: SymTensor, cfg: OptConfig) -> OptReport:
         support = _support(A)
         if support is not None and support.kind == "cubic" and A.dim >= _LIFT_MIN_DIM:
             Q, Q_support = cubic_lift(A, support)
-            Q._analyses["support"] = Q_support
+            Q._analyses.setdefault("support", Q_support)
             found = _search(Q, cfg)
             witness = lift_point(A, support, found.witness)
             witness.setflags(write=False)

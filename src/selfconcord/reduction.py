@@ -354,13 +354,13 @@ def cubic_lift(A: SymTensor, support: Support) -> tuple[SymTensor, Support]:
     vertices.  Cauchy-Schwarz in w and the 2/3 : 1/3 split (module docstring) give
     max A = `lift_value`(max Q), attained at `lift_point` of a maximizer of Q.  Q's
     coordinate p is A's `support.vertices[p - 1]`, its support graph is H, and it is the
-    quartic gadget of H (a new tensor, not the memoized one) exactly when every |a| = 1/6.
+    quartic gadget of H, the memoized object `build_quartic_tensor`(H), exactly when every |a| = 1/6.
     """
     position = {v: p for p, v in enumerate(support.vertices, start=1)}
-    entries = {(position[i],) * 2 + (position[j],) * 2: Fraction(6 * a.numerator**2, a.denominator**2)
-               for (i, j, _), a in A.entries.items()}
     exact = all(abs(a.numerator) == 1 and a.denominator == 6 for a in A.entries.values())
-    Q = SymTensor(4, len(position), entries)
+    Q = build_quartic_tensor(support.graph) if exact else SymTensor(4, len(position), {
+        (position[i],) * 2 + (position[j],) * 2: Fraction(6 * a.numerator**2, a.denominator**2)
+        for (i, j, _), a in A.entries.items()})
     return Q, Support("quartic", tuple(range(1, Q.dim + 1)), support.graph, exact)
 
 

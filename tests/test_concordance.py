@@ -878,10 +878,10 @@ def test_cubic_search_runs_on_the_quartic_tensor_and_lifts_its_witness(monkeypat
 
 def test_the_quartic_tensor_is_built_once_per_cubic_tensor_object(counted, monkeypatch, built, c5):
     """A k-sweep in relax and grid mode on one cubic gadget object builds its
-    quartic tensor once and searches it once; that tensor equals the quartic
-    gadget of the graph but is not the memoized object, it keeps the support
-    read handed over with it, and the report's `evaluations` is its search's
-    count (the lift forced on C5's dim 10)."""
+    quartic tensor once and searches it once; that tensor is the memoized
+    quartic gadget of the graph, it keeps the support read handed over with it,
+    and the report's `evaluations` is its search's count (the lift forced on
+    C5's dim 10)."""
     monkeypatch.setattr(concordance, "_LIFT_MIN_DIM", 1)
     for k in (3, 4, 5, 6):
         for mode in ("relax", "grid"):
@@ -891,13 +891,88 @@ def test_the_quartic_tensor_is_built_once_per_cubic_tensor_object(counted, monke
     assert counted["max_form_sphere"] == 1
     Q, support = built[0]
     assert Q._analyses["support"] is support
-    assert Q == build_quartic_tensor(c5) and Q is not build_quartic_tensor(c5)
+    assert Q == build_quartic_tensor(c5) and Q is build_quartic_tensor(c5)
     start = reduction.unit_witness("quartic", c5, graphs.max_clique(c5))
     found = optimize.max_form_sphere(Q, CFG, extra_starts=(start,), nonnegative_starts=True)
     assert concordance._search(A, CFG).evaluations == found.evaluations
-    # An equal tensor object builds its own.
+    # An equal tensor object is lifted anew.
     concordance._search(SymTensor(3, A.dim, dict(A.entries)), CFG)
     assert len(built) == 2
+
+
+def _kind_sweep(G, kinds, fresh=False):
+    """{kind: verdict JSON of each k = omega .. omega + 2, relax then grid}, the kinds
+    decided in the order given; with `fresh`, each decision on an equal new tensor
+    object after `clear_analyses`, so that it reuses nothing."""
+    omega = clique_number(G)
+    sweeps = {}
+    for kind in kinds:
+        check = check_sc if kind == "cubic" else check_sc2
+        sweeps[kind] = verdicts = []
+        for k in range(omega, omega + 3):
+            for mode in ("relax", "grid"):
+                inst = build_instance(G, kind, k, 1)
+                if fresh:
+                    clear_analyses()
+                    inst = replace(inst, A=SymTensor(inst.A.order, inst.A.dim, dict(inst.A.entries)))
+                verdicts.append(verdict_to_json_obj(check(inst, CFG, mode=mode)))
+    return sweeps
+
+
+@pytest.fixture
+def half_edge_graph():
+    """G(8, 14): its cubic gadget has dim 22, so the cubic search runs on the quartic tensor."""
+    G = gnm(8, 14, 8)
+    assert build_cubic_tensor(G).dim == 22 >= concordance._LIFT_MIN_DIM
+    return G
+
+
+def test_a_graphs_cubic_and_quartic_decisions_share_one_search(counted, half_edge_graph):
+    """The cubic decisions of a graph whose cubic gadget is lifted search the memoized
+    quartic gadget, so its quartic decisions after them search nothing, and every
+    verdict, `evaluations` included, is the one an equal new tensor gets with nothing reused."""
+    shared = _kind_sweep(half_edge_graph, ("cubic", "quartic"))
+    assert counted["max_form_sphere"] == 1
+    assert len(shared["cubic"]) == len(shared["quartic"]) == 6
+    assert any(v["status"] == "NOT_SELF_CONCORDANT" for v in shared["cubic"] + shared["quartic"])
+    assert _kind_sweep(half_edge_graph, ("cubic", "quartic"), fresh=True) == shared
+    assert counted["max_form_sphere"] == 1 + 2 * 6
+
+
+def test_quartic_decisions_first_leave_the_cubic_ones_their_search(counted, half_edge_graph):
+    """Decided quartic first, the graph's cubic decisions find the quartic gadget's
+    search and leave it its own support read, and both kinds' verdicts equal those
+    of the cubic-first order."""
+    quartic_first = _kind_sweep(half_edge_graph, ("quartic",))
+    read = build_quartic_tensor(half_edge_graph)._analyses["support"]
+    quartic_first |= _kind_sweep(half_edge_graph, ("cubic",))
+    assert counted["max_form_sphere"] == 1
+    assert build_quartic_tensor(half_edge_graph)._analyses["support"] is read  # kept, not replaced
+    clear_analyses()
+    assert _kind_sweep(half_edge_graph, ("cubic", "quartic")) == quartic_first
+    assert counted["max_form_sphere"] == 2
+
+
+def test_only_a_gadget_is_lifted_to_the_memoized_quartic_gadget(monkeypatch, built):
+    """On the lift corpus (the lift forced at every dim), the gadget and its relabeled
+    and padded copies are searched on `build_quartic_tensor`(H) itself, while the
+    1/7-valued and mixed-sign copies get a Q of their own and leave the analyses of
+    H's quartic gadget empty."""
+    monkeypatch.setattr(concordance, "_LIFT_MIN_DIM", 1)
+    cfg = OptConfig(starts=2, max_iters=100, seed=3)
+    shared = own = 0
+    for index, (_, A) in enumerate(_lift_corpus()):
+        clear_analyses()
+        gadget = build_quartic_tensor(reduction.read_support(A).graph)
+        concordance._search(A, cfg)
+        Q = built[-1][0]
+        if index % 5 in (1, 2):
+            assert Q is not gadget and Q != gadget and gadget._analyses == {}, A
+            own += 1
+        else:
+            assert Q is gadget and cfg in gadget._analyses, A
+            shared += 1
+    assert (shared, own) == (3 * (71 + 33), 2 * (71 + 33))
 
 
 def test_values_below_the_float_range_lift_to_a_unit_witness(monkeypatch):
